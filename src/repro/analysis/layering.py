@@ -17,16 +17,15 @@ rank  packages
 2     ``core``
 3     ``qat``, ``tls``
 4     ``offload``
-5     ``engine``
-6     ``ssl``
-7     ``server``
-8     ``clients``
-9     ``bench``
-10    ``testing``, ``analysis``
+5     ``ssl``
+6     ``server``
+7     ``clients``
+8     ``bench``
+9     ``testing``, ``analysis``
 ====  =======================================================
 
 Consequences the issue called out explicitly: ``crypto`` (rank 1) can
-never import ``server`` (rank 7), and nothing below rank 10 imports
+never import ``server`` (rank 6), and nothing below rank 9 imports
 ``bench`` — only the fuzz harness (``testing``) drives it.
 
 Exemptions, by design:
@@ -64,12 +63,11 @@ PACKAGE_RANKS: Dict[str, int] = {
     "core": 2,
     "qat": 3, "tls": 3,
     "offload": 4,
-    "engine": 5,
-    "ssl": 6,
-    "server": 7,
-    "clients": 8,
-    "bench": 9,
-    "testing": 10, "analysis": 10,
+    "ssl": 5,
+    "server": 6,
+    "clients": 7,
+    "bench": 8,
+    "testing": 9, "analysis": 9,
 }
 
 

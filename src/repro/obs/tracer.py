@@ -1,12 +1,11 @@
 """The request-lifecycle tracer.
 
 One :class:`RequestTracer` per simulation (attached to the kernel as
-``sim.obs``), shared by every layer on the offload critical path. It
-follows the check-enabled-first discipline of
-:class:`repro.sim.trace.Tracer`: a disabled tracer is a single
-attribute read at each instrumentation site — no allocation, no
-formatting, no sim perturbation — so production-shaped runs pay
-(approximately) nothing.
+``sim.obs``), shared by every layer on the offload critical path, and
+the only tracer in the tree. Every instrumentation site checks
+``enabled`` first: a disabled tracer is a single attribute read — no
+allocation, no formatting, no sim perturbation — so production-shaped
+runs pay (approximately) nothing.
 
 Profiling hooks:
 

@@ -2,7 +2,9 @@
 
 The QTLS framework (deadlines, breakers, batching, failover, polling)
 lives in :class:`~repro.offload.engine.AsyncOffloadEngine`; concrete
-accelerators implement :class:`~repro.offload.backend.OffloadBackend`:
+accelerators implement :class:`~repro.offload.backend.OffloadBackend`
+(:class:`~repro.offload.software.SoftwareEngine` is the CPU-only
+baseline):
 
 - :class:`~repro.offload.qat_backend.QatBackend` — the on-board QAT
   card (``repro.qat`` device model), one lane per crypto instance;
@@ -26,7 +28,7 @@ __all__ = [
     "SubmitError", "RingFull", "OffloadTimeout",
     "OpSpec", "Completion", "LaneStats", "OffloadBackend",
     "PendingOp", "CircuitBreaker", "InflightCounters",
-    "AsyncOffloadEngine", "ALGORITHM_GROUPS",
+    "AsyncOffloadEngine", "ALGORITHM_GROUPS", "SoftwareEngine",
     "ClassScheduler", "SchedLane", "SCHED_POLICIES", "DEFAULT_WEIGHTS",
     "QatBackend", "RemoteAcceleratorBackend", "RemoteCryptoService",
     "InstancePool", "PooledQatBackend", "AllocationPolicy",
@@ -44,6 +46,7 @@ _LAZY = {
     "InflightCounters": "inflight",
     "AsyncOffloadEngine": "engine",
     "ALGORITHM_GROUPS": "engine",
+    "SoftwareEngine": "software",
     "ClassScheduler": "scheduler",
     "SchedLane": "scheduler",
     "SCHED_POLICIES": "scheduler",

@@ -20,6 +20,14 @@ Two execution modes:
   later retrieves responses and the engine resumes the paused offload
   jobs through their wait-ctx callbacks / notification FDs.
 
+Every async op takes one pipeline. ``submit_async`` submits it
+directly or parks it (:meth:`~AsyncOffloadEngine._park`): in the
+class-aware admission lanes when admission binds, else in the
+coalescing queue when batching. Whichever way it then reaches the
+backend — direct submit, batched flush or admission — ``_accept``
+enters it into the in-flight table; a queued op that leaves its queue
+any other way (expiry, drain, rescue, abort) goes through ``_unqueue``.
+
 Submission batching (``batch_size > 1``): instead of one
 doorbell/RPC per op, ``submit_async`` parks ops in a coalescing queue
 and flushes up to ``batch_size`` of them in a single
@@ -47,8 +55,8 @@ ring-full so the SSL layer can pause the job in WANT_RETRY.
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Deque, Dict, Generator, Iterable, List, Optional,
-                    Set, Tuple)
+from typing import (Any, Deque, Dict, Generator, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from ..core.costmodel import CostModel
 from ..cpu.core import Core
@@ -470,7 +478,7 @@ class AsyncOffloadEngine:
             obs.finish(trace, sim.now)
         return resp.result
 
-    # -- asynchronous offload ----------------------------------------------------
+    # -- asynchronous offload: one submit pipeline -----------------------------
 
     def _must_queue(self, job: object) -> bool:
         """Should this submission park in the admission lanes rather
@@ -511,7 +519,8 @@ class AsyncOffloadEngine:
             # connection is at its in-flight budget: bounded queueing.
             return self._admission_enqueue(call, job)
         if self.batch_size > 1:
-            return (yield from self._submit_batched(call, job, owner))
+            yield from self._coalesce(self._park(call, job), owner)
+            return True
         submit_cost = self.backend.submit_cpu_cost(1)
         yield from self.core.consume(submit_cost, owner=owner)
         self.submit_time += submit_cost
@@ -523,42 +532,58 @@ class AsyncOffloadEngine:
                 return self._admission_enqueue(call, job)
             job.submit_attempts = getattr(job, "submit_attempts", 0) + 1
             return False
-        token, lane = submitted
+        self._accept(*submitted, call, job,
+                     attempts=getattr(job, "submit_attempts", 0))
+        job.submit_attempts = 0
+        return True
+
+    def _accept(self, token: Any, lane: int, call: CryptoCall, job: object,
+                attempts: int, deadline: Optional[float] = None,
+                charge: bool = True) -> None:
+        """The backend took the op: stamp the trace accept, enter it in
+        the in-flight table and count it offloaded. The one accept step
+        of every route (direct, batched flush, admission). A direct op's
+        deadline runs from now; a queued op keeps its enqueue-time one.
+        ``charge=False`` for coalescing-queue ops, which ``inflight``
+        has counted since enqueue."""
         now = self.core.sim.now
         trace = getattr(job, "trace", None)
         if trace is not None:
-            trace.accept(now, self.backend.name, lane,
-                         attempts=getattr(job, "submit_attempts", 0))
+            trace.accept(now, self.backend.name, lane, attempts=attempts)
+        if deadline is None:
+            deadline = now + self.request_deadline
         self._pending[token] = PendingOp(
             call=call, job=job, lane=lane, submitted_at=now,
-            deadline=now + self.request_deadline)
-        job.submit_attempts = 0
-        self._op_accepted(call, job)
+            deadline=deadline)
+        if charge:
+            self._op_accepted(call, job)
         self.ops_offloaded += 1
-        return True
 
-    def _submit_batched(self, call: CryptoCall, job: object, owner: object
-                        ) -> Generator:
-        """Park the op in the coalescing queue; flush when full."""
+    def _park(self, call: CryptoCall, job: object) -> _QueuedOp:
+        """The queue entry for an op that waits inside the engine
+        (coalescing queue or admission lanes). Pauses the job first: a
+        poll interleaved with a later flush must already find it in a
+        deliverable state (the SSL layer marks it paused again after
+        ``submit_async`` returns — a no-op)."""
         now = self.core.sim.now
-        # Pause the job before any flush could race a completion in:
-        # the SSL layer marks it paused again after we return (a
-        # no-op), but a poll interleaved with the flush below must
-        # already find the job in a deliverable state.
         mark_paused = getattr(job, "mark_paused", None)
         if mark_paused is not None:
             mark_paused(call)
         trace = getattr(job, "trace", None)
         if trace is not None:
             trace.mark("enqueued", now)
-        self._batch.append(_QueuedOp(call, job, now,
-                                     now + self.request_deadline))
-        self._op_accepted(call, job)
         job.submit_attempts = 0
+        return _QueuedOp(call, job, now, now + self.request_deadline)
+
+    def _coalesce(self, q: _QueuedOp, owner: object) -> Generator:
+        """Append ``q`` to the coalescing queue (counted in ``inflight``
+        from here on), flush when full, and keep the flush timer
+        armed."""
+        self._batch.append(q)
+        self._op_accepted(q.call, q.job)
         if len(self._batch) >= self.batch_size:
             yield from self._flush_batch(owner)
         self._arm_flush_timer()
-        return True
 
     def _flush_batch(self, owner: object) -> Generator:
         """Submit queued ops, one backend call per chunk of up to
@@ -609,7 +634,6 @@ class AsyncOffloadEngine:
                 specs = [OpSpec(q.call.op, q.call.compute, cookie=q.job)
                          for q in chunk]
                 tokens = self.backend.submit_batch(specs, lane)
-                now = self.core.sim.now
                 accepted = 0
                 for q, token in zip(chunk, tokens):
                     if token is None:
@@ -617,14 +641,8 @@ class AsyncOffloadEngine:
                         self.submit_rejections += 1
                         continue
                     self._batch.remove(q)
-                    trace = getattr(q.job, "trace", None)
-                    if trace is not None:
-                        trace.accept(now, self.backend.name, lane,
-                                     attempts=q.attempts)
-                    self._pending[token] = PendingOp(
-                        call=q.call, job=q.job, lane=lane,
-                        submitted_at=now, deadline=q.deadline)
-                    self.ops_offloaded += 1
+                    self._accept(token, lane, q.call, q.job, q.attempts,
+                                 q.deadline, charge=False)
                     accepted += 1
                 if accepted:
                     self.batches_submitted += 1
@@ -670,42 +688,97 @@ class AsyncOffloadEngine:
         finally:
             self._flush_timer_active = False
 
-    def _expire_queued(self, owner: object) -> Generator:
+    # -- queued ops -------------------------------------------------------------
+
+    def _queued(self, batch: bool = True, admission: bool = True
+                ) -> Iterator[_QueuedOp]:
+        """Walk the queued ops: the coalescing queue, then the admission
+        lanes in arrival order. Each queue is snapshotted when the walk
+        reaches it, and an op that left its queue before its turn
+        (flushed, admitted onward or expired while the caller yielded
+        core time) is skipped."""
+        if batch:
+            for q in list(self._batch):
+                if q in self._batch:
+                    yield q
+        if admission:
+            for q in self.scheduler.items():
+                if q in self.scheduler:
+                    yield q
+
+    def _unqueue(self, q: _QueuedOp) -> None:
+        """Remove a queued op from whichever queue holds it. Only the
+        coalescing queue is charged in ``inflight``, so only an op
+        taken from there is uncharged."""
+        try:
+            self._batch.remove(q)
+        except ValueError:
+            self.scheduler.remove(q)
+        else:
+            self._op_retired(q.call, q.job)
+
+    @staticmethod
+    def _paused(job: object) -> bool:
+        """Is ``job`` still waiting on its op, i.e. not rescued or
+        aborted elsewhere? Jobs without a state machine always are."""
+        state = getattr(job, "state", None)
+        return state is None or state.name == "PAUSED"
+
+    def _fail_queued(self, q: _QueuedOp, owner: object,
+                     exc: BaseException) -> Generator:
+        """Resume the job of an unqueued op through the failure path,
+        unless it was rescued or aborted meanwhile. Returns the job
+        resumed, or None."""
+        if not self._paused(q.job):
+            return None
+        yield from self._deliver_failure(
+            PendingOp(call=q.call, job=q.job, lane=-1,
+                      submitted_at=q.enqueued_at, deadline=q.deadline),
+            owner, exc)
+        return q.job
+
+    def _expire_queued(self, owner: object, admission: bool = False
+                       ) -> Generator:
         """Fail over queued ops that can no longer reach the backend:
-        retry budget spent, deadline passed, or no lane admitting
-        traffic. Ops younger than ``batch_timeout`` are left alone —
-        their submitter may still be arming the wait context, and the
-        next timer round will revisit them. Returns jobs resumed."""
+        deadline passed, no lane admitting traffic, or — coalescing
+        queue only — retry budget spent. Walks the coalescing queue, or
+        the admission lanes when ``admission`` (whose expiries also
+        count on their lane and in the admission timeline). Ops younger
+        than ``batch_timeout`` are left alone — their submitter may
+        still be arming the wait context, and a later round revisits
+        them. Returns jobs resumed."""
         now = self.core.sim.now
         jobs: List[object] = []
         no_lane = not self._any_lane_available()
-        for q in list(self._batch):
-            if q not in self._batch:
-                # Submitted by a flush that interleaved with a yield
-                # in a previous iteration of this loop.
-                continue
+        for q in self._queued(batch=not admission, admission=admission):
             if now - q.enqueued_at < self.batch_timeout:
                 continue
             timed_out = now >= q.deadline
-            exhausted = q.attempts >= self.submit_max_retries
+            exhausted = (not admission
+                         and q.attempts >= self.submit_max_retries)
             if not (timed_out or exhausted or no_lane):
                 continue
-            self._batch.remove(q)
-            self._op_retired(q.call, q.job)
+            self._unqueue(q)
+            if admission:
+                self.scheduler.note_expired(q.call.op.category)
+                reason = (f"expired in the admission queue after "
+                          f"{(now - q.enqueued_at) * 1e3:.1f}ms")
+            else:
+                reason = (f"never reached the accelerator after "
+                          f"{q.attempts} submit attempts")
             if timed_out:
                 self.op_timeouts += 1
-            job = q.job
-            state = getattr(job, "state", None)
-            if state is not None and state.name != "PAUSED":
-                continue
-            exc = OffloadTimeout(
-                f"{q.call.op.kind.name} never reached the accelerator "
-                f"after {q.attempts} submit attempts")
-            yield from self._deliver_failure(
-                PendingOp(call=q.call, job=job, lane=-1,
-                          submitted_at=q.enqueued_at, deadline=q.deadline),
-                owner, exc)
-            jobs.append(job)
+            job = yield from self._fail_queued(
+                q, owner, OffloadTimeout(f"{q.call.op.kind.name} {reason}"))
+            if job is not None:
+                jobs.append(job)
+        if admission and jobs:
+            # Sample at the CURRENT time, not the entry snapshot: the
+            # failover deliveries above yield core time, and another
+            # engine sharing this core's timeline (a draining
+            # generation next to its successor) may have sampled a
+            # later instant during those yields.
+            self._sample_admission(self.core.sim.now)
         return jobs
 
     # -- admission control ------------------------------------------------------
@@ -723,21 +796,12 @@ class AsyncOffloadEngine:
     def _admission_enqueue(self, call: CryptoCall, job: object) -> bool:
         """Park the op on its class lane; always accepted (the job
         pauses exactly as if the op were in flight)."""
-        now = self.core.sim.now
-        mark_paused = getattr(job, "mark_paused", None)
-        if mark_paused is not None:
-            mark_paused(call)
-        trace = getattr(job, "trace", None)
-        if trace is not None:
-            trace.mark("enqueued", now)
-        self.scheduler.push(_QueuedOp(call, job, now,
-                                      now + self.request_deadline),
-                            call.op.category)
+        q = self._park(call, job)
+        self.scheduler.push(q, call.op.category)
         self.admission_enqueued += 1
         if self.scheduler.queued > self.admission_peak:
             self.admission_peak = self.scheduler.queued
-        job.submit_attempts = 0
-        self._sample_admission(now)
+        self._sample_admission(q.enqueued_at)
         return True
 
     def _note_admitted(self, q: _QueuedOp) -> None:
@@ -763,18 +827,13 @@ class AsyncOffloadEngine:
             q = s.pop()
             if q is None:
                 break  # every queued op is budget-blocked
-            state = getattr(q.job, "state", None)
-            if state is not None and state.name != "PAUSED":
+            if not self._paused(q.job):
                 # Rescued/aborted while queued; nothing to submit.
                 continue
             if self.batch_size > 1:
-                self._batch.append(q)
-                self._op_accepted(q.call, q.job)
                 self._note_admitted(q)
                 admitted += 1
-                if len(self._batch) >= self.batch_size:
-                    yield from self._flush_batch(owner)
-                self._arm_flush_timer()
+                yield from self._coalesce(q, owner)
                 continue
             # Unbatched: the pop above already removed the op, so the
             # expiry paths cannot fail it over while we consume core
@@ -782,8 +841,7 @@ class AsyncOffloadEngine:
             submit_cost = self.backend.submit_cpu_cost(1)
             yield from self.core.consume(submit_cost, owner=owner)
             self.submit_time += submit_cost
-            state = getattr(q.job, "state", None)
-            if state is not None and state.name != "PAUSED":
+            if not self._paused(q.job):
                 continue
             submitted = self._try_submit(q.call.op, q.call.compute,
                                          cookie=q.job)
@@ -791,63 +849,12 @@ class AsyncOffloadEngine:
                 q.attempts += 1
                 s.push_front(q, q.call.op.category)
                 break
-            token, lane = submitted
-            now = self.core.sim.now
-            trace = getattr(q.job, "trace", None)
-            if trace is not None:
-                trace.accept(now, self.backend.name, lane,
-                             attempts=q.attempts)
-            self._pending[token] = PendingOp(
-                call=q.call, job=q.job, lane=lane,
-                submitted_at=now, deadline=q.deadline)
-            self._op_accepted(q.call, q.job)
-            self.ops_offloaded += 1
+            self._accept(*submitted, q.call, q.job, q.attempts, q.deadline)
             self._note_admitted(q)
             admitted += 1
         if admitted:
             self._sample_admission(self.core.sim.now)
         return admitted
-
-    def _expire_admission(self, owner: object) -> Generator:
-        """Fail over admission-queued ops that can no longer make it:
-        deadline passed or no lane admitting traffic. Same freshness
-        guard as :meth:`_expire_queued` (the submitter may still be
-        arming the job's wait context). Returns jobs resumed."""
-        now = self.core.sim.now
-        jobs: List[object] = []
-        no_lane = not self._any_lane_available()
-        for q in self.scheduler.items():
-            if q not in self.scheduler:
-                continue
-            if now - q.enqueued_at < self.batch_timeout:
-                continue
-            timed_out = now >= q.deadline
-            if not (timed_out or no_lane):
-                continue
-            self.scheduler.remove(q)
-            self.scheduler.note_expired(q.call.op.category)
-            if timed_out:
-                self.op_timeouts += 1
-            job = q.job
-            state = getattr(job, "state", None)
-            if state is not None and state.name != "PAUSED":
-                continue
-            exc = OffloadTimeout(
-                f"{q.call.op.kind.name} expired in the admission queue "
-                f"after {(now - q.enqueued_at) * 1e3:.1f}ms")
-            yield from self._deliver_failure(
-                PendingOp(call=q.call, job=job, lane=-1,
-                          submitted_at=q.enqueued_at, deadline=q.deadline),
-                owner, exc)
-            jobs.append(job)
-        if jobs:
-            # Sample at the CURRENT time, not the entry snapshot: the
-            # failover deliveries above yield core time, and another
-            # engine sharing this core's timeline (a draining
-            # generation next to its successor) may have sampled a
-            # later instant during those yields.
-            self._sample_admission(self.core.sim.now)
-        return jobs
 
     def _sample_admission(self, now: float) -> None:
         obs = getattr(self.core.sim, "obs", None)
@@ -892,8 +899,7 @@ class AsyncOffloadEngine:
         """Is an accepted request for ``job`` still in flight (or
         parked in the coalescing or admission queue)?"""
         return (any(p.job is job for p in self._pending.values())
-                or any(q.job is job for q in self._batch)
-                or any(q.job is job for q in self.scheduler.items()))
+                or any(q.job is job for q in self._queued()))
 
     # -- worker lifecycle (drain / crash) -----------------------------------
 
@@ -913,32 +919,13 @@ class AsyncOffloadEngine:
         complete normally. Returns the jobs resumed."""
         jobs: List[object] = []
         had_admission = bool(self.scheduler.queued)
-        for source in ("batch", "admission"):
-            items = (list(self._batch) if source == "batch"
-                     else self.scheduler.items())
-            for q in items:
-                if source == "batch":
-                    if q not in self._batch:
-                        continue
-                    self._batch.remove(q)
-                    self._op_retired(q.call, q.job)
-                else:
-                    if q not in self.scheduler:
-                        continue
-                    self.scheduler.remove(q)
-                self.ops_drained += 1
-                job = q.job
-                state = getattr(job, "state", None)
-                if state is not None and state.name != "PAUSED":
-                    continue
-                exc = OffloadTimeout(
-                    f"{q.call.op.kind.name} drained before reaching the "
-                    "accelerator (worker shutting down)")
-                yield from self._deliver_failure(
-                    PendingOp(call=q.call, job=job, lane=-1,
-                              submitted_at=q.enqueued_at,
-                              deadline=q.deadline),
-                    owner, exc)
+        for q in self._queued():
+            self._unqueue(q)
+            self.ops_drained += 1
+            job = yield from self._fail_queued(q, owner, OffloadTimeout(
+                f"{q.call.op.kind.name} drained before reaching the "
+                "accelerator (worker shutting down)"))
+            if job is not None:
                 jobs.append(job)
         if had_admission:
             self._sample_admission(self.core.sim.now)
@@ -960,13 +947,8 @@ class AsyncOffloadEngine:
             self._op_retired(p.call, p.job)
             self._abort_trace(p.job, obs, sim.now)
             aborted += 1
-        while self._batch:
-            q = self._batch.popleft()
-            self._op_retired(q.call, q.job)
-            self._abort_trace(q.job, obs, sim.now)
-            aborted += 1
-        for q in self.scheduler.items():
-            self.scheduler.remove(q)
+        for q in self._queued():
+            self._unqueue(q)
             self._abort_trace(q.job, obs, sim.now)
             aborted += 1
         self.ops_aborted += aborted
@@ -1049,8 +1031,8 @@ class AsyncOffloadEngine:
         timeout against the owning lane's breaker and resume each
         affected job through the software fallback (or deliver an
         :class:`OffloadTimeout`). Queued-but-never-submitted ops are
-        expired through the same rules as the flush timer. Returns the
-        list of jobs resumed."""
+        expired next — the coalescing queue by the flush timer's rules,
+        then the admission lanes. Returns the list of jobs resumed."""
         now = self.core.sim.now
         expired = [token for token, p in self._pending.items()
                    if now >= p.deadline]
@@ -1066,8 +1048,7 @@ class AsyncOffloadEngine:
             self.backend.lane_stats(pending.lane).op_timeouts += 1
             self.breakers[pending.lane].record_failure()
             job = pending.job
-            state = getattr(job, "state", None)
-            if state is not None and state.name != "PAUSED":
+            if not self._paused(job):
                 # Job already rescued/aborted elsewhere; the late
                 # response (if any) will be dropped as stale.
                 continue
@@ -1079,7 +1060,8 @@ class AsyncOffloadEngine:
         if self._batch:
             jobs.extend((yield from self._expire_queued(owner)))
         if self.scheduler.queued:
-            jobs.extend((yield from self._expire_admission(owner)))
+            jobs.extend((yield from self._expire_queued(owner,
+                                                        admission=True)))
             if self.scheduler.queued:
                 yield from self.admit_queued(owner)
         return jobs
@@ -1095,13 +1077,9 @@ class AsyncOffloadEngine:
             return False
         # Drop a queued entry for this job, if any, so a later flush
         # cannot submit (and then deliver) the same op twice.
-        for q in list(self._batch):
+        for q in self._queued():
             if q.job is job:
-                self._batch.remove(q)
-                self._op_retired(q.call, q.job)
-        for q in self.scheduler.items():
-            if q.job is job:
-                self.scheduler.remove(q)
+                self._unqueue(q)
         pending = PendingOp(call=call, job=job, lane=-1,
                             submitted_at=self.core.sim.now,
                             deadline=self.core.sim.now)

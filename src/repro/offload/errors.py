@@ -18,9 +18,9 @@ class RingFull(SubmitError):
     """Submission failed because the hardware request ring (or the
     backend's equivalent admission window) is full.
 
-    This is the single canonical ring-full exception type: the engine
-    layer (``repro.engine.qat_engine``) and the device model
-    (``repro.qat.rings``) both re-export it for backward compatibility.
+    This is the single canonical ring-full exception type: the device
+    model (``repro.qat.rings``) re-exports it for backward
+    compatibility.
     """
 
 

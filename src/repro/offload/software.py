@@ -1,4 +1,10 @@
-"""The software engine: AES-NI-class CPU crypto (the SW baseline)."""
+"""The software engine: AES-NI-class CPU crypto (the SW baseline).
+
+The SSL layer hands each :class:`~repro.tls.actions.CryptoCall` to an
+engine: this one runs every op on the worker's CPU core, while
+:class:`~repro.offload.engine.AsyncOffloadEngine` offloads offloadable
+ops to an accelerator backend, blocking or asynchronously.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +13,14 @@ from typing import Generator
 from ..core.costmodel import CostModel
 from ..cpu.core import Core
 from ..tls.actions import CryptoCall
-from .base import Engine
 
 __all__ = ["SoftwareEngine"]
 
 
-class SoftwareEngine(Engine):
+class SoftwareEngine:
     """Executes every crypto op on the owning worker's core."""
 
+    #: No pause/resume: the SSL layer must run it in sync mode.
     supports_async = False
 
     def __init__(self, core: Core, cost_model: CostModel) -> None:
@@ -26,6 +32,8 @@ class SoftwareEngine(Engine):
 
     def execute_blocking(self, call: CryptoCall, owner: object
                          ) -> Generator:
+        """Run the op to completion before returning its result. A sim
+        generator: ``result = yield from engine.execute_blocking(...)``."""
         cost = self.cost_model.software_cost(call.op)
         yield from self.core.consume(cost, owner=owner)
         self.ops_executed += 1

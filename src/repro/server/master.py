@@ -10,7 +10,7 @@ from typing import List, Optional
 from ..core.costmodel import CostModel, default_cost_model
 from ..cpu.core import CpuTopology
 from ..crypto.provider import CryptoProvider
-from ..engine.software import SoftwareEngine
+from ..offload.software import SoftwareEngine
 from ..net.link import Link
 from ..net.network import Network
 from ..offload.engine import AsyncOffloadEngine

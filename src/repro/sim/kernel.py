@@ -17,7 +17,6 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
-from .trace import Tracer
 
 __all__ = ["Simulator", "StopSimulation"]
 
@@ -36,11 +35,10 @@ LOW = 2
 class Simulator:
     """A discrete-event simulator with simulated seconds as time unit."""
 
-    def __init__(self, trace: Optional[Tracer] = None) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = count()
-        self.trace = trace or Tracer(enabled=False)
         #: Optional request-lifecycle tracer (a
         #: :class:`repro.obs.tracer.RequestTracer`). The kernel never
         #: touches it; it lives here so every layer holding a sim
@@ -109,8 +107,6 @@ class Simulator:
         if event.cancelled:
             return
         self._now = when
-        if self.trace.enabled:
-            self.trace.record("event", when, event.name or type(event).__name__)
         event._process()
         if event._exc is not None and not event._defused:
             raise event._exc

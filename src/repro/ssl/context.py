@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Optional, Union
 
 import numpy as np
 
 from ..core.costmodel import CostModel
 from ..cpu.core import Core
-from ..engine.base import Engine
+from ..offload.engine import AsyncOffloadEngine
+from ..offload.software import SoftwareEngine
 from ..tls.config import TlsServerConfig
 from ..tls.constants import ProtocolVersion
 from ..tls.handshake import server_handshake12, server_handshake13
@@ -24,7 +25,8 @@ AsyncMode = str
 class SslContext:
     """The SSL_CTX equivalent: shared server TLS state + engine."""
 
-    def __init__(self, tls_config: TlsServerConfig, engine: Engine,
+    def __init__(self, tls_config: TlsServerConfig,
+                 engine: Union[AsyncOffloadEngine, SoftwareEngine],
                  core: Core, cost_model: CostModel,
                  async_mode: AsyncMode = "sync",
                  version: ProtocolVersion = ProtocolVersion.TLS12,

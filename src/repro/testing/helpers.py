@@ -16,7 +16,8 @@ from typing import Any, Dict, List, NamedTuple, Optional
 from ..core.costmodel import CostModel
 from ..cpu.core import Core
 from ..crypto.ops import CryptoOp, CryptoOpKind
-from ..engine.qat_engine import QatEngine
+from ..offload.engine import AsyncOffloadEngine
+from ..offload.qat_backend import QatBackend
 from ..obs import RequestTracer
 from ..qat.device import QatDevice
 from ..qat.driver import QatUserspaceDriver
@@ -60,7 +61,7 @@ class QatEnv(NamedTuple):
 
     sim: Simulator
     core: Core
-    engine: QatEngine
+    engine: AsyncOffloadEngine
     device: QatDevice
     drivers: List[QatUserspaceDriver]
     tracer: Optional[RequestTracer]
@@ -77,7 +78,7 @@ def make_qat_env(n_instances: int = 1,
     (kwargs form); ``trace`` attaches a
     :class:`~repro.obs.tracer.RequestTracer` as ``sim.obs``; engine
     kwargs (``batch_size``, ``request_deadline``, ...) pass through to
-    :class:`~repro.engine.qat_engine.QatEngine`.
+    :class:`~repro.offload.engine.AsyncOffloadEngine`.
     """
     sim = Simulator()
     tracer = None
@@ -92,7 +93,8 @@ def make_qat_env(n_instances: int = 1,
             FaultPlan(RngRegistry(seed).stream("faults"), **plan_kw))
     drivers = [QatUserspaceDriver(inst)
                for inst in dev.allocate_instances(n_instances)]
-    eng = QatEngine(drivers, core, CostModel(), **engine_kw)
+    eng = AsyncOffloadEngine(QatBackend(drivers), core, CostModel(),
+                             **engine_kw)
     return QatEnv(sim, core, eng, dev, drivers, tracer)
 
 

@@ -63,13 +63,6 @@ def test_cli_list_prints_catalogue():
         assert code in proc.stdout
 
 
-def test_determinism_shim_stays_green():
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_determinism.py")],
-        capture_output=True, text=True, cwd=REPO_ROOT)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
 def test_unknown_injection_code_exits_two(tools_on_path):
     import analyze
     assert analyze.inject_violation("RA999", select_only=True) == 2

@@ -1,7 +1,7 @@
 """Engine resilience tests: deadlines, bounded retries, circuit
 breakers, software failover, stale-response filtering."""
 
-from repro.engine import CircuitBreaker, OffloadTimeout
+from repro.offload import CircuitBreaker, OffloadTimeout
 from repro.qat import qat_service_time
 from repro.testing import make_job, make_qat_env, rsa_call
 
@@ -62,7 +62,7 @@ def test_blocking_response_loss_hits_deadline_then_falls_back():
     assert out["r"] == "sig"
     assert eng.op_timeouts == 1
     assert eng.ops_fallback == 1
-    assert eng.drivers[0].op_timeouts == 1
+    assert eng.backend.drivers[0].op_timeouts == 1
     assert eng.inflight.total == 0
     assert eng.breakers[0].consecutive_failures == 1
 

@@ -6,7 +6,8 @@ import pytest
 from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
-from repro.engine import ALGORITHM_GROUPS, QatEngine, SoftwareEngine
+from repro.offload import (ALGORITHM_GROUPS, AsyncOffloadEngine, QatBackend,
+                           SoftwareEngine)
 from repro.qat import QatDevice, QatUserspaceDriver, qat_service_time
 from repro.sim import Simulator
 from repro.ssl.async_job import FiberAsyncJob
@@ -29,7 +30,8 @@ def make_qat_env(ring_capacity=64, algorithms=("RSA", "EC", "PKEY_CRYPTO",
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=1, ring_capacity=ring_capacity)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    eng = QatEngine(drv, core, CostModel(), algorithms=algorithms)
+    eng = AsyncOffloadEngine(QatBackend([drv]), core, CostModel(),
+                             algorithms=algorithms)
     return sim, core, eng
 
 
@@ -120,7 +122,8 @@ def test_unknown_algorithm_group_rejected():
     dev = QatDevice(sim, n_endpoints=1)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
     with pytest.raises(ValueError, match="unknown algorithm group"):
-        QatEngine(drv, Core(sim, 0), CostModel(), algorithms=("BOGUS",))
+        AsyncOffloadEngine(QatBackend([drv]), Core(sim, 0), CostModel(),
+                           algorithms=("BOGUS",))
 
 
 # -- async offload ------------------------------------------------------------------
@@ -257,7 +260,7 @@ def test_engine_command_reports_rtotal():
 
 
 def test_inflight_underflow_guarded():
-    from repro.engine import InflightCounters
+    from repro.offload import InflightCounters
     from repro.crypto.ops import OpCategory
     c = InflightCounters()
     with pytest.raises(RuntimeError):

@@ -21,12 +21,10 @@ def make_env(n_instances=1, ring_capacity=64, **engine_kw):
 # -- error types ---------------------------------------------------------------
 
 def test_ring_full_is_one_type_across_layers():
-    import repro.engine
     import repro.offload as offload
     from repro.offload import errors
     from repro.qat import rings
-    assert (rings.RingFull is errors.RingFull is repro.engine.RingFull
-            is offload.RingFull)
+    assert rings.RingFull is errors.RingFull is offload.RingFull
     assert issubclass(errors.RingFull, errors.SubmitError)
 
 
@@ -101,12 +99,12 @@ def test_batch_flushes_when_full():
                                              owner="w")
             assert ok
             if i < 3:  # still coalescing
-                assert eng.driver.submitted == 0
+                assert eng.backend.drivers[0].submitted == 0
                 assert eng.queued_batch_ops == i + 1
 
     sim.process(proc(sim))
     sim.run(until=1e-4)
-    assert eng.driver.submitted == 4
+    assert eng.backend.drivers[0].submitted == 4
     assert eng.queued_batch_ops == 0
     assert eng.batches_submitted == 1
     assert eng.batch_ops == 4
@@ -121,13 +119,13 @@ def test_partial_batch_flushes_on_timeout():
     def proc(sim):
         job.mark_paused(rsa_call())
         yield from eng.submit_async(rsa_call(), job, owner="w")
-        assert eng.driver.submitted == 0  # parked in the queue
+        assert eng.backend.drivers[0].submitted == 0  # parked in the queue
 
     sim.process(proc(sim))
     sim.run(until=40e-6)
-    assert eng.driver.submitted == 0
+    assert eng.backend.drivers[0].submitted == 0
     sim.run(until=5e-3)  # past batch_timeout: the flush timer fired
-    assert eng.driver.submitted == 1
+    assert eng.backend.drivers[0].submitted == 1
     assert eng.batches_submitted == 1
 
 
@@ -150,7 +148,7 @@ def test_flush_respects_ring_capacity():
 
     sim.process(proc(sim))
     sim.run(until=20e-3)
-    assert eng.driver.submit_failures == 0
+    assert eng.backend.drivers[0].submit_failures == 0
     assert eng.ops_offloaded == 4  # drained in capacity-sized chunks
     assert eng.submit_failures == 0
 
@@ -201,7 +199,8 @@ def test_batch_size_one_matches_legacy_submit():
     sim.process(proc(sim))
     sim.run(until=1e-4)
     assert out["ok"]
-    assert eng.driver.submitted == 1  # straight to the ring, no queue
+    # Straight to the ring, no queue.
+    assert eng.backend.drivers[0].submitted == 1
     assert eng.queued_batch_ops == 0
     assert eng.batches_submitted == 1 and eng.batch_ops == 1
 

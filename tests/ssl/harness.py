@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.costmodel import CostModel
 from repro.cpu import Core
-from repro.engine.software import SoftwareEngine
+from repro.offload.software import SoftwareEngine
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.qat_backend import QatBackend
 from repro.qat import QatDevice, QatUserspaceDriver
