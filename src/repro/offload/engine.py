@@ -47,9 +47,10 @@ breaker open) are failed over to the software path by the timer and by
 :meth:`check_timeouts` — never synchronously inside ``submit_async``,
 where the caller has not yet armed the job's wait context.
 
-With the default ``batch_size=1`` the engine behaves exactly like the
-pre-batching QAT engine: one submit per op, False returned on
-ring-full so the SSL layer can pause the job in WANT_RETRY.
+Only the admission cap (``admission_limit``) makes the engine queue;
+the arbitration policy just orders what is queued and what a batched
+flush takes first. Without a cap, an unbatched ring-full submit
+returns False so the SSL layer can pause the job in WANT_RETRY.
 """
 
 from __future__ import annotations
@@ -100,10 +101,11 @@ ALGORITHM_GROUPS = {
 
 
 class _QueuedOp:
-    """One op parked in the coalescing queue, waiting for a flush."""
+    """One op parked inside the engine (coalescing queue or admission
+    lanes), waiting to reach the backend."""
 
     __slots__ = ("call", "job", "enqueued_at", "deadline", "attempts",
-                 "seq", "conn")
+                 "seq")
 
     def __init__(self, call: CryptoCall, job: Any, enqueued_at: float,
                  deadline: float) -> None:
@@ -113,7 +115,6 @@ class _QueuedOp:
         self.deadline = deadline
         self.attempts = 0
         self.seq = -1  # global arrival order, stamped by the scheduler
-        self.conn = getattr(job, "conn_id", None)
 
 
 class AsyncOffloadEngine:
@@ -141,8 +142,7 @@ class AsyncOffloadEngine:
                  admission_limit: Optional[int] = None,
                  sched_policy: str = "fifo",
                  sched_weights: Optional[Dict[str, int]] = None,
-                 conn_budget: Optional[int] = None,
-                 backoff_jitter_seed: Optional[int] = None) -> None:
+                 backoff_jitter_seed: int = 0) -> None:
         if request_deadline <= 0:
             raise ValueError("request deadline must be positive")
         if submit_max_retries < 1:
@@ -163,9 +163,9 @@ class AsyncOffloadEngine:
         self.software_fallback = software_fallback
         self.batch_size = batch_size
         self.batch_timeout = batch_timeout
-        #: None = no jitter (bit-for-bit the historical backoff). Set
-        #: per worker (from its RNG stream) so simultaneous ring-full
-        #: rejections across workers retry at different instants.
+        #: Set per worker (from its RNG stream) so simultaneous
+        #: ring-full rejections across workers retry at different
+        #: instants.
         self.backoff_jitter_seed = backoff_jitter_seed
         self.breakers: List[CircuitBreaker] = [
             CircuitBreaker(lambda: self.core.sim.now,
@@ -185,19 +185,16 @@ class AsyncOffloadEngine:
         self._flushing = False
         self._flush_timer_active = False
         #: Admission control (``admission_limit`` set): ops accepted by
-        #: the engine while ``inflight`` is at the cap. Queued on the
+        #: the engine while ``inflight`` is at the cap, or bounced by a
+        #: full ring under it. The only engine queueing. Queued on the
         #: class-aware scheduler's per-class lanes — overload degrades
         #: into bounded queueing instead of ring-full retry storms. NOT
         #: counted in ``inflight`` (they are not on the accelerator and
         #: must not block their own admission). With the default
-        #: ``fifo`` policy the lanes drain in global arrival order —
-        #: bit-for-bit the historical single FIFO.
+        #: ``fifo`` policy the lanes drain in global arrival order.
         self.admission_limit = admission_limit
-        self.sched_policy = sched_policy
-        self.conn_budget = conn_budget
         self.scheduler = ClassScheduler(policy=sched_policy,
-                                        weights=sched_weights,
-                                        conn_budget=conn_budget)
+                                        weights=sched_weights)
         self.admission_enqueued = 0
         self.admission_admitted = 0
         self.admission_peak = 0
@@ -263,40 +260,22 @@ class AsyncOffloadEngine:
         return (self.batch_ops / self.batches_submitted
                 if self.batches_submitted else 0.0)
 
-    @property
-    def queueing_enabled(self) -> bool:
-        """Does the engine park ops in the admission lanes instead of
-        bouncing them back to the caller (admission cap, non-default
-        arbitration, or per-connection budgets)?"""
-        return (self.admission_limit is not None
-                or self.sched_policy != "fifo"
-                or self.conn_budget is not None)
-
-    @property
-    def sched_active(self) -> bool:
-        """Non-default scheduling: anything beyond the plain global
-        FIFO (used to gate lane reporting so default configs stay
-        bit-for-bit identical to the pre-scheduler engine)."""
-        return self.sched_policy != "fifo" or self.conn_budget is not None
-
     # -- in-flight accounting (single source of truth) -----------------------
 
-    def _op_accepted(self, call: CryptoCall, job: object = None) -> None:
+    def _op_accepted(self, call: CryptoCall) -> None:
         """An op entered the accelerator path (in flight or coalescing
         queue). The ONLY place the per-category Rasym/Rcipher/Rprf
-        counters — and the per-connection budget — are charged; the
-        poller, stub_status and the scheduler all read these counters
-        rather than keeping shadow accounting."""
+        counters are charged; the poller, stub_status and the admission
+        cap all read these counters rather than keeping shadow
+        accounting."""
         self.inflight.increment(call.op.category)
         self.ledger_accepted += 1
-        self.scheduler.conn_acquire(getattr(job, "conn_id", None))
 
-    def _op_retired(self, call: CryptoCall, job: object = None) -> None:
+    def _op_retired(self, call: CryptoCall) -> None:
         """The op left the accelerator path (delivered, expired,
         drained or aborted): uncharge the same counters."""
         self.inflight.decrement(call.op.category)
         self.ledger_retired += 1
-        self.scheduler.conn_release(getattr(job, "conn_id", None))
 
     def _pick_lane(self) -> Optional[int]:
         """Rotate to the next lane the backend leases to this engine
@@ -343,13 +322,11 @@ class AsyncOffloadEngine:
 
     def submit_backoff(self, attempts: int) -> float:
         """Exponential backoff before retry number ``attempts + 1``,
-        jittered into ``[base/2, base)`` when a jitter seed is set so
-        workers that bounced off the same full ring in the same pass
-        don't re-collide on every retry."""
+        jittered into ``[base/2, base)`` by the engine's seed so workers
+        that bounced off the same full ring in the same pass don't
+        re-collide on every retry."""
         base = min(self.busy_poll_slice * (2 ** max(attempts - 1, 0)),
                    128 * self.busy_poll_slice)
-        if self.backoff_jitter_seed is None:
-            return base
         frac = backoff_jitter_fraction(self.backoff_jitter_seed, attempts)
         return base * (0.5 + 0.5 * frac)
 
@@ -480,20 +457,6 @@ class AsyncOffloadEngine:
 
     # -- asynchronous offload: one submit pipeline -----------------------------
 
-    def _must_queue(self, job: object) -> bool:
-        """Should this submission park in the admission lanes rather
-        than go straight to the backend? True at the admission cap,
-        behind already-queued ops (so the arbitration policy — global
-        FIFO by default — stays authoritative over ordering), or when
-        the connection is at its in-flight budget."""
-        s = self.scheduler
-        if not s.conn_allows(getattr(job, "conn_id", None)):
-            return True
-        if self.admission_limit is not None and (
-                s.queued or self.inflight.total >= self.admission_limit):
-            return True
-        return self.sched_policy != "fifo" and bool(s.queued)
-
     def submit_async(self, call: CryptoCall, job: object, owner: object
                      ) -> Generator:
         """Submit without waiting; the response resumes ``job`` later.
@@ -513,10 +476,12 @@ class AsyncOffloadEngine:
         if not self.offloads(call):
             raise ValueError(
                 f"submit_async on non-offloadable op {call.op.kind}")
-        if self._must_queue(job):
-            # At the concurrency cap, behind ops already queued (the
-            # arbitration order is part of the contract), or the
-            # connection is at its in-flight budget: bounded queueing.
+        limit = self.admission_limit
+        if limit is not None and (self.scheduler.queued
+                                  or self.inflight.total >= limit):
+            # At the admission cap, or behind ops already queued there
+            # (the arbitration policy stays authoritative over order):
+            # bounded queueing.
             return self._admission_enqueue(call, job)
         if self.batch_size > 1:
             yield from self._coalesce(self._park(call, job), owner)
@@ -526,8 +491,8 @@ class AsyncOffloadEngine:
         self.submit_time += submit_cost
         submitted = self._try_submit(call.op, call.compute, cookie=job)
         if submitted is None:
-            if self.queueing_enabled:
-                # Ring backpressure with queueing on: park the op
+            if limit is not None:
+                # Ring backpressure under an admission cap: park the op
                 # instead of bouncing the job into a WANT_RETRY storm.
                 return self._admission_enqueue(call, job)
             job.submit_attempts = getattr(job, "submit_attempts", 0) + 1
@@ -556,7 +521,7 @@ class AsyncOffloadEngine:
             call=call, job=job, lane=lane, submitted_at=now,
             deadline=deadline)
         if charge:
-            self._op_accepted(call, job)
+            self._op_accepted(call)
         self.ops_offloaded += 1
 
     def _park(self, call: CryptoCall, job: object) -> _QueuedOp:
@@ -580,7 +545,7 @@ class AsyncOffloadEngine:
         from here on), flush when full, and keep the flush timer
         armed."""
         self._batch.append(q)
-        self._op_accepted(q.call, q.job)
+        self._op_accepted(q.call)
         if len(self._batch) >= self.batch_size:
             yield from self._flush_batch(owner)
         self._arm_flush_timer()
@@ -715,7 +680,7 @@ class AsyncOffloadEngine:
         except ValueError:
             self.scheduler.remove(q)
         else:
-            self._op_retired(q.call, q.job)
+            self._op_retired(q.call)
 
     @staticmethod
     def _paused(job: object) -> bool:
@@ -825,8 +790,6 @@ class AsyncOffloadEngine:
         s = self.scheduler
         while s.queued and self._admission_capacity():
             q = s.pop()
-            if q is None:
-                break  # every queued op is budget-blocked
             if not self._paused(q.job):
                 # Rescued/aborted while queued; nothing to submit.
                 continue
@@ -863,14 +826,9 @@ class AsyncOffloadEngine:
         obs.util_sample(f"w{self.core.core_id}.admission", now,
                         self.scheduler.queued,
                         capacity=self.admission_limit or 0)
-        if self.sched_active:
-            # Per-lane depth timelines only under non-default
-            # scheduling, so default-config trace exports stay
-            # byte-identical to the pre-scheduler engine.
-            for lane in self.scheduler.lanes:
-                obs.util_sample(
-                    f"w{self.core.core_id}.lane.{lane.name}",
-                    now, lane.depth)
+        for lane in self.scheduler.lanes:
+            obs.util_sample(f"w{self.core.core_id}.lane.{lane.name}",
+                            now, lane.depth)
 
     @property
     def queued_batch_ops(self) -> int:
@@ -944,7 +902,7 @@ class AsyncOffloadEngine:
         aborted = 0
         for token in list(self._pending):
             p = self._pending.pop(token)
-            self._op_retired(p.call, p.job)
+            self._op_retired(p.call)
             self._abort_trace(p.job, obs, sim.now)
             aborted += 1
         for q in self._queued():
@@ -991,7 +949,7 @@ class AsyncOffloadEngine:
             if pending is None:
                 self.responses_stale += 1
                 continue
-            self._op_retired(pending.call, pending.job)
+            self._op_retired(pending.call)
             job = pending.job
             trace = getattr(job, "trace", None)
             if trace is not None and trace.closed:
@@ -1043,7 +1001,7 @@ class AsyncOffloadEngine:
             pending = self._pending.pop(token, None)
             if pending is None:
                 continue
-            self._op_retired(pending.call, pending.job)
+            self._op_retired(pending.call)
             self.op_timeouts += 1
             self.backend.lane_stats(pending.lane).op_timeouts += 1
             self.breakers[pending.lane].record_failure()

@@ -26,19 +26,10 @@ them with a pluggable policy:
   is shared in weight proportion under saturation while any lane alone
   gets full capacity.
 
-Within a lane, entries are kept in deadline order (:meth:`push`
-insert-sorts on the entry's deadline). Engine deadlines are
-``enqueue-time + request_deadline`` with a constant deadline, so for
-real traffic this is exactly arrival order — the sort only reorders
-when a caller supplies explicit earlier deadlines.
-
-The scheduler also owns **per-connection in-flight budgets**
-(``conn_budget``): the engine reports every op entering/leaving the
-accelerator path via :meth:`conn_acquire`/:meth:`conn_release`, and
-:meth:`pop` skips entries whose connection is at its budget, so one
-bulk transfer cannot monopolize a worker's lane. (Today's TLS layer
-keeps at most one op in flight per connection, so the budget binds
-only for pipelined callers; the mechanism is generic.)
+Within a lane, entries keep arrival order: engine deadlines are
+``enqueue-time + request_deadline`` with one engine-wide constant, so
+arrival order already is deadline order. The scheduler only orders
+ops; whether an op queues at all is the engine's admission cap.
 
 Everything here is pure bookkeeping — no RNG, no wall-clock — so
 scheduling decisions replay bit-for-bit from the simulation seed.
@@ -82,7 +73,7 @@ class SchedLane:
         self.category = category
         self.priority = priority          # 0 = highest
         self.weight = weight              # DRR quantum (ops)
-        self.q: Deque[Any] = deque()      # entries in deadline order
+        self.q: Deque[Any] = deque()      # entries in arrival order
         self.enqueued = 0                 # total pushes
         self.served = 0                   # total policy pops
         self.starved = 0                  # deficit-fallback services
@@ -102,24 +93,21 @@ class SchedLane:
 
 
 class ClassScheduler:
-    """Priority lanes + arbitration policy + per-connection budgets.
+    """Priority lanes + arbitration policy.
 
     Queue entries are the engine's ``_QueuedOp`` records (anything with
-    ``deadline``, ``conn`` and a writable ``seq`` attribute works):
-    :meth:`push` stamps the global arrival sequence number the fifo
-    policy and the expiry iteration order are built on.
+    a writable ``seq`` attribute works): :meth:`push` stamps the global
+    arrival sequence number the fifo policy and the expiry iteration
+    order are built on.
     """
 
     def __init__(self, policy: str = "fifo",
                  weights: Optional[Dict[str, int]] = None,
-                 conn_budget: Optional[int] = None,
                  starvation_threshold: int = STARVATION_THRESHOLD) -> None:
         if policy not in SCHED_POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {policy!r}; expected one of "
                 f"{', '.join(SCHED_POLICIES)}")
-        if conn_budget is not None and conn_budget < 1:
-            raise ValueError("per-connection budget must be >= 1")
         if starvation_threshold < 1:
             raise ValueError("starvation threshold must be >= 1")
         merged = dict(DEFAULT_WEIGHTS)
@@ -133,7 +121,6 @@ class ClassScheduler:
                     f"weight for {name!r} must be an integer >= 1")
             merged[name] = w
         self.policy = policy
-        self.conn_budget = conn_budget
         self.starvation_threshold = starvation_threshold
         self._lanes: List[SchedLane] = [
             SchedLane(SCHED_CLASSES[cat], cat, prio,
@@ -145,11 +132,6 @@ class ClassScheduler:
             lane.name: lane for lane in self._lanes}
         self._seq = 0
         self._drr_idx = 0
-        #: Accelerator-path ops per connection (budget accounting).
-        self._conn_inflight: Dict[Any, int] = {}
-        #: High-water mark across every connection ever charged — read
-        #: by repro.testing invariants (budgets must never exceed cap).
-        self.conn_peak = 0
 
     # -- introspection -------------------------------------------------------
 
@@ -177,7 +159,6 @@ class ClassScheduler:
     def snapshot(self) -> dict:
         """stub_status / experiment payload."""
         return {"policy": self.policy,
-                "conn_budget": self.conn_budget or 0,
                 "lanes": {lane.name: lane.snapshot()
                           for lane in self._lanes}}
 
@@ -194,22 +175,12 @@ class ClassScheduler:
     # -- queue mutation ------------------------------------------------------
 
     def push(self, item: Any, category: OpCategory) -> int:
-        """Enqueue ``item`` on its class lane, in deadline order, and
-        stamp its global arrival sequence number."""
+        """Append ``item`` to its class lane and stamp its global
+        arrival sequence number."""
         lane = self._by_category[category]
         self._seq += 1
         item.seq = self._seq
-        q = lane.q
-        if q and item.deadline < q[-1].deadline:
-            # Deadline-aware insert (stable: after the last entry whose
-            # deadline is <= ours). Engine deadlines are arrival-ordered
-            # so real traffic always takes the append fast path.
-            idx = len(q)
-            while idx > 0 and q[idx - 1].deadline > item.deadline:
-                idx -= 1
-            q.insert(idx, item)
-        else:
-            q.append(item)
+        lane.q.append(item)
         lane.enqueued += 1
         if lane.depth > lane.peak:
             lane.peak = lane.depth
@@ -218,8 +189,7 @@ class ClassScheduler:
     def push_front(self, item: Any, category: OpCategory) -> None:
         """Restore a popped entry at the head of its lane (ring
         backpressure requeue). The entry keeps its original sequence
-        number, so the fifo policy re-pops it first — exactly the
-        historical ``appendleft`` semantics."""
+        number, so the fifo policy re-pops it first."""
         self._by_category[category].q.appendleft(item)
 
     def remove(self, item: Any) -> bool:
@@ -235,121 +205,59 @@ class ClassScheduler:
     def note_expired(self, category: OpCategory) -> None:
         self._by_category[category].expired += 1
 
-    # -- per-connection budgets ----------------------------------------------
-
-    def conn_allows(self, conn: Any) -> bool:
-        """May another op from ``conn`` enter the accelerator path?"""
-        if self.conn_budget is None or conn is None:
-            return True
-        return self._conn_inflight.get(conn, 0) < self.conn_budget
-
-    def conn_acquire(self, conn: Any) -> None:
-        if self.conn_budget is None or conn is None:
-            return
-        held = self._conn_inflight.get(conn, 0) + 1
-        self._conn_inflight[conn] = held
-        if held > self.conn_peak:
-            self.conn_peak = held
-
-    def conn_release(self, conn: Any) -> None:
-        if self.conn_budget is None or conn is None:
-            return
-        left = self._conn_inflight.get(conn, 0) - 1
-        if left < 0:
-            raise RuntimeError(f"connection budget underflow for {conn!r}")
-        if left:
-            self._conn_inflight[conn] = left
-        else:
-            self._conn_inflight.pop(conn, None)
-
-    def conn_inflight(self, conn: Any) -> int:
-        return self._conn_inflight.get(conn, 0)
-
-    def _eligible_idx(self, lane: SchedLane) -> Optional[int]:
-        """Index of the lane's first entry whose connection has budget
-        headroom (None when every entry is budget-blocked)."""
-        for idx, item in enumerate(lane.q):
-            if self.conn_allows(getattr(item, "conn", None)) \
-                    or getattr(item, "conn", None) is None:
-                return idx
-        return None
-
     # -- arbitration ---------------------------------------------------------
 
     def pop(self) -> Optional[Any]:
-        """Remove and return the next entry to admit, in policy order,
-        skipping entries whose connection is at its in-flight budget.
-        None when nothing is eligible (empty, or all blocked)."""
+        """Remove and return the lane head the policy picks next. None
+        only when every lane is empty."""
         if self.policy == "strict-priority":
             return self._pop_strict()
         if self.policy == "weighted-fair":
             return self._pop_drr()
         return self._pop_fifo()
 
-    def _take(self, lane: SchedLane, idx: int) -> Any:
-        if idx == 0:
-            item = lane.q.popleft()
-        else:
-            item = lane.q[idx]
-            del lane.q[idx]
+    @staticmethod
+    def _take(lane: SchedLane) -> Any:
         lane.served += 1
-        return item
+        return lane.q.popleft()
 
     def _pop_fifo(self) -> Optional[Any]:
-        best_lane: Optional[SchedLane] = None
-        best_idx = 0
-        best_seq = None
-        for lane in self._lanes:
-            idx = self._eligible_idx(lane)
-            if idx is None:
-                continue
-            seq = lane.q[idx].seq
-            if best_seq is None or seq < best_seq:
-                best_lane, best_idx, best_seq = lane, idx, seq
-        if best_lane is None:
+        busy = [lane for lane in self._lanes if lane.q]
+        if not busy:
             return None
-        return self._take(best_lane, best_idx)
+        return self._take(min(busy, key=lambda lane: lane.q[0].seq))
 
     def _pop_strict(self) -> Optional[Any]:
-        avail: List[tuple] = []          # (lane, eligible idx)
-        for lane in self._lanes:         # already in priority order
-            idx = self._eligible_idx(lane)
-            if idx is not None:
-                avail.append((lane, idx))
-        if not avail:
+        busy = [lane for lane in self._lanes if lane.q]  # priority order
+        if not busy:
             return None
-        chosen = None
-        for lane, idx in avail:          # starvation-proof fallback
+        chosen = busy[0]                 # highest-priority non-empty
+        for lane in busy:                # starvation-proof fallback
             if lane.deficit >= self.starvation_threshold:
-                chosen = (lane, idx)
+                chosen = lane
                 lane.starved += 1
                 break
-        if chosen is None:
-            chosen = avail[0]            # highest-priority eligible
-        lane, idx = chosen
-        lane.deficit = 0
-        for other, _ in avail:
-            if other is not lane:
-                other.deficit += 1       # passed over while eligible
-        return self._take(lane, idx)
+        chosen.deficit = 0
+        for other in busy:
+            if other is not chosen:
+                other.deficit += 1       # passed over while non-empty
+        return self._take(chosen)
 
     def _pop_drr(self) -> Optional[Any]:
         n = len(self._lanes)
-        for _ in range(2 * n + 1):
+        for _ in range(n):
             lane = self._lanes[self._drr_idx]
-            idx = self._eligible_idx(lane)
-            if idx is None:
-                # Classic DRR: an empty (or fully blocked) lane forfeits
-                # its accumulated deficit.
+            if not lane.q:
+                # Classic DRR: an empty lane forfeits its deficit.
                 lane.deficit = 0
                 self._drr_idx = (self._drr_idx + 1) % n
                 continue
             if lane.deficit <= 0:
                 lane.deficit += lane.weight
-            item = self._take(lane, idx)
+            item = self._take(lane)
             lane.deficit -= 1
-            if lane.deficit <= 0 or self._eligible_idx(lane) is None:
-                if self._eligible_idx(lane) is None:
+            if lane.deficit <= 0 or not lane.q:
+                if not lane.q:
                     lane.deficit = 0
                 self._drr_idx = (self._drr_idx + 1) % n
             return item

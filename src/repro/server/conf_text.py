@@ -188,14 +188,6 @@ def _parse_ssl_engine(block: Block) -> SslEngineConfig:
         elif directive == "offload_sched_weights":
             engine.offload_sched_weights = _parse_sched_weights(
                 _one(value, directive))
-        elif directive == "offload_conn_budget":
-            budget = int(_one(value, directive))
-            if budget < 1:
-                raise ConfError(
-                    f"offload_conn_budget must be >= 1, got {budget} "
-                    "(omit the directive to disable per-connection "
-                    "budgets)")
-            engine.offload_conn_budget = budget
         else:
             raise ConfError(f"unknown ssl_engine directive {directive!r}")
     return engine

@@ -67,12 +67,13 @@ class SslEngineConfig:
     #: enqueued, so latency-sensitive handshakes never stall.
     qat_batch_timeout: float = 50e-6
     #: Per-worker admission control (any backend): at most this many
-    #: concurrently offloaded ops; excess submissions wait in a FIFO
-    #: backpressure queue inside the engine instead of bouncing off
-    #: full rings. 0 disables (unbounded, the paper's behaviour).
+    #: concurrently offloaded ops; excess submissions wait in the
+    #: engine's class lanes instead of bouncing off full rings. The
+    #: only setting that makes the engine queue. 0 disables (unbounded,
+    #: the paper's behaviour).
     offload_admission_limit: int = 0
-    #: Arbitration policy for the class-aware admission lanes: "fifo"
-    #: (global arrival order — bit-for-bit the pre-scheduler engine),
+    #: Arbitration policy for the class-aware admission lanes and
+    #: batched flushes: "fifo" (global arrival order),
     #: "strict-priority" (handshake-asym > prf > record-cipher, with a
     #: starvation-proof deficit fallback) or "weighted-fair" (deficit
     #: round robin by ``offload_sched_weights``).
@@ -81,10 +82,6 @@ class SslEngineConfig:
     #: unlisted classes keep their defaults (handshake-asym=8, prf=2,
     #: record-cipher=1).
     offload_sched_weights: Dict[str, int] = field(default_factory=dict)
-    #: Per-connection in-flight budget: at most this many ops from one
-    #: connection concurrently on the accelerator path; excess ops wait
-    #: in their class lane. 0 disables (unbounded).
-    offload_conn_budget: int = 0
     #: Remote-accelerator backend (offload_backend "remote"): service
     #: processor pool, per-worker credit window, link characteristics
     #: and a scale factor on the QAT-calibrated service times.
@@ -160,9 +157,6 @@ class SslEngineConfig:
                 raise ValueError(
                     f"scheduling weight for {name!r} must be an "
                     "integer >= 1")
-        if self.offload_conn_budget < 0:
-            raise ValueError(
-                "per-connection budget must be >= 0 (0 disables)")
         if self.qat_request_deadline <= 0:
             raise ValueError("request deadline must be positive")
         if self.qat_watchdog_interval < 0:

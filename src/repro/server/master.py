@@ -173,7 +173,6 @@ class TlsServer:
                 sched_policy=eng_cfg.offload_sched_policy,
                 sched_weights=(
                     dict(eng_cfg.offload_sched_weights) or None),
-                conn_budget=(eng_cfg.offload_conn_budget or None),
                 # Per-incarnation retry-backoff jitter seed: one draw
                 # from the worker's stream, so simultaneous ring-full
                 # bounces across workers desynchronize their retries

@@ -61,13 +61,10 @@ class HeuristicPoller:
             threshold = min(threshold, limit)
         if total >= threshold:
             return True
-        # Non-default scheduling (priority lanes / connection budgets)
-        # parks ops in the admission lanes even below the cap; poll
-        # eagerly while lanes are backed up so freed capacity admits
-        # the next policy-ordered op promptly. Gated on sched_active:
-        # default fifo configs keep the historical poll cadence
-        # bit-for-bit.
-        if self.engine.sched_active and self.engine.admission_queued > 0:
+        # Ops waiting in the admission lanes (only a capped engine
+        # queues): poll eagerly so freed capacity admits the next
+        # policy-ordered op promptly.
+        if limit is not None and self.engine.admission_queued:
             return True
         bound = self.stub_status.tls_active
         if limit is not None:

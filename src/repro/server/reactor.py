@@ -421,8 +421,8 @@ class BatchFlushSource(EventSource):
 
 class AdmissionSource(EventSource):
     """End-of-pass admission drain: admit queued ops into the capacity
-    completions freed this pass. Registered only when engine queueing
-    (admission cap / arbitration / budgets) is enabled."""
+    completions freed this pass. Registered only when the engine has
+    an admission cap."""
 
     name = "admission"
     has_stage = True

@@ -45,10 +45,9 @@ class StubStatus:
         self.admission_admitted = 0
         self._pool_section = False
         # Class-aware scheduler section: arbitration policy plus
-        # per-lane depth/served/starved counters. Hidden (empty policy)
-        # under the default global FIFO with no connection budget.
+        # per-lane depth/served/starved counters. Shown for every async
+        # offload engine.
         self.sched_policy = ""
-        self.sched_conn_budget = 0
         self.sched_lanes: dict = {}
         self._sched_section = False
         # Lifecycle section (supervision layer): this worker's state
@@ -142,13 +141,11 @@ class StubStatus:
         self.admission_peak = admission_peak
         self.admission_admitted = admission_admitted
 
-    def update_scheduler(self, *, policy: str, conn_budget: int,
-                         lanes: dict) -> None:
+    def update_scheduler(self, *, policy: str, lanes: dict) -> None:
         """Refresh the class-aware scheduler counters (the worker
         publishes the engine scheduler's snapshot)."""
         self._sched_section = True
         self.sched_policy = policy
-        self.sched_conn_budget = conn_budget
         self.sched_lanes = lanes
 
     def update_lifecycle(self, *, state: str, generation: int,
@@ -230,7 +227,6 @@ class StubStatus:
                f"admitted {self.admission_admitted}\n"
                if self._pool_section else "")
             + (f"offload sched: policy {self.sched_policy} "
-               f"conn_budget {self.sched_conn_budget} "
                + " ".join(
                    f"{name}[depth {info['depth']} served {info['served']} "
                    f"starved {info['starved']} expired {info['expired']}]"

@@ -126,14 +126,13 @@ class Worker:
         #: Submission batching active: flush the engine's coalescing
         #: queue at the end of every event-loop pass.
         self._batching = False
-        #: Engine queueing active (admission cap, non-fifo arbitration
-        #: or per-connection budgets): admit queued ops at the end of
-        #: every event-loop pass (into capacity completions freed).
+        #: Admission cap set: admit queued ops at the end of every
+        #: event-loop pass (into capacity completions freed).
         self._admission_on = False
         eng_cfg = config.ssl_engine
         if config.async_offload and isinstance(self.engine, AsyncOffloadEngine):
             self._batching = self.engine.batch_size > 1
-            self._admission_on = self.engine.queueing_enabled
+            self._admission_on = self.engine.admission_limit is not None
             out_of_loop = (eng_cfg.qat_notify_mode == "interrupt"
                            or eng_cfg.qat_poll_mode == "timer"
                            # The watchdog also dispatches outside the
@@ -371,8 +370,7 @@ class Worker:
                 admission_queued=eng.admission_queued,
                 admission_peak=eng.admission_peak,
                 admission_admitted=eng.admission_admitted)
-        if getattr(eng, "sched_active", False):
-            self.stub_status.update_scheduler(**eng.scheduler.snapshot())
+        self.stub_status.update_scheduler(**eng.scheduler.snapshot())
         obs = getattr(self.sim, "obs", None)
         if obs is not None and obs.enabled:
             self.stub_status.update_trace(**obs.snapshot_counts())

@@ -59,15 +59,9 @@ class SslConnection:
     def _new_job(self, make_gen, kind: str) -> AsyncJob:
         self.jobs_created += 1
         if self.ctx.async_mode == "stack":
-            job = StackAsyncJob(make_gen, kind=kind,
-                                rng=self.ctx.tls_config.rng)
-        else:
-            job = FiberAsyncJob(make_gen, kind=kind)
-        # The offload scheduler keys per-connection in-flight budgets
-        # off this (one job at a time per connection, but jobs churn
-        # across the connection's lifetime).
-        job.conn_id = self.conn_id
-        return job
+            return StackAsyncJob(make_gen, kind=kind,
+                                 rng=self.ctx.tls_config.rng)
+        return FiberAsyncJob(make_gen, kind=kind)
 
     # -- SSL entry points ----------------------------------------------------------
 

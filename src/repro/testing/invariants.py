@@ -187,14 +187,13 @@ def check_lease_partition(bed) -> List[str]:
     return out
 
 
-# -- 4. scheduler lanes and budgets ------------------------------------------
+# -- 4. scheduler lanes and admission cap -------------------------------------
 
 @register("scheduler-sanity")
 def check_scheduler(bed) -> List[str]:
     """Lane depths and counters never negative, the aggregate queue
-    count is the sum of the lanes, and no connection ever exceeded its
-    in-flight budget (watermark check, so mid-run breaches are caught
-    at exit)."""
+    count is the sum of the lanes, and in-flight ops never exceed the
+    admission cap."""
     out = []
     for w, eng in iter_engines(bed.server):
         sched = eng.scheduler
@@ -209,15 +208,6 @@ def check_scheduler(bed) -> List[str]:
             if lane.depth > lane.peak:
                 out.append(f"{_tag(w)}/{lane.name}: depth {lane.depth} "
                            f"above peak {lane.peak}")
-        budget = eng.conn_budget
-        if budget:
-            if sched.conn_peak > budget:
-                out.append(f"{_tag(w)}: conn in-flight peaked at "
-                           f"{sched.conn_peak} > budget {budget}")
-            for conn, held in sched._conn_inflight.items():
-                if held <= 0 or held > budget:
-                    out.append(f"{_tag(w)}: conn {conn} holds {held} "
-                               f"(budget {budget})")
         if eng.admission_limit is not None \
                 and eng.inflight.total > eng.admission_limit:
             out.append(f"{_tag(w)}: {eng.inflight.total} ops in flight "

@@ -10,11 +10,15 @@ failures shrink to a minimal spec via :mod:`repro.testing.shrink`.
 
 Scenario specs are plain data (JSON round-trippable) so a shrunk
 counterexample can be replayed directly, without its original seed.
+The tier-1 seed corpus (:func:`load_corpus`) replays this way too, so
+its scenarios survive generator changes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,15 +27,14 @@ from ..bench.runner import Testbed
 from ..core.configurations import make_server_config
 
 __all__ = ["HARNESS_VERSION", "ClientSpec", "ActionSpec", "ScenarioSpec",
-           "ScenarioGen", "ScenarioResult", "run_scenario", "fingerprint"]
+           "ScenarioGen", "ScenarioResult", "run_scenario", "fingerprint",
+           "load_corpus"]
 
-#: Bump whenever generation changes: a corpus seed names the scenario
+#: Bump whenever generation changes: a fuzz seed names the scenario
 #: produced by THIS generator, so drift must be explicit.
 #: v2: retrieval-mode sampling (qat_poll_mode flips, timer poll
-#: interval, failover timer) — every draw after the override block
-#: shifted, so v1 corpus seeds replay from their archived specs
-#: (``tests/fuzz/corpus_v1_specs.json``), not by regeneration.
-HARNESS_VERSION = 2
+#: interval, failover timer). v3: no per-connection budget draws.
+HARNESS_VERSION = 3
 
 #: Suite choices per TLS version (server preference order irrelevant
 #: here — one or two suites are offered).
@@ -81,7 +84,6 @@ class ScenarioSpec:
     clients: List[ClientSpec] = field(default_factory=list)
     faults: Optional[Dict[str, Any]] = None
     actions: List[ActionSpec] = field(default_factory=list)
-    harness_version: int = HARNESS_VERSION
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -89,24 +91,15 @@ class ScenarioSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict,
-                  allow_legacy: bool = False) -> "ScenarioSpec":
-        """Rebuild a spec from its JSON form. ``allow_legacy`` accepts
-        specs archived by an older generator (replay-by-spec is
-        version-independent — the spec is plain config data); without
-        it, a version mismatch is an error so corpus seeds never
-        silently name a different scenario."""
+    def from_dict(cls, d: dict) -> "ScenarioSpec":
+        """Rebuild a spec from its JSON form (unknown keys raise). The
+        spec is plain config data, so it replays under any generator
+        version."""
         d = dict(d)
-        version = d.pop("harness_version", HARNESS_VERSION)
-        if version != HARNESS_VERSION and not (
-                allow_legacy and 1 <= version < HARNESS_VERSION):
-            raise ValueError(
-                f"spec written by harness v{version}, this is "
-                f"v{HARNESS_VERSION}; regenerate or replay by spec only")
         d["suites"] = tuple(d.get("suites", ("TLS-RSA",)))
         d["clients"] = [ClientSpec(**c) for c in d.get("clients", [])]
         d["actions"] = [ActionSpec(**a) for a in d.get("actions", [])]
-        return cls(harness_version=version, **d)
+        return cls(**d)
 
     def describe(self) -> str:
         """One-line feature summary (corpus comments, shrink logs)."""
@@ -231,8 +224,6 @@ class ScenarioGen:
                         "handshake-asym": self._int(4, 12),
                         "prf": self._int(1, 4),
                         "record-cipher": self._int(1, 2)}
-            if self._flag(0.35):
-                ov["offload_conn_budget"] = self._int(1, 4)
             if self._flag(0.4):
                 ov["qat_batch_size"] = self._choice((2, 4, 8))
             if self._flag(0.5):
@@ -344,14 +335,19 @@ class ScenarioGen:
                 mut["offload_sched_policy"] = self._choice(
                     ("fifo", "strict-priority", "weighted-fair"))
             if self._flag(0.3):
-                mut["offload_conn_budget"] = self._choice((0, 2, 4))
-            if self._flag(0.3):
                 mut["qat_batch_size"] = self._choice((1, 4, 8))
         if self._flag(0.4):
             mut["worker_drain_timeout"] = self._uniform(10e-3, 40e-3)
         if self._flag(0.2):
             mut["session_tickets"] = self._flag(0.5)
         return mut
+
+
+def load_corpus(path) -> Dict[int, ScenarioSpec]:
+    """A seed corpus file: a JSON object mapping each seed to the spec
+    it names, in file order."""
+    raw = json.loads(Path(path).read_text())
+    return {int(seed): ScenarioSpec.from_dict(d) for seed, d in raw.items()}
 
 
 # -- execution ---------------------------------------------------------------

@@ -1,53 +1,29 @@
 """Tier-1 replay of the fuzz seed corpus.
 
-Every seed in ``corpus.txt`` names one scenario. Seeds archived in
-``corpus_v1_specs.json`` were chosen under harness v1 and replay from
-their archived specs — replay-by-spec is version-independent, so the
-scenarios (and their fingerprints) survive generator changes. Seeds
-without an archived spec are fixed by ``(HARNESS_VERSION, seed)`` and
-regenerate. Each replays here as a regular test: the world must
-satisfy every registered invariant and — run twice — produce
-byte-identical fingerprints. A corpus failure means either a real
-regression or an intentional harness change (bump ``HARNESS_VERSION``,
-archive the old specs, and regenerate the corpus comments).
+``corpus.json`` maps each corpus seed to the scenario spec it names,
+chosen for feature coverage: every backend, instance policy, scheduling
+policy, fault kind, lifecycle action and retrieval mode appears at
+least once. Scenarios replay by spec, so they survive generator
+changes. Each replays here as a regular test: the world must satisfy
+every registered invariant and — run twice — produce byte-identical
+fingerprints. A corpus failure means a real regression or an
+intentional behaviour change (re-pin with
+``tools/check_reactor_equivalence.py --write``).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.testing.invariants import check_all
 from repro.testing.scenario import (
-    HARNESS_VERSION, ScenarioGen, ScenarioSpec, run_scenario,
+    ScenarioGen, ScenarioSpec, load_corpus, run_scenario,
 )
 
-CORPUS = Path(__file__).with_name("corpus.txt")
-V1_SPECS = json.loads(
-    Path(__file__).with_name("corpus_v1_specs.json").read_text())
-
-
-def corpus_seeds():
-    seeds = []
-    for line in CORPUS.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            seeds.append(int(line))
-    return seeds
-
-
-def spec_for(seed: int) -> ScenarioSpec:
-    """Archived legacy spec if one exists, else current-version
-    generation."""
-    if str(seed) in V1_SPECS:
-        return ScenarioSpec.from_dict(V1_SPECS[str(seed)],
-                                      allow_legacy=True)
-    return ScenarioGen(seed).generate()
-
-
-SEEDS = corpus_seeds()
+CORPUS = load_corpus(Path(__file__).with_name("corpus.json"))
+SEEDS = list(CORPUS)
 
 
 def test_corpus_is_nonempty_and_unique():
@@ -55,13 +31,13 @@ def test_corpus_is_nonempty_and_unique():
     assert len(set(SEEDS)) == len(SEEDS)
 
 
-def test_archived_specs_all_have_corpus_lines():
-    assert set(map(int, V1_SPECS)) <= set(SEEDS)
+def test_corpus_specs_are_keyed_by_their_seed():
+    assert all(spec.seed == seed for seed, spec in CORPUS.items())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_corpus_scenario_holds_invariants_and_replays_identically(seed):
-    spec = spec_for(seed)
+    spec = CORPUS[seed]
     first = run_scenario(spec)
     violations = check_all(first.bed)
     assert violations == [], \
@@ -69,31 +45,18 @@ def test_corpus_scenario_holds_invariants_and_replays_identically(seed):
     # Same spec, fresh world: the fingerprint must match byte for byte.
     # The spec round-trips through its JSON form on the way, so corpus
     # replay also covers serialized-spec replay (shrink reports).
-    again = ScenarioSpec.from_dict(spec.to_dict(), allow_legacy=True)
+    again = ScenarioSpec.from_dict(spec.to_dict())
     assert again == spec
     second = run_scenario(again)
     assert second.fingerprint == first.fingerprint, \
         f"seed {seed}: same-seed replay diverged"
 
 
-def test_harness_version_gate_rejects_foreign_specs():
-    spec = ScenarioGen(0).generate()
-    d = spec.to_dict()
-    d["harness_version"] = HARNESS_VERSION + 1
-    with pytest.raises(ValueError, match="harness"):
+def test_unknown_spec_key_raises():
+    d = ScenarioGen(0).generate().to_dict()
+    d["harness_version"] = 2
+    with pytest.raises(TypeError, match="harness_version"):
         ScenarioSpec.from_dict(d)
-    # Future versions stay rejected even for legacy replay: only specs
-    # OLDER than this generator are plain-data replayable.
-    with pytest.raises(ValueError, match="harness"):
-        ScenarioSpec.from_dict(d, allow_legacy=True)
-
-
-def test_legacy_specs_need_explicit_opt_in():
-    d = next(iter(V1_SPECS.values()))
-    with pytest.raises(ValueError, match="harness"):
-        ScenarioSpec.from_dict(d)
-    spec = ScenarioSpec.from_dict(d, allow_legacy=True)
-    assert spec.harness_version == 1
 
 
 def test_injected_lease_epoch_bug_is_caught(monkeypatch):
@@ -116,7 +79,6 @@ def test_injected_lease_epoch_bug_is_caught(monkeypatch):
                      "mutation": {"offload_admission_limit": 0,
                                   "offload_sched_policy": "fifo",
                                   "qat_batch_size": 8}}],
-        "harness_version": HARNESS_VERSION,
     })
     result = run_scenario(spec)
     violations = check_all(result.bed)

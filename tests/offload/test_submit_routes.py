@@ -11,15 +11,13 @@ import pytest
 from repro.obs.context import OpTrace
 from repro.testing import make_job, make_qat_env, rsa_call
 
-CONN = 3
-
-#: route -> engine knobs. ``conn_budget=1`` plus a connection already
-#: at its budget parks the op in the admission lanes.
+#: route -> engine knobs. ``admission_limit=1`` plus a first op holding
+#: the cap parks the op in the admission lanes.
 ROUTES = {
     "direct": {},
     "coalesced": {"batch_size": 2},
-    "admission-direct": {"conn_budget": 1},
-    "admission-coalesced": {"conn_budget": 1, "batch_size": 2},
+    "admission-direct": {"admission_limit": 1},
+    "admission-coalesced": {"admission_limit": 1, "batch_size": 2},
 }
 
 
@@ -29,7 +27,7 @@ class CountingTrace(OpTrace):
     __slots__ = ("accepts",)
 
     def __init__(self) -> None:
-        super().__init__(1, "rsa_priv", "asym", CONN, 0, "handshake", 0.0)
+        super().__init__(1, "rsa_priv", "asym", 3, 0, "handshake", 0.0)
         self.accepts = []
 
     def accept(self, when, backend, lane, attempts=0):
@@ -50,19 +48,22 @@ def test_one_op_goes_out_and_comes_home_on_every_route(route):
     sim, eng = env.sim, env.engine
     call = rsa_call("sig")
     job = make_job(paused_on=call)
-    job.conn_id = CONN
     job.trace = trace = CountingTrace()
     job.submit_attempts = 2  # two earlier ring-full bounces
     admission = route.startswith("admission")
     if admission:
-        eng.scheduler.conn_acquire(CONN)
+        hold = rsa_call("hold")
+        holder = make_job(paused_on=hold)
+        run(env, eng.submit_async(hold, holder, owner="w"))
+        assert eng.inflight.total == 1
 
     assert run(env, eng.submit_async(call, job, owner="w")) is True
     if admission:
         assert eng.admission_queued == 1
-        sim.run(until=sim.now + 20e-6)
-        eng.scheduler.conn_release(CONN)
-        assert run(env, eng.admit_queued(owner="w")) == 1
+        sim.run()  # the holder reaches the device and completes
+        # Delivering it frees the cap, and the same poll admits our op.
+        assert run(env, eng.poll_and_dispatch(owner="w")) == [holder]
+        assert eng.admission_admitted == 1
     sim.run()  # flush timer (coalesced routes) and device service
 
     (pending,) = eng._pending.values()
@@ -78,8 +79,9 @@ def test_one_op_goes_out_and_comes_home_on_every_route(route):
     assert run(env, eng.poll_and_dispatch(owner="w")) == [job]
     assert job.take_resume() == ("sig", None)
     assert len(trace.accepts) == 1
-    assert (eng.ledger_accepted, eng.ledger_retired) == (1, 1)
-    assert eng.ops_offloaded == 1
+    ops = 1 + int(admission)  # the holder went out and came home too
+    assert (eng.ledger_accepted, eng.ledger_retired) == (ops, ops)
+    assert eng.ops_offloaded == ops
     assert eng.inflight.total == 0
     assert eng.admission_enqueued == eng.admission_admitted == int(admission)
     assert eng.idle
@@ -88,21 +90,19 @@ def test_one_op_goes_out_and_comes_home_on_every_route(route):
 @pytest.mark.parametrize("queue", ["coalescing", "admission"])
 def test_retry_budget_expires_only_coalescing_queue_ops(queue):
     """Endpoint 0 rejects every submit, so the op's one allowed attempt
-    bounces. Spent retries fail a coalescing-queue op over to software;
-    an admission op waits on until its deadline or a lane closes."""
+    bounces (under an admission cap, that bounce parks it in the lanes).
+    Spent retries fail a coalescing-queue op over to software; an
+    admission op waits on until its deadline or a lane closes."""
     knobs = ({"batch_size": 2} if queue == "coalescing"
-             else {"conn_budget": 1})
+             else {"admission_limit": 1})
     env = make_qat_env(plan_kw={"outages": ((0, 0.0, 1.0),)},
                        submit_max_retries=1, **knobs)
     sim, eng = env.sim, env.engine
     call = rsa_call("sig")
     job = make_job(paused_on=call)
-    job.conn_id = CONN
-    if queue == "admission":
-        eng.scheduler.conn_acquire(CONN)
     run(env, eng.submit_async(call, job, owner="w"))
     if queue == "admission":
-        eng.scheduler.conn_release(CONN)
+        assert eng.admission_queued == 1
         assert run(env, eng.admit_queued(owner="w")) == 0  # bounced
     sim.run(until=5e-3)  # well inside the 25 ms deadline
     run(env, eng.check_timeouts(owner="w"))
@@ -114,8 +114,9 @@ def test_retry_budget_expires_only_coalescing_queue_ops(queue):
         assert eng.queued_batch_ops == 0
     else:
         # Survived the expiry pass; check_timeouts then re-admitted it
-        # into the outage, which bounced it a second time.
+        # into the outage, which bounced it a second time (the parking
+        # bounce is not an admission attempt).
         (q,) = eng.scheduler.items()
-        assert q.attempts == eng.submit_rejections == 2
+        assert q.attempts == eng.submit_rejections - 1 == 2
         assert eng.ops_fallback == 0 and not job.response_ready
         assert eng.scheduler.lane("handshake-asym").expired == 0

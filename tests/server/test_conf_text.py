@@ -138,20 +138,17 @@ def test_scheduler_directives():
     cfg = server_config_from_text(
         "ssl_engine { use qat_engine; "
         "offload_sched_policy weighted-fair; "
-        "offload_sched_weights handshake-asym=6,record-cipher=2; "
-        "offload_conn_budget 4; }")
+        "offload_sched_weights handshake-asym=6,record-cipher=2; }")
     eng = cfg.ssl_engine
     assert eng.offload_sched_policy == "weighted-fair"
     assert eng.offload_sched_weights == {"handshake-asym": 6,
                                          "record-cipher": 2}
-    assert eng.offload_conn_budget == 4
 
 
 def test_scheduler_directive_defaults():
     cfg = server_config_from_text("ssl_engine { use qat_engine; }")
     assert cfg.ssl_engine.offload_sched_policy == "fifo"
     assert cfg.ssl_engine.offload_sched_weights == {}
-    assert cfg.ssl_engine.offload_conn_budget == 0  # unbounded
 
 
 @pytest.mark.parametrize("bad,msg", [
@@ -169,8 +166,6 @@ def test_scheduler_directive_defaults():
     ("ssl_engine { use qat_engine; "
      "offload_sched_weights prf=two; }",
      "must be an integer"),
-    ("ssl_engine { use qat_engine; offload_conn_budget 0; }",
-     "offload_conn_budget must be >= 1"),
 ])
 def test_scheduler_directives_rejected(bad, msg):
     with pytest.raises(ConfError, match=msg):

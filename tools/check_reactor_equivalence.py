@@ -3,14 +3,10 @@
 checked-in manifest (tests/fuzz/corpus_fingerprints.json).
 
 The manifest pins the byte-exact world digest of every corpus
-scenario: the 16 legacy seeds were fingerprinted on the pre-reactor
-event loop (hand-rolled ``_loop_timeout`` + hardcoded end-of-pass
-block), so this check is the executable form of the refactor's
-equivalence claim — the reactor must reproduce the old loop's
-scheduling decisions to the byte, under every backend, instance
-policy, fault kind, retrieval mode and lifecycle action the corpus
-covers. Legacy seeds replay from their archived v1 specs; newer seeds
-regenerate under the current harness version.
+scenario (tests/fuzz/corpus.json, replayed by spec), so a change meant
+to be behaviour-neutral must reproduce every scheduling decision to
+the byte, under every backend, instance policy, fault kind, retrieval
+mode and lifecycle action the corpus covers.
 
 Exit status 0 = every fingerprint matches; 1 = divergence (a summary
 of the first differing fingerprint lines is printed per bad seed).
@@ -31,29 +27,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.testing.scenario import (  # noqa: E402
-    ScenarioGen, ScenarioSpec, run_scenario,
-)
+from repro.testing.scenario import load_corpus, run_scenario  # noqa: E402
 
 FUZZ_DIR = ROOT / "tests" / "fuzz"
 MANIFEST = FUZZ_DIR / "corpus_fingerprints.json"
-V1_SPECS = json.loads((FUZZ_DIR / "corpus_v1_specs.json").read_text())
-
-
-def corpus_seeds() -> list:
-    seeds = []
-    for line in (FUZZ_DIR / "corpus.txt").read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            seeds.append(int(line))
-    return seeds
-
-
-def spec_for(seed: int) -> ScenarioSpec:
-    if str(seed) in V1_SPECS:
-        return ScenarioSpec.from_dict(V1_SPECS[str(seed)],
-                                      allow_legacy=True)
-    return ScenarioGen(seed).generate()
+CORPUS = load_corpus(FUZZ_DIR / "corpus.json")
 
 
 def main() -> int:
@@ -65,8 +43,7 @@ def main() -> int:
     expected = ({} if args.write or not MANIFEST.exists()
                 else json.loads(MANIFEST.read_text()))
     actual, texts, bad = {}, {}, []
-    for seed in corpus_seeds():
-        spec = spec_for(seed)
+    for seed, spec in CORPUS.items():
         result = run_scenario(spec)
         digest = hashlib.sha256(result.fingerprint.encode()).hexdigest()
         actual[str(seed)] = digest
@@ -103,7 +80,7 @@ def main() -> int:
         # The manifest stores digests only, so the best local evidence
         # is a fresh double-run diff: if the rerun matches itself, the
         # drift is vs the pinned baseline, not nondeterminism.
-        rerun = run_scenario(spec_for(seed)).fingerprint
+        rerun = run_scenario(CORPUS[seed]).fingerprint
         if rerun != texts[str(seed)]:
             diff = difflib.unified_diff(
                 texts[str(seed)].splitlines(), rerun.splitlines(),
