@@ -11,9 +11,9 @@ import hashlib
 
 __all__ = ["hmac_digest", "HmacKey"]
 
-
-def _block_size(hash_name: str) -> int:
-    return hashlib.new(hash_name).block_size
+#: ``key.translate`` tables XOR-ing every byte with the RFC 2104 pads.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha256") -> bytes:
@@ -22,18 +22,25 @@ def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha256") -> bytes:
 
 
 class HmacKey:
-    """Precomputed-pad HMAC context, reusable across messages."""
+    """Precomputed-pad HMAC context, reusable across messages: the
+    padded key is absorbed once into an inner and an outer hash state,
+    and each digest continues copies of them."""
 
     def __init__(self, key: bytes, hash_name: str = "sha256") -> None:
         self.hash_name = hash_name
-        block = _block_size(hash_name)
+        inner = hashlib.new(hash_name)
+        block = inner.block_size
         if len(key) > block:
             key = hashlib.new(hash_name, key).digest()
         key = key.ljust(block, b"\x00")
-        self._ipad = bytes(b ^ 0x36 for b in key)
-        self._opad = bytes(b ^ 0x5C for b in key)
-        self.digest_size = hashlib.new(hash_name).digest_size
+        inner.update(key.translate(_IPAD))
+        self._inner = inner
+        self._outer = hashlib.new(hash_name, key.translate(_OPAD))
+        self.digest_size = inner.digest_size
 
     def digest(self, message: bytes) -> bytes:
-        inner = hashlib.new(self.hash_name, self._ipad + message).digest()
-        return hashlib.new(self.hash_name, self._opad + inner).digest()
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()

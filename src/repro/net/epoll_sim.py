@@ -109,8 +109,7 @@ class NotifyFd(Pollable):
     """
 
     def __init__(self, sim: "Simulator", label: str = "asyncfd") -> None:
-        super().__init__()
-        self.sim = sim
+        super().__init__(sim)
         self.label = label
         self._count = 0
         self.writes = 0

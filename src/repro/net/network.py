@@ -27,8 +27,7 @@ class Listener(Pollable):
     """A listening socket with an accept queue."""
 
     def __init__(self, sim: "Simulator", addr: str) -> None:
-        super().__init__()
-        self.sim = sim
+        super().__init__(sim)
         self.addr = addr
         self._backlog: Deque[SimSocket] = deque()
         self.accepted = 0

@@ -4,19 +4,21 @@ epoll model watches them."""
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.events import Event
+    from ..sim.kernel import Simulator
 
 __all__ = ["Pollable", "wait_readable"]
-
-_fd_counter = count(3)  # 0-2 are "stdio"
 
 
 class Pollable:
     """Base class for things an epoll can watch."""
 
-    def __init__(self) -> None:
-        self.fd = next(_fd_counter)
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        self.fd = next(sim.fd_ids)
         self._readable = False
         # Insertion-ordered (dict-as-set) for deterministic wakeups.
         self._watchers: Dict[object, None] = {}  # Epolls / one-shot waiters
@@ -26,18 +28,30 @@ class Pollable:
         return self._readable
 
     def _mark_readable(self) -> None:
-        if not self._readable:
-            self._readable = True
-            for ep in list(self._watchers):
-                ep._notify(self)
-        else:
-            # Already readable; still nudge watchers in case a waiter
-            # registered after the previous notification.
-            for ep in list(self._watchers):
-                ep._notify(self)
+        # Watchers are notified even when already readable, in case a
+        # waiter registered after the previous notification. A snapshot
+        # lets one-shot waiters unregister themselves while notified.
+        self._readable = True
+        for watcher in list(self._watchers):
+            watcher._notify(self)
 
     def _clear_readable(self) -> None:
         self._readable = False
+
+
+class _Waiter:
+    """One-shot watcher: fires its event on the first notification and
+    unregisters itself."""
+
+    __slots__ = ("event",)
+
+    def __init__(self, event: "Event") -> None:
+        self.event = event
+
+    def _notify(self, pollable: Pollable) -> None:
+        pollable._watchers.pop(self, None)
+        if not self.event.triggered:
+            self.event.succeed()
 
 
 def wait_readable(sim, pollable: Pollable):
@@ -51,12 +65,5 @@ def wait_readable(sim, pollable: Pollable):
     if pollable.readable:
         event.succeed()
         return event
-
-    class _Waiter:
-        def _notify(self, p):
-            pollable._watchers.pop(self, None)
-            if not event.triggered:
-                event.succeed()
-
-    pollable._watchers[_Waiter()] = None
+    pollable._watchers[_Waiter(event)] = None
     return event

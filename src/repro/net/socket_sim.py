@@ -31,8 +31,7 @@ class SimSocket(Pollable):
 
     def __init__(self, sim: "Simulator", out_link: Link,
                  label: str = "") -> None:
-        super().__init__()
-        self.sim = sim
+        super().__init__(sim)
         self.out_link = out_link
         self.label = label
         self.peer: Optional["SimSocket"] = None

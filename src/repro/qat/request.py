@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..crypto.ops import CryptoOp
 
 __all__ = ["QatRequest", "QatResponse"]
-
-_request_ids = count(1)
 
 
 @dataclass(eq=False)  # identity semantics: hashable in-flight table key
@@ -26,7 +23,8 @@ class QatRequest:
     op: CryptoOp
     compute: Callable[[], Any]
     cookie: Any = None  # opaque engine-layer context (offload job ref)
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    #: Numbered from the simulator's id stream when a ring accepts it.
+    request_id: int = 0
     submitted_at: Optional[float] = None
     #: When the hardware scheduler pulled this request off its ring.
     dequeued_at: Optional[float] = None

@@ -59,6 +59,7 @@ class RingPair:
         if self._occupied >= self.capacity:
             return False
         self._occupied += 1
+        request.request_id = next(self.sim.request_ids)
         request.submitted_at = self.sim.now
         self._requests.append(request)
         return True

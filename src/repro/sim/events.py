@@ -56,8 +56,8 @@ class Event:
         Optional label used in traces and ``repr``.
     """
 
-    __slots__ = ("sim", "name", "callbacks", "_value", "_exc", "_scheduled",
-                 "_cancelled", "_defused")
+    __slots__ = ("sim", "name", "callbacks", "_value", "_exc", "_cancelled",
+                 "_defused")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
@@ -65,7 +65,6 @@ class Event:
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = UNSET
         self._exc: Optional[BaseException] = None
-        self._scheduled = False
         self._cancelled = False
         # A failed event whose exception was delivered somewhere.  An
         # undefused failure is re-raised by Simulator.run() so errors in
@@ -110,25 +109,23 @@ class Event:
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not UNSET or self._exc is not None:
             raise RuntimeError(f"{self!r} already triggered")
         if self._cancelled:
             raise RuntimeError(f"{self!r} was cancelled")
         self._value = value
         self.sim._schedule(self, delay)
-        self._scheduled = True
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Trigger the event with an exception."""
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if self.triggered:
+        if self._value is not UNSET or self._exc is not None:
             raise RuntimeError(f"{self!r} already triggered")
         self._exc = exc
         self._value = None
         self.sim._schedule(self, delay)
-        self._scheduled = True
         return self
 
     def cancel(self) -> None:
@@ -140,17 +137,6 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event's exception as handled."""
         self._defused = True
-
-    # -- kernel hook ----------------------------------------------------
-
-    def _process(self) -> None:
-        """Run callbacks. Called exactly once by the kernel."""
-        callbacks, self.callbacks = self.callbacks, None
-        if self._cancelled:
-            return
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
 
     # -- composition -----------------------------------------------------
 
@@ -175,13 +161,10 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = "") -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(sim, name=name)
+        Event.__init__(self, sim, name)
         self.delay = delay
         self._value = value
-        self.sim._schedule(self, delay)
-        self._scheduled = True
+        sim._schedule(self, delay)  # raises on a negative delay
 
 
 class Condition(Event):

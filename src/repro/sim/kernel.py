@@ -11,7 +11,7 @@ Higher-level behaviour (processes, resources, queues) is layered on top.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -44,6 +44,11 @@ class Simulator:
         #: touches it; it lives here so every layer holding a sim
         #: reference can reach the same tracer. None = tracing off.
         self.obs = None
+        #: Per-world id streams for the layers above the kernel:
+        #: simulated file descriptors (0-2 are "stdio") and QAT request
+        #: ids. Two worlds built in one process number alike.
+        self.fd_ids = count(3)
+        self.request_ids = count(1)
 
     # -- time ------------------------------------------------------------
 
@@ -76,8 +81,8 @@ class Simulator:
                   priority: int = NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        heapq.heappush(self._heap, (self._now + delay, priority,
-                                    next(self._seq), event))
+        heappush(self._heap, (self._now + delay, priority,
+                              next(self._seq), event))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulated time ``when``."""
@@ -97,17 +102,20 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+        while self._heap and self._heap[0][3]._cancelled:
+            heappop(self._heap)
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process one event. Raises IndexError when the calendar is empty."""
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        if event.cancelled:
+        """Process one event: run its callbacks, exactly once, unless it
+        was cancelled. Raises IndexError when the calendar is empty."""
+        when, _prio, _seq, event = heappop(self._heap)
+        if event._cancelled:
             return
         self._now = when
-        event._process()
+        callbacks, event.callbacks = event.callbacks, None
+        for cb in callbacks:
+            cb(event)
         if event._exc is not None and not event._defused:
             raise event._exc
 
@@ -132,9 +140,12 @@ class Simulator:
             sentinel.callbacks.append(self._stop_on_event)
             stop_event = sentinel
 
+        # Every event goes through step(): the host benchmark counts its
+        # calls as the number of processed events.
+        heap, step = self._heap, self.step
         try:
-            while self._heap:
-                self.step()
+            while heap:
+                step()
             # Calendar drained. Running past a time horizon is normal
             # (the workload simply ended early); draining while waiting
             # for a specific event is a deadlock in the model.

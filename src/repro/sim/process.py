@@ -81,10 +81,11 @@ class Process(Event):
 
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
+        thrown = trigger._exc
         try:
-            if trigger.exception is not None:
-                trigger.defuse()
-                nxt = self._gen.throw(trigger.exception)
+            if thrown is not None:
+                trigger._defused = True
+                nxt = self._gen.throw(thrown)
             else:
                 nxt = self._gen.send(trigger._value)
         except StopIteration as stop:
@@ -108,8 +109,10 @@ class Process(Event):
             self.fail(RuntimeError("yielded event belongs to another simulator"))
             return
 
-        if nxt.processed:
-            # Already done: reschedule ourselves immediately with its value.
+        callbacks = nxt.callbacks
+        if callbacks is None:
+            # Already processed: reschedule ourselves immediately with
+            # its value.
             kick = Event(self.sim, name=f"{self.name}-immediate")
             kick._value = nxt._value
             kick._exc = nxt._exc
@@ -119,5 +122,4 @@ class Process(Event):
             kick.callbacks.append(self._resume)
         else:
             self._waiting_on = nxt
-            assert nxt.callbacks is not None
-            nxt.callbacks.append(self._resume)
+            callbacks.append(self._resume)

@@ -33,6 +33,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._req_name = f"{name}-req"
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
@@ -50,14 +51,15 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        while self._waiters and self._waiters[0].cancelled:
-            self._waiters.popleft()
-        ev = Event(self.sim, name=f"{self.name}-req")
-        if self._in_use < self.capacity and not self._waiters:
+        waiters = self._waiters
+        while waiters and waiters[0]._cancelled:
+            waiters.popleft()
+        ev = Event(self.sim, self._req_name)
+        if self._in_use < self.capacity and not waiters:
             self._in_use += 1
             ev.succeed()
         else:
-            self._waiters.append(ev)
+            waiters.append(ev)
         return ev
 
     def release(self) -> None:
@@ -67,7 +69,7 @@ class Resource:
         # Hand the slot directly to the next non-cancelled waiter.
         while self._waiters:
             nxt = self._waiters.popleft()
-            if not nxt.cancelled:
+            if not nxt._cancelled:
                 nxt.succeed()
                 return
         self._in_use -= 1

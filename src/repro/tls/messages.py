@@ -43,26 +43,43 @@ def _encode_field(value) -> bytes:
     raise TypeError(f"cannot encode field of type {type(value)!r}")
 
 
-@dataclass(frozen=True)
+def _message(cls):
+    """Class decorator for every message: a frozen dataclass whose
+    field names are resolved once, here, instead of on every encode."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_names = tuple(f.name for f in fields(cls))
+    return cls
+
+
+@_message
 class HandshakeMessage:
-    """Base class; subclasses define ``msg_type`` and ``overhead``."""
+    """Base class; subclasses define ``msg_type`` and ``overhead``.
+
+    A message is frozen, so it encodes itself once: the first
+    :meth:`to_bytes` stores the bytes on the instance, outside the
+    dataclass fields (``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` never see them)."""
 
     msg_type = None   # type: Optional[HandshakeType]
     overhead = 8      # header/extension framing bytes on the wire
+    _field_names = ()  # type: Tuple[str, ...]  # set by @_message
 
     def to_bytes(self) -> bytes:
         """Canonical encoding for transcripts and signatures."""
-        out = bytearray()
-        out += int(self.msg_type).to_bytes(1, "big")
-        for f in fields(self):
-            out += _encode_field(getattr(self, f.name))
-        return bytes(out)
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            out = bytearray(int(self.msg_type).to_bytes(1, "big"))
+            for name in self._field_names:
+                out += _encode_field(getattr(self, name))
+            encoded = bytes(out)
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
     def wire_size(self) -> int:
         """Approximate on-the-wire size in bytes."""
         size = self.overhead + 4  # handshake header
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in self._field_names:
+            v = getattr(self, name)
             if isinstance(v, bytes):
                 size += len(v)
             elif isinstance(v, str):
@@ -74,7 +91,7 @@ class HandshakeMessage:
         return size
 
 
-@dataclass(frozen=True)
+@_message
 class ClientHello(HandshakeMessage):
     msg_type = HandshakeType.CLIENT_HELLO
     overhead = 60  # legacy fields + extension framing
@@ -92,7 +109,7 @@ class ClientHello(HandshakeMessage):
     psk_binder: Optional[bytes] = None
 
 
-@dataclass(frozen=True)
+@_message
 class ServerHello(HandshakeMessage):
     msg_type = HandshakeType.SERVER_HELLO
     overhead = 40
@@ -108,7 +125,7 @@ class ServerHello(HandshakeMessage):
     selected_psk: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@_message
 class Certificate(HandshakeMessage):
     msg_type = HandshakeType.CERTIFICATE
     # X.509 framing, issuer/subject DNs, validity, signature by the CA:
@@ -120,7 +137,7 @@ class Certificate(HandshakeMessage):
     curve: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@_message
 class ServerKeyExchange(HandshakeMessage):
     msg_type = HandshakeType.SERVER_KEY_EXCHANGE
     overhead = 12
@@ -135,13 +152,13 @@ class ServerKeyExchange(HandshakeMessage):
                 + self.curve.encode() + self.public)
 
 
-@dataclass(frozen=True)
+@_message
 class ServerHelloDone(HandshakeMessage):
     msg_type = HandshakeType.SERVER_HELLO_DONE
     overhead = 4
 
 
-@dataclass(frozen=True)
+@_message
 class ClientKeyExchange(HandshakeMessage):
     msg_type = HandshakeType.CLIENT_KEY_EXCHANGE
     overhead = 6
@@ -150,7 +167,7 @@ class ClientKeyExchange(HandshakeMessage):
     public: Optional[bytes] = None               # ECDHE client point
 
 
-@dataclass(frozen=True)
+@_message
 class ChangeCipherSpec(HandshakeMessage):
     msg_type = HandshakeType.CLIENT_KEY_EXCHANGE  # placeholder, see below
     overhead = 1
@@ -163,7 +180,7 @@ class ChangeCipherSpec(HandshakeMessage):
         return b"\x14ccs"
 
 
-@dataclass(frozen=True)
+@_message
 class Finished(HandshakeMessage):
     msg_type = HandshakeType.FINISHED
     overhead = 28  # record encryption overhead (IV + MAC + padding)
@@ -171,13 +188,13 @@ class Finished(HandshakeMessage):
     verify_data: bytes = b""
 
 
-@dataclass(frozen=True)
+@_message
 class EncryptedExtensions(HandshakeMessage):
     msg_type = HandshakeType.ENCRYPTED_EXTENSIONS
     overhead = 10
 
 
-@dataclass(frozen=True)
+@_message
 class CertificateVerify(HandshakeMessage):
     msg_type = HandshakeType.CERTIFICATE_VERIFY
     overhead = 8
@@ -185,7 +202,7 @@ class CertificateVerify(HandshakeMessage):
     signature: bytes = b""
 
 
-@dataclass(frozen=True)
+@_message
 class NewSessionTicket(HandshakeMessage):
     msg_type = HandshakeType.NEW_SESSION_TICKET
     overhead = 16
@@ -196,7 +213,7 @@ class NewSessionTicket(HandshakeMessage):
     nonce: bytes = b""
 
 
-@dataclass(frozen=True)
+@_message
 class Alert(HandshakeMessage):
     """A fatal TLS alert (its own content type on the real wire;
     transported like other messages here and excluded from

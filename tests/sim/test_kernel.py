@@ -180,3 +180,69 @@ def test_repr_states():
     sim.run()
     assert "processed" in repr(ev)
 
+
+
+def test_run_dispatches_every_event_through_step():
+    """The host benchmark counts Simulator.step calls as processed
+    events; run() must not process any event by another path."""
+    sim = Simulator()
+    pushed, dispatched = [], []
+    schedule, step = sim._schedule, sim.step
+
+    def counting_schedule(event, delay=0.0, **kw):
+        pushed.append(event)
+        schedule(event, delay, **kw)
+
+    def counting_step():
+        dispatched.append(sim._heap[0][3])
+        step()
+
+    sim._schedule = counting_schedule
+    sim.step = counting_step
+
+    def child(sim):
+        yield sim.timeout(0.5)
+        return "done"
+
+    def parent(sim):
+        value = yield sim.process(child(sim))
+        yield sim.any_of([sim.timeout(1.0), sim.timeout(2.0)])
+        return value
+
+    proc = sim.process(parent(sim))
+    cancelled = sim.timeout(0.25)
+    cancelled.cancel()
+    sim.call_in(0.75, lambda: None)
+    sim.run(until=3.0)
+    assert proc.value == "done"
+    # Each scheduled event, the cancelled one and run()'s own stop
+    # sentinel included, went through step() exactly once.
+    assert len(dispatched) == len(pushed) > 0
+    assert set(dispatched) == set(pushed)
+    assert all(ev.processed for ev in pushed if not ev.cancelled)
+    assert cancelled.callbacks is not None
+
+
+def test_cancelled_event_skipped_by_step():
+    sim = Simulator()
+    t = sim.timeout(1.0)
+    hit = []
+    t.callbacks.append(lambda ev: hit.append(1))
+    t.cancel()
+    sim.step()
+    assert not hit
+    assert sim.now == 0.0
+    assert not t.processed
+
+
+def test_undefused_failure_propagates_out_of_run_after_callbacks():
+    sim = Simulator()
+    ev = sim.event()
+    seen = []
+    ev.callbacks.append(lambda e: seen.append(e.exception))
+    err = ValueError("boom")
+    ev.fail(err)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert seen == [err]
+    assert ev.processed
