@@ -17,9 +17,10 @@ reproduces:
   under ``worker_drain_timeout`` (force-aborted past the deadline), so
   connection throughput never drops to zero across the swap;
 * **state bookkeeping** — every incarnation walks
-  spawning → serving → draining → exited; transitions publish to the
-  worker's stub_status page and to the obs layer, and the whole record
-  is replayable bit-for-bit under a fixed seed.
+  spawning → serving → draining → exited; the worker's stub_status page
+  reads its :class:`WorkerRecord`, transitions publish to the obs
+  layer, and the whole record is replayable bit-for-bit under a fixed
+  seed.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class WorkerRecord:
     slot: int
     generation: int
     epoch: int
+    #: How many times the slot had been respawned when this
+    #: incarnation was spawned.
+    respawns: int = 0
     state: WorkerState = WorkerState.SPAWNING
     #: Died abruptly (injected fault or unexpected exception).
     crashed: bool = False
@@ -107,7 +111,7 @@ class WorkerSupervisor:
         #: (time, kind, detail) — the deterministic lifecycle journal.
         self.events: List[Tuple[float, str, str]] = []
 
-    # -- journal / publication -------------------------------------------
+    # -- journal -----------------------------------------------------------
 
     def _log(self, kind: str, detail: str) -> None:
         self.events.append((self.sim.now, kind, detail))
@@ -115,13 +119,6 @@ class WorkerSupervisor:
         if obs is not None and obs.enabled:
             obs.event(f"lifecycle-{kind}", self.sim.now,
                       args={"detail": detail})
-
-    def _publish(self, record: WorkerRecord) -> None:
-        record.worker.stub_status.update_lifecycle(
-            state=record.state.value,
-            generation=record.generation,
-            epoch=record.epoch,
-            respawns=self._respawn_counts.get(record.slot, 0))
 
     def _sample_serving(self) -> None:
         obs = getattr(self.sim, "obs", None)
@@ -139,10 +136,12 @@ class WorkerSupervisor:
         backend = getattr(worker.engine, "backend", None)
         record = WorkerRecord(
             worker=worker, slot=slot, generation=worker.generation,
-            epoch=getattr(backend, "epoch", 0), spawned_at=self.sim.now)
+            epoch=getattr(backend, "epoch", 0),
+            respawns=self._respawn_counts.get(slot, 0),
+            spawned_at=self.sim.now)
         record.state = WorkerState.SERVING
         self.records[slot] = record
-        self._publish(record)
+        worker.record = record
         self._sample_serving()
         proc = worker.proc
         if proc is not None and proc.callbacks is not None:
@@ -166,7 +165,6 @@ class WorkerSupervisor:
             # Clean server.stop(): no teardown needed beyond the ledger.
             record.state = WorkerState.EXITED
             record.exited_at = self.sim.now
-            self._publish(record)
             self.retired.append(record)
             return
         cause = (repr(ev.exception) if ev.exception is not None
@@ -216,7 +214,6 @@ class WorkerSupervisor:
         pool = self.server.instance_pool
         if pool is not None:
             pool.retire(record.slot, record.epoch)
-        self._publish(record)
         self._sample_serving()
         self.retired.append(record)
 
@@ -289,7 +286,6 @@ class WorkerSupervisor:
             # has exactly one watcher at a time...
             record.worker.begin_drain()
             record.state = WorkerState.DRAINING
-            self._publish(record)
             self.draining_records.append(record)
             if pool is not None:
                 pool.advance_epoch(slot)

@@ -5,71 +5,41 @@ to TLS-enabled connections and computes the number of *active* TLS
 connections as ``TCactive = TCalive - TCidle``. An idle connection is
 one waiting for a request from the end client (including keepalive);
 active ones are handshaking, reading a request or writing a response.
+
+The page owns only the connection accounting and the watchdog's rescue
+count. Every other value it shows — offload backend, degradation,
+instance pool, scheduler, lifecycle, tracing and reactor stats — is
+read from the object that owns it when :meth:`StubStatus.counters` or
+:meth:`StubStatus.render` is called, so a read is never stale and never
+writes anything.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Optional
+
+from ..offload.engine import AsyncOffloadEngine
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .worker import Worker
 
 __all__ = ["StubStatus"]
 
 
 class StubStatus:
-    """Per-worker connection accounting."""
+    """Per-worker connection accounting plus a live view of the
+    worker's offload, supervision, tracing and reactor state."""
 
-    def __init__(self) -> None:
+    def __init__(self, worker: Optional["Worker"] = None) -> None:
+        #: The worker whose layers the page reads (None: a bare
+        #: connection counter, as in unit tests).
+        self.worker = worker
         self.tls_alive = 0
         self.tls_idle = 0
         self.total_accepted = 0
         self.total_closed = 0
-        # Degradation section (robustness layer): refreshed by the
-        # worker from the engine/driver counters, plus the watchdog's
-        # own rescue count.
-        self.fallback_ops = 0
-        self.op_timeouts = 0
-        self.open_breakers = 0
-        self.submit_failures = 0
+        #: Stuck connections the worker's watchdog sweep rescued.
         self.watchdog_rescues = 0
-        # Offload-backend section: which backend serves this worker
-        # and its submission-batching stats.
-        self.backend = ""
-        self.batches_submitted = 0
-        self.batch_ops = 0
-        # Instance-pool / admission-control section: refreshed by the
-        # worker from the pool and engine counters. ``pool_policy``
-        # empty = section hidden (no pool and no admission control).
-        self.pool_policy = ""
-        self.pool_leases = 0
-        self.pool_migrations = 0
-        self.admission_limit = 0
-        self.admission_queued = 0
-        self.admission_peak = 0
-        self.admission_admitted = 0
-        self._pool_section = False
-        # Class-aware scheduler section: arbitration policy plus
-        # per-lane depth/served/starved counters. Shown for every async
-        # offload engine.
-        self.sched_policy = ""
-        self.sched_lanes: dict = {}
-        self._sched_section = False
-        # Lifecycle section (supervision layer): this worker's state
-        # machine position, config generation, lease epoch and how many
-        # times its slot has been respawned. Empty state = hidden.
-        self.lifecycle_state = ""
-        self.lifecycle_generation = 0
-        self.lifecycle_epoch = 0
-        self.lifecycle_respawns = 0
-        # Request-tracing section: lifecycle counters published by the
-        # worker from the simulation's RequestTracer (all zero when
-        # tracing is off).
-        self.trace_ops = 0
-        self.trace_open = 0
-        self.trace_spans = 0
-        self.trace_sampled_out = 0
-        self.tracing = False
-        # Reactor section: per-event-source wake/dispatch stats
-        # published by the worker from its reactor registry. Render
-        # only — deliberately NOT part of :meth:`counters`, so replay
-        # fingerprints stay stable across loop refactors.
-        self.reactor_sources: dict = {}
 
     # -- lifecycle hooks -------------------------------------------------
 
@@ -107,146 +77,110 @@ class StubStatus:
                 f"stub_status inconsistent: alive={self.tls_alive} "
                 f"idle={self.tls_idle}")
 
-    # -- degradation reporting ------------------------------------------------
+    # -- live reads ------------------------------------------------------------
 
-    def update_degradation(self, *, fallback_ops: int, op_timeouts: int,
-                           open_breakers: int, submit_failures: int,
-                           backend: str = "", batches_submitted: int = 0,
-                           batch_ops: int = 0) -> None:
-        """Refresh the offload-health counters (worker watchdog)."""
-        self.fallback_ops = fallback_ops
-        self.op_timeouts = op_timeouts
-        self.open_breakers = open_breakers
-        self.submit_failures = submit_failures
-        if backend:
-            self.backend = backend
-        self.batches_submitted = batches_submitted
-        self.batch_ops = batch_ops
+    def _engine(self) -> Optional[AsyncOffloadEngine]:
+        """The worker's async offload engine, if it has one (the
+        offload sections are hidden / zero otherwise)."""
+        eng = getattr(self.worker, "engine", None)
+        return eng if isinstance(eng, AsyncOffloadEngine) else None
 
     @property
     def mean_batch_size(self) -> float:
-        return (self.batch_ops / self.batches_submitted
-                if self.batches_submitted else 0.0)
-
-    def update_pool(self, *, policy: str, leases: int, migrations: int,
-                    admission_limit: int, admission_queued: int,
-                    admission_peak: int, admission_admitted: int) -> None:
-        """Refresh the instance-pool / admission-control counters."""
-        self._pool_section = True
-        self.pool_policy = policy
-        self.pool_leases = leases
-        self.pool_migrations = migrations
-        self.admission_limit = admission_limit
-        self.admission_queued = admission_queued
-        self.admission_peak = admission_peak
-        self.admission_admitted = admission_admitted
-
-    def update_scheduler(self, *, policy: str, lanes: dict) -> None:
-        """Refresh the class-aware scheduler counters (the worker
-        publishes the engine scheduler's snapshot)."""
-        self._sched_section = True
-        self.sched_policy = policy
-        self.sched_lanes = lanes
-
-    def update_lifecycle(self, *, state: str, generation: int,
-                         epoch: int, respawns: int) -> None:
-        """Refresh the supervision-layer section (the master publishes
-        this on every state transition)."""
-        self.lifecycle_state = state
-        self.lifecycle_generation = generation
-        self.lifecycle_epoch = epoch
-        self.lifecycle_respawns = respawns
-
-    def update_reactor(self, *, sources: dict) -> None:
-        """Refresh the per-source reactor stats (worker watchdog /
-        consistent-snapshot reads). ``sources`` maps source name to its
-        :meth:`~repro.server.reactor.EventSource.stats` dict, in
-        registration order."""
-        self.reactor_sources = sources
-
-    def update_trace(self, *, trace_ops: int, trace_open: int,
-                     trace_spans: int, trace_sampled_out: int) -> None:
-        """Refresh the request-tracing counters (worker watchdog /
-        shutdown)."""
-        self.tracing = True
-        self.trace_ops = trace_ops
-        self.trace_open = trace_open
-        self.trace_spans = trace_spans
-        self.trace_sampled_out = trace_sampled_out
+        eng = self._engine()
+        return eng.mean_batch_size if eng is not None else 0.0
 
     @property
     def degraded(self) -> bool:
         """Is the offload path currently (or was it ever) impaired?"""
-        return (self.fallback_ops > 0 or self.op_timeouts > 0
-                or self.open_breakers > 0 or self.watchdog_rescues > 0)
+        c = self.counters()
+        return (c["fallback_ops"] > 0 or c["op_timeouts"] > 0
+                or c["open_breakers"] > 0 or self.watchdog_rescues > 0)
 
     def counters(self) -> dict:
         """Machine-readable counter snapshot (the render() numbers,
-        minus formatting). Read through
-        :meth:`~repro.server.worker.Worker.status_snapshot` for a view
-        consistent with the engine/driver ledgers."""
+        minus formatting), read live from the engine ledgers."""
+        eng = self._engine()
+        on = eng is not None
         return {
             "tls_alive": self.tls_alive, "tls_idle": self.tls_idle,
             "tls_active": self.tls_active,
             "accepted": self.total_accepted, "closed": self.total_closed,
-            "backend": self.backend,
-            "batches_submitted": self.batches_submitted,
-            "batch_ops": self.batch_ops,
-            "fallback_ops": self.fallback_ops,
-            "op_timeouts": self.op_timeouts,
-            "open_breakers": self.open_breakers,
-            "submit_failures": self.submit_failures,
+            "backend": eng.backend.name if on else "",
+            "batches_submitted": eng.batches_submitted if on else 0,
+            "batch_ops": eng.batch_ops if on else 0,
+            "fallback_ops": eng.ops_fallback if on else 0,
+            "op_timeouts": eng.op_timeouts if on else 0,
+            "open_breakers": eng.open_breakers if on else 0,
+            "submit_failures": eng.submit_rejections if on else 0,
             "watchdog_rescues": self.watchdog_rescues,
-            "admission_queued": self.admission_queued,
-            "admission_peak": self.admission_peak,
-            "admission_admitted": self.admission_admitted,
+            "admission_queued": eng.admission_queued if on else 0,
+            "admission_peak": eng.admission_peak if on else 0,
+            "admission_admitted": eng.admission_admitted if on else 0,
         }
 
     def render(self) -> str:
         """The stub_status page text (Nginx style, plus the QTLS
         TLS-connection and offload-degradation extensions)."""
-        return (
-            f"Active connections: {self.tls_active}\n"
+        c = self.counters()
+        eng = self._engine()
+        w = self.worker
+        lines = [
+            f"Active connections: {self.tls_active}",
             f"TLS alive: {self.tls_alive} idle: {self.tls_idle} "
-            f"active: {self.tls_active}\n"
-            f"accepted: {self.total_accepted} closed: {self.total_closed}\n"
-            f"offload backend: {self.backend or 'none'} "
-            f"batches {self.batches_submitted} "
-            f"mean_batch {self.mean_batch_size:.2f}\n"
-            f"offload degradation: fallback_ops {self.fallback_ops} "
-            f"op_timeouts {self.op_timeouts} "
-            f"open_breakers {self.open_breakers} "
-            f"submit_failures {self.submit_failures} "
-            f"watchdog_rescues {self.watchdog_rescues}\n"
-            + (f"instance pool: policy {self.pool_policy or 'none'} "
-               f"leases {self.pool_leases} "
-               f"migrations {self.pool_migrations} "
-               f"admission limit {self.admission_limit} "
-               f"queued {self.admission_queued} "
-               f"peak {self.admission_peak} "
-               f"admitted {self.admission_admitted}\n"
-               if self._pool_section else "")
-            + (f"offload sched: policy {self.sched_policy} "
-               + " ".join(
-                   f"{name}[depth {info['depth']} served {info['served']} "
-                   f"starved {info['starved']} expired {info['expired']}]"
-                   for name, info in self.sched_lanes.items())
-               + "\n"
-               if self._sched_section else "")
-            + (f"lifecycle: state {self.lifecycle_state} "
-               f"generation {self.lifecycle_generation} "
-               f"epoch {self.lifecycle_epoch} "
-               f"respawns {self.lifecycle_respawns}\n"
-               if self.lifecycle_state else "")
-            + (f"trace: ops {self.trace_ops} open {self.trace_open} "
-               f"spans {self.trace_spans} "
-               f"sampled_out {self.trace_sampled_out}\n"
-               if self.tracing else "")
-            + ("reactor: "
-               + " ".join(
-                   f"{name}[wakes {s['wakes']} events {s['events']} "
-                   f"busy {s['busy'] * 1e6:.1f}us]"
-                   for name, s in self.reactor_sources.items())
-               + "\n"
-               if self.reactor_sources else "")
-        )
+            f"active: {self.tls_active}",
+            f"accepted: {self.total_accepted} closed: {self.total_closed}",
+            f"offload backend: {c['backend'] or 'none'} "
+            f"batches {c['batches_submitted']} "
+            f"mean_batch {self.mean_batch_size:.2f}",
+            f"offload degradation: fallback_ops {c['fallback_ops']} "
+            f"op_timeouts {c['op_timeouts']} "
+            f"open_breakers {c['open_breakers']} "
+            f"submit_failures {c['submit_failures']} "
+            f"watchdog_rescues {self.watchdog_rescues}",
+        ]
+        if eng is not None:
+            pool = getattr(eng.backend, "pool", None)
+            if pool is not None:
+                policy, leases, migrations = (
+                    pool.policy.name,
+                    len(pool.leases[eng.backend.worker_id]),
+                    pool.migrations)
+            else:
+                policy, leases, migrations = "none", 0, 0
+            if pool is not None or eng.admission_limit is not None:
+                lines.append(
+                    f"instance pool: policy {policy} leases {leases} "
+                    f"migrations {migrations} "
+                    f"admission limit {eng.admission_limit or 0} "
+                    f"queued {c['admission_queued']} "
+                    f"peak {c['admission_peak']} "
+                    f"admitted {c['admission_admitted']}")
+            sched = eng.scheduler.snapshot()
+            lines.append(
+                f"offload sched: policy {sched['policy']} " + " ".join(
+                    f"{name}[depth {info['depth']} served {info['served']} "
+                    f"starved {info['starved']} expired {info['expired']}]"
+                    for name, info in sched["lanes"].items()))
+        record = getattr(w, "record", None)
+        if record is not None:
+            lines.append(f"lifecycle: state {record.state.value} "
+                         f"generation {record.generation} "
+                         f"epoch {record.epoch} "
+                         f"respawns {record.respawns}")
+        obs = getattr(getattr(w, "sim", None), "obs", None)
+        if eng is not None and obs is not None and obs.enabled:
+            t = obs.snapshot_counts()
+            lines.append(f"trace: ops {t['trace_ops']} "
+                         f"open {t['trace_open']} "
+                         f"spans {t['trace_spans']} "
+                         f"sampled_out {t['trace_sampled_out']}")
+        # Render only — deliberately NOT part of counters(), so replay
+        # fingerprints stay stable across loop refactors.
+        sources = w.reactor.snapshot() if w is not None else {}
+        if sources:
+            lines.append("reactor: " + " ".join(
+                f"{name}[wakes {s['wakes']} events {s['events']} "
+                f"busy {s['busy'] * 1e6:.1f}us]"
+                for name, s in sources.items()))
+        return "\n".join(lines) + "\n"

@@ -32,7 +32,8 @@ handlers; the reactor owns scheduling.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Deque, Dict, Generator, List, Optional,
+                    Tuple)
 
 from ..core.costmodel import CostModel
 from ..cpu.core import Core
@@ -58,6 +59,9 @@ from .reactor import (SPIN_TIMEOUT, AdmissionSource, AsyncQueueSource,
                       ListenerSource, NotifyFdSource, Reactor, RetrySource,
                       TimerPollSource, WatchdogSource)
 from .stub_status import StubStatus
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .lifecycle import WorkerRecord
 
 __all__ = ["Worker", "WorkerMetrics", "SPIN_TIMEOUT"]
 
@@ -97,7 +101,7 @@ class Worker:
 
         self.epoll = Epoll(sim, name=f"w{worker_id}-epoll")
         self.epoll.register(listener)
-        self.stub_status = StubStatus()
+        self.stub_status = StubStatus(self)
         self.async_queue = AsyncEventQueue()
         #: (conn, async_token) pairs: stale entries (token mismatch)
         #: are dropped instead of re-resuming an already-resumed conn.
@@ -114,6 +118,10 @@ class Worker:
         #: The event-loop process, so the supervisor can watch for exit
         #: and interrupt it on a crash.
         self.proc = None
+        #: This incarnation's supervision record (set by
+        #: WorkerSupervisor.watch); the stub_status lifecycle line
+        #: reads it.
+        self.record: Optional["WorkerRecord"] = None
 
         # Response retrieval scheme (only meaningful with async offload).
         self.poller: Optional[HeuristicPoller] = None
@@ -209,7 +217,7 @@ class Worker:
     def stop(self) -> None:
         self.running = False
         self.reactor.shutdown()
-        self._refresh_degradation()
+        self._sample_reactor()
 
     def begin_drain(self) -> None:
         """nginx SIGHUP: hand the listen socket to the new generation
@@ -268,7 +276,7 @@ class Worker:
         # and the (possibly reused) listener stop notifying it.
         for p in list(self.epoll._watched):
             self.epoll.unregister(p)
-        self._refresh_degradation()
+        self._sample_reactor()
 
     # -- the main event loop (paper section 2.2 / 3.4) -----------------------------
 
@@ -321,59 +329,18 @@ class Worker:
             yield from self._heuristic_source.check(owner=self)
         return None
 
-    def status_snapshot(self) -> dict:
-        """Consistent stub_status read: refresh the page from the live
-        engine ledgers *in the same synchronous step*, then snapshot.
-
-        ``stub_status`` is normally only republished at watchdog ticks
-        and shutdown, so a raw ``stub_status.counters()`` read taken
-        mid-pass can lag the engine/driver counters that feed
-        ``fw_counter_totals()`` — the two disagree transiently even
-        though nothing is wrong. Reading through this helper (or
-        :meth:`TlsServer.consistent_status_snapshot`) closes that gap:
-        there is no yield between the refresh and the read."""
-        self._refresh_degradation()
-        return self.stub_status.counters()
-
-    def _refresh_degradation(self) -> None:
-        """Publish offload-health counters on the stub_status page."""
-        self.stub_status.update_reactor(sources=self.reactor.snapshot())
+    def _sample_reactor(self) -> None:
+        """Per-source wake/busy timelines, sampled at watchdog ticks and
+        shutdown so trace size stays bounded by that cadence. Reading
+        the stub_status page never samples."""
         obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
-            # Per-source wake/busy timelines, sampled at republish
-            # points (watchdog ticks, lifecycle transitions, shutdown)
-            # so trace size stays bounded by the republish cadence.
-            for name, s in self.reactor.snapshot().items():
-                prefix = f"w{self.worker_id}.reactor.{name}"
-                obs.util_sample(f"{prefix}.wakes", self.sim.now,
-                                s["wakes"] + s["events"])
-                obs.util_sample(f"{prefix}.busy", self.sim.now, s["busy"])
-        eng = self.engine
-        if not isinstance(eng, AsyncOffloadEngine):
+        if obs is None or not obs.enabled:
             return
-        self.stub_status.update_degradation(
-            fallback_ops=eng.ops_fallback,
-            op_timeouts=eng.op_timeouts,
-            open_breakers=eng.open_breakers,
-            submit_failures=eng.submit_failures,
-            backend=eng.backend.name,
-            batches_submitted=eng.batches_submitted,
-            batch_ops=eng.batch_ops)
-        pool = getattr(eng.backend, "pool", None)
-        if pool is not None or eng.admission_limit is not None:
-            self.stub_status.update_pool(
-                policy=(pool.policy.name if pool is not None else ""),
-                leases=(len(pool.leases[eng.backend.worker_id])
-                        if pool is not None else 0),
-                migrations=(pool.migrations if pool is not None else 0),
-                admission_limit=eng.admission_limit or 0,
-                admission_queued=eng.admission_queued,
-                admission_peak=eng.admission_peak,
-                admission_admitted=eng.admission_admitted)
-        self.stub_status.update_scheduler(**eng.scheduler.snapshot())
-        obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
-            self.stub_status.update_trace(**obs.snapshot_counts())
+        for name, s in self.reactor.snapshot().items():
+            prefix = f"w{self.worker_id}.reactor.{name}"
+            obs.util_sample(f"{prefix}.wakes", self.sim.now,
+                            s["wakes"] + s["events"])
+            obs.util_sample(f"{prefix}.busy", self.sim.now, s["busy"])
 
     # -- accept path -----------------------------------------------------------------
 

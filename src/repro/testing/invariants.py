@@ -266,40 +266,22 @@ def check_spans(bed) -> List[str]:
 
 @register("stub-consistency")
 def check_stub_status(bed) -> List[str]:
-    """Read through the consistent-snapshot helper, the stub_status
-    page must agree with the engine ledgers that feed it, and its
-    connection accounting must balance. (A raw mid-pass read may lag —
-    that is exactly why the helper exists; see
-    ``Worker.status_snapshot``.)"""
-    from ..offload.engine import AsyncOffloadEngine
+    """The stub_status connection accounting must balance, and the
+    driver-level firmware totals may only lag the engine totals."""
     out = []
-    snap = bed.server.consistent_status_snapshot()
-    by_key = {f"w{w.worker_id}g{w.generation}": w
-              for w in (list(bed.server.workers)
-                        + list(bed.server.retired_workers))}
-    for key, stub in snap["workers"].items():
-        w = by_key[key]
-        if stub["tls_alive"] != stub["accepted"] - stub["closed"]:
-            out.append(f"{key}: alive {stub['tls_alive']} != accepted "
-                       f"{stub['accepted']} - closed {stub['closed']}")
-        if not 0 <= stub["tls_idle"] <= stub["tls_alive"]:
-            out.append(f"{key}: idle {stub['tls_idle']} outside "
-                       f"[0, alive={stub['tls_alive']}]")
-        eng = w.engine
-        if not isinstance(eng, AsyncOffloadEngine):
-            continue
-        for stub_key, eng_val in (
-                ("fallback_ops", eng.ops_fallback),
-                ("op_timeouts", eng.op_timeouts),
-                ("submit_failures", eng.submit_rejections),
-                ("batches_submitted", eng.batches_submitted),
-                ("batch_ops", eng.batch_ops)):
-            if stub[stub_key] != eng_val:
-                out.append(f"{key}: stub {stub_key} {stub[stub_key]} != "
-                           f"engine {eng_val}")
+    for w in list(bed.server.workers) + list(bed.server.retired_workers):
+        key = f"w{w.worker_id}g{w.generation}"
+        stub = w.stub_status
+        if stub.tls_alive != stub.total_accepted - stub.total_closed:
+            out.append(f"{key}: alive {stub.tls_alive} != accepted "
+                       f"{stub.total_accepted} - closed {stub.total_closed}")
+        if not 0 <= stub.tls_idle <= stub.tls_alive:
+            out.append(f"{key}: idle {stub.tls_idle} outside "
+                       f"[0, alive={stub.tls_alive}]")
     # Driver-level totals can only lag the engine totals (ops that
     # expired while still queued never reached a driver).
-    fw = snap["fw"]
+    device = bed.server.qat_device
+    fw = device.fw_counter_totals() if device is not None else {}
     if fw:
         engines = [eng for _, eng in iter_engines(bed.server)]
         if engines:

@@ -69,8 +69,13 @@ def test_crash_ledger_and_stub_status(crashed_bed):
     record = sup.retired[0]
     assert record.state is WorkerState.EXITED
     assert record.crashed and record.slot == 0
+    # Each incarnation's page shows its own record: the crashed one
+    # keeps its epoch and respawn count, the replacement has its own.
+    dead = crashed_bed.server.retired_workers[0].stub_status.render()
+    assert "lifecycle: state exited generation 0 epoch 0 respawns 0\n" \
+        in dead
     page = crashed_bed.server.workers[0].stub_status.render()
-    assert "lifecycle: state serving generation 0 epoch 1 respawns 1" \
+    assert "lifecycle: state serving generation 0 epoch 1 respawns 1\n" \
         in page
 
 
@@ -270,7 +275,7 @@ def test_reload_during_outage_fails_over_instead_of_stranding(
     retired = bed.server.retired_workers
     assert len(retired) == WORKERS
     rescued = sum(w.engine.op_timeouts + w.engine.ops_fallback
-                  + w.engine.submit_failures for w in retired)
+                  + w.engine.submit_rejections for w in retired)
     assert rescued > 0
     # ...and nothing stayed behind: every old-generation op retired.
     for w in retired:

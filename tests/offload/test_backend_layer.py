@@ -150,7 +150,7 @@ def test_flush_respects_ring_capacity():
     sim.run(until=20e-3)
     assert eng.backend.drivers[0].submit_failures == 0
     assert eng.ops_offloaded == 4  # drained in capacity-sized chunks
-    assert eng.submit_failures == 0
+    assert eng.submit_rejections == 0
 
 
 def test_is_pending_covers_queued_ops():

@@ -279,11 +279,30 @@ def test_stub_status_renders_reactor_section():
     bed = make_bed("QTLS")
     bed.sim.run(until=0.03)
     w = bed.server.workers[0]
-    w.status_snapshot()  # consistent read republishes the page
     page = w.stub_status.render()
     assert "reactor: " in page
     for name in source_names(w):
         assert f"{name}[wakes " in page
+
+
+def test_reading_the_page_never_samples_the_tracer():
+    """Reads are pure: fingerprinting a traced world, which reads every
+    worker's stub_status page, adds no point to any reactor timeline.
+    Those are sampled only at watchdog ticks and shutdown."""
+    from repro.testing.scenario import fingerprint
+    bed = make_bed("QTLS", trace=True, qat_watchdog_interval=1e-3)
+    bed.sim.run(until=0.0305)  # mid-way between two watchdog ticks
+
+    def reactor_points():
+        return {name: len(tl) for name, tl in bed.tracer.timelines.items()
+                if name.startswith("w") and ".reactor." in name}
+
+    before = reactor_points()
+    assert before, "the watchdog ticks published no reactor timeline"
+    fingerprint(bed)
+    for w in bed.server.workers:
+        w.stub_status.render()
+    assert reactor_points() == before
 
 
 def test_reactor_stats_not_in_fingerprinted_counters():
@@ -292,7 +311,7 @@ def test_reactor_stats_not_in_fingerprinted_counters():
     bed = make_bed("QTLS")
     bed.sim.run(until=0.02)
     w = bed.server.workers[0]
-    counters = w.status_snapshot()
+    counters = w.stub_status.counters()
     assert not any("reactor" in k or "wakes" in k for k in counters)
 
 
@@ -300,7 +319,7 @@ def test_reactor_snapshot_orders_and_counts():
     bed = make_bed("QTLS", qat_watchdog_interval=1e-3)
     bed.sim.run(until=0.04)
     w = bed.server.workers[0]
-    snap = w.stub_status.reactor_sources
+    snap = w.reactor.snapshot()
     assert list(snap) == source_names(w)
     assert snap["socket"]["events"] > 0
     assert snap["heuristic"]["polls"] > 0
