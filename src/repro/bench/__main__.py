@@ -40,13 +40,14 @@ def main(argv=None) -> int:
             print(f"unknown experiment {name!r}; try 'list'",
                   file=sys.stderr)
             return 2
-        # Wall-clock reporting only, never fed into the simulation.
+        # Wall-clock reporting only, never fed into the simulation; it
+        # goes to stderr so same-seed runs print byte-identical stdout.
         t0 = time.time()  # determinism: allowed
         result = fn(quick=not args.full, seed=args.seed)
         print(result.render())
-        wall = time.time() - t0  # determinism: allowed
-        print(f"[{name} took {wall:.1f}s wall]")
         print()
+        wall = time.time() - t0  # determinism: allowed
+        print(f"[{name} took {wall:.1f}s wall]", file=sys.stderr)
         ok = ok and result.all_checks_pass
     return 0 if ok else 1
 

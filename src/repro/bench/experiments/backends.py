@@ -44,8 +44,8 @@ VARIANTS = (
                                  qat_batch_size=BATCH)),
 )
 
+QUICK_WINDOWS = Windows(warmup=0.1, measure=0.3)
 FULL_WINDOWS = Windows(warmup=0.1, measure=0.4)
-SMOKE_WINDOWS = Windows(warmup=0.1, measure=0.3)
 
 
 def _run_one(config: str, overrides: dict, workers: int, seed: int,
@@ -74,9 +74,8 @@ def _stub(bed: Testbed) -> dict:
     return out
 
 
-def run(quick: bool = True, seed: int = 7,
-        smoke: bool = False) -> ExperimentResult:
-    windows = SMOKE_WINDOWS if smoke else FULL_WINDOWS
+def run(quick: bool = True, seed: int = 7) -> ExperimentResult:
+    windows = QUICK_WINDOWS if quick else FULL_WINDOWS
     workers = 1
     result = ExperimentResult(
         exp_id="backends",

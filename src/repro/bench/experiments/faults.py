@@ -7,7 +7,7 @@ engine's deadlines, circuit breakers and software failover must keep
 every handshake completing, and CPS must recover to the fault-free
 baseline once the card heals.
 
-Timeline (full mode, simulated seconds)::
+Timeline (``--full``, simulated seconds)::
 
     0.00          0.04        0.10           0.16   0.20        0.48
     |-- warmup --|-- baseline --|-- FAULTS ---|------|-- recovery --|
@@ -48,14 +48,14 @@ FAULT_OVERRIDES = dict(qat_request_deadline=8e-3,
 #: near-synchronized rounds ~15-20 ms apart), so recovery windows must
 #: span several burst periods or the clean/faulted comparison measures
 #: phase jitter instead of residual degradation: CPS swings 0.8-1.25x
-#: between 60 ms windows, so both modes measure recovery over 0.2 s or
+#: between 60 ms windows, so both sizes measure recovery over 0.2 s or
 #: more.
+QUICK_TIMELINE = dict(
+    warmup=0.02, baseline=(0.02, 0.04), fault=(0.04, 0.07),
+    outage=(0, 0.04, 0.06), recovery=(0.09, 0.29), until=0.30)
 FULL_TIMELINE = dict(
     warmup=0.04, baseline=(0.04, 0.10), fault=(0.10, 0.16),
     outage=(0, 0.10, 0.14), recovery=(0.20, 0.48), until=0.50)
-SMOKE_TIMELINE = dict(
-    warmup=0.02, baseline=(0.02, 0.04), fault=(0.04, 0.07),
-    outage=(0, 0.04, 0.06), recovery=(0.09, 0.29), until=0.30)
 
 RESPONSE_LOSS = 0.12
 
@@ -104,11 +104,10 @@ def _degradation(bed: Testbed) -> dict:
     return out
 
 
-def run(quick: bool = True, seed: int = 7,
-        smoke: bool = False) -> ExperimentResult:
-    tl = SMOKE_TIMELINE if smoke else FULL_TIMELINE
-    workers = 1 if smoke else 2
-    configs = ("QTLS",) if smoke else ("QTLS", "QAT+A")
+def run(quick: bool = True, seed: int = 7) -> ExperimentResult:
+    tl = QUICK_TIMELINE if quick else FULL_TIMELINE
+    workers = 1 if quick else 2
+    configs = ("QTLS",) if quick else ("QTLS", "QAT+A")
     result = ExperimentResult(
         exp_id="faults",
         title="CPS through QAT fault -> degradation -> recovery "

@@ -48,24 +48,24 @@ LIFECYCLE_OVERRIDES = dict(qat_request_deadline=8e-3,
 
 #: Closed-loop fleets are bursty (~15-20 ms rounds), so the windows
 #: span several rounds and the no-zero-CPS scan uses 5 ms buckets.
+QUICK_TIMELINE = dict(warmup=0.02, pre=(0.02, 0.05), event_at=0.05,
+                      dip=(0.05, 0.08), recovery=(0.09, 0.15),
+                      until=0.15, bucket=5e-3)
 FULL_TIMELINE = dict(warmup=0.04, pre=(0.04, 0.10), event_at=0.10,
                      dip=(0.10, 0.14), recovery=(0.16, 0.24),
                      until=0.24, bucket=5e-3)
-SMOKE_TIMELINE = dict(warmup=0.02, pre=(0.02, 0.05), event_at=0.05,
-                      dip=(0.05, 0.08), recovery=(0.09, 0.15),
-                      until=0.15, bucket=5e-3)
 
 WORKERS = 2
 SUITES = ("TLS-RSA",)
 
 
-def _make_bed(seed: int, smoke: bool, crashed: bool) -> Testbed:
-    plan = (dict(worker_crashes=((0, (SMOKE_TIMELINE if smoke
-                                      else FULL_TIMELINE)["event_at"]),))
+def _make_bed(seed: int, quick: bool, crashed: bool) -> Testbed:
+    tl = QUICK_TIMELINE if quick else FULL_TIMELINE
+    plan = (dict(worker_crashes=((0, tl["event_at"]),))
             if crashed else None)
     bed = Testbed("QTLS", workers=WORKERS, suites=SUITES, seed=seed,
                   fault_plan=plan, **LIFECYCLE_OVERRIDES)
-    bed.add_s_time_fleet(n_clients=60 if smoke else None)
+    bed.add_s_time_fleet(n_clients=60 if quick else None)
     return bed
 
 
@@ -89,9 +89,8 @@ def _retired_engines_idle(bed: Testbed) -> bool:
     return True
 
 
-def run(quick: bool = True, seed: int = 7,
-        smoke: bool = False) -> ExperimentResult:
-    tl = SMOKE_TIMELINE if smoke else FULL_TIMELINE
+def run(quick: bool = True, seed: int = 7) -> ExperimentResult:
+    tl = QUICK_TIMELINE if quick else FULL_TIMELINE
     result = ExperimentResult(
         exp_id="lifecycle",
         title="Worker lifecycle: crash respawn + graceful reload "
@@ -103,7 +102,7 @@ def run(quick: bool = True, seed: int = 7,
               "mid-run, reload swaps a validated config under load")
 
     # ---- crash -> respawn -> recovery -----------------------------------
-    crash = _make_bed(seed, smoke, crashed=True)
+    crash = _make_bed(seed, quick, crashed=True)
     crash.sim.run(until=tl["until"])
     sup = crash.server.supervisor
     pool = crash.server.instance_pool
@@ -145,7 +144,7 @@ def run(quick: bool = True, seed: int = 7,
                      else "ops left", _retired_engines_idle(crash))
 
     # ---- graceful reload under load -------------------------------------
-    reload_bed = _make_bed(seed, smoke, crashed=False)
+    reload_bed = _make_bed(seed, quick, crashed=False)
 
     def do_reload() -> None:
         new_cfg = make_server_config(
@@ -187,7 +186,7 @@ def run(quick: bool = True, seed: int = 7,
                      str(rsup.draining_count), rsup.draining_count == 0)
 
     # ---- invalid reload -> rollback -------------------------------------
-    rollback = _make_bed(seed, smoke, crashed=False)
+    rollback = _make_bed(seed, quick, crashed=False)
 
     def do_bad_reload() -> None:
         bad = make_server_config(
@@ -214,7 +213,7 @@ def run(quick: bool = True, seed: int = 7,
                      and rollback.metrics.errors == 0)
 
     # ---- bit-for-bit replay ---------------------------------------------
-    replay = _make_bed(seed, smoke, crashed=True)
+    replay = _make_bed(seed, quick, crashed=True)
     replay.sim.run(until=tl["until"])
     same_hs = replay.metrics.handshakes == crash.metrics.handshakes
     same_trace = replay.fault_plan.trace() == crash.fault_plan.trace()

@@ -50,8 +50,8 @@ ADMISSION_LIMIT = 8
 
 POLICIES = ("fifo", "strict-priority", "weighted-fair")
 
+QUICK_WINDOWS = Windows(warmup=0.03, measure=0.05)
 FULL_WINDOWS = Windows(warmup=0.05, measure=0.1)
-SMOKE_WINDOWS = Windows(warmup=0.03, measure=0.05)
 
 
 def _p99(bed: Testbed, windows: Windows) -> float:
@@ -77,9 +77,8 @@ def _run_mix(policy: str, seed: int, windows: Windows) -> Testbed:
     return bed
 
 
-def run(quick: bool = True, seed: int = 7,
-        smoke: bool = False) -> ExperimentResult:
-    windows = SMOKE_WINDOWS if smoke else FULL_WINDOWS
+def run(quick: bool = True, seed: int = 7) -> ExperimentResult:
+    windows = QUICK_WINDOWS if quick else FULL_WINDOWS
     result = ExperimentResult(
         exp_id="mixed",
         title="class-aware offload scheduling under a mixed "

@@ -59,11 +59,11 @@ ADMISSION_LIMIT = 16
 
 POLICIES = ("static", "shared", "dynamic")
 
+QUICK_WINDOWS = Windows(warmup=0.03, measure=0.05)
 FULL_WINDOWS = Windows(warmup=0.05, measure=0.1)
-SMOKE_WINDOWS = Windows(warmup=0.03, measure=0.05)
-#: The overload pair measures 0.1 s in smoke mode too: a shorter
+#: The overload pair measures 0.1 s in quick runs too: a shorter
 #: window cuts off the unbounded baseline's p99 tail.
-SMOKE_OVERLOAD_WINDOWS = Windows(warmup=0.03, measure=0.1)
+QUICK_OVERLOAD_WINDOWS = Windows(warmup=0.03, measure=0.1)
 
 
 def _imbalance(values: List[float]) -> float:
@@ -120,9 +120,8 @@ def _run_overload(limit: int, seed: int, windows: Windows) -> Testbed:
     return bed
 
 
-def run(quick: bool = True, seed: int = 7,
-        smoke: bool = False) -> ExperimentResult:
-    windows = SMOKE_WINDOWS if smoke else FULL_WINDOWS
+def run(quick: bool = True, seed: int = 7) -> ExperimentResult:
+    windows = QUICK_WINDOWS if quick else FULL_WINDOWS
     result = ExperimentResult(
         exp_id="scaling",
         title="instance-pool scaling: allocation policy x load shape "
@@ -179,7 +178,7 @@ def run(quick: bool = True, seed: int = 7,
                      "> 0", str(migrations), migrations > 0)
 
     # -- admission control under overload ----------------------------------
-    over_windows = SMOKE_OVERLOAD_WINDOWS if smoke else FULL_WINDOWS
+    over_windows = QUICK_OVERLOAD_WINDOWS if quick else FULL_WINDOWS
     unbounded = _run_overload(0, seed, over_windows)
     bounded = _run_overload(ADMISSION_LIMIT, seed, over_windows)
     for label, bed in (("unbounded", unbounded), ("bounded", bounded)):
@@ -217,7 +216,7 @@ def run(quick: bool = True, seed: int = 7,
         < over("unbounded", "software_fallbacks"))
 
     # -- determinism: every policy replays bit-for-bit ----------------------
-    replay_policies = ("dynamic",) if smoke else POLICIES
+    replay_policies = ("dynamic",) if quick else POLICIES
     for policy in replay_policies:
         replay = _run_policy(policy, True, seed, windows)
         same = (replay.metrics.handshakes

@@ -31,8 +31,8 @@ from ..runner import Testbed, Windows
 
 __all__ = ["run"]
 
+QUICK_WINDOWS = Windows(warmup=0.02, measure=0.06)
 FULL_WINDOWS = Windows(warmup=0.1, measure=0.4)
-SMOKE_WINDOWS = Windows(warmup=0.02, measure=0.06)
 
 #: Wall-clock envelope for the fully-traced run relative to untraced.
 #: Tracing allocates one context + a handful of dict writes per op —
@@ -55,9 +55,8 @@ def _run_one(windows: Windows, seed: int, **trace_kw):
     return bed, wall
 
 
-def run(quick: bool = True, seed: int = 7,
-        smoke: bool = False) -> ExperimentResult:
-    windows = SMOKE_WINDOWS if smoke else FULL_WINDOWS
+def run(quick: bool = True, seed: int = 7) -> ExperimentResult:
+    windows = QUICK_WINDOWS if quick else FULL_WINDOWS
     result = ExperimentResult(
         exp_id="trace_overhead",
         title="repro.obs tracing overhead (off / sampled / on)",

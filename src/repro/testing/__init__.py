@@ -3,8 +3,8 @@
 Grew out of a single helpers module (PR 3) into the deterministic
 simulation-testing harness (PR 8):
 
-- :mod:`repro.testing.helpers` — shared environment builders and shape
-  checks used by ``tests/conftest.py`` and ``benchmarks/conftest.py``;
+- :mod:`repro.testing.helpers` — shared environment builders used by
+  ``tests/conftest.py``;
 - :mod:`repro.testing.scenario` — seeded random scenario generation
   (config x workload x faults x lifecycle) and execution;
 - :mod:`repro.testing.invariants` — cross-layer invariant checkers run
@@ -17,16 +17,10 @@ make_qat_env`` keeps working exactly as before the package split.
 """
 
 from .helpers import (  # noqa: F401
-    TEST_REGISTRY_SEED,
-    TEST_RNG_SEED,
     QatEnv,
-    assert_checks,
-    failed_checks,
     make_job,
     make_qat_env,
     rsa_call,
 )
 
-__all__ = ["rsa_call", "make_job", "make_qat_env", "QatEnv",
-           "failed_checks", "assert_checks",
-           "TEST_RNG_SEED", "TEST_REGISTRY_SEED"]
+__all__ = ["rsa_call", "make_job", "make_qat_env", "QatEnv"]

@@ -1,9 +1,8 @@
-"""Shared fixtures/helpers for the test and benchmark suites.
+"""Shared environment builders for the test suite.
 
-``tests/conftest.py`` and ``benchmarks/conftest.py`` had drifted into
-near-duplicates of each other (and several test modules re-implemented
-the same QAT environment builder); the canonical versions live here so
-both suites — and any ad-hoc script — assemble identical worlds.
+Several test modules had re-implemented the same QAT environment
+builder; the canonical versions live here so every test — and any
+ad-hoc script — assembles identical worlds.
 
 Everything here is deterministic: environments are seeded through
 :class:`~repro.sim.rng.RngRegistry` and runs replay bit-for-bit.
@@ -28,14 +27,7 @@ from ..sim.rng import RngRegistry
 from ..ssl.async_job import FiberAsyncJob
 from ..tls.actions import CryptoCall
 
-__all__ = ["rsa_call", "make_job", "make_qat_env", "QatEnv",
-           "failed_checks", "assert_checks",
-           "TEST_RNG_SEED", "TEST_REGISTRY_SEED"]
-
-#: Seeds shared by tests/conftest.py and benchmarks/conftest.py — one
-#: definition, so the suites cannot drift.
-TEST_RNG_SEED = 0xDEADBEEF
-TEST_REGISTRY_SEED = 42
+__all__ = ["rsa_call", "make_job", "make_qat_env", "QatEnv"]
 
 
 def rsa_call(result: Any = "sig", rsa_bits: int = 2048) -> CryptoCall:
@@ -96,18 +88,3 @@ def make_qat_env(n_instances: int = 1,
     eng = AsyncOffloadEngine(QatBackend(drivers), core, CostModel(),
                              **engine_kw)
     return QatEnv(sim, core, eng, dev, drivers, tracer)
-
-
-# -- experiment shape checks (bench harness + CI smoke scripts) -------------
-
-def failed_checks(result) -> List[dict]:
-    """The experiment's failed shape checks (empty = all good)."""
-    return [c for c in result.checks if not c["ok"]]
-
-
-def assert_checks(result) -> None:
-    """Raise AssertionError listing every failed shape check."""
-    failed = failed_checks(result)
-    assert not failed, (
-        f"{result.exp_id}: shape checks failed: "
-        + "; ".join(c["claim"] for c in failed))

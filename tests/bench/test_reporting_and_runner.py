@@ -1,8 +1,11 @@
 """Tests for the bench harness plumbing (no heavy simulations)."""
 
+import inspect
+
 import pytest
 
 from repro.bench import ExperimentResult, Testbed, Windows, format_table
+from repro.bench.__main__ import main
 from repro.bench.experiments import ALL_EXPERIMENTS, run_table1
 
 
@@ -52,6 +55,23 @@ def test_registry_covers_every_table_and_figure():
 
 def test_registry_includes_ablations():
     assert any(k.startswith("ablation-") for k in ALL_EXPERIMENTS)
+
+
+def test_every_experiment_takes_only_quick_and_seed():
+    for name, fn in ALL_EXPERIMENTS.items():
+        params = list(inspect.signature(fn).parameters)
+        assert params == ["quick", "seed"], name
+
+
+def test_cli_stdout_is_the_deterministic_result(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["run", "table1"]) == 0
+        captured = capsys.readouterr()
+        assert "took" in captured.err
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert "took" not in outs[0]
 
 
 def test_table1_is_fast_and_passes():

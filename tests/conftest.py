@@ -1,26 +1,26 @@
 """Shared fixtures for the test suite.
 
 The canonical environment builders live in :mod:`repro.testing` (one
-source of truth for tests, benchmarks and ad-hoc scripts); this file
-only binds them to pytest fixture names.
+source of truth for tests and ad-hoc scripts); this file only binds
+them to pytest fixture names.
 """
 
 import numpy as np
 import pytest
 
 from repro.sim import RngRegistry
-from repro.testing import TEST_REGISTRY_SEED, TEST_RNG_SEED, make_qat_env
+from repro.testing import make_qat_env
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic RNG for tests."""
-    return np.random.default_rng(TEST_RNG_SEED)
+    return np.random.default_rng(0xDEADBEEF)
 
 
 @pytest.fixture
 def registry() -> RngRegistry:
-    return RngRegistry(TEST_REGISTRY_SEED)
+    return RngRegistry(42)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ def _export(path, *, seed=7, workers=1, **kw):
 
 
 @pytest.mark.parametrize("kw", [
-    {},                              # unbatched QTLS (the backends smoke)
+    {},                              # unbatched QTLS
     {"qat_batch_size": 8},           # coalesced submission
     {"offload_backend": "remote"},   # RPC backend
     {"workers": 2, "qat_instance_policy": "shared"},
