@@ -1,10 +1,11 @@
 """Conf-directive consistency checker (RA5xx).
 
-The conf surface (``repro.server.conf_text``) is how every
-experiment, example and fuzz scenario drives the system, so an
-undocumented directive is a knob nobody can discover and an unsampled
-one is a knob the fuzzer never turns. This checker cross-references
-three sources of truth on every push:
+The conf surface (``repro.server.conf_text``) is the operator's view of
+the ``ServerConfig`` fields that experiments and fuzz scenarios set
+through ``make_server_config`` overrides, so an undocumented directive
+is a knob nobody can discover and an unsampled one is a knob the fuzzer
+never turns. This checker cross-references three sources of truth on
+every push:
 
 1. **parsed** — directives extracted from the AST of
    ``server/conf_text.py`` (every ``directive == "literal"``
@@ -51,7 +52,6 @@ SAMPLED_VIA: Dict[str, str] = {
     "use": "ScenarioSpec.config_name (paper configuration map)",
     "qat_offload_mode": "ScenarioSpec.config_name (sync for QAT+S)",
     "ssl_asynch_notify": "ScenarioSpec.config_name (queue for QTLS)",
-    "keepalive_timeout": "ClientSpec.keepalive (ab fleets)",
     "ssl_session_cache": "ClientSpec.full_ratio (abbreviated "
                          "handshakes resume through the cache)",
 }
@@ -62,7 +62,6 @@ ALLOWLIST: Dict[str, str] = {
     "load_module": "informational in nginx confs; parser skips it",
     "ssl_engine": "structural block name, not a knob",
     "qat_engine": "structural block name, not a knob",
-    "remote_accelerator": "structural block name, not a knob",
     "default_algorithm": "algorithm routing is fixed by the paper's "
                          "engine config; suites already vary the mix",
     "ssl_ecdh_curve": "curve choice only scales service times; suites "
@@ -76,21 +75,6 @@ ALLOWLIST: Dict[str, str] = {
     # comparable across seeds
     "qat_submit_max_retries": "retry budget fixed; fault plans vary "
                               "the failure pattern instead",
-    "qat_breaker_failure_threshold": "breaker tuning fixed; outage "
-                                     "fault draws exercise the breaker",
-    "qat_breaker_reset_timeout": "breaker tuning fixed; outage fault "
-                                 "draws exercise the breaker",
-    "qat_software_fallback": "always-on default is the paper's "
-                             "behaviour; the off path is unit-tested",
-    "qat_batch_timeout": "batch size is sampled; the timeout only "
-                         "bounds flush latency",
-    # remote-backend shape: the backend itself is sampled via
-    # offload_backend; its link/pool shape stays calibrated
-    "processors": "remote service pool fixed at calibrated size",
-    "window": "remote credit window fixed at calibrated size",
-    "link_latency": "remote link characteristics fixed (calibrated)",
-    "link_bandwidth": "remote link characteristics fixed (calibrated)",
-    "service_scale": "remote service-time scale fixed (calibrated)",
 }
 
 #: Root-relative path suffixes of the cross-referenced sources.

@@ -23,8 +23,8 @@ FULL = Windows(warmup=0.2, measure=0.3)
 
 #: scenario name -> (configuration, overrides)
 SCENARIOS: Tuple[Tuple[str, str, dict], ...] = (
-    ("10us", "QAT+A", {"timer_poll_interval": 10e-6}),
-    ("1ms", "QAT+A", {"timer_poll_interval": 1e-3}),
+    ("10us", "QAT+A", {"qat_timer_poll_interval": 10e-6}),
+    ("1ms", "QAT+A", {"qat_timer_poll_interval": 1e-3}),
     ("heuristic", "QAT+AH", {}),
 )
 

@@ -29,8 +29,6 @@ def make_server_config(name: str, workers: int,
                        curves: Tuple[str, ...] = ("P-256",),
                        tls_version: str = "1.2",
                        rsa_bits: int = 2048,
-                       timer_poll_interval: float = 10e-6,
-                       async_impl: str = "fiber",
                        **overrides) -> "ServerConfig":
     """Build the ServerConfig for one of the five paper configurations."""
     # Imported here: repro.core is a low-level package (cost model)
@@ -38,8 +36,7 @@ def make_server_config(name: str, workers: int,
     # above both, so the import must not run at core-import time.
     from ..server.config import ServerConfig, SslEngineConfig
     base = dict(worker_processes=workers, suites=suites, curves=curves,
-                tls_version=tls_version, rsa_bits=rsa_bits,
-                async_impl=async_impl)
+                tls_version=tls_version, rsa_bits=rsa_bits)
     if name == "SW":
         engine = SslEngineConfig(use_engine="")
         notify = "fd"
@@ -47,9 +44,8 @@ def make_server_config(name: str, workers: int,
         engine = SslEngineConfig(qat_offload_mode="sync")
         notify = "fd"
     elif name == "QAT+A":
-        engine = SslEngineConfig(
-            qat_offload_mode="async", qat_poll_mode="timer",
-            qat_timer_poll_interval=timer_poll_interval)
+        engine = SslEngineConfig(qat_offload_mode="async",
+                                 qat_poll_mode="timer")
         notify = "fd"
     elif name == "QAT+AH":
         engine = SslEngineConfig(qat_offload_mode="async",

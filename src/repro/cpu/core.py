@@ -100,11 +100,6 @@ class Core:
         self.stats.kernel_time += self.kernel_switch_cost + extra
         yield from self.consume(self.kernel_switch_cost + extra)
 
-    @property
-    def utilization_window(self) -> float:
-        """Busy time so far (caller divides by elapsed time)."""
-        return self.stats.busy_time
-
 
 class CpuTopology:
     """A set of logical cores with the HT discount folded into speed.

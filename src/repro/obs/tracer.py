@@ -73,9 +73,6 @@ class RequestTracer:
         #: per tracer so experiments can diff traced vs processed).
         self.fw_records: Dict[str, int] = {}
 
-    def add_sink(self, sink: SpanSink) -> None:
-        self.sinks.append(sink)
-
     # -- trace lifecycle ------------------------------------------------------
 
     def begin(self, op, conn_id: int, worker_id: int, kind: str,

@@ -40,11 +40,6 @@ class PendingOp:
     submitted_at: float
     deadline: float
 
-    @property
-    def driver_idx(self) -> int:
-        """Backward-compatible alias from the QAT-only engine era."""
-        return self.lane
-
 
 class CircuitBreaker:
     """Closed/open/half-open health state for one backend lane."""

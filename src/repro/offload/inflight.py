@@ -48,9 +48,3 @@ class InflightCounters:
 
     def snapshot(self) -> dict:
         return {cat.value: n for cat, n in self._counts.items()}
-
-    def by_class(self) -> dict:
-        """Counts keyed by scheduling class name — the single source
-        the class-aware scheduler, poller and stub_status all read
-        (no layer keeps shadow per-category accounting)."""
-        return {cat.sched_class: n for cat, n in self._counts.items()}

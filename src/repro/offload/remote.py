@@ -40,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
 
 __all__ = ["RemoteAcceleratorBackend", "RemoteCryptoService",
-           "RPC_SUBMIT_CPU_COST", "RPC_PER_OP_CPU_COST"]
+           "RPC_SUBMIT_CPU_COST", "RPC_PER_OP_CPU_COST",
+           "REMOTE_LINK_LATENCY", "REMOTE_LINK_BANDWIDTH"]
 
 #: CPU cost of issuing one RPC (syscall + header serialization),
 #: paid once per batch.
@@ -51,6 +52,11 @@ RPC_PER_OP_CPU_COST = 0.3e-6
 RPC_POLL_CPU_COST = 0.5e-6
 #: CPU cost per completion drained.
 RPC_POLL_PER_RESPONSE_CPU_COST = 0.3e-6
+
+#: One-way latency and bandwidth (bits/s) of each direction of the
+#: server<->appliance link pair a deployment wires up.
+REMOTE_LINK_LATENCY = 20e-6
+REMOTE_LINK_BANDWIDTH = 25e9
 
 #: Wire sizes of the RPC framing and payloads.
 RPC_REQUEST_HEADER_BYTES = 96

@@ -16,7 +16,11 @@ configured directly in the conf file. This module parses that syntax::
         }
     }
 
-Unknown directives raise, like nginx's config check does.
+Unknown directives and out-of-range values raise :class:`ConfError`,
+like nginx's config check does. Value checks live in
+:meth:`ServerConfig.validate`; the parser checks only the syntax, plus
+``offload_admission_limit >= 1`` (conf text disables the cap by
+omitting the directive, where the config field uses 0).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ Block = Dict[str, Union[List[str], "Block"]]
 
 
 class ConfError(ValueError):
-    """Malformed or unknown configuration."""
+    """Malformed, unknown or out-of-range configuration."""
 
 
 _TOKEN = re.compile(r"""
@@ -123,32 +127,22 @@ def server_config_from_text(text: str) -> ServerConfig:
         elif directive == "ssl_session_cache":
             cfg.session_cache_enabled = _one(value, directive) != "off"
         elif directive == "ssl_asynch_notify":
-            mode = _one(value, directive)
-            if mode not in ("fd", "queue"):
-                raise ConfError(f"unknown notify mode {mode!r}")
-            cfg.async_notify_mode = mode
-        elif directive == "keepalive_timeout":
-            cfg.keepalive = _one(value, directive) != "0"
+            cfg.async_notify_mode = _one(value, directive)
         elif directive == "worker_respawn":
             cfg.worker_respawn = (
                 _one(value, directive) not in ("off", "0", "false"))
         elif directive == "max_respawns":
-            budget = int(_one(value, directive))
-            if budget < 0:
-                raise ConfError(
-                    f"max_respawns must be >= 0, got {budget}")
-            cfg.max_respawns = budget
+            cfg.max_respawns = int(_one(value, directive))
         elif directive == "worker_drain_timeout":
-            timeout = float(_one(value, directive))
-            if timeout <= 0:
-                raise ConfError(
-                    f"worker_drain_timeout must be positive, got {timeout}")
-            cfg.worker_drain_timeout = timeout
+            cfg.worker_drain_timeout = float(_one(value, directive))
         else:
             raise ConfError(f"unknown directive {directive!r}")
 
     cfg.ssl_engine = engine
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfError(str(exc)) from None
     return cfg
 
 
@@ -166,10 +160,6 @@ def _parse_ssl_engine(block: Block) -> SslEngineConfig:
             if not isinstance(value, dict):
                 raise ConfError("qat_engine must be a block")
             _parse_qat_engine(value, engine)
-        elif directive == "remote_accelerator":
-            if not isinstance(value, dict):
-                raise ConfError("remote_accelerator must be a block")
-            _parse_remote_accelerator(value, engine)
         elif directive == "offload_admission_limit":
             limit = int(_one(value, directive))
             if limit < 1:
@@ -178,13 +168,7 @@ def _parse_ssl_engine(block: Block) -> SslEngineConfig:
                     "(omit the directive to disable admission control)")
             engine.offload_admission_limit = limit
         elif directive == "offload_sched_policy":
-            policy = _one(value, directive)
-            from ..offload.scheduler import SCHED_POLICIES
-            if policy not in SCHED_POLICIES:
-                raise ConfError(
-                    f"unknown scheduling policy {policy!r}; expected "
-                    f"{', '.join(SCHED_POLICIES)}")
-            engine.offload_sched_policy = policy
+            engine.offload_sched_policy = _one(value, directive)
         elif directive == "offload_sched_weights":
             engine.offload_sched_weights = _parse_sched_weights(
                 _one(value, directive))
@@ -195,8 +179,8 @@ def _parse_ssl_engine(block: Block) -> SslEngineConfig:
 
 def _parse_sched_weights(spec: str) -> Dict[str, int]:
     """``class=weight[,class=weight...]`` — e.g.
-    ``handshake-asym=8,prf=2,record-cipher=1``."""
-    from ..offload.scheduler import DEFAULT_WEIGHTS
+    ``handshake-asym=8,prf=2,record-cipher=1``. Class names and ranges
+    are checked by :meth:`SslEngineConfig.validate`."""
     weights: Dict[str, int] = {}
     for part in spec.split(","):
         if not part:
@@ -205,41 +189,16 @@ def _parse_sched_weights(spec: str) -> Dict[str, int]:
         if not sep or not raw:
             raise ConfError(
                 f"malformed weight {part!r}; expected class=weight")
-        if name not in DEFAULT_WEIGHTS:
-            raise ConfError(
-                f"unknown scheduling class {name!r}; expected one of "
-                f"{', '.join(sorted(DEFAULT_WEIGHTS))}")
         try:
-            weight = int(raw)
+            weights[name] = int(raw)
         except ValueError:
             raise ConfError(
                 f"weight for {name!r} must be an integer, "
                 f"got {raw!r}") from None
-        if weight < 1:
-            raise ConfError(f"weight for {name!r} must be >= 1")
-        weights[name] = weight
     if not weights:
         raise ConfError("offload_sched_weights needs at least one "
                         "class=weight pair")
     return weights
-
-
-def _parse_remote_accelerator(block: Block,
-                              engine: SslEngineConfig) -> None:
-    for directive, value in block.items():
-        if directive == "processors":
-            engine.remote_processors = int(_one(value, directive))
-        elif directive == "window":
-            engine.remote_window = int(_one(value, directive))
-        elif directive == "link_latency":
-            engine.remote_link_latency = float(_one(value, directive))
-        elif directive == "link_bandwidth":
-            engine.remote_link_bandwidth = float(_one(value, directive))
-        elif directive == "service_scale":
-            engine.remote_service_scale = float(_one(value, directive))
-        else:
-            raise ConfError(
-                f"unknown remote_accelerator directive {directive!r}")
 
 
 def _parse_qat_engine(block: Block, engine: SslEngineConfig) -> None:
@@ -267,31 +226,11 @@ def _parse_qat_engine(block: Block, engine: SslEngineConfig) -> None:
             engine.qat_watchdog_interval = float(_one(value, directive))
         elif directive == "qat_submit_max_retries":
             engine.qat_submit_max_retries = int(_one(value, directive))
-        elif directive == "qat_breaker_failure_threshold":
-            engine.qat_breaker_failure_threshold = int(
-                _one(value, directive))
-        elif directive == "qat_breaker_reset_timeout":
-            engine.qat_breaker_reset_timeout = float(_one(value, directive))
-        elif directive == "qat_software_fallback":
-            engine.qat_software_fallback = (
-                _one(value, directive) not in ("off", "0", "false"))
         elif directive == "qat_batch_size":
             engine.qat_batch_size = int(_one(value, directive))
-        elif directive == "qat_batch_timeout":
-            engine.qat_batch_timeout = float(_one(value, directive))
         elif directive == "qat_instance_policy":
-            policy = _one(value, directive)
-            if policy not in ("static", "shared", "dynamic"):
-                raise ConfError(
-                    f"unknown instance policy {policy!r}; expected "
-                    "static, shared or dynamic")
-            engine.qat_instance_policy = policy
+            engine.qat_instance_policy = _one(value, directive)
         elif directive == "qat_rebalance_interval":
-            interval = float(_one(value, directive))
-            if interval <= 0:
-                raise ConfError(
-                    f"qat_rebalance_interval must be positive, "
-                    f"got {interval}")
-            engine.qat_rebalance_interval = interval
+            engine.qat_rebalance_interval = float(_one(value, directive))
         else:
             raise ConfError(f"unknown qat_engine directive {directive!r}")

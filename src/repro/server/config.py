@@ -55,17 +55,9 @@ class SslEngineConfig:
     #: Worker watchdog sweep interval (0 disables the watchdog).
     qat_watchdog_interval: float = 5e-3
     qat_submit_max_retries: int = 32
-    qat_breaker_failure_threshold: int = 5
-    qat_breaker_reset_timeout: float = 10e-3
-    #: Complete failed/expired offload ops on the CPU instead of
-    #: surfacing OffloadTimeout to the TLS layer.
-    qat_software_fallback: bool = True
     #: Submission batching: coalesce up to this many queued ops into
     #: one backend submit call (1 = no batching, the paper's behavior).
     qat_batch_size: int = 1
-    #: Flush an under-filled batch this long after its oldest op was
-    #: enqueued, so latency-sensitive handshakes never stall.
-    qat_batch_timeout: float = 50e-6
     #: Per-worker admission control (any backend): at most this many
     #: concurrently offloaded ops; excess submissions wait in the
     #: engine's class lanes instead of bouncing off full rings. The
@@ -82,91 +74,101 @@ class SslEngineConfig:
     #: unlisted classes keep their defaults (handshake-asym=8, prf=2,
     #: record-cipher=1).
     offload_sched_weights: Dict[str, int] = field(default_factory=dict)
-    #: Remote-accelerator backend (offload_backend "remote"): service
-    #: processor pool, per-worker credit window, link characteristics
-    #: and a scale factor on the QAT-calibrated service times.
-    remote_processors: int = 8
-    remote_window: int = 256
-    remote_link_latency: float = 20e-6
-    remote_link_bandwidth: float = 25e9
-    remote_service_scale: float = 1.0
 
     def validate(self) -> None:
+        """Reject out-of-range settings. Messages name the conf
+        directive, since conf text is validated here too."""
         if self.use_engine not in ("", "qat_engine"):
-            raise ValueError(f"unknown engine {self.use_engine!r}")
+            raise ValueError(
+                f"use: unknown engine {self.use_engine!r}; expected "
+                "qat_engine (omit use for the software engine)")
         if self.offload_backend not in ("qat", "remote", "software"):
             raise ValueError(
-                f"unknown offload backend {self.offload_backend!r}")
+                "offload_backend: unknown offload backend "
+                f"{self.offload_backend!r}; expected qat, remote or "
+                "software")
         if (self.offload_backend == "remote"
                 and self.qat_notify_mode == "interrupt"):
             raise ValueError(
-                "interrupt notify mode requires the qat backend "
+                "qat_notify_mode interrupt requires offload_backend qat "
                 "(a remote service has no local IRQ line)")
         if self.qat_batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.qat_batch_timeout <= 0:
-            raise ValueError("batch timeout must be positive")
-        if self.remote_processors < 1:
-            raise ValueError("need at least one remote processor")
-        if self.remote_window < 1:
-            raise ValueError("remote credit window must be >= 1")
-        if self.remote_link_latency < 0:
-            raise ValueError("remote link latency must be >= 0")
-        if self.remote_link_bandwidth <= 0:
-            raise ValueError("remote link bandwidth must be positive")
-        if self.remote_service_scale <= 0:
-            raise ValueError("remote service scale must be positive")
+            raise ValueError(
+                f"qat_batch_size must be >= 1, got {self.qat_batch_size}")
         if self.qat_offload_mode not in ("sync", "async"):
             raise ValueError(
-                f"unknown offload mode {self.qat_offload_mode!r}")
+                "qat_offload_mode: unknown offload mode "
+                f"{self.qat_offload_mode!r}; expected sync or async")
         if self.qat_notify_mode not in ("poll", "interrupt"):
             raise ValueError(
-                f"unknown notify mode {self.qat_notify_mode!r}")
+                "qat_notify_mode: unknown notify mode "
+                f"{self.qat_notify_mode!r}; expected poll or interrupt")
         if self.qat_poll_mode not in ("timer", "heuristic"):
-            raise ValueError(f"unknown poll mode {self.qat_poll_mode!r}")
+            raise ValueError(
+                f"qat_poll_mode: unknown poll mode {self.qat_poll_mode!r}; "
+                "expected timer or heuristic")
         if self.qat_timer_poll_interval <= 0:
-            raise ValueError("poll interval must be positive")
-        if (self.qat_heuristic_poll_asym_threshold < 1
-                or self.qat_heuristic_poll_sym_threshold < 1):
-            raise ValueError("heuristic thresholds must be >= 1")
+            raise ValueError(
+                "qat_timer_poll_interval must be positive, got "
+                f"{self.qat_timer_poll_interval}")
+        if self.qat_heuristic_poll_asym_threshold < 1:
+            raise ValueError(
+                "qat_heuristic_poll_asym_threshold must be >= 1, got "
+                f"{self.qat_heuristic_poll_asym_threshold}")
+        if self.qat_heuristic_poll_sym_threshold < 1:
+            raise ValueError(
+                "qat_heuristic_poll_sym_threshold must be >= 1, got "
+                f"{self.qat_heuristic_poll_sym_threshold}")
         if self.qat_instances_per_worker < 1:
-            raise ValueError("need at least one instance per worker")
+            raise ValueError(
+                "qat_instances_per_worker must be >= 1, got "
+                f"{self.qat_instances_per_worker}")
         if self.qat_instance_policy not in ("static", "shared", "dynamic"):
             raise ValueError(
-                f"unknown instance policy {self.qat_instance_policy!r}")
+                "qat_instance_policy: unknown instance policy "
+                f"{self.qat_instance_policy!r}; expected static, shared "
+                "or dynamic")
         if (self.qat_instance_policy != "static"
                 and self.qat_notify_mode == "interrupt"):
             raise ValueError(
-                "interrupt notify mode requires the static instance "
+                "qat_notify_mode interrupt requires the static instance "
                 "policy (IRQ callbacks are armed on dedicated instances)")
         if self.qat_rebalance_interval <= 0:
-            raise ValueError("rebalance interval must be positive")
+            raise ValueError(
+                "qat_rebalance_interval must be positive, got "
+                f"{self.qat_rebalance_interval}")
         if self.offload_admission_limit < 0:
-            raise ValueError("admission limit must be >= 0 (0 disables)")
+            raise ValueError(
+                "offload_admission_limit must be >= 0 (0 disables), got "
+                f"{self.offload_admission_limit}")
         from ..offload.scheduler import DEFAULT_WEIGHTS, SCHED_POLICIES
         if self.offload_sched_policy not in SCHED_POLICIES:
             raise ValueError(
-                f"unknown scheduling policy {self.offload_sched_policy!r}; "
-                f"expected one of {', '.join(SCHED_POLICIES)}")
+                "offload_sched_policy: unknown scheduling policy "
+                f"{self.offload_sched_policy!r}; expected one of "
+                f"{', '.join(SCHED_POLICIES)}")
         for name, weight in self.offload_sched_weights.items():
             if name not in DEFAULT_WEIGHTS:
                 raise ValueError(
-                    f"unknown scheduling class {name!r}; expected one of "
+                    "offload_sched_weights: unknown scheduling class "
+                    f"{name!r}; expected one of "
                     f"{', '.join(sorted(DEFAULT_WEIGHTS))}")
             if not isinstance(weight, int) or weight < 1:
                 raise ValueError(
-                    f"scheduling weight for {name!r} must be an "
-                    "integer >= 1")
+                    f"offload_sched_weights: weight for {name!r} must be "
+                    f">= 1 (an integer), got {weight!r}")
         if self.qat_request_deadline <= 0:
-            raise ValueError("request deadline must be positive")
+            raise ValueError(
+                "qat_request_deadline must be positive, got "
+                f"{self.qat_request_deadline}")
         if self.qat_watchdog_interval < 0:
-            raise ValueError("watchdog interval must be >= 0")
+            raise ValueError(
+                "qat_watchdog_interval must be >= 0 (0 disables), got "
+                f"{self.qat_watchdog_interval}")
         if self.qat_submit_max_retries < 1:
-            raise ValueError("need at least one submit attempt")
-        if self.qat_breaker_failure_threshold < 1:
-            raise ValueError("breaker failure threshold must be >= 1")
-        if self.qat_breaker_reset_timeout <= 0:
-            raise ValueError("breaker reset timeout must be positive")
+            raise ValueError(
+                "qat_submit_max_retries must be >= 1, got "
+                f"{self.qat_submit_max_retries}")
 
 
 @dataclass
@@ -182,10 +184,8 @@ class ServerConfig:
     #: TLS protocol version: "1.2" or "1.3".
     tls_version: str = "1.2"
     session_cache_enabled: bool = True
-    session_lifetime: float = 3600.0
     #: Issue stateless session tickets (RFC 5077) alongside the cache.
     session_tickets: bool = False
-    keepalive: bool = True
     #: Async-notification scheme: "fd" (epoll-monitored notification
     #: FDs) or "queue" (kernel-bypass async queue).
     async_notify_mode: str = "fd"
@@ -207,19 +207,30 @@ class ServerConfig:
     ssl_engine: SslEngineConfig = field(default_factory=SslEngineConfig)
 
     def validate(self) -> None:
+        """Reject out-of-range settings (messages name the conf
+        directive), then the ``ssl_engine`` block's."""
         if self.worker_processes < 1:
-            raise ValueError("need at least one worker")
+            raise ValueError(
+                f"worker_processes must be >= 1, got {self.worker_processes}")
         if self.max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0")
+            raise ValueError(
+                f"max_respawns must be >= 0, got {self.max_respawns}")
         if self.worker_drain_timeout <= 0:
-            raise ValueError("worker drain timeout must be positive")
+            raise ValueError(
+                "worker_drain_timeout must be positive, got "
+                f"{self.worker_drain_timeout}")
         if self.tls_version not in ("1.2", "1.3"):
-            raise ValueError(f"unsupported TLS version {self.tls_version!r}")
+            raise ValueError(
+                "ssl_protocols: unsupported TLS version "
+                f"{self.tls_version!r}; expected 1.2 or 1.3")
         if self.async_notify_mode not in ("fd", "queue"):
             raise ValueError(
-                f"unknown notify mode {self.async_notify_mode!r}")
+                "ssl_asynch_notify: unknown notify mode "
+                f"{self.async_notify_mode!r}; expected fd or queue")
         if self.async_impl not in ("fiber", "stack"):
-            raise ValueError(f"unknown async impl {self.async_impl!r}")
+            raise ValueError(
+                f"unknown async impl {self.async_impl!r}; expected fiber "
+                "or stack")
         self.ssl_engine.validate()
 
     @property

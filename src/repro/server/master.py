@@ -15,7 +15,8 @@ from ..net.link import Link
 from ..net.network import Network
 from ..offload.engine import AsyncOffloadEngine
 from ..offload.pool import DynamicPolicy, InstancePool, make_policy
-from ..offload.remote import RemoteAcceleratorBackend, RemoteCryptoService
+from ..offload.remote import (REMOTE_LINK_BANDWIDTH, REMOTE_LINK_LATENCY,
+                              RemoteAcceleratorBackend, RemoteCryptoService)
 from ..qat.device import QatDevice
 from ..qat.driver import QatUserspaceDriver
 from ..sim.rng import RngRegistry
@@ -37,8 +38,7 @@ class TlsServer:
     def __init__(self, sim, net: Network, config: ServerConfig,
                  provider: CryptoProvider, rng: RngRegistry,
                  qat_device: Optional[QatDevice] = None,
-                 cost_model: Optional[CostModel] = None,
-                 ht_efficiency: float = 1.0) -> None:
+                 cost_model: Optional[CostModel] = None) -> None:
         config.validate()
         self.sim = sim
         self.net = net
@@ -66,8 +66,7 @@ class TlsServer:
             self._cred_ecdsa = provider.make_ecdsa_credentials(
                 config.curves[0], cred_rng)
 
-        self.session_cache = (SessionCache(sim,
-                                           lifetime=config.session_lifetime)
+        self.session_cache = (SessionCache(sim)
                               if config.session_cache_enabled else None)
         # One STEK shared by all workers (as deployments rotate and
         # distribute ticket keys fleet-wide).
@@ -75,11 +74,9 @@ class TlsServer:
         if config.session_tickets:
             from ..tls.ticket import TicketKeeper
             self.ticket_keeper = TicketKeeper(
-                bytes(rng.stream("stek").bytes(16)),
-                lifetime=config.session_lifetime)
+                bytes(rng.stream("stek").bytes(16)))
 
-        self.topology = CpuTopology(sim, config.worker_processes,
-                                    ht_efficiency=ht_efficiency)
+        self.topology = CpuTopology(sim, config.worker_processes)
         per_worker = config.ssl_engine.qat_instances_per_worker
         self.instance_pool: Optional[InstancePool] = None
         if config.uses_qat:
@@ -109,18 +106,13 @@ class TlsServer:
         self._remote_tx: Optional[Link] = None
         self._remote_rx: Optional[Link] = None
         if config.uses_remote:
-            eng_cfg = config.ssl_engine
-            self.remote_service = RemoteCryptoService(
-                sim, n_processors=eng_cfg.remote_processors,
-                service_scale=eng_cfg.remote_service_scale)
+            self.remote_service = RemoteCryptoService(sim)
             self._remote_tx = Link(
-                sim, latency=eng_cfg.remote_link_latency,
-                bandwidth_bps=eng_cfg.remote_link_bandwidth,
-                name="server->accel")
+                sim, latency=REMOTE_LINK_LATENCY,
+                bandwidth_bps=REMOTE_LINK_BANDWIDTH, name="server->accel")
             self._remote_rx = Link(
-                sim, latency=eng_cfg.remote_link_latency,
-                bandwidth_bps=eng_cfg.remote_link_bandwidth,
-                name="accel->server")
+                sim, latency=REMOTE_LINK_LATENCY,
+                bandwidth_bps=REMOTE_LINK_BANDWIDTH, name="accel->server")
 
         # Listen sockets outlive worker incarnations (nginx inherits
         # them across respawns and reloads), so they are bound once and
@@ -161,13 +153,7 @@ class TlsServer:
                 algorithms=eng_cfg.default_algorithm,
                 request_deadline=eng_cfg.qat_request_deadline,
                 submit_max_retries=eng_cfg.qat_submit_max_retries,
-                breaker_failure_threshold=(
-                    eng_cfg.qat_breaker_failure_threshold),
-                breaker_reset_timeout=(
-                    eng_cfg.qat_breaker_reset_timeout),
-                software_fallback=eng_cfg.qat_software_fallback,
                 batch_size=eng_cfg.qat_batch_size,
-                batch_timeout=eng_cfg.qat_batch_timeout,
                 admission_limit=(
                     eng_cfg.offload_admission_limit or None),
                 sched_policy=eng_cfg.offload_sched_policy,
@@ -185,8 +171,7 @@ class TlsServer:
             elif config.uses_remote:
                 backend = RemoteAcceleratorBackend(
                     sim, self.remote_service,
-                    tx_link=self._remote_tx, rx_link=self._remote_rx,
-                    window=eng_cfg.remote_window)
+                    tx_link=self._remote_tx, rx_link=self._remote_rx)
                 engine = AsyncOffloadEngine(
                     backend, core, self.cost_model, **engine_kw)
             else:

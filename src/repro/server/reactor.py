@@ -155,12 +155,6 @@ class Reactor:
         self._sources.append(source)
         return source
 
-    def deregister(self, source: EventSource) -> None:
-        """Stop one source and remove it from the registry."""
-        if source in self._sources:
-            source.stop()
-            self._sources.remove(source)
-
     def start(self) -> None:
         for s in self._sources:
             s.start()

@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AnyOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Simulator", "StopSimulation"]
@@ -71,9 +71,6 @@ class Simulator:
 
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
 

@@ -178,10 +178,6 @@ class StackAsyncJob(AsyncJob):
         self._log: List[Tuple[str, Any]] = []
         self.replayed_steps = 0
 
-    @property
-    def completed_steps(self) -> int:
-        return len(self._log)
-
     def record_crypto(self, result: Any) -> None:
         self._log.append(("crypto", result))
 

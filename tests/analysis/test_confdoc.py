@@ -14,7 +14,7 @@ def server_config_from_text(tree):
     for directive, value in tree.items():
         if directive == "worker_processes":
             pass
-        elif directive in ("qat_batch_size", "qat_batch_timeout"):
+        elif directive in ("qat_batch_size", "qat_submit_max_retries"):
             pass
         elif directive == "qat_mystery_knob":
             pass
@@ -30,7 +30,7 @@ def sample(ov):
 _README = """
 | `worker_processes` | workers |
 | `qat_batch_size` | batch |
-| `qat_batch_timeout` | linger |
+| `qat_submit_max_retries` | retries |
 """
 
 
@@ -56,12 +56,12 @@ def test_documented_and_sampled_directives_pass(tmp_path):
 def test_flags_undocumented_directive(tmp_path):
     result = run(tmp_path, readme="| `worker_processes` | workers |\n")
     names = [f.message.split("'")[1] for f in by_code(result, "RA501")]
-    assert names == ["qat_batch_size", "qat_batch_timeout",
+    assert names == ["qat_batch_size", "qat_submit_max_retries",
                      "qat_mystery_knob"]
 
 
 def test_flags_unsampled_directive(tmp_path):
-    # qat_batch_timeout is in the real ALLOWLIST; qat_mystery_knob is
+    # qat_submit_max_retries is in the real ALLOWLIST; qat_mystery_knob is
     # sampled; drop worker_processes from the scenario: it is in
     # SAMPLED_VIA (ScenarioSpec.workers) so it must still pass.
     result = run(tmp_path, scenario="def sample(ov):\n    pass\n")
@@ -70,11 +70,11 @@ def test_flags_unsampled_directive(tmp_path):
 
 
 def test_flags_stale_allowlist_entry(tmp_path):
-    # the tiny parser doesn't parse (e.g.) 'processors', so the real
-    # allowlist entry for it must be reported stale
+    # the tiny parser doesn't parse (e.g.) 'default_algorithm', so the
+    # real allowlist entry for it must be reported stale
     result = run(tmp_path)
     stale = {f.message.split("'")[1] for f in by_code(result, "RA503")}
-    assert "processors" in stale
+    assert "default_algorithm" in stale
 
 
 def test_absent_parser_module_disables_checker(tmp_path):

@@ -193,7 +193,7 @@ def test_timer_interval_1ms_hurts_low_concurrency():
     crypto op waits for the next poll tick."""
     results = {}
     for interval in (10e-6, 1e-3):
-        w = World("QAT+A", workers=1, timer_poll_interval=interval)
+        w = World("QAT+A", workers=1, qat_timer_poll_interval=interval)
         w.ab(1, size=64, keepalive=False)
         w.sim.run(until=0.3)
         results[interval] = w.metrics.mean_latency(0.05, 0.3)

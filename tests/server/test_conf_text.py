@@ -87,6 +87,11 @@ def test_timer_poll_settings():
     ("ssl_protocols SSLv3;", "unsupported protocol"),
     ("ssl_asynch_notify telepathy;", "unknown notify mode"),
     ("worker_processes 1 2;", "exactly one"),
+    ("keepalive_timeout 0;", "unknown directive"),
+    ("ssl_engine { remote_accelerator { window 8; } }",
+     "unknown ssl_engine directive"),
+    ("ssl_engine { qat_engine { qat_batch_timeout 0.001; } }",
+     "unknown qat_engine directive"),
 ])
 def test_malformed_rejected(bad, msg):
     with pytest.raises(ConfError, match=msg):
