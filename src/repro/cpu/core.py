@@ -62,21 +62,27 @@ class Core:
         Use as ``yield from core.consume(...)`` inside a process. The
         actual duration is ``cost / speed`` plus a context-switch
         penalty when ``owner`` differs from the previous owner.
+
+        A free core with nobody queued is taken without a grant event,
+        and a zero-duration charge then does not yield at all; only a
+        busy core parks the caller on a lock request.
         """
         if cost < 0:
             raise ValueError("negative CPU cost")
-        req = self._lock.request()
-        try:
-            yield req
-        except BaseException:
-            # Interrupted (e.g. the worker process was killed) while
-            # parked on — or just granted — the core lock. Hand the
-            # slot back so sharers of this core don't wedge forever.
-            if req.triggered:
-                self._lock.release()
-            else:
-                req.cancel()
-            raise
+        lock = self._lock
+        if not lock.try_acquire():
+            req = lock.request()
+            try:
+                yield req
+            except BaseException:
+                # Interrupted (e.g. the worker process was killed) while
+                # parked on — or just granted — the core lock. Hand the
+                # slot back so sharers of this core don't wedge forever.
+                if req.triggered:
+                    lock.release()
+                else:
+                    req.cancel()
+                raise
         try:
             duration = cost / self.speed
             if owner is not None and self._last_owner is not None \
@@ -90,7 +96,7 @@ class Core:
             if duration > 0:
                 yield self.sim.timeout(duration)
         finally:
-            self._lock.release()
+            lock.release()
 
     def kernel_crossing(self, extra: float = 0.0) -> Generator:
         """Charge one user→kernel→user mode switch (plus ``extra`` work

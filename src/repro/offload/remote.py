@@ -115,9 +115,10 @@ class RemoteCryptoService:
                          name=f"{self.name}-serve")
 
     def _serve(self, request, reply):
-        grant = self.processors.request()
-        self.peak_queue = max(self.peak_queue, self.processors.queue_length)
-        if not grant.triggered:
+        processors = self.processors
+        if not processors.try_acquire():
+            grant = processors.request()
+            self.peak_queue = max(self.peak_queue, processors.queue_length)
             yield grant
         yield self.sim.timeout(self.service_time(request.op))
         try:

@@ -79,11 +79,10 @@ class QatEndpoint:
             request = req_ring.take_request()
             assert request is not None
             request.dequeued_at = self.sim.now
-            grant = self.engines.request()
-            assert grant.triggered  # capacity was checked above
+            granted = self.engines.try_acquire()
+            assert granted  # capacity was checked above
             self._sample_engines()
-            self.sim.process(self._run_engine(request, req_ring),
-                             name=f"qat-exec-{request.request_id}")
+            self._start_engine(request, req_ring)
 
     def _sample_engines(self) -> None:
         """Report engine occupancy to the request tracer, if any."""
@@ -106,15 +105,24 @@ class QatEndpoint:
                 return ring
         return None
 
-    def _run_engine(self, request: QatRequest, ring: RingPair):
-        """One engine executing one request (a simulation process)."""
-        # Inbound DMA + calculation (engine occupied).
+    def _start_engine(self, request: QatRequest, ring: RingPair) -> None:
+        """An engine takes ``request``: inbound DMA + calculation keep
+        it occupied until :meth:`_engine_done`."""
         service = qat_service_time(request.op)
         plan = self.fault_plan
         if plan is not None:
             service *= plan.latency_multiplier(self.endpoint_id,
                                                request.op, self.sim.now)
-        yield self.sim.timeout(self.pcie_latency + service)
+        done = self.sim.timeout(self.pcie_latency + service,
+                                name=f"qat-exec-{request.request_id}")
+        done.callbacks.append(
+            lambda _ev: self._engine_done(request, ring, plan))
+
+    def _engine_done(self, request: QatRequest, ring: RingPair,
+                     plan) -> None:
+        """Service ends: compute the result, free the engine, and send
+        the response down the pipeline (firmware + outbound DMA), which
+        holds no engine capacity."""
         request.serviced_at = self.sim.now
         response = QatResponse(request)
         try:
@@ -131,16 +139,18 @@ class QatEndpoint:
         obs = getattr(self.sim, "obs", None)
         if obs is not None and obs.enabled:
             obs.fw_record(self.endpoint_id, request.op, response.ok)
-        # The engine frees up now; completion continues down the
-        # response pipeline (firmware + outbound DMA) without holding
-        # engine capacity.
         self.engines.release()
         self._sample_engines()
         self._dispatch()  # pull more work if rings are backed up
-        yield self.sim.timeout(self.pcie_latency
-                               + qat_pipeline_latency(request.op))
-        if plan is not None and plan.response_lost(self.endpoint_id,
-                                                   request.op, self.sim.now):
+        landed = self.sim.timeout(self.pcie_latency
+                                  + qat_pipeline_latency(request.op))
+        landed.callbacks.append(
+            lambda _ev: self._land(response, ring, plan))
+
+    def _land(self, response: QatResponse, ring: RingPair, plan) -> None:
+        """The response reaches its ring, unless the fault plan loses it."""
+        if plan is not None and plan.response_lost(
+                self.endpoint_id, response.request.op, self.sim.now):
             self.responses_lost += 1
             ring.drop_response(response)
             return

@@ -4,6 +4,8 @@
     A counted resource (e.g. QAT computation engines). Processes yield
     :meth:`Resource.request` to acquire a slot and call
     :meth:`Resource.release` when done. FIFO granting order.
+    :meth:`Resource.try_acquire` takes a free slot with no event, for
+    callers that would not have to wait.
 
 :class:`Store`
     An unbounded-or-bounded FIFO item queue (e.g. hardware rings,
@@ -49,17 +51,24 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def request(self) -> Event:
-        """Return an event that fires when a slot is granted."""
+    def try_acquire(self) -> bool:
+        """Take a slot now, without an event, if one is free and no live
+        waiter is queued ahead; return whether a slot was taken."""
         waiters = self._waiters
         while waiters and waiters[0]._cancelled:
             waiters.popleft()
-        ev = Event(self.sim, self._req_name)
         if self._in_use < self.capacity and not waiters:
             self._in_use += 1
+            return True
+        return False
+
+    def request(self) -> Event:
+        """Return an event that fires when a slot is granted."""
+        ev = Event(self.sim, self._req_name)
+        if self.try_acquire():
             ev.succeed()
         else:
-            waiters.append(ev)
+            self._waiters.append(ev)
         return ev
 
     def release(self) -> None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import Core, CpuTopology
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator, Timeout
 
 
 def run_consumer(sim, core, cost, owner=None, log=None, name=""):
@@ -137,3 +137,96 @@ def test_cores_run_in_parallel():
     sim.run()
     # Both finish at t=1ms: different cores do not serialize.
     assert [t for _, t in log] == [pytest.approx(1e-3)] * 2
+
+
+def record_pushes(sim):
+    """Log every calendar entry pushed from now on."""
+    pushed = []
+    schedule = sim._schedule
+
+    def recording(event, delay=0.0, **kw):
+        pushed.append(event)
+        schedule(event, delay, **kw)
+
+    sim._schedule = recording
+    return pushed
+
+
+def test_uncontended_consume_pushes_one_timeout_and_zero_cost_none():
+    sim = Simulator()
+    core = Core(sim, 0, context_switch_cost=10e-6)
+    pushed = record_pushes(sim)
+    counts = []
+
+    def proc(sim):
+        start = len(pushed)
+        yield from core.consume(1e-3, owner="w")
+        counts.append(pushed[start:])
+        start = len(pushed)
+        yield from core.consume(0.0, owner="w")
+        counts.append(pushed[start:])
+
+    sim.process(proc(sim))
+    sim.run()
+    timed, free = counts
+    assert [(type(e), e.delay) for e in timed] == [(Timeout, 1e-3)]
+    assert free == []
+    assert core._lock.in_use == 0
+    assert core.stats.busy_time == pytest.approx(1e-3)
+
+
+def test_contended_consumers_granted_fifo_with_switch_costs():
+    sim = Simulator()
+    core = Core(sim, 0, context_switch_cost=10e-6)
+    log = []
+    for name in ("a", "b", "c"):
+        run_consumer(sim, core, 1e-3, owner=name, log=log, name=name)
+    sim.run()
+    assert log == [("a", pytest.approx(1e-3)),
+                   ("b", pytest.approx(2e-3 + 10e-6)),
+                   ("c", pytest.approx(3e-3 + 20e-6))]
+    assert core.stats.context_switches == 2
+    assert core.stats.switch_time == pytest.approx(20e-6)
+    assert core._lock.in_use == 0
+
+
+def test_interrupt_during_charge_frees_core_for_next_consumer():
+    sim = Simulator()
+    core = Core(sim, 0, context_switch_cost=0.0)
+    log = []
+
+    def victim(sim):
+        try:
+            yield from core.consume(1e-3, owner="victim")
+        except Interrupt:
+            log.append(("victim", sim.now))
+
+    proc = sim.process(victim(sim))
+    run_consumer(sim, core, 1e-3, owner="next", log=log, name="next")
+    sim.call_in(0.5e-3, proc.interrupt)
+    sim.run()
+    assert log == [("victim", pytest.approx(0.5e-3)),
+                   ("next", pytest.approx(1.5e-3))]
+    assert core._lock.in_use == 0
+
+
+def test_interrupt_while_parked_leaves_core_to_owner_and_queue():
+    sim = Simulator()
+    core = Core(sim, 0, context_switch_cost=0.0)
+    log = []
+
+    def parked(sim):
+        try:
+            yield from core.consume(1e-3)
+        except Interrupt:
+            log.append(("parked", sim.now))
+
+    run_consumer(sim, core, 1e-3, log=log, name="owner")
+    proc = sim.process(parked(sim))
+    run_consumer(sim, core, 1e-3, log=log, name="last")
+    sim.call_in(0.5e-3, proc.interrupt)
+    sim.run()
+    assert log == [("parked", pytest.approx(0.5e-3)),
+                   ("owner", pytest.approx(1e-3)),
+                   ("last", pytest.approx(2e-3))]
+    assert core._lock.in_use == 0

@@ -62,6 +62,43 @@ def test_resource_cancelled_waiter_skipped():
     assert res.in_use == 1
 
 
+def test_try_acquire_takes_free_slots_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    assert res.try_acquire()
+    assert res.try_acquire()
+    assert not res.try_acquire()
+    assert res.in_use == 2
+    assert sim.peek() == float("inf")  # nothing was scheduled
+
+
+def test_try_acquire_purges_cancelled_head_waiters():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    assert res.try_acquire()
+    w1, w2 = res.request(), res.request()
+    w1.cancel()
+    assert not res.try_acquire()  # full: refused, but the head is purged
+    assert res.queue_length == 1
+    w2.cancel()
+    res.release()
+    assert res.in_use == 0
+    assert res.try_acquire()
+    assert res.queue_length == 0
+
+
+def test_try_acquire_refuses_while_a_live_waiter_queues():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    assert res.try_acquire()
+    waiter = res.request()
+    assert not res.try_acquire()
+    res.release()  # the slot goes to the queued waiter, not a barger
+    assert waiter.triggered
+    assert not res.try_acquire()
+    assert res.in_use == 1
+
+
 def test_resource_available():
     sim = Simulator()
     res = Resource(sim, capacity=3)
