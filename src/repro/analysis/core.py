@@ -10,9 +10,7 @@ finished simulation):
   project) and emits :class:`Finding`\\ s carrying a stable per-pattern
   code (``RA101``, ``RA301``, ...);
 - deliberate violations opt out *inline* with a trailing
-  ``# analysis: allow[RA101]`` comment (the legacy
-  ``# determinism: allowed`` mark is honoured for the RA1xx/RA2xx
-  codes so existing annotations keep working unchanged);
+  ``# analysis: allow[RA101]`` comment;
 - *grandfathered* findings live in a checked-in :class:`Baseline` file
   (one ``CODE path — justification`` line each), so the CI gate can be
   strict for new code without rewriting history first.
@@ -37,12 +35,6 @@ __all__ = ["Finding", "SourceFile", "AnalysisContext", "Checker",
 #: line; ``# analysis: allow[RA101,RA3]`` silences matching prefixes.
 _ALLOW_RE = re.compile(
     r"#\s*analysis:\s*allow(?:\[(?P<codes>[A-Z0-9,\s]+)\])?")
-
-#: The opt-out mark of the retired regex determinism lint. Honoured for
-#: the determinism and sim-purity checkers only, so existing
-#: annotations keep working unchanged.
-_LEGACY_ALLOW = "determinism: allowed"
-_LEGACY_CODES = ("RA1", "RA2")
 
 
 @dataclass(frozen=True)
@@ -93,11 +85,7 @@ class SourceFile:
         """Is ``code`` inline-suppressed on 1-based ``line``?"""
         if not 1 <= line <= len(self.lines):
             return False
-        text = self.lines[line - 1]
-        if (_LEGACY_ALLOW in text
-                and code.startswith(_LEGACY_CODES)):
-            return True
-        m = _ALLOW_RE.search(text)
+        m = _ALLOW_RE.search(self.lines[line - 1])
         if m is None:
             return False
         if m.group("codes") is None:

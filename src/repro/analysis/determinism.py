@@ -28,8 +28,7 @@ Codes:
   heap addresses differ across runs. Identity *membership* tests
   (``id(x) in seen``) are fine; ordering by identity is not.
 
-Opt out per line with ``# determinism: allowed`` (legacy mark) or
-``# analysis: allow[RA101]``.
+Opt out per line with ``# analysis: allow[RA101]``.
 """
 
 from __future__ import annotations

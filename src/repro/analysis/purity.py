@@ -26,8 +26,7 @@ Codes:
 
 Scope is the whole analysis root (``src/`` in CI) including function
 bodies — a deferred ``import threading`` is just as real. Opt out
-with ``# analysis: allow[RA201]`` (or the legacy
-``# determinism: allowed`` mark).
+with ``# analysis: allow[RA201]``.
 """
 
 from __future__ import annotations

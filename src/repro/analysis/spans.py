@@ -51,7 +51,7 @@ _CLOSERS = {"finish", "abort_open", "close"}
 
 def _opens_trace(node: ast.expr) -> Optional[ast.Call]:
     """The opening Call inside an expression, if any (handles the
-    ``trace = obs.begin(...) if obs.enabled else None`` idiom)."""
+    ``trace = obs.begin(...) if obs is not None else None`` idiom)."""
     for sub in ast.walk(node):
         if not isinstance(sub, ast.Call):
             continue

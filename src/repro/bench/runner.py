@@ -72,8 +72,7 @@ class Testbed:
         #: instrumentation then costs one attribute read per site.
         self.tracer: Optional[RequestTracer] = None
         if trace:
-            self.tracer = RequestTracer(enabled=True,
-                                        sample_rate=trace_sample_rate)
+            self.tracer = RequestTracer(sample_rate=trace_sample_rate)
             self.sim.obs = self.tracer
         self.rng = RngRegistry(seed)
         self.net = Network(self.sim)

@@ -7,10 +7,10 @@ model back to job resume; closed traces become span trees, feed
 streaming per-stage latency histograms and export as Chrome
 ``trace_event`` JSON (viewable in Perfetto).
 
-Tracing is off unless a :class:`~repro.obs.tracer.RequestTracer` is
-attached to the simulator (``sim.obs``); every instrumentation site
-checks ``obs is not None and obs.enabled`` before doing any work, so
-the disabled cost is one attribute read.
+Tracing is on exactly when a :class:`~repro.obs.tracer.RequestTracer`
+is attached to the simulator (``sim.obs``); every instrumentation site
+checks ``obs is not None`` before doing any work, so the untraced cost
+is one attribute read.
 """
 
 from .context import OpTrace

@@ -2,16 +2,16 @@
 
 One :class:`RequestTracer` per simulation (attached to the kernel as
 ``sim.obs``), shared by every layer on the offload critical path, and
-the only tracer in the tree. Every instrumentation site checks
-``enabled`` first: a disabled tracer is a single attribute read — no
-allocation, no formatting, no sim perturbation — so production-shaped
-runs pay (approximately) nothing.
+the only tracer in the tree. Tracing is on exactly when ``sim.obs`` is
+set: every instrumentation site checks ``obs is not None`` first, so
+an untraced run pays one attribute read per site — no allocation, no
+formatting, no sim perturbation.
 
 Profiling hooks:
 
-- **span sinks** — callables invoked with each closed
-  :class:`~repro.obs.context.OpTrace` (stream to a file, feed a live
-  dashboard, assert invariants in tests);
+- **closed traces** — every closed
+  :class:`~repro.obs.context.OpTrace` is kept in :attr:`traces` (the
+  Perfetto export and the span invariants read them);
 - **sampling** — ``sample_rate`` traces a deterministic subset of ops
   (credit-accumulator, not RNG, so sampled runs still replay
   bit-for-bit and never perturb the simulation's random streams);
@@ -25,7 +25,7 @@ Profiling hooks:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .context import OpTrace
 from .histogram import StreamingHistogram
@@ -34,23 +34,14 @@ from .timeline import UtilizationTimeline
 
 __all__ = ["RequestTracer"]
 
-SpanSink = Callable[[OpTrace], None]
-
 
 class RequestTracer:
     """Span-based tracing + streaming metrics for one simulation."""
 
-    def __init__(self, enabled: bool = True, sample_rate: float = 1.0,
-                 keep: bool = True,
-                 sinks: Tuple[SpanSink, ...] = ()) -> None:
+    def __init__(self, sample_rate: float = 1.0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample rate in [0, 1]")
-        self.enabled = enabled
         self.sample_rate = sample_rate
-        #: Retain closed traces in :attr:`traces` (disable for
-        #: long-running profiling where only histograms matter).
-        self.keep = keep
-        self.sinks: List[SpanSink] = list(sinks)
         self._seq = 0
         self._sample_credit = 0.0
         # Lifecycle counters (stub_status `trace` section).
@@ -79,8 +70,7 @@ class RequestTracer:
               now: float) -> Optional[OpTrace]:
         """Open a trace for one crypto op; None when sampled out.
 
-        Callers must check :attr:`enabled` first (the usual pattern),
-        and keep the returned context on the offload job so later
+        Callers keep the returned context on the offload job so later
         layers can find it.
         """
         self._sample_credit += self.sample_rate
@@ -97,8 +87,8 @@ class RequestTracer:
 
     def finish(self, trace: OpTrace, now: float,
                status: Optional[str] = None) -> None:
-        """Close a trace: derive its span tree, feed the histograms and
-        sinks. Closing an already-closed trace is an error — the
+        """Close a trace: derive its span tree and feed the histograms.
+        Closing an already-closed trace is an error — the
         well-formedness invariant is exactly one close per op."""
         if trace.closed:
             raise RuntimeError(
@@ -107,16 +97,13 @@ class RequestTracer:
         self.open.pop(trace.trace_id, None)
         self.ops_closed += 1
         self.by_status[trace.status] = self.by_status.get(trace.status, 0) + 1
-        if self.keep:
-            self.traces.append(trace)
+        self.traces.append(trace)
         backend = trace.backend or "none"
         spans = trace.spans()
         self.spans_closed += len(spans)
         self._histogram(backend, "total").add(spans[0].duration)
         for span in spans[1:]:
             self._histogram(backend, span.name).add(span.duration)
-        for sink in self.sinks:
-            sink(trace)
 
     def abort_open(self, job_trace: Optional[OpTrace], now: float) -> None:
         """Connection teardown while an op was open: close as aborted

@@ -22,10 +22,10 @@ stack (and its transitive deps) during their own import.
 
 from __future__ import annotations
 
-from .errors import OffloadTimeout, RingFull, SubmitError
+from .errors import RingFull, SubmitError
 
 __all__ = [
-    "SubmitError", "RingFull", "OffloadTimeout",
+    "SubmitError", "RingFull",
     "OpSpec", "Completion", "LaneStats", "OffloadBackend",
     "PendingOp", "CircuitBreaker", "InflightCounters",
     "AsyncOffloadEngine", "ALGORITHM_GROUPS", "SoftwareEngine",

@@ -14,7 +14,7 @@ accelerator:
 - :class:`OffloadBackend` — the protocol itself: batched non-blocking
   submission, non-blocking completion retrieval, CPU-cost accounting
   for both (charged by the *caller*, since they run on the worker's
-  core), and capacity/health introspection.
+  core), and capacity introspection.
 
 Backends are passive from the engine's point of view: ``submit_batch``
 and ``poll_completions`` never block and never consume simulated CPU
@@ -143,11 +143,3 @@ class OffloadBackend:
         least ``submitted``, ``submit_failures``, ``op_timeouts`` and
         ``fallback_ops`` attributes the engine may increment)."""
         raise NotImplementedError
-
-    def health(self) -> dict:
-        """Introspection snapshot for status pages / experiments."""
-        return {
-            "backend": self.name,
-            "lanes": self.lanes,
-            "capacity_hint": self.capacity_hint(),
-        }

@@ -28,6 +28,12 @@ backend — direct submit, batched flush or admission — ``_accept``
 enters it into the in-flight table; a queued op that leaves its queue
 any other way (expiry, drain, rescue, abort) goes through ``_unqueue``.
 
+An op whose offload gives up — submit retries spent, every breaker
+open, deadline missed, corrupted response, or never left a queue —
+completes on the CPU through :meth:`~AsyncOffloadEngine.execute_fallback`,
+and each route names the span status its trace ends with (TIMEOUT or
+FAILOVER).
+
 Submission batching (``batch_size > 1``): instead of one
 doorbell/RPC per op, ``submit_async`` parks ops in a coalescing queue
 and flushes up to ``batch_size`` of them in a single
@@ -37,8 +43,8 @@ Flush triggers, in order of precedence:
 
 1. the queue reaches ``batch_size`` ops (inside ``submit_async``);
 2. a polling operation finds the head of the queue due;
-3. a dedicated flush timer fires ``batch_timeout`` after the oldest
-   queued op was enqueued — so latency-sensitive handshakes never
+3. a dedicated flush timer fires :data:`BATCH_TIMEOUT` after the
+   oldest queued op was enqueued — so latency-sensitive handshakes never
    stall behind an under-filled batch.
 
 The flush path only ever *submits*; queued ops that can no longer
@@ -66,15 +72,23 @@ from ..net.epoll_sim import NOTIFY_FD_WRITE_COST
 from ..obs.span import SpanStatus
 from ..tls.actions import CryptoCall
 from .backend import OffloadBackend, OpSpec
-from .errors import OffloadTimeout
 from .health import CircuitBreaker, PendingOp
 from .inflight import InflightCounters
 from .scheduler import ClassScheduler
 
-__all__ = ["AsyncOffloadEngine", "ALGORITHM_GROUPS",
-           "backoff_jitter_fraction"]
+__all__ = ["AsyncOffloadEngine", "ALGORITHM_GROUPS", "BUSY_POLL_SLICE",
+           "BATCH_TIMEOUT", "backoff_jitter_fraction"]
 
 _MASK64 = (1 << 64) - 1
+
+#: Core time one spin of the straight (blocking) path's completion
+#: busy-loop burns; also the base unit of the submit retry backoff.
+BUSY_POLL_SLICE = 1.5e-6
+
+#: Longest a coalescing-queue op waits for a fuller batch before the
+#: flush timer submits it; queued-op expiry also leaves ops younger
+#: than this alone.
+BATCH_TIMEOUT = 50e-6
 
 
 def backoff_jitter_fraction(seed: int, attempts: int) -> float:
@@ -131,14 +145,9 @@ class AsyncOffloadEngine:
                  core: Core, cost_model: CostModel,
                  algorithms: Iterable[str] = ("RSA", "EC", "PKEY_CRYPTO",
                                               "CIPHER"),
-                 busy_poll_slice: float = 1.5e-6,
                  request_deadline: float = 25e-3,
                  submit_max_retries: int = 32,
-                 breaker_failure_threshold: int = 5,
-                 breaker_reset_timeout: float = 10e-3,
-                 software_fallback: bool = True,
                  batch_size: int = 1,
-                 batch_timeout: float = 50e-6,
                  admission_limit: Optional[int] = None,
                  sched_policy: str = "fifo",
                  sched_weights: Optional[Dict[str, int]] = None,
@@ -149,28 +158,21 @@ class AsyncOffloadEngine:
             raise ValueError("need at least one submit attempt")
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if batch_timeout <= 0:
-            raise ValueError("batch timeout must be positive")
         if admission_limit is not None and admission_limit < 1:
             raise ValueError("admission limit must be >= 1")
         self.backend = backend
         self._rr = 0
         self.core = core
         self.cost_model = cost_model
-        self.busy_poll_slice = busy_poll_slice
         self.request_deadline = request_deadline
         self.submit_max_retries = submit_max_retries
-        self.software_fallback = software_fallback
         self.batch_size = batch_size
-        self.batch_timeout = batch_timeout
         #: Set per worker (from its RNG stream) so simultaneous
         #: ring-full rejections across workers retry at different
         #: instants.
         self.backoff_jitter_seed = backoff_jitter_seed
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(lambda: self.core.sim.now,
-                           failure_threshold=breaker_failure_threshold,
-                           reset_timeout=breaker_reset_timeout)
+            CircuitBreaker(lambda: self.core.sim.now)
             for _ in range(backend.lanes)
         ]
         #: In-flight table: every accepted async request and its
@@ -320,8 +322,8 @@ class AsyncOffloadEngine:
         jittered into ``[base/2, base)`` by the engine's seed so workers
         that bounced off the same full ring in the same pass don't
         re-collide on every retry."""
-        base = min(self.busy_poll_slice * (2 ** max(attempts - 1, 0)),
-                   128 * self.busy_poll_slice)
+        base = min(BUSY_POLL_SLICE * (2 ** max(attempts - 1, 0)),
+                   128 * BUSY_POLL_SLICE)
         frac = backoff_jitter_fraction(self.backoff_jitter_seed, attempts)
         return base * (0.5 + 0.5 * frac)
 
@@ -335,22 +337,15 @@ class AsyncOffloadEngine:
         self.software_crypto_time += cost
         return call.compute()
 
-    def execute_fallback(self, call: CryptoCall, owner: object
-                         ) -> Generator:
-        """Complete ``call`` on the CPU because the accelerator path is
-        degraded (exhausted submit retries / open breakers)."""
+    def execute_fallback(self, call: CryptoCall, owner: object,
+                         lane: int = -1) -> Generator:
+        """Software failover: complete ``call`` on the CPU because its
+        offload gave up (submit retries spent, every breaker open,
+        deadline missed, corrupted response, never left a queue).
+        ``lane`` is the lane the op was accepted on, charged its
+        fallback; -1 when it never reached one."""
         self.ops_fallback += 1
-        return (yield from self._execute_software(call, owner))
-
-    def _offload_failed(self, call: CryptoCall, owner: object,
-                        exc: BaseException,
-                        lane: Optional[int] = None) -> Generator:
-        """Offload attempt gave up: degrade to software, or raise the
-        typed error when fallback is disabled."""
-        if not self.software_fallback:
-            raise exc
-        self.ops_fallback += 1
-        if lane is not None:
+        if lane >= 0:
             self.backend.lane_stats(lane).fallback_ops += 1
         return (yield from self._execute_software(call, owner))
 
@@ -366,13 +361,13 @@ class AsyncOffloadEngine:
         Submit retries are bounded (exponential backoff up to
         ``submit_max_retries``) and the response wait is bounded by
         ``request_deadline``; either bound exhausted degrades the op to
-        the software path (or raises :class:`OffloadTimeout`)."""
+        the software path."""
         if not self.offloads(call):
             return (yield from self._execute_software(call, owner))
         sim = self.core.sim
         obs = getattr(sim, "obs", None)
         trace = (obs.begin(call.op, -1, -1, "blocking", sim.now)
-                 if obs is not None and obs.enabled else None)
+                 if obs is not None else None)
         submit_cost = self.backend.submit_cpu_cost(1)
         yield from self.core.consume(submit_cost, owner=owner)
         self.submit_time += submit_cost
@@ -383,11 +378,7 @@ class AsyncOffloadEngine:
                     or not self._any_lane_available()):
                 if trace is not None:
                     obs.finish(trace, sim.now, SpanStatus.TIMEOUT)
-                return (yield from self._offload_failed(
-                    call, owner,
-                    OffloadTimeout(
-                        f"submit of {call.op.kind.name} still rejected "
-                        f"after {attempts} attempts")))
+                return (yield from self.execute_fallback(call, owner))
             delay = self.submit_backoff(attempts)
             yield from self.core.consume(delay, owner=owner)
             self.blocking_wait_time += delay
@@ -422,13 +413,8 @@ class AsyncOffloadEngine:
                 self.breakers[lane].record_failure()
                 if trace is not None:
                     obs.finish(trace, sim.now, SpanStatus.TIMEOUT)
-                return (yield from self._offload_failed(
-                    call, owner,
-                    OffloadTimeout(
-                        f"{call.op.kind.name} response missed its "
-                        f"{self.request_deadline * 1e3:.1f}ms deadline"),
-                    lane=lane))
-            yield from self.core.consume(self.busy_poll_slice, owner=owner)
+                return (yield from self.execute_fallback(call, owner, lane))
+            yield from self.core.consume(BUSY_POLL_SLICE, owner=owner)
         self.blocking_wait_time += self.core.sim.now - wait_started
         self._op_retired(call)
         if trace is not None:
@@ -439,8 +425,7 @@ class AsyncOffloadEngine:
             self.breakers[lane].record_failure()
             if trace is not None:
                 obs.finish(trace, sim.now, SpanStatus.FAILOVER)
-            return (yield from self._offload_failed(call, owner, resp.error,
-                                                    lane=lane))
+            return (yield from self.execute_fallback(call, owner, lane))
         self.breakers[lane].record_success()
         if resp.error is not None:
             if trace is not None:
@@ -629,8 +614,7 @@ class AsyncOffloadEngine:
         try:
             while self._batch:
                 head = self._batch[0]
-                due = min(head.enqueued_at + self.batch_timeout,
-                          head.deadline)
+                due = min(head.enqueued_at + BATCH_TIMEOUT, head.deadline)
                 if due > sim.now:
                     yield sim.timeout(due - sim.now)
                     continue
@@ -644,7 +628,7 @@ class AsyncOffloadEngine:
                     attempts = max(q.attempts for q in self._batch)
                     yield sim.timeout(max(
                         self.submit_backoff(max(attempts, 1)),
-                        self.batch_timeout / 2))
+                        BATCH_TIMEOUT / 2))
         finally:
             self._flush_timer_active = False
 
@@ -684,17 +668,15 @@ class AsyncOffloadEngine:
         state = getattr(job, "state", None)
         return state is None or state.name == "PAUSED"
 
-    def _fail_queued(self, q: _QueuedOp, owner: object,
-                     exc: BaseException) -> Generator:
-        """Resume the job of an unqueued op through the failure path,
-        unless it was rescued or aborted meanwhile. Returns the job
-        resumed, or None."""
+    def _fail_queued(self, q: _QueuedOp, owner: object) -> Generator:
+        """Fail an unqueued op over to software (a TIMEOUT: it never
+        reached the accelerator) and resume its job, unless the job was
+        rescued or aborted meanwhile. Returns the job resumed, or
+        None."""
         if not self._paused(q.job):
             return None
-        yield from self._deliver_failure(
-            PendingOp(call=q.call, job=q.job, lane=-1,
-                      submitted_at=q.enqueued_at, deadline=q.deadline),
-            owner, exc)
+        yield from self._deliver_failure(q.job, q.call, -1, owner,
+                                         SpanStatus.TIMEOUT)
         return q.job
 
     def _expire_queued(self, owner: object, admission: bool = False
@@ -704,14 +686,14 @@ class AsyncOffloadEngine:
         queue only — retry budget spent. Walks the coalescing queue, or
         the admission lanes when ``admission`` (whose expiries also
         count on their lane and in the admission timeline). Ops younger
-        than ``batch_timeout`` are left alone — their submitter may
+        than :data:`BATCH_TIMEOUT` are left alone — their submitter may
         still be arming the wait context, and a later round revisits
         them. Returns jobs resumed."""
         now = self.core.sim.now
         jobs: List[object] = []
         no_lane = not self._any_lane_available()
         for q in self._queued(batch=not admission, admission=admission):
-            if now - q.enqueued_at < self.batch_timeout:
+            if now - q.enqueued_at < BATCH_TIMEOUT:
                 continue
             timed_out = now >= q.deadline
             exhausted = (not admission
@@ -721,15 +703,9 @@ class AsyncOffloadEngine:
             self._unqueue(q)
             if admission:
                 self.scheduler.note_expired(q.call.op.category)
-                reason = (f"expired in the admission queue after "
-                          f"{(now - q.enqueued_at) * 1e3:.1f}ms")
-            else:
-                reason = (f"never reached the accelerator after "
-                          f"{q.attempts} submit attempts")
             if timed_out:
                 self.op_timeouts += 1
-            job = yield from self._fail_queued(
-                q, owner, OffloadTimeout(f"{q.call.op.kind.name} {reason}"))
+            job = yield from self._fail_queued(q, owner)
             if job is not None:
                 jobs.append(job)
         if admission and jobs:
@@ -769,7 +745,7 @@ class AsyncOffloadEngine:
         the per-class queue-wait histogram."""
         self.admission_admitted += 1
         obs = getattr(self.core.sim, "obs", None)
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.latency_sample(
                 self.backend.name,
                 f"sched-wait.{q.call.op.category.sched_class}",
@@ -816,7 +792,7 @@ class AsyncOffloadEngine:
 
     def _sample_admission(self, now: float) -> None:
         obs = getattr(self.core.sim, "obs", None)
-        if obs is None or not obs.enabled:
+        if obs is None:
             return
         obs.util_sample(f"w{self.core.core_id}.admission", now,
                         self.scheduler.queued,
@@ -875,9 +851,7 @@ class AsyncOffloadEngine:
         for q in self._queued():
             self._unqueue(q)
             self.ops_drained += 1
-            job = yield from self._fail_queued(q, owner, OffloadTimeout(
-                f"{q.call.op.kind.name} drained before reaching the "
-                "accelerator (worker shutting down)"))
+            job = yield from self._fail_queued(q, owner)
             if job is not None:
                 jobs.append(job)
         if had_admission:
@@ -915,7 +889,7 @@ class AsyncOffloadEngine:
         # Detach before closing: the SSL teardown path also aborts the
         # job's trace and must find nothing left to close.
         job.trace = None
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.abort_open(trace, now)
 
     def poll_and_dispatch(self, owner: object,
@@ -955,7 +929,9 @@ class AsyncOffloadEngine:
             if resp.transport_error:
                 self.responses_corrupted += 1
                 breaker.record_failure()
-                yield from self._deliver_failure(pending, owner, resp.error)
+                yield from self._deliver_failure(
+                    job, pending.call, pending.lane, owner,
+                    SpanStatus.FAILOVER)
             else:
                 breaker.record_success()
                 if trace is not None:
@@ -972,7 +948,7 @@ class AsyncOffloadEngine:
         if self._batch:
             head_age = self.core.sim.now - self._batch[0].enqueued_at
             if (len(self._batch) >= self.batch_size
-                    or head_age >= self.batch_timeout):
+                    or head_age >= BATCH_TIMEOUT):
                 yield from self._flush_batch(owner)
         # Admit queued ops into the in-flight capacity the drain freed.
         if self.scheduler.queued:
@@ -982,10 +958,10 @@ class AsyncOffloadEngine:
     def check_timeouts(self, owner: object) -> Generator:
         """Expire in-flight requests past their deadline: count the
         timeout against the owning lane's breaker and resume each
-        affected job through the software fallback (or deliver an
-        :class:`OffloadTimeout`). Queued-but-never-submitted ops are
-        expired next — the coalescing queue by the flush timer's rules,
-        then the admission lanes. Returns the list of jobs resumed."""
+        affected job through the software fallback. Queued-but-never-
+        submitted ops are expired next — the coalescing queue by the
+        flush timer's rules, then the admission lanes. Returns the list
+        of jobs resumed."""
         now = self.core.sim.now
         expired = [token for token, p in self._pending.items()
                    if now >= p.deadline]
@@ -1005,10 +981,8 @@ class AsyncOffloadEngine:
                 # Job already rescued/aborted elsewhere; the late
                 # response (if any) will be dropped as stale.
                 continue
-            exc = OffloadTimeout(
-                f"{pending.call.op.kind.name} response missed its "
-                f"{self.request_deadline * 1e3:.1f}ms deadline")
-            yield from self._deliver_failure(pending, owner, exc)
+            yield from self._deliver_failure(job, pending.call, pending.lane,
+                                             owner, SpanStatus.TIMEOUT)
             jobs.append(job)
         if self._batch:
             jobs.extend((yield from self._expire_queued(owner)))
@@ -1033,21 +1007,18 @@ class AsyncOffloadEngine:
         for q in self._queued():
             if q.job is job:
                 self._unqueue(q)
-        pending = PendingOp(call=call, job=job, lane=-1,
-                            submitted_at=self.core.sim.now,
-                            deadline=self.core.sim.now)
-        exc = OffloadTimeout(
-            f"{call.op.kind.name} lost in flight (no pending entry)")
-        yield from self._deliver_failure(pending, owner, exc)
+        yield from self._deliver_failure(job, call, -1, owner,
+                                         SpanStatus.TIMEOUT)
         return True
 
     # -- delivery helpers -------------------------------------------------------
 
-    def _deliver_failure(self, pending: PendingOp, owner: object,
-                         exc: BaseException) -> Generator:
-        """Resume a paused job whose offload failed: software-fallback
-        result when enabled, the error itself otherwise."""
-        job = pending.job
+    def _deliver_failure(self, job: Any, call: CryptoCall, lane: int,
+                         owner: object, status: str) -> Generator:
+        """Resume a paused job whose offload failed with the software
+        failover's result; its trace closes as ``status`` (TIMEOUT:
+        deadline missed, lost or never submitted; FAILOVER: corrupted
+        response)."""
         trace = getattr(job, "trace", None)
         # A job aborted at the TLS layer (connection torn down while
         # its op was still in flight) closes its trace immediately;
@@ -1056,20 +1027,10 @@ class AsyncOffloadEngine:
         if trace is not None and trace.closed:
             trace = None
         if trace is not None:
-            # Timeouts (deadline missed, lost op, never-submitted) and
-            # transport failovers are distinct terminal statuses; the
-            # SSL driver closes the trace when the job resumes.
-            trace.status = (SpanStatus.TIMEOUT
-                            if isinstance(exc, OffloadTimeout)
-                            else SpanStatus.FAILOVER)
-        if self.software_fallback:
-            self.ops_fallback += 1
-            if pending.lane >= 0:
-                self.backend.lane_stats(pending.lane).fallback_ops += 1
-            result = yield from self._execute_software(pending.call, owner)
-            job.deliver(result, None)
-        else:
-            job.deliver(None, exc)
+            # The SSL driver closes the trace when the job resumes.
+            trace.status = status
+        result = yield from self.execute_fallback(call, owner, lane)
+        job.deliver(result, None)
         # Re-check: the software-fallback execution yields core time,
         # and a teardown interrupt in that window closes the trace.
         if trace is not None and not trace.closed:

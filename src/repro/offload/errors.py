@@ -7,7 +7,7 @@ exception types without creating an import cycle with the engine.
 
 from __future__ import annotations
 
-__all__ = ["SubmitError", "RingFull", "OffloadTimeout"]
+__all__ = ["SubmitError", "RingFull"]
 
 
 class SubmitError(RuntimeError):
@@ -22,8 +22,3 @@ class RingFull(SubmitError):
     model (``repro.qat.rings``) re-exports it for backward
     compatibility.
     """
-
-
-class OffloadTimeout(RuntimeError):
-    """An offloaded crypto op could not be completed by the accelerator
-    within its deadline / retry budget."""

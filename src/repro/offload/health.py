@@ -4,9 +4,6 @@ The paper assumes a healthy card; this module adds the machinery a
 production offload stack needs when the accelerator is treated as a
 remote, failable service:
 
-- :class:`OffloadTimeout` — the typed failure surfaced when a submit
-  retry budget is exhausted or a response misses its deadline (instead
-  of the seed's unbounded busy-retry livelock);
 - :class:`PendingOp` — one entry of the engine's in-flight table,
   carrying the submission time and per-request deadline;
 - :class:`CircuitBreaker` — per-lane closed → open → half-open health
@@ -25,9 +22,16 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..tls.actions import CryptoCall
-from .errors import OffloadTimeout
 
-__all__ = ["OffloadTimeout", "PendingOp", "CircuitBreaker"]
+__all__ = ["PendingOp", "CircuitBreaker", "FAILURE_THRESHOLD",
+           "RESET_TIMEOUT"]
+
+#: Consecutive failures (timeouts, corrupted responses) that open a
+#: lane's breaker.
+FAILURE_THRESHOLD = 5
+
+#: Cool-down before an open breaker lets one probe request through.
+RESET_TIMEOUT = 10e-3
 
 
 @dataclass
@@ -48,16 +52,8 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(self, clock: Callable[[], float],
-                 failure_threshold: int = 5,
-                 reset_timeout: float = 10e-3) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure threshold must be >= 1")
-        if reset_timeout <= 0:
-            raise ValueError("reset timeout must be positive")
+    def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
@@ -70,7 +66,7 @@ class CircuitBreaker:
             return True
         now = self._clock()
         if self.state == self.OPEN:
-            if now - self.opened_at < self.reset_timeout:
+            if now - self.opened_at < RESET_TIMEOUT:
                 return False
             # Cool-down elapsed: probe the hardware.
             self.state = self.HALF_OPEN
@@ -87,7 +83,7 @@ class CircuitBreaker:
         if self.state == self.CLOSED:
             return True
         if self.state == self.OPEN:
-            return self._clock() - self.opened_at >= self.reset_timeout
+            return self._clock() - self.opened_at >= RESET_TIMEOUT
         return not self._probe_outstanding
 
     def cancel_probe(self) -> None:
@@ -105,7 +101,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         self.consecutive_failures += 1
         if (self.state == self.HALF_OPEN
-                or self.consecutive_failures >= self.failure_threshold):
+                or self.consecutive_failures >= FAILURE_THRESHOLD):
             if self.state != self.OPEN:
                 self.opens += 1
             self.state = self.OPEN

@@ -18,11 +18,9 @@ class InflightCounters:
 
     def __init__(self) -> None:
         self._counts = {cat: 0 for cat in OpCategory}
-        self.peak_total = 0
 
     def increment(self, category: OpCategory) -> None:
         self._counts[category] += 1
-        self.peak_total = max(self.peak_total, self.total)
 
     def decrement(self, category: OpCategory) -> None:
         if self._counts[category] <= 0:

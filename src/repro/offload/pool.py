@@ -59,14 +59,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
 
 __all__ = ["ARBITRATION_CPU_COST", "AllocationPolicy", "StaticPolicy",
-           "SharedPolicy", "DynamicPolicy", "POLICIES", "make_policy",
-           "InstancePool", "PooledQatBackend"]
+           "SharedPolicy", "DynamicPolicy", "POLICIES", "PRESSURE_GAP",
+           "make_policy", "InstancePool", "PooledQatBackend"]
 
 #: CPU seconds to acquire an instance that other workers may also be
 #: submitting to (userspace spinlock + cache-line bounce on the ring
 #: tail pointer). Charged per submit call under the ``shared`` policy;
 #: exclusive leases (``static``, ``dynamic``) submit lock-free.
 ARBITRATION_CPU_COST = 0.3e-6
+
+#: ``dynamic`` hysteresis: a lease migrates only when the most- and
+#: least-pressured workers' pressures differ by at least this much.
+PRESSURE_GAP = 4.0
 
 
 class AllocationPolicy:
@@ -123,13 +127,8 @@ class SharedPolicy(AllocationPolicy):
         # Each worker's lease list starts at its static chunk and wraps
         # around the whole pool, so lightly-loaded workers spread their
         # round-robin submissions instead of all piling onto lane 0.
-        if n_lanes % n_workers:
-            raise ValueError(
-                f"{n_lanes} instances do not partition over "
-                f"{n_workers} workers")
-        per = n_lanes // n_workers
-        return [[(w * per + i) % n_lanes for i in range(n_lanes)]
-                for w in range(n_workers)]
+        return [[(chunk[0] + i) % n_lanes for i in range(n_lanes)]
+                for chunk in _chunks(n_workers, n_lanes)]
 
 
 class DynamicPolicy(AllocationPolicy):
@@ -137,21 +136,17 @@ class DynamicPolicy(AllocationPolicy):
 
     One migration per tick at most: the least-pressured worker owning
     a spare lease (> 1) donates its least-busy lane to the
-    most-pressured worker — and only when the pressure gap exceeds
-    ``pressure_gap`` and the lane has been settled for ``min_dwell``
-    seconds (hysteresis against thrash).
+    most-pressured worker — and only when the pressure gap reaches
+    :data:`PRESSURE_GAP` and the lane has been settled for
+    ``min_dwell`` seconds (hysteresis against thrash).
     """
 
     name = "dynamic"
 
-    def __init__(self, min_dwell: float = 1e-3,
-                 pressure_gap: float = 4.0) -> None:
+    def __init__(self, min_dwell: float = 1e-3) -> None:
         if min_dwell <= 0:
             raise ValueError("min_dwell must be positive")
-        if pressure_gap <= 0:
-            raise ValueError("pressure_gap must be positive")
         self.min_dwell = min_dwell
-        self.pressure_gap = pressure_gap
 
     def initial_leases(self, n_workers: int, n_lanes: int
                        ) -> List[List[int]]:
@@ -179,7 +174,7 @@ class DynamicPolicy(AllocationPolicy):
                 continue  # donors must keep at least one lease
             if lo_p is None or pressures[w] < lo_p:
                 lo, lo_p = w, pressures[w]
-        if lo < 0 or hi_p - lo_p < self.pressure_gap:
+        if lo < 0 or hi_p - lo_p < PRESSURE_GAP:
             return []
         settled = [lane for lane in pool.leases[lo]
                    if now - pool.lease_since(lane) >= self.min_dwell]
@@ -197,14 +192,14 @@ POLICIES: Dict[str, Callable[[], AllocationPolicy]] = {
 }
 
 
-def make_policy(name: str, **kw: Any) -> AllocationPolicy:
+def make_policy(name: str) -> AllocationPolicy:
     try:
         factory = POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown instance policy {name!r}; "
             f"expected one of {sorted(POLICIES)}") from None
-    return factory(**kw)
+    return factory()
 
 
 class InstancePool:
@@ -397,7 +392,7 @@ class InstancePool:
             self._backends[worker_id] = None
         orphans = sum(1 for owner in self._owner.values() if owner == key)
         obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.event(f"epoch-retire w{worker_id}", self.sim.now,
                       args={"worker": worker_id, "epoch": epoch,
                             "orphans": orphans})
@@ -454,7 +449,7 @@ class InstancePool:
             self.migration_log.append((now, lane, worker_id, dst))
             moves.append((lane, dst))
             obs = getattr(self.sim, "obs", None)
-            if obs is not None and obs.enabled:
+            if obs is not None:
                 obs.event(f"lease-reclaim lane{lane}", now,
                           args={"lane": lane, "from": worker_id,
                                 "to": dst})
@@ -478,7 +473,7 @@ class InstancePool:
             self.migrations += 1
             self.migration_log.append((now, lane, src, dst))
             obs = getattr(self.sim, "obs", None)
-            if obs is not None and obs.enabled:
+            if obs is not None:
                 obs.event(f"lease-migrate lane{lane}", now,
                           args={"lane": lane, "from": src, "to": dst})
             self._sample_leases(src)
@@ -493,7 +488,7 @@ class InstancePool:
 
     def _sample_leases(self, worker_id: int) -> None:
         obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.util_sample(f"pool.w{worker_id}.leases", self.sim.now,
                             len(self.leases[worker_id]),
                             capacity=len(self.drivers))
@@ -587,14 +582,3 @@ class PooledQatBackend(OffloadBackend):
 
     def lane_stats(self, lane: int) -> QatUserspaceDriver:
         return self.pool.drivers[lane]
-
-    def health(self) -> dict:
-        snap = self.pool.snapshot()
-        snap.update({
-            "backend": self.name,
-            "worker": self.worker_id,
-            "epoch": self.epoch,
-            "leased": len(self.pool.leases[self.worker_id]),
-            "capacity_hint": self.capacity_hint(),
-        })
-        return snap

@@ -12,7 +12,7 @@ Queue model::
     worker core --submit_batch--> [tx link] --> service queue
                                                 (FIFO, N processors,
                                                  qat-derived service
-                                                 times x scale)
+                                                 times)
     completions <-- [rx link] <---------------- per-op replies
 
 Admission is a credit *window*: at most ``window`` ops outstanding per
@@ -86,33 +86,23 @@ class RemoteCryptoService:
     """The appliance side: a FIFO pool of crypto processors.
 
     Shared by all workers of a server (one appliance per deployment);
-    per-op service times reuse the QAT calibration scaled by
-    ``service_scale`` (> 1 models a slower network box, < 1 a beefier
-    one).
+    per-op service times reuse the QAT calibration.
     """
 
-    def __init__(self, sim: "Simulator", n_processors: int = 8,
-                 service_scale: float = 1.0, name: str = "accel0") -> None:
+    def __init__(self, sim: "Simulator", n_processors: int = 8) -> None:
         if n_processors < 1:
             raise ValueError("need at least one processor")
-        if service_scale <= 0:
-            raise ValueError("service scale must be positive")
         self.sim = sim
-        self.name = name
-        self.service_scale = service_scale
-        self.processors = Resource(sim, n_processors, name=f"{name}-proc")
+        self.processors = Resource(sim, n_processors, name="accel0-proc")
         self.requests_served = 0
         self.peak_queue = 0
-
-    def service_time(self, op) -> float:
-        return qat_service_time(op) * self.service_scale
 
     def submit(self, request: _RemoteRequest,
                reply: Callable[[_RemoteRequest, Any,
                                 Optional[BaseException]], None]) -> None:
         """Accept one op; ``reply`` fires when it finishes service."""
         self.sim.process(self._serve(request, reply),
-                         name=f"{self.name}-serve")
+                         name="accel0-serve")
 
     def _serve(self, request, reply):
         processors = self.processors
@@ -120,7 +110,7 @@ class RemoteCryptoService:
             grant = processors.request()
             self.peak_queue = max(self.peak_queue, processors.queue_length)
             yield grant
-        yield self.sim.timeout(self.service_time(request.op))
+        yield self.sim.timeout(qat_service_time(request.op))
         try:
             result, error = request.compute(), None
         except Exception as exc:
@@ -229,14 +219,3 @@ class RemoteAcceleratorBackend(OffloadBackend):
 
     def lane_stats(self, lane: int) -> LaneStats:
         return self.stats
-
-    def health(self) -> dict:
-        return {
-            "backend": self.name,
-            "lanes": 1,
-            "capacity_hint": self.capacity_hint(),
-            "outstanding": self.outstanding,
-            "batches_sent": self.batches_sent,
-            "service_queue": self.service.processors.queue_length,
-            "requests_served": self.service.requests_served,
-        }

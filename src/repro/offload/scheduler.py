@@ -18,7 +18,7 @@ them with a pluggable policy:
 - ``strict-priority`` — serve the highest-priority non-empty lane
   (handshake-asym > prf > record-cipher). Starvation-proof: each time
   a non-empty lane is passed over its deficit counter grows; a lane
-  whose deficit reaches ``starvation_threshold`` is served next
+  whose deficit reaches :data:`STARVATION_THRESHOLD` is served next
   regardless of priority (counted in ``starved``).
 - ``weighted-fair`` — deficit round robin over the lanes. Each lane's
   quantum is its configured weight (ops are the service unit — the
@@ -102,14 +102,11 @@ class ClassScheduler:
     """
 
     def __init__(self, policy: str = "fifo",
-                 weights: Optional[Dict[str, int]] = None,
-                 starvation_threshold: int = STARVATION_THRESHOLD) -> None:
+                 weights: Optional[Dict[str, int]] = None) -> None:
         if policy not in SCHED_POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {policy!r}; expected one of "
                 f"{', '.join(SCHED_POLICIES)}")
-        if starvation_threshold < 1:
-            raise ValueError("starvation threshold must be >= 1")
         merged = dict(DEFAULT_WEIGHTS)
         for name, w in (weights or {}).items():
             if name not in merged:
@@ -121,7 +118,6 @@ class ClassScheduler:
                     f"weight for {name!r} must be an integer >= 1")
             merged[name] = w
         self.policy = policy
-        self.starvation_threshold = starvation_threshold
         self._lanes: List[SchedLane] = [
             SchedLane(SCHED_CLASSES[cat], cat, prio,
                       merged[SCHED_CLASSES[cat]])
@@ -233,7 +229,7 @@ class ClassScheduler:
             return None
         chosen = busy[0]                 # highest-priority non-empty
         for lane in busy:                # starvation-proof fallback
-            if lane.deficit >= self.starvation_threshold:
+            if lane.deficit >= STARVATION_THRESHOLD:
                 chosen = lane
                 lane.starved += 1
                 break

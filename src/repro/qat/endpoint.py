@@ -87,7 +87,7 @@ class QatEndpoint:
     def _sample_engines(self) -> None:
         """Report engine occupancy to the request tracer, if any."""
         obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.util_sample(f"qat{self.endpoint_id}.engines", self.sim.now,
                             self.engines.in_use, capacity=self.n_engines)
 
@@ -137,7 +137,7 @@ class QatEndpoint:
                 response.error = hw_error
         self.fw_counters.record(request.op, ok=response.ok)
         obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.fw_record(self.endpoint_id, request.op, response.ok)
         self.engines.release()
         self._sample_engines()

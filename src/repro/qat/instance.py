@@ -67,7 +67,7 @@ class CryptoInstance:
         """Report ring occupancy to the request tracer, if any."""
         sim = self.endpoint.sim
         obs = getattr(sim, "obs", None)
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.util_sample(
                 f"ep{self.endpoint.endpoint_id}.i{self.instance_id}"
                 ".inflight",

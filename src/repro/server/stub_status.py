@@ -169,7 +169,7 @@ class StubStatus:
                          f"epoch {record.epoch} "
                          f"respawns {record.respawns}")
         obs = getattr(getattr(w, "sim", None), "obs", None)
-        if eng is not None and obs is not None and obs.enabled:
+        if eng is not None and obs is not None:
             t = obs.snapshot_counts()
             lines.append(f"trace: ops {t['trace_ops']} "
                          f"open {t['trace_open']} "

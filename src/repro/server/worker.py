@@ -334,7 +334,7 @@ class Worker:
         shutdown so trace size stays bounded by that cadence. Reading
         the stub_status page never samples."""
         obs = getattr(self.sim, "obs", None)
-        if obs is None or not obs.enabled:
+        if obs is None:
             return
         for name, s in self.reactor.snapshot().items():
             prefix = f"w{self.worker_id}.reactor.{name}"

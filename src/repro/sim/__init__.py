@@ -19,15 +19,14 @@ Quick example::
     assert sim.now == 1.5 and proc.value == "done"
 """
 
-from .events import (AllOf, AnyOf, Condition, Event, EventCancelled, Timeout,
-                     UNSET)
+from .events import AnyOf, Event, EventCancelled, Timeout, UNSET
 from .kernel import Simulator, StopSimulation
 from .process import Interrupt, Process
-from .resources import Resource, Store
+from .resources import Resource
 from .rng import RngRegistry
 
 __all__ = [
-    "Simulator", "StopSimulation", "Event", "Timeout", "Condition", "AnyOf",
-    "AllOf", "EventCancelled", "UNSET", "Process", "Interrupt", "Resource",
-    "Store", "RngRegistry",
+    "Simulator", "StopSimulation", "Event", "Timeout", "AnyOf",
+    "EventCancelled", "UNSET", "Process", "Interrupt", "Resource",
+    "RngRegistry",
 ]

@@ -22,9 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Event",
     "Timeout",
-    "Condition",
     "AnyOf",
-    "AllOf",
     "EventCancelled",
     "UNSET",
 ]
@@ -138,14 +136,6 @@ class Event:
         """Mark a failed event's exception as handled."""
         self._defused = True
 
-    # -- composition -----------------------------------------------------
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
     def __repr__(self) -> str:
         state = ("processed" if self.processed else
                  "cancelled" if self._cancelled else
@@ -167,24 +157,20 @@ class Timeout(Event):
         sim._schedule(self, delay)  # raises on a negative delay
 
 
-class Condition(Event):
-    """Waits for a combination of events.
+class AnyOf(Event):
+    """Fires when any one of the child events fires (at once when there
+    are none); fails with the first child failure.
 
-    The condition's value is a dict mapping each *triggered* child event
-    to its value at the time the condition fired.
+    The value is a dict mapping each *triggered* child event to its
+    value at the time the condition fired.
     """
 
-    __slots__ = ("events", "_count", "_needed")
+    __slots__ = ("events",)
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event],
-                 needed: int) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self.events: List[Event] = list(events)
-        if needed < 0 or needed > len(self.events):
-            raise ValueError("needed out of range")
-        self._count = 0
-        self._needed = needed
-        if not self.events or needed == 0:
+        if not self.events:
             self.succeed({})
             return
         for ev in self.events:
@@ -204,26 +190,4 @@ class Condition(Event):
             ev.defuse()
             self.fail(ev.exception)
             return
-        self._count += 1
-        if self._count >= self._needed:
-            self.succeed({e: e._value for e in self.events if e.ok and e.triggered})
-
-
-class AnyOf(Condition):
-    """Fires when any one of the child events fires."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        events = list(events)
-        super().__init__(sim, events, needed=min(1, len(events)))
-
-
-class AllOf(Condition):
-    """Fires when all child events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        events = list(events)
-        super().__init__(sim, events, needed=len(events))
+        self.succeed({e: e._value for e in self.events if e.ok})

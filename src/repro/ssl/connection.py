@@ -165,7 +165,7 @@ class SslConnection:
             if trace is not None:
                 job.trace = None
                 obs = getattr(core.sim, "obs", None)
-                if obs is not None and obs.enabled:
+                if obs is not None:
                     obs.finish(trace, core.sim.now)
             job.parked_action = None
             if exc is None:
@@ -195,8 +195,7 @@ class SslConnection:
                 if (use_async and isinstance(engine, AsyncOffloadEngine)
                         and engine.offloads(action)):
                     obs = getattr(core.sim, "obs", None)
-                    if (obs is not None and obs.enabled
-                            and job.trace is None):
+                    if obs is not None and job.trace is None:
                         # One trace per offloaded op, opened at the
                         # offload decision; WANT_RETRY re-submissions
                         # reuse it (the queue stage absorbs them).
@@ -225,7 +224,7 @@ class SslConnection:
                     if trace is not None:
                         job.trace = None
                         obs = getattr(core.sim, "obs", None)
-                        if obs is not None and obs.enabled:
+                        if obs is not None:
                             obs.finish(trace, core.sim.now,
                                        SpanStatus.FAILOVER)
                     job.submit_attempts = 0
@@ -284,6 +283,6 @@ class SslConnection:
                 job.trace = None
                 sim = self.ctx.core.sim
                 obs = getattr(sim, "obs", None)
-                if obs is not None and obs.enabled:
+                if obs is not None:
                     obs.abort_open(trace, sim.now)
         self._job = None

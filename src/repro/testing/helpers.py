@@ -75,7 +75,7 @@ def make_qat_env(n_instances: int = 1,
     sim = Simulator()
     tracer = None
     if trace:
-        tracer = RequestTracer(enabled=True)
+        tracer = RequestTracer()
         sim.obs = tracer
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=max(1, n_instances),

@@ -141,10 +141,12 @@ def test_id_membership_passes(tmp_path):
 # -- opt-outs --------------------------------------------------------------
 
 def test_legacy_and_bracketed_optouts(tmp_path):
+    # The retired regex lint's ``# determinism: allowed`` mark no longer
+    # suppresses anything; only the bracketed ``analysis: allow`` does.
     result = run(tmp_path, (
         "import time\n"
         "a = time.time()  # determinism: allowed\n"
         "b = time.time()  # analysis: allow[RA101]\n"
     ))
-    assert result.findings == []
-    assert result.suppressed == 2
+    assert [f.line for f in result.findings] == [2]
+    assert result.suppressed == 1

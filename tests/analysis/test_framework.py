@@ -42,13 +42,14 @@ def test_inline_suppression_variants(tmp_path):
         "b = time.time()  # analysis: allow\n"
         "c = time.time()  # analysis: allow[RA101]\n"
         "d = time.time()  # analysis: allow[RA102]\n"
-        "e = time.time()  # determinism: allowed\n"
+        "e = time.time()  # analysis: allow[RA102, RA1]\n"
     )
     result = analyze_source(tmp_path, {"repro/sim/mod.py": src},
                             select=["RA101"])
     flagged = sorted(f.line for f in result.findings)
     # line 2 (no mark) and line 5 (wrong code in the bracket) flag;
-    # bare allow, matching code, and the legacy mark suppress.
+    # bare allow, matching code, and a list holding a matching family
+    # prefix suppress.
     assert flagged == [2, 5]
     assert result.suppressed == 3
 

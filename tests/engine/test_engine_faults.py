@@ -1,7 +1,8 @@
 """Engine resilience tests: deadlines, bounded retries, circuit
 breakers, software failover, stale-response filtering."""
 
-from repro.offload import CircuitBreaker, OffloadTimeout
+from repro.offload import CircuitBreaker
+from repro.offload.health import FAILURE_THRESHOLD, RESET_TIMEOUT
 from repro.qat import qat_service_time
 from repro.testing import make_job, make_qat_env, rsa_call
 
@@ -13,6 +14,12 @@ def make_env(plan_kw=None, seed=7, **engine_kw):
 
 def _job():
     return make_job(paused_on=rsa_call())
+
+
+def open_breaker(breaker):
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    assert breaker.is_open
 
 
 # -- blocking path ------------------------------------------------------------
@@ -31,22 +38,6 @@ def test_blocking_submit_retries_bounded_then_falls_back():
     assert eng.ops_fallback == 1
     assert eng.ops_software == 1
     assert eng.ops_offloaded == 0
-
-
-def test_blocking_submit_raises_typed_error_without_fallback():
-    sim, core, eng = make_env(plan_kw=dict(outages=((0, 0.0, 1.0),)),
-                              submit_max_retries=4, software_fallback=False)
-    caught = {}
-
-    def proc(sim):
-        try:
-            yield from eng.execute_blocking(rsa_call(), owner="w")
-        except OffloadTimeout as e:
-            caught["e"] = str(e)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert "rejected" in caught["e"]
 
 
 def test_blocking_response_loss_hits_deadline_then_falls_back():
@@ -88,24 +79,6 @@ def test_check_timeouts_rescues_lost_response():
     assert eng.op_timeouts == 1
     assert eng.inflight.total == 0
     assert not eng.is_pending(job)
-
-
-def test_check_timeouts_delivers_error_without_fallback():
-    sim, core, eng = make_env(plan_kw=dict(response_loss=1.0),
-                              request_deadline=1e-3,
-                              software_fallback=False)
-    job = _job()
-
-    def proc(sim):
-        yield from eng.submit_async(rsa_call(), job, owner="w")
-        yield sim.timeout(2e-3)
-        yield from eng.check_timeouts(owner="w")
-
-    sim.process(proc(sim))
-    sim.run()
-    value, exc = job.take_resume()
-    assert value is None
-    assert isinstance(exc, OffloadTimeout)
 
 
 def test_late_response_after_timeout_is_dropped_as_stale():
@@ -161,9 +134,8 @@ def test_should_retry_submit_bounded_by_budget():
 
 
 def test_should_retry_submit_false_when_all_breakers_open():
-    sim, core, eng = make_env(breaker_failure_threshold=1)
-    eng.breakers[0].record_failure()
-    assert eng.breakers[0].is_open
+    sim, core, eng = make_env()
+    open_breaker(eng.breakers[0])
     job = _job()
     assert not eng.should_retry_submit(job)
 
@@ -189,14 +161,16 @@ def test_fail_over_job_completes_paused_job_without_pending_entry():
 
 def test_breaker_opens_after_threshold_and_recovers():
     now = [0.0]
-    b = CircuitBreaker(lambda: now[0], failure_threshold=3,
-                       reset_timeout=1.0)
+    b = CircuitBreaker(lambda: now[0])
     assert b.state == "closed" and b.allow()
-    for _ in range(3):
+    for _ in range(FAILURE_THRESHOLD - 1):
         b.record_failure()
+    assert b.state == "closed"  # one short of the threshold
+    b.record_failure()
     assert b.state == "open" and b.opens == 1
+    now[0] = RESET_TIMEOUT / 2
     assert not b.allow()  # cool-down not elapsed
-    now[0] = 1.5
+    now[0] = RESET_TIMEOUT
     assert b.allow()       # half-open: admits one probe
     assert b.state == "half-open"
     assert not b.allow()   # second caller held back while probing
@@ -208,11 +182,9 @@ def test_breaker_opens_after_threshold_and_recovers():
 
 def test_breaker_failed_probe_reopens():
     now = [0.0]
-    b = CircuitBreaker(lambda: now[0], failure_threshold=2,
-                       reset_timeout=1.0)
-    b.record_failure()
-    b.record_failure()
-    now[0] = 2.0
+    b = CircuitBreaker(lambda: now[0])
+    open_breaker(b)
+    now[0] = 2 * RESET_TIMEOUT
     assert b.allow()
     b.record_failure()  # probe failed
     assert b.state == "open" and b.opens == 2
@@ -223,10 +195,9 @@ def test_breaker_cancel_probe_releases_slot():
     """Ring-full during a probe is backpressure, not ill health: the
     probe slot must be released so the next caller can try."""
     now = [0.0]
-    b = CircuitBreaker(lambda: now[0], failure_threshold=1,
-                       reset_timeout=1.0)
-    b.record_failure()
-    now[0] = 2.0
+    b = CircuitBreaker(lambda: now[0])
+    open_breaker(b)
+    now[0] = 2 * RESET_TIMEOUT
     assert b.allow()
     b.cancel_probe()
     assert b.allow()  # slot free again
@@ -235,10 +206,9 @@ def test_breaker_cancel_probe_releases_slot():
 def test_engine_routes_around_open_breaker():
     """With two instances and one breaker open, submissions flow to the
     healthy instance only."""
-    env = make_qat_env(n_instances=2, breaker_failure_threshold=1)
+    env = make_qat_env(n_instances=2)
     sim, eng, drvs = env.sim, env.engine, env.drivers
-    eng.breakers[0].record_failure()
-    assert eng.breakers[0].is_open
+    open_breaker(eng.breakers[0])
     jobs = [_job() for _ in range(4)]
 
     def proc(sim):

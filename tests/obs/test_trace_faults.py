@@ -5,9 +5,13 @@ spans."""
 
 import json
 
+import pytest
+
 from repro.bench.runner import Testbed, Windows
 from repro.obs import SpanStatus, validate_chrome_trace
 from repro.obs.export import chrome_trace_events
+from repro.offload.engine import BATCH_TIMEOUT
+from repro.offload.health import FAILURE_THRESHOLD
 from repro.testing import make_job, make_qat_env, rsa_call
 
 from .test_span_invariants import assert_well_formed
@@ -85,6 +89,89 @@ def test_blocking_outage_trace_closes_as_timeout():
     (trace,) = env.tracer.traces
     assert trace.kind == "blocking"
     assert "accepted" not in trace.marks  # the card never admitted it
+
+
+# -- one status per failure route ---------------------------------------------
+
+def _open_every_breaker(eng):
+    for breaker in eng.breakers:
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure()
+
+
+def _coalescing_expiry(env, call, job):
+    # No lane admits traffic, so the flush timer fails the parked op
+    # over once it is BATCH_TIMEOUT old.
+    _open_every_breaker(env.engine)
+    yield from env.engine.submit_async(call, job, owner="w")
+    yield env.sim.timeout(2 * BATCH_TIMEOUT)
+
+
+def _admission_expiry(env, call, job):
+    # The cap holds the op in the admission lanes; with every breaker
+    # open, check_timeouts expires it there.
+    eng = env.engine
+    first = make_job(paused_on=rsa_call())
+    yield from eng.submit_async(rsa_call(), first, owner="w")
+    yield from eng.submit_async(call, job, owner="w")
+    assert eng.admission_queued == 1
+    _open_every_breaker(eng)
+    yield env.sim.timeout(2 * BATCH_TIMEOUT)
+    yield from eng.check_timeouts(owner="w")
+
+
+def _drain(env, call, job):
+    yield from env.engine.submit_async(call, job, owner="w")
+    assert env.engine.queued_batch_ops == 1
+    yield from env.engine.drain_queued(owner="w")
+
+
+def _watchdog(env, call, job):
+    # A paused job the engine holds no entry for (its ring slot was
+    # wiped): the watchdog rescue completes it on the CPU.
+    yield from env.engine.fail_over_job(job, owner="w")
+
+
+@pytest.mark.parametrize("route, engine_kw", [
+    (_coalescing_expiry, dict(batch_size=8)),
+    (_admission_expiry, dict(admission_limit=1)),
+    (_drain, dict(batch_size=8)),
+    (_watchdog, {}),
+], ids=["coalescing-expiry", "admission-expiry", "drain", "watchdog"])
+def test_unsubmitted_op_failover_terminates_trace_as_timeout(route,
+                                                             engine_kw):
+    env = make_qat_env(trace=True, **engine_kw)
+    job = make_job(paused_on=rsa_call())
+    call = _traced_submit(env, job)
+    env.sim.process(route(env, call, job))
+    env.sim.run(until=10e-3)
+    trace = job.trace
+    assert job.response_ready                  # software result delivered
+    assert trace.status == SpanStatus.TIMEOUT  # stamped at delivery
+    assert "accepted" not in trace.marks       # never reached a ring
+    assert "delivered" in trace.marks
+    env.tracer.finish(trace, env.sim.now)      # SSL driver's close
+    assert trace.status == SpanStatus.TIMEOUT
+
+
+@pytest.mark.parametrize("plan_kw, status", [
+    (dict(response_loss=1.0), SpanStatus.TIMEOUT),
+    (dict(corruption=1.0), SpanStatus.FAILOVER),
+], ids=["deadline", "corrupted"])
+def test_blocking_failover_closes_trace_with_its_status(plan_kw, status):
+    env = make_qat_env(trace=True, plan_kw=plan_kw, request_deadline=1e-3)
+    out = {}
+
+    def proc(sim):
+        out["r"] = yield from env.engine.execute_blocking(rsa_call(),
+                                                          owner="w")
+
+    env.sim.process(proc(env.sim))
+    env.sim.run()
+    assert out["r"] == "sig"  # the software fallback served the op
+    (trace,) = env.tracer.traces
+    assert trace.status == status
+    assert "accepted" in trace.marks  # the card admitted it first
 
 
 # -- full-stack faulted run ----------------------------------------------------

@@ -156,7 +156,7 @@ def test_drain_fails_over_admission_queued_ops():
 
 
 def test_drain_fails_over_coalescing_queue():
-    env = make_qat_env(batch_size=4, batch_timeout=1e-3)
+    env = make_qat_env(batch_size=4)
     calls = [rsa_call(f"b{i}") for i in range(2)]
     jobs = [make_job(paused_on=c) for c in calls]
     assert submit_all(env, list(zip(calls, jobs))) == [True] * 2

@@ -5,6 +5,8 @@ control, failover of queued ops)."""
 import pytest
 
 from repro.crypto.ops import OpCategory
+from repro.offload.engine import BATCH_TIMEOUT, BUSY_POLL_SLICE
+from repro.offload.health import FAILURE_THRESHOLD
 from repro.testing import make_job, make_qat_env, rsa_call
 
 
@@ -113,7 +115,7 @@ def test_batch_flushes_when_full():
 
 
 def test_partial_batch_flushes_on_timeout():
-    sim, core, eng = make_env(batch_size=8, batch_timeout=50e-6)
+    sim, core, eng = make_env(batch_size=8)
     job = _job()
 
     def proc(sim):
@@ -122,9 +124,9 @@ def test_partial_batch_flushes_on_timeout():
         assert eng.backend.drivers[0].submitted == 0  # parked in the queue
 
     sim.process(proc(sim))
-    sim.run(until=40e-6)
+    sim.run(until=0.8 * BATCH_TIMEOUT)
     assert eng.backend.drivers[0].submitted == 0
-    sim.run(until=5e-3)  # past batch_timeout: the flush timer fired
+    sim.run(until=5e-3)  # past BATCH_TIMEOUT: the flush timer fired
     assert eng.backend.drivers[0].submitted == 1
     assert eng.batches_submitted == 1
 
@@ -132,8 +134,7 @@ def test_partial_batch_flushes_on_timeout():
 def test_flush_respects_ring_capacity():
     """The flush never overshoots the ring: no submit failures even
     when the batch exceeds the free slots."""
-    sim, core, eng = make_env(ring_capacity=2, batch_size=4,
-                              batch_timeout=20e-6)
+    sim, core, eng = make_env(ring_capacity=2, batch_size=4)
     jobs = [_job() for _ in range(4)]
 
     def proc(sim):
@@ -169,9 +170,9 @@ def test_is_pending_covers_queued_ops():
 
 def test_queued_ops_fail_over_when_no_lane_admits():
     """Breakers open + queue ops stuck -> software fallback delivery."""
-    sim, core, eng = make_env(batch_size=8, breaker_failure_threshold=1,
-                              breaker_reset_timeout=10.0)
-    eng.breakers[0].record_failure()  # opens the only lane's breaker
+    sim, core, eng = make_env(batch_size=8)
+    for _ in range(FAILURE_THRESHOLD):  # opens the only lane's breaker
+        eng.breakers[0].record_failure()
     job = _job()
 
     def proc(sim):
@@ -242,9 +243,9 @@ def test_backoff_jitter_is_pure_and_seed_dependent():
 def test_submit_backoff_jittered_within_half_open_window():
     from repro.testing import make_qat_env
     jittered = make_qat_env(backoff_jitter_seed=1234).engine
-    slice_ = jittered.busy_poll_slice
     for attempts in range(1, 10):
-        base = min(slice_ * 2 ** (attempts - 1), 128 * slice_)
+        base = min(BUSY_POLL_SLICE * 2 ** (attempts - 1),
+                   128 * BUSY_POLL_SLICE)
         j = jittered.submit_backoff(attempts)
         # Jitter spreads retries into [base/2, base), never lengthens
         # the worst case and never collapses to zero.

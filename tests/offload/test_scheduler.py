@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.ops import SCHED_CLASSES, OpCategory
 from repro.offload.scheduler import (DEFAULT_WEIGHTS, SCHED_POLICIES,
-                                     ClassScheduler)
+                                     STARVATION_THRESHOLD, ClassScheduler)
 from repro.testing import make_job, make_qat_env, rsa_call
 
 ASYM, CIPHER, PRF = OpCategory.ASYM, OpCategory.CIPHER, OpCategory.PRF
@@ -132,15 +132,13 @@ def test_strict_priority_orders_lanes():
 
 
 def test_strict_priority_starvation_fallback():
-    threshold = 4
-    s = ClassScheduler(policy="strict-priority",
-                       starvation_threshold=threshold)
+    s = ClassScheduler(policy="strict-priority")
     starving = Item(CIPHER)
     s.push(starving, CIPHER)
     popped = []
     # A steady stream of high-priority arrivals: without the deficit
     # fallback the cipher op would never be served.
-    for _ in range(threshold + 1):
+    for _ in range(STARVATION_THRESHOLD + 1):
         s.push(Item(ASYM), ASYM)
         popped.append(s.pop())
     assert starving in popped  # served despite constant pressure

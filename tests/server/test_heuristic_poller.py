@@ -85,7 +85,7 @@ def test_timeliness_branch_flushes_queued_batch():
     coalescing queue to the device; otherwise the worker would spin
     waiting for responses to ops it never submitted."""
     sim = Simulator()
-    engine = make_engine(sim, batch_size=8, batch_timeout=5e-3)
+    engine = make_engine(sim, batch_size=8)
     stub = StubStatus()
     stub.on_accept()
     stub.on_accept()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AnyOf, Interrupt, Simulator
 
 
 def test_process_runs_and_returns_value():
@@ -182,7 +182,7 @@ def test_anyof_fires_on_first():
     def proc(sim):
         t1 = sim.timeout(1.0, value="fast")
         t2 = sim.timeout(5.0, value="slow")
-        results = yield t1 | t2
+        results = yield sim.any_of([t1, t2])
         return (sim.now, results[t1])
 
     p = sim.process(proc(sim))
@@ -190,23 +190,9 @@ def test_anyof_fires_on_first():
     assert p.value == (1.0, "fast")
 
 
-def test_allof_waits_for_all():
+def test_anyof_empty_fires_immediately():
     sim = Simulator()
-
-    def proc(sim):
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(5.0, value="b")
-        results = yield t1 & t2
-        return (sim.now, results[t1], results[t2])
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == (5.0, "a", "b")
-
-
-def test_allof_empty_fires_immediately():
-    sim = Simulator()
-    cond = AllOf(sim, [])
+    cond = AnyOf(sim, [])
     assert cond.triggered
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
@@ -32,35 +32,6 @@ def test_sequential_process_time_is_sum(delays):
     sim.process(proc(sim))
     sim.run()
     assert abs(sim.now - sum(delays)) < 1e-9 * max(1, len(delays))
-
-
-@given(st.lists(st.integers(0, 1000), max_size=50))
-def test_store_preserves_fifo_order(items):
-    sim = Simulator()
-    st_ = Store(sim)
-    for i in items:
-        st_.try_put(i)
-    out = [st_.try_get() for _ in items]
-    assert out == items
-
-
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 100)),
-                min_size=1, max_size=60))
-def test_store_interleaved_put_get_conservation(ops):
-    """Whatever goes in comes out, in order, regardless of interleaving."""
-    sim = Simulator()
-    st_ = Store(sim)
-    put_seq, got = [], []
-    for is_put, val in ops:
-        if is_put:
-            st_.try_put(val)
-            put_seq.append(val)
-        else:
-            v = st_.try_get()
-            if v is not None:
-                got.append(v)
-    got.extend(st_.drain())
-    assert got == put_seq
 
 
 @given(st.integers(1, 8), st.integers(1, 30))

@@ -16,8 +16,7 @@ Usage::
                                                 #   and prove it is caught
 
 Findings print as ``path:line: CODE message``. Deliberate one-off
-violations opt out inline (``# analysis: allow[RA101]``; the legacy
-``# determinism: allowed`` mark still works for RA1xx/RA2xx);
+violations opt out inline (``# analysis: allow[RA101]``);
 grandfathered ones live in ``tools/analysis_baseline.txt`` with a
 one-line justification each. Stdlib only — runs before any
 dependency install.
