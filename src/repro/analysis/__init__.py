@@ -2,7 +2,7 @@
 
 The repo's correctness story rests on cross-layer invariants — replay
 determinism, simulation purity, the package import DAG, span
-discipline, conf-directive documentation, reactor-source conformance —
+discipline, conf-directive documentation —
 that the dynamic fuzz harness (:mod:`repro.testing`) only probes one
 seed at a time. This package encodes those rules as *static* checkers
 over the :mod:`ast` of every file in ``src/``, so a violating pattern
@@ -20,8 +20,7 @@ Architecture:
   :mod:`~repro.analysis.purity` (RA2xx),
   :mod:`~repro.analysis.layering` (RA3xx),
   :mod:`~repro.analysis.spans` (RA4xx),
-  :mod:`~repro.analysis.confdoc` (RA5xx),
-  :mod:`~repro.analysis.sources` (RA6xx).
+  :mod:`~repro.analysis.confdoc` (RA5xx).
 - ``tools/analyze.py`` — the CLI (``--ci``, ``--baseline-write``,
   ``--select``/``--ignore``, ``--inject-violation``).
 
@@ -40,7 +39,6 @@ from . import purity        # noqa: F401
 from . import layering      # noqa: F401
 from . import spans         # noqa: F401
 from . import confdoc       # noqa: F401
-from . import sources       # noqa: F401
 
 __all__ = ["AnalysisContext", "Baseline", "Checker", "Finding",
            "SourceFile", "all_codes", "checker_registry",

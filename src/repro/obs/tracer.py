@@ -19,8 +19,8 @@ Profiling hooks:
   latency histograms (p50/p95/p99);
 - **timelines** — the device model reports per-endpoint engine
   occupancy and per-instance in-flight levels; the worker publishes
-  per-reactor-source activity (``w<id>.reactor.<source>.wakes`` /
-  ``.busy``) at watchdog/snapshot refresh points.
+  its event-loop stage counters (``w<id>.reactor.<stage>.wakes`` /
+  ``.busy``) at watchdog ticks and at ``stop()``/``kill()``.
 """
 
 from __future__ import annotations

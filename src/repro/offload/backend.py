@@ -127,15 +127,13 @@ class OffloadBackend:
         ``n_responses`` completions."""
         raise NotImplementedError
 
-    def capacity_hint(self, lane: Optional[int] = None,
-                      category: Optional[Any] = None) -> int:
-        """Approximate number of further ops the backend could admit
-        right now. Advisory — the engine uses it to flow-control batch
-        flushes so it doesn't burn submit CPU on ops that will bounce.
-        ``lane`` restricts the answer to one submission channel;
-        ``category`` (an :class:`~repro.crypto.ops.OpCategory`) to the
-        queue that class of op would land on (QAT rings are
-        per-category)."""
+    def capacity_hint(self, lane: int, category: Any) -> int:
+        """Approximate number of further ops of ``category`` (an
+        :class:`~repro.crypto.ops.OpCategory`) submission channel
+        ``lane`` could admit right now, counted on the queue that class
+        of op would land on (QAT rings are per-category). Advisory —
+        the engine uses it to flow-control batch flushes so it doesn't
+        burn submit CPU on ops that will bounce."""
         raise NotImplementedError
 
     def lane_stats(self, lane: int) -> Any:

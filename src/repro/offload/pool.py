@@ -566,19 +566,11 @@ class PooledQatBackend(OffloadBackend):
     def poll_cpu_cost(self, n_responses: int) -> float:
         return self.pool.drivers[0].poll_cpu_cost(n_responses)
 
-    def capacity_hint(self, lane: Optional[int] = None,
-                      category: Optional[Any] = None) -> int:
-        if lane is not None:
-            if not self.admits(lane):
-                return 0
-            lanes = [lane]
-        else:
-            lanes = self.pool.leases[self.worker_id]
-        return sum(max(0, ring.capacity - ring.in_flight)
-                   for ln in lanes
-                   for key, ring in
-                   self.pool.drivers[ln].instance.rings.items()
-                   if category is None or key == category.value)
+    def capacity_hint(self, lane: int, category: Any) -> int:
+        if not self.admits(lane):
+            return 0
+        ring = self.pool.drivers[lane].instance.rings[category.value]
+        return max(0, ring.capacity - ring.in_flight)
 
     def lane_stats(self, lane: int) -> QatUserspaceDriver:
         return self.pool.drivers[lane]

@@ -81,13 +81,9 @@ class QatBackend(OffloadBackend):
     def poll_cpu_cost(self, n_responses: int) -> float:
         return self.drivers[0].poll_cpu_cost(n_responses)
 
-    def capacity_hint(self, lane: Optional[int] = None,
-                      category: Optional[Any] = None) -> int:
-        drivers = (self.drivers if lane is None else [self.drivers[lane]])
-        return sum(max(0, ring.capacity - ring.in_flight)
-                   for drv in drivers
-                   for key, ring in drv.instance.rings.items()
-                   if category is None or key == category.value)
+    def capacity_hint(self, lane: int, category: Any) -> int:
+        ring = self.drivers[lane].instance.rings[category.value]
+        return max(0, ring.capacity - ring.in_flight)
 
     def lane_stats(self, lane: int) -> QatUserspaceDriver:
         # The driver already carries the per-lane counters the engine

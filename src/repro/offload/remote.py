@@ -212,8 +212,7 @@ class RemoteAcceleratorBackend(OffloadBackend):
         return (RPC_POLL_CPU_COST
                 + RPC_POLL_PER_RESPONSE_CPU_COST * n_responses)
 
-    def capacity_hint(self, lane: Optional[int] = None,
-                      category: Optional[Any] = None) -> int:
+    def capacity_hint(self, lane: int, category: Any) -> int:
         # One window shared by all op categories.
         return max(0, self.window - self.outstanding)
 

@@ -199,11 +199,11 @@ class WorkerSupervisor:
     def _terminate(self, record: WorkerRecord) -> None:
         """Common teardown: kill the incarnation, retire its lease
         epoch (tombstoning late completions) and close the ledger
-        entry. ``Worker.kill()`` shuts the worker's reactor down, which
-        stops every event source in registration order — the timer
-        thread cancels its pending tick, the interrupt retriever
-        unhooks its ring callbacks, the sweeps tick-exit — so nothing
-        of the dead incarnation keeps running against a retired epoch.
+        entry. ``Worker.kill()`` stops the worker's background work —
+        the timer thread cancels its pending tick, the interrupt
+        retriever unhooks its ring callbacks, the sweeps tick-exit — so
+        nothing of the dead incarnation keeps running against a retired
+        epoch.
         Idempotent — the exit callback and the drain monitor can both
         land here."""
         if record.state is WorkerState.EXITED:

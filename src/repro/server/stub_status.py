@@ -8,7 +8,7 @@ active ones are handshaking, reading a request or writing a response.
 
 The page owns only the connection accounting and the watchdog's rescue
 count. Every other value it shows — offload backend, degradation,
-instance pool, scheduler, lifecycle, tracing and reactor stats — is
+instance pool, scheduler, lifecycle, tracing and loop-stage stats — is
 read from the object that owns it when :meth:`StubStatus.counters` or
 :meth:`StubStatus.render` is called, so a read is never stale and never
 writes anything.
@@ -28,7 +28,7 @@ __all__ = ["StubStatus"]
 
 class StubStatus:
     """Per-worker connection accounting plus a live view of the
-    worker's offload, supervision, tracing and reactor state."""
+    worker's offload, supervision, tracing and event-loop state."""
 
     def __init__(self, worker: Optional["Worker"] = None) -> None:
         #: The worker whose layers the page reads (None: a bare
@@ -177,10 +177,10 @@ class StubStatus:
                          f"sampled_out {t['trace_sampled_out']}")
         # Render only — deliberately NOT part of counters(), so replay
         # fingerprints stay stable across loop refactors.
-        sources = w.reactor.snapshot() if w is not None else {}
-        if sources:
+        stages = w.reactor.snapshot() if w is not None else {}
+        if stages:
             lines.append("reactor: " + " ".join(
                 f"{name}[wakes {s['wakes']} events {s['events']} "
                 f"busy {s['busy'] * 1e6:.1f}us]"
-                for name, s in sources.items()))
+                for name, s in stages.items()))
         return "\n".join(lines) + "\n"

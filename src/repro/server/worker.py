@@ -19,14 +19,18 @@ The four phases of the QTLS framework map onto this file as:
    loop (or sees the FD readable in epoll) and reschedules the saved
    handler, which resumes the paused job.
 
-The loop itself is built on :mod:`repro.server.reactor`: every wake
-mechanism (pollables, pending async events, due retries, the spin
-timeout, the timer thread, the interrupt retriever, the failover and
-watchdog sweeps, drain passes) is a registered
-:class:`~repro.server.reactor.EventSource`; one arbiter merges their
-deadlines into the epoll timeout and the end-of-pass pipeline runs the
-stage sources in registration order. The worker keeps the protocol
-handlers; the reactor owns scheduling.
+The loop is plain code, one pass at a time: ``_next_timeout`` picks
+the epoll timeout (0 while the async queue holds events, else the next
+due retry or, under heuristic retrieval, the spin timeout while ops are
+in flight); ``_dispatch`` routes each ready pollable (listen socket,
+notification FD, connection socket) and the heuristic check follows
+every handler; the end-of-pass stages then run in a fixed order —
+async-queue drain, due retries, heuristic check, batch flush, admission
+drain, drain pass. The timer polling thread, the interrupt retriever
+and the failover and watchdog sweeps are started and stopped by
+:meth:`Worker.start`, :meth:`Worker.stop` and :meth:`Worker.kill`.
+Each stage's ``wakes``/``events``/``busy`` live in
+:mod:`repro.server.reactor`'s counter table (``worker.reactor``).
 """
 
 from __future__ import annotations
@@ -53,11 +57,7 @@ from .http import parse_request, response_body
 from .notify.async_queue import AsyncEventQueue
 from .polling.heuristic import HeuristicPoller
 from .polling.timer_thread import TimerPollingThread
-from .reactor import (SPIN_TIMEOUT, AdmissionSource, AsyncQueueSource,
-                      BatchFlushSource, ConnSource, DrainPassSource,
-                      FailoverSource, HeuristicSource, InterruptSource,
-                      ListenerSource, NotifyFdSource, Reactor, RetrySource,
-                      TimerPollSource, WatchdogSource)
+from .reactor import SPIN_TIMEOUT, StageCounters
 from .stub_status import StubStatus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -168,56 +168,72 @@ class Worker:
                     interval=eng_cfg.qat_timer_poll_interval,
                     name=f"w{worker_id}-poller", wake=wake)
 
-        # The reactor: registration order is dispatch order, deadline
-        # attribution order, end-of-pass stage order and teardown
-        # order. Pollable routing (listener -> notify FDs -> sockets)
-        # and the stage pipeline (async queue -> retries -> heuristic
-        # -> batch flush -> admission -> drain) replicate the
-        # historical hand-threaded loop exactly.
-        self.reactor = Reactor(sim, self)
-        reg = self.reactor.register
-        reg(ListenerSource(self))
-        reg(NotifyFdSource(self))
-        reg(ConnSource(self))
-        reg(AsyncQueueSource(self))
-        reg(RetrySource(self))
-        self._heuristic_source: Optional[HeuristicSource] = None
+        # Background sweeps. The failover sweep backs up the in-loop
+        # heuristic scheme only: timer and interrupt retrieval run out
+        # of loop and cannot stall below a poll threshold.
+        self._failover_interval = (
+            eng_cfg.qat_failover_timer if self.poller is not None else 0.0)
+        self._watchdog_interval = (
+            eng_cfg.qat_watchdog_interval
+            if (config.async_offload
+                and isinstance(self.engine, AsyncOffloadEngine))
+            else 0.0)
+
+        # Per-stage counters, in loop order: pollable routing, the
+        # end-of-pass stages (with the retrieval scheme in the
+        # heuristic's slot), then the background sweeps.
+        names = ["listener", "notify-fd", "socket", "async-queue",
+                 "retries"]
         if self.interrupt_retriever is not None:
-            reg(InterruptSource(self, self.interrupt_retriever))
+            names.append("interrupt")
         elif self.poller is not None:
-            self._heuristic_source = reg(HeuristicSource(self, self.poller))
+            names.append("heuristic")
         elif self.timer_thread is not None:
-            reg(TimerPollSource(self, self.timer_thread))
+            names.append("timer-poll")
         if self._batching:
-            reg(BatchFlushSource(self))
+            names.append("batch-flush")
         if self._admission_on:
-            reg(AdmissionSource(self))
-        reg(DrainPassSource(self))
-        # The failover sweep backs up the *in-loop* retrieval scheme:
-        # timer and interrupt retrieval run out of loop and cannot
-        # stall below a poll threshold, so only heuristic mode
-        # registers it (FailoverSource itself is mode-generic).
-        if self.poller is not None and eng_cfg.qat_failover_timer > 0:
-            reg(FailoverSource(self, interval=eng_cfg.qat_failover_timer,
-                               polls_fn=lambda: self.poller.polls))
-        if (config.async_offload
-                and isinstance(self.engine, AsyncOffloadEngine)
-                and eng_cfg.qat_watchdog_interval > 0):
-            reg(WatchdogSource(
-                self, interval=eng_cfg.qat_watchdog_interval))
+            names.append("admission")
+        names.append("drain")
+        if self._failover_interval > 0:
+            names.append("failover")
+        if self._watchdog_interval > 0:
+            names.append("watchdog")
+        self.reactor = StageCounters(names)
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
+        """Start the event loop, then the background work: the timer
+        polling thread and the failover and watchdog sweeps."""
         self.proc = self.sim.process(
             self._event_loop(),
             name=f"worker-{self.worker_id}.g{self.generation}")
-        self.reactor.start()
+        if self.timer_thread is not None:
+            self.timer_thread.start()
+        if self._failover_interval > 0:
+            self.sim.process(self._failover_sweep(),
+                             name=f"w{self.worker_id}-failover")
+        if self._watchdog_interval > 0:
+            self.sim.process(self._watchdog_sweep(),
+                             name=f"w{self.worker_id}-watchdog")
 
     def stop(self) -> None:
         self.running = False
-        self.reactor.shutdown()
+        self._stop_retrieval()
         self._sample_reactor()
+
+    def _stop_retrieval(self) -> None:
+        """Stop the out-of-loop retrieval (idempotent): the timer thread
+        cancels its pending tick and the interrupt retriever unhooks its
+        ring callbacks, so nothing dispatches into a dead engine. The
+        sweeps are not interrupted: they observe ``running`` and exit
+        at their next tick (interrupting them would perturb the event
+        heap for no benefit)."""
+        if self.timer_thread is not None:
+            self.timer_thread.stop()
+        if self.interrupt_retriever is not None:
+            self.interrupt_retriever.disarm()
 
     def begin_drain(self) -> None:
         """nginx SIGHUP: hand the listen socket to the new generation
@@ -246,9 +262,7 @@ class Worker:
         open offload op is aborted out of the engine tables.
         Synchronous — a dead process consumes no core time."""
         self.running = False
-        # Teardown by deregistration: every source (timer thread,
-        # interrupt retriever, sweeps) stops through the reactor.
-        self.reactor.shutdown()
+        self._stop_retrieval()
         if self.proc is not None and self.proc.is_alive:
             self.proc.interrupt("worker killed")
         for conn in list(self.conns.values()):
@@ -283,24 +297,101 @@ class Worker:
     def _event_loop(self) -> Generator:
         try:
             while self.running:
-                timeout = self.reactor.next_timeout(self.sim.now)
+                timeout = self._next_timeout()
                 ready = yield from self.epoll.wait(self.core, owner=self,
                                                    timeout=timeout)
                 for p in ready:
                     yield from self.core.consume(
                         self.cm.event_dispatch_cost, owner=self)
-                    yield from self.reactor.dispatch(p, owner=self)
+                    yield from self._dispatch(p)
                     yield from self._heuristic_check()
-                # Post-processing phase: the staged end-of-pass
-                # pipeline (async-queue drain -> retries -> heuristic
-                # check -> batch flush -> admission drain -> drain
-                # pass), in source registration order.
-                yield from self.reactor.end_of_pass(owner=self)
+                # Post-processing phase: the end-of-pass stages, each
+                # timed into its stage's ``busy`` (the heuristic check
+                # times itself).
+                sim = self.sim
+                stage = self.reactor.stages
+                if self.async_queue:
+                    t0 = sim.now
+                    yield from self._drain_async_queue()
+                    stage["async-queue"].busy += sim.now - t0
+                if self.retries:
+                    t0 = sim.now
+                    yield from self._process_retries()
+                    stage["retries"].busy += sim.now - t0
+                yield from self._heuristic_check()
+                eng = self.engine
+                if self._batching and eng.queued_batch_ops:
+                    # Ops the handlers coalesced this pass go out in one
+                    # doorbell/RPC: batching adds no cross-pass latency.
+                    t0 = sim.now
+                    yield from eng.flush_batch(owner=self)
+                    stage["batch-flush"].busy += sim.now - t0
+                if self._admission_on and eng.admission_queued:
+                    # Admit queued ops into the capacity completions
+                    # freed this pass.
+                    t0 = sim.now
+                    yield from eng.admit_queued(owner=self)
+                    stage["admission"].busy += sim.now - t0
+                if self.draining:
+                    t0 = sim.now
+                    yield from self._drain_pass()
+                    stage["drain"].busy += sim.now - t0
+                    if self.drained:
+                        # Old generation finished its last connection:
+                        # exit; the supervisor retires the lease epoch.
+                        self.running = False
         except Interrupt:
             # Killed by the supervision layer (crash injection or a
             # drain-deadline force-abort); Worker.kill() already tore
             # the tables down.
             return
+
+    def _next_timeout(self) -> Optional[float]:
+        """The epoll timeout, credited to the stage that set it: 0 while
+        the async queue holds events, else the earliest of the next due
+        retry and (under heuristic retrieval) the spin timeout while ops
+        are in flight or admission-queued; a tie goes to the retry.
+        None (block until an event arrives) when nothing constrains the
+        pass."""
+        if self.async_queue:
+            self.reactor.stages["async-queue"].wakes += 1
+            return 0.0
+        timeout: Optional[float] = None
+        winner = None
+        if self.retries:
+            due = min(c.retry_not_before for c, _ in self.retries)
+            timeout = max(0.0, due - self.sim.now)
+            winner = "retries"
+        if self.poller is not None:
+            eng = self.engine
+            if ((eng.inflight.total > 0 or eng.admission_queued > 0)
+                    and (timeout is None or SPIN_TIMEOUT < timeout)):
+                timeout = SPIN_TIMEOUT
+                winner = "heuristic"
+        if winner is not None:
+            self.reactor.stages[winner].wakes += 1
+        return timeout
+
+    def _dispatch(self, p) -> Generator:
+        """Route one ready pollable: the listen socket accepts (unless
+        draining), a notification FD resumes its connection, a
+        connection socket runs its handler. Anything else is a stale
+        socket event whose connection already closed: dropped."""
+        t0 = self.sim.now
+        if p is self.listener:
+            stage = self.reactor.stages["listener"]
+            if not self.draining:
+                yield from self._accept_all()
+        elif isinstance(p, NotifyFd):
+            stage = self.reactor.stages["notify-fd"]
+            yield from self._notify_fd_event(p)
+        elif p in self.conns:
+            stage = self.reactor.stages["socket"]
+            yield from self._socket_event(self.conns[p])
+        else:
+            return
+        stage.busy += self.sim.now - t0
+        stage.events += 1
 
     def _drain_pass(self) -> Generator:
         """One end-of-pass drain step: ops still queued inside the
@@ -323,14 +414,70 @@ class Worker:
 
     def _heuristic_check(self) -> Generator:
         """The paper's per-handler heuristic hook: evaluated after
-        every dispatched event (a no-op under timer/interrupt
-        retrieval, where no heuristic source is registered)."""
-        if self._heuristic_source is not None:
-            yield from self._heuristic_source.check(owner=self)
+        every dispatched event, every async-queue resume and once at
+        the end of every pass (a no-op under timer/interrupt
+        retrieval). The only place the ``heuristic`` stage's busy time
+        is counted."""
+        if self.poller is not None:
+            t0 = self.sim.now
+            yield from self.poller.check(owner=self)
+            self.reactor.stages["heuristic"].busy += self.sim.now - t0
         return None
 
+    def _failover_sweep(self) -> Generator:
+        """Section 4.3's failover timer (heuristic retrieval only): if
+        no heuristic poll fired during the last interval but requests
+        are in flight or admission-queued, poll once."""
+        eng = self.engine
+        last_polls = 0
+        while self.running:
+            yield self.sim.timeout(self._failover_interval)
+            if (self.poller.polls == last_polls
+                    and (eng.inflight.total > 0
+                         or eng.admission_queued > 0)):
+                yield from eng.poll_and_dispatch(owner="failover")
+            last_polls = self.poller.polls
+
+    def _watchdog_sweep(self) -> Generator:
+        """Graceful-degradation sweep: expire in-flight requests past
+        their deadline (section 4.3's failover generalized to hardware
+        faults) and rescue connections stuck in TLS-ASYNC — either the
+        notification was lost (response ready, handler never ran) or
+        the request itself vanished (e.g. wiped by an endpoint
+        reset)."""
+        eng = self.engine
+        interval = self._watchdog_interval
+        stuck_age = eng.request_deadline + 2 * interval
+        while self.running:
+            yield self.sim.timeout(interval)
+            delivered = yield from eng.check_timeouts(owner=self)
+            rescued = 0
+            for conn in list(self.conns.values()):
+                if not conn.in_async or conn.async_since is None:
+                    continue
+                job = conn.ssl.job
+                if job is None or self.sim.now - conn.async_since <= stuck_age:
+                    continue
+                if job.response_ready:
+                    # Response delivered but the handler never ran:
+                    # reschedule it directly.
+                    conn.retry_not_before = 0.0
+                    self.retries.append((conn, conn.async_token))
+                    rescued += 1
+                elif (job.state.name == "PAUSED"
+                        and not eng.is_pending(job)):
+                    ok = yield from eng.fail_over_job(job, owner=self)
+                    if ok:
+                        rescued += 1
+            self.stub_status.watchdog_rescues += rescued
+            self._sample_reactor()
+            if (delivered or rescued) and self.wake_fd is not None:
+                # Deliveries happened outside the loop; make sure a
+                # blocked epoll_wait sees the queued notifications.
+                self.wake_fd.write_event()
+
     def _sample_reactor(self) -> None:
-        """Per-source wake/busy timelines, sampled at watchdog ticks and
+        """Per-stage wake/busy timelines, sampled at watchdog ticks and
         shutdown so trace size stays bounded by that cadence. Reading
         the stub_status page never samples."""
         obs = getattr(self.sim, "obs", None)

@@ -233,7 +233,7 @@ class ScenarioGen:
         if async_config and backend == "qat":
             # Retrieval mode: flip the configuration's default polling
             # scheme, stretch the timer tick, toggle the heuristic
-            # failover sweep — the reactor must wire all of them.
+            # failover sweep — the worker loop must wire all of them.
             default_poll = "timer" if config_name == "QAT+A" else "heuristic"
             if self._flag(0.25):
                 mode = self._choice(("heuristic", "timer"))

@@ -18,8 +18,7 @@ def test_finding_render_format():
 def test_registry_names_and_codes_are_unique():
     registry = checker_registry()
     assert set(registry) == {"determinism", "sim-purity", "layering",
-                             "span-discipline", "conf-directives",
-                             "reactor-sources"}
+                             "span-discipline", "conf-directives"}
     codes = all_codes()
     per_checker = [c for chk in registry.values() for c in chk.codes]
     assert len(per_checker) == len(set(per_checker)) == len(codes)

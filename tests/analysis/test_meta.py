@@ -59,7 +59,7 @@ def test_cli_ci_gate_exits_zero():
 def test_cli_list_prints_catalogue():
     proc = run_cli("--list")
     assert proc.returncode == 0
-    for code in ("RA101", "RA201", "RA301", "RA401", "RA501", "RA601"):
+    for code in ("RA101", "RA201", "RA301", "RA401", "RA501"):
         assert code in proc.stdout
 
 

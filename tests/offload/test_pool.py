@@ -4,6 +4,7 @@ delivery, and the pooled backend's admission surface."""
 
 import pytest
 
+from repro.crypto.ops import OpCategory
 from repro.offload.backend import OpSpec
 from repro.offload.pool import (ARBITRATION_CPU_COST, DynamicPolicy,
                                 InstancePool, PooledQatBackend,
@@ -98,8 +99,8 @@ def test_static_partition_admits_only_own_chunk():
     assert [b1.admits(ln) for ln in range(4)] == [False, False, True, True]
     # Unadmitted lanes reject the whole batch and advertise zero room.
     assert b0.submit_batch([spec(), spec()], lane=2) == [None, None]
-    assert b0.capacity_hint(lane=2) == 0
-    assert b0.capacity_hint(lane=0) > 0
+    assert b0.capacity_hint(lane=2, category=OpCategory.ASYM) == 0
+    assert b0.capacity_hint(lane=0, category=OpCategory.ASYM) > 0
 
 
 def test_arbitration_cost_only_for_shared_leases():

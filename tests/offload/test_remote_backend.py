@@ -3,7 +3,7 @@ drives a network-attached crypto service over repro.net links."""
 
 from repro.core.costmodel import CostModel
 from repro.cpu import Core
-from repro.crypto.ops import CryptoOp, CryptoOpKind
+from repro.crypto.ops import CryptoOp, CryptoOpKind, OpCategory
 from repro.net.link import Link
 from repro.offload.backend import OpSpec
 from repro.offload.engine import AsyncOffloadEngine
@@ -71,7 +71,7 @@ def test_window_exhaustion_rejects_like_a_full_ring():
     tokens = backend.submit_batch(specs, lane=0)
     assert tokens[0] is not None and tokens[1] is None
     assert backend.stats.submit_failures == 1
-    assert backend.capacity_hint() == 0
+    assert backend.capacity_hint(lane=0, category=OpCategory.ASYM) == 0
 
     # Driven through the engine, a rejected submit also shows up in the
     # engine-local counter (per-worker: pooled lanes are shared, so the

@@ -1,7 +1,7 @@
-"""Unit and integration tests for the worker reactor: source
-registration/ordering determinism, the deadline arbiter, teardown
-(timer stop must strand no stale tick; interrupt disarm must close the
-coalescing window), the failover-sweep mode guard, and the stub_status
+"""Unit and integration tests for the worker event loop: stage
+ordering determinism, the epoll-timeout choice, teardown (timer stop
+must strand no stale tick; interrupt disarm must close the coalescing
+window), the failover-sweep mode guard, and the stub_status
 ``reactor:`` section."""
 
 import pytest
@@ -26,8 +26,8 @@ def make_bed(config="QTLS", seed=9, n_clients=8, **kw):
     return bed
 
 
-def source_names(worker):
-    return [s.name for s in worker.reactor.sources]
+def stage_names(worker):
+    return list(worker.reactor.snapshot())
 
 
 def make_engine(sim):
@@ -50,7 +50,7 @@ def submit_one(sim, eng, result="r"):
     return job
 
 
-# -- source registration & ordering determinism -------------------------------
+# -- stage ordering determinism -------------------------------------------------
 
 RETRIEVAL_CONFIGS = [
     ("QTLS", {}, "heuristic"),
@@ -66,30 +66,33 @@ def test_retrieval_mode_runs_through_reactor_source(config, overrides,
     bed = make_bed(config, **overrides)
     bed.sim.run(until=0.04)
     for w in bed.server.workers:
-        names = source_names(w)
+        names = stage_names(w)
         assert retrieval in names, names
-        # Exactly one retrieval source per worker.
+        # Exactly one retrieval scheme per worker.
         assert sum(n in ("heuristic", "timer-poll", "interrupt")
                    for n in names) == 1
+        assert sum(x is not None for x in (
+            w.poller, w.timer_thread, w.interrupt_retriever)) == 1
         # The retrieval scheme actually retrieved something.
-        stats = w.reactor.source(retrieval).stats()
-        key = {"heuristic": "polls", "timer-poll": "polls",
-               "interrupt": "interrupts"}[retrieval]
-        assert stats[key] > 0, stats
+        count = {"heuristic": lambda: w.poller.polls,
+                 "timer-poll": lambda: w.timer_thread.polls,
+                 "interrupt": lambda: w.interrupt_retriever.interrupts,
+                 }[retrieval]()
+        assert count > 0
 
 
 @pytest.mark.parametrize("config,overrides,retrieval", RETRIEVAL_CONFIGS)
 def test_source_order_is_deterministic(config, overrides, retrieval):
-    """Identically-configured workers register identical source lists,
-    and a rebuilt world reproduces them exactly — registration order is
-    dispatch/stage/teardown order, so this is a replay invariant."""
+    """Identically-configured workers list identical stages, and a
+    rebuilt world reproduces them exactly — the stub_status ``reactor:``
+    line and the tracer timelines follow this order."""
     beds = [make_bed(config, **overrides) for _ in range(2)]
-    orders = [[source_names(w) for w in bed.server.workers]
+    orders = [[stage_names(w) for w in bed.server.workers]
               for bed in beds]
     assert orders[0] == orders[1]
     per_bed = orders[0]
     assert per_bed[0] == per_bed[1]  # both workers identical
-    # Pollable routing always precedes the stage pipeline.
+    # Pollable routing always precedes the end-of-pass stages.
     names = per_bed[0]
     assert names[:3] == ["listener", "notify-fd", "socket"]
     assert names.index("async-queue") < names.index("retries") \
@@ -100,19 +103,22 @@ def test_stage_order_matches_historical_pipeline():
     bed = make_bed("QTLS", qat_batch_size=4, offload_admission_limit=8,
                    qat_watchdog_interval=1e-3, qat_failover_timer=1e-3)
     w = bed.server.workers[0]
-    staged = [s.name for s in w.reactor.sources if s.has_stage]
-    assert staged == ["async-queue", "retries", "heuristic",
-                      "batch-flush", "admission", "drain"]
-    # Background sweeps ride at the tail of the registry.
-    assert source_names(w)[-2:] == ["failover", "watchdog"]
+    assert stage_names(w) == [
+        "listener", "notify-fd", "socket",
+        "async-queue", "retries", "heuristic", "batch-flush", "admission",
+        "drain",
+        # Background sweeps ride at the tail.
+        "failover", "watchdog"]
 
 
-# -- deadline arbiter ----------------------------------------------------------
+# -- epoll timeout ---------------------------------------------------------------
 
 def test_arbiter_unconstrained_when_idle():
     bed = make_bed("QTLS")
     w = bed.server.workers[0]
-    assert w.reactor.next_timeout(bed.sim.now) is None
+    before = w.reactor.snapshot()
+    assert w._next_timeout() is None
+    assert w.reactor.snapshot() == before  # no stage credited
 
 
 def test_arbiter_spins_while_inflight_and_credits_heuristic():
@@ -122,21 +128,35 @@ def test_arbiter_spins_while_inflight_and_credits_heuristic():
     eng = w.engine
     submit_one(bed.sim, eng)
     bed.sim.run(until=1e-5)
-    before = w.reactor.source("heuristic").wakes
-    assert w.reactor.next_timeout(bed.sim.now) == SPIN_TIMEOUT
-    assert w.reactor.source("heuristic").wakes == before + 1
-    assert w.reactor.last_wake == "heuristic"
+    before = w.reactor.stages["heuristic"].wakes
+    assert w._next_timeout() == SPIN_TIMEOUT
+    assert w.reactor.stages["heuristic"].wakes == before + 1
 
 
 def test_arbiter_prefers_earliest_deadline():
     """A due retry (delta 0 at its deadline) must beat the spin
-    timeout, and the async queue's zero beats everything."""
+    timeout, and the async queue's zero beats everything; the stage
+    that set the timeout is credited the wake."""
     bed = make_bed("QTLS")
     w = bed.server.workers[0]
+    submit_one(bed.sim, w.engine)
+    bed.sim.run(until=1e-5)
+
+    class Conn:
+        retry_not_before = bed.sim.now
+
+    w.retries.append((Conn(), 0))
+    retries = w.reactor.stages["retries"].wakes
+    assert w._next_timeout() == 0.0
+    assert w.reactor.stages["retries"].wakes == retries + 1
+
     w.async_queue.push(object())
-    assert w.reactor.next_timeout(bed.sim.now) == 0.0
-    assert w.reactor.last_wake == "async-queue"
+    queue = w.reactor.stages["async-queue"].wakes
+    assert w._next_timeout() == 0.0
+    assert w.reactor.stages["async-queue"].wakes == queue + 1
+    assert w.reactor.stages["retries"].wakes == retries + 1
     w.async_queue.pop()
+    w.retries.clear()
 
 
 # -- failover sweep: mode guard (satellite regression) -------------------------
@@ -153,30 +173,29 @@ def test_failover_timer_safe_under_non_heuristic_modes(config, overrides):
     bed = make_bed(config, qat_failover_timer=1e-3, **overrides)
     bed.sim.run(until=0.04)
     for w in bed.server.workers:
-        assert w.reactor.source("failover") is None
+        assert "failover" not in stage_names(w)
     assert len(bed.metrics.handshakes) > 0
 
 
 def test_failover_sweep_registers_and_runs_under_heuristic():
+    """With the heuristic check muted, the failover sweep is the only
+    thing that polls: its rescue polls alone complete handshakes."""
     bed = make_bed("QTLS", qat_failover_timer=1e-3)
-    bed.sim.run(until=0.04)
+    rescues = []
     for w in bed.server.workers:
-        fo = w.reactor.source("failover")
-        assert fo is not None
-        assert fo.sweeps > 0
+        assert "failover" in stage_names(w)
+        w.poller.should_poll = lambda: False
+        eng = w.engine
+        poll = eng.poll_and_dispatch
 
+        def spy(owner, _poll=poll):
+            rescues.append(owner)
+            return _poll(owner)
 
-def test_failover_source_skips_sweep_without_polls_fn():
-    """The source itself is mode-generic: with no poll counter to
-    watch it sweeps but never rescue-polls (inert, not crashing)."""
-    from repro.server.reactor import FailoverSource
-    bed = make_bed("QTLS")
-    w = bed.server.workers[0]
-    fo = w.reactor.register(FailoverSource(w, interval=1e-3))
-    fo.start()
-    bed.sim.run(until=0.03)
-    assert fo.sweeps > 0
-    assert fo.rescue_polls == 0
+        eng.poll_and_dispatch = spy
+    bed.sim.run(until=0.04)
+    assert rescues and set(rescues) == {"failover"}
+    assert len(bed.metrics.handshakes) > 0
 
 
 # -- timer thread stop: no stale tick (satellite regression) -------------------
@@ -217,7 +236,7 @@ def test_worker_kill_stops_timer_thread_via_reactor():
     bed = make_bed("QAT+A", n_clients=6)
     bed.sim.run(until=0.02)
     w = bed.server.workers[0]
-    thread = w.reactor.source("timer-poll").thread
+    thread = w.timer_thread
     assert thread.polls > 0
     w.kill()
     polls_at_kill = thread.polls
@@ -264,7 +283,7 @@ def test_worker_kill_disarms_interrupt_source():
     bed = make_bed("QTLS", n_clients=6, qat_notify_mode="interrupt")
     bed.sim.run(until=0.02)
     w = bed.server.workers[0]
-    irq = w.reactor.source("interrupt").retriever
+    irq = w.interrupt_retriever
     assert irq.interrupts > 0
     w.kill()
     count_at_kill = irq.interrupts
@@ -281,7 +300,7 @@ def test_stub_status_renders_reactor_section():
     w = bed.server.workers[0]
     page = w.stub_status.render()
     assert "reactor: " in page
-    for name in source_names(w):
+    for name in stage_names(w):
         assert f"{name}[wakes " in page
 
 
@@ -320,9 +339,34 @@ def test_reactor_snapshot_orders_and_counts():
     bed.sim.run(until=0.04)
     w = bed.server.workers[0]
     snap = w.reactor.snapshot()
-    assert list(snap) == source_names(w)
+    assert list(snap) == stage_names(w)
+    assert all(set(s) == {"wakes", "events", "busy"}
+               for s in snap.values())
     assert snap["socket"]["events"] > 0
-    assert snap["heuristic"]["polls"] > 0
-    assert snap["watchdog"]["sweeps"] > 0
+    assert snap["heuristic"]["wakes"] > 0
     total_busy = sum(s["busy"] for s in snap.values())
     assert total_busy > 0
+
+
+def test_heuristic_busy_is_the_time_spent_in_poller_check():
+    """Each stage's time is counted once: the heuristic stage's busy is
+    exactly the sim time spent inside ``poller.check``, whether the
+    check ran after a handler or at the end of a pass."""
+    bed = make_bed("QTLS", qat_batch_size=4)
+    spent = {}
+    for w in bed.server.workers:
+        check = w.poller.check
+
+        def timed(owner, _check=check, _w=w):
+            t0 = bed.sim.now
+            jobs = yield from _check(owner)
+            spent[_w.worker_id] = (spent.get(_w.worker_id, 0.0)
+                                   + (bed.sim.now - t0))
+            return jobs
+
+        w.poller.check = timed
+    bed.sim.run(until=0.04)
+    for w in bed.server.workers:
+        assert spent[w.worker_id] > 0
+        assert (spent[w.worker_id]
+                == w.reactor.snapshot()["heuristic"]["busy"])

@@ -80,25 +80,6 @@ INJECTIONS = {
               "def _injected_parse(directive, value):\n"
               "    if directive == 'qat_undocumented_knob':\n"
               "        return value\n"),
-    "RA601": ("repro/server/reactor.py",
-              "class _InjectedSource(EventSource):\n"
-              "    pass  # no name -> stats namespace collision\n"),
-    "RA602": ("repro/server/reactor.py",
-              "class _InjectedStage(EventSource):\n"
-              "    name = 'injected-stage'\n"
-              "    has_stage = True\n"
-              "    def on_pass(self, owner):\n"
-              "        return []  # not a generator\n"),
-    "RA603": ("repro/server/reactor.py",
-              "class _InjectedArity(EventSource):\n"
-              "    name = 'injected-arity'\n"
-              "    def next_timeout(self, now, slack):\n"
-              "        return None\n"),
-    "RA604": ("repro/server/reactor.py",
-              "class _InjectedStats(EventSource):\n"
-              "    name = 'injected-stats'\n"
-              "    def stats(self):\n"
-              "        return {'polls': 0}\n"),
 }
 
 
