@@ -70,12 +70,15 @@ class Epoll:
     def wait(self, core, owner: object = None,
              timeout: Optional[float] = None) -> Generator:
         """Block until at least one watched fd is ready or ``timeout``
-        elapses. Charges the mode switch + kernel work to ``core``.
+        elapses. Charges the mode switch + kernel work to ``core`` and
+        settles the caller's CPU debt before reading readiness; the
+        per-event charge stays owed into the caller's dispatch.
 
         Use as ``ready = yield from epoll.wait(core, ...)``.
         """
         self.wait_calls += 1
-        yield from core.kernel_crossing(extra=EPOLL_WAIT_BASE_COST)
+        core.kernel_crossing(extra=EPOLL_WAIT_BASE_COST)
+        yield from core.settle()
         ready = self._ready_list()
         if not ready:
             waiter = self.sim.event(name=f"{self.name}-wait")
@@ -93,8 +96,7 @@ class Epoll:
             ready = self._ready_list()
         self.wakeups += 1
         if ready:
-            yield from core.consume(EPOLL_PER_EVENT_COST * len(ready),
-                                    owner=owner)
+            core.consume(EPOLL_PER_EVENT_COST * len(ready), owner=owner)
         return ready
 
 
@@ -116,7 +118,10 @@ class NotifyFd(Pollable):
         self.reads = 0
 
     def write_event(self) -> None:
-        """Signal one event (the caller charges NOTIFY_FD_WRITE_COST)."""
+        """Signal one event (the caller charges NOTIFY_FD_WRITE_COST
+        and settles it first)."""
+        if self.sim.debtor is not None:
+            raise self.sim.unsettled(f"write to {self.label}")
         self._count += 1
         self.writes += 1
         self._mark_readable()

@@ -38,6 +38,8 @@ class Listener(Pollable):
 
     def accept(self) -> Optional[SimSocket]:
         """Non-blocking accept; None when the backlog is empty."""
+        if self.sim.debtor is not None:
+            raise self.sim.unsettled("accept")
         if not self._backlog:
             return None
         sock = self._backlog.popleft()

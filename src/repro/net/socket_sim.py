@@ -48,6 +48,8 @@ class SimSocket(Pollable):
 
         ``nbytes`` is the wire size; defaults to ``len(message)``.
         """
+        if self.sim.debtor is not None:
+            raise self.sim.unsettled(f"send on {self.label}")
         if self._closed:
             raise SocketClosed(f"send on closed socket {self.label}")
         if self.peer is None:
@@ -75,6 +77,8 @@ class SimSocket(Pollable):
         After the peer has closed and the inbox drained, returns the
         empty bytes object (EOF), mirroring BSD sockets.
         """
+        if self.sim.debtor is not None:
+            raise self.sim.unsettled(f"recv on {self.label}")
         if self._inbox:
             msg = self._inbox.popleft()
             if not self._inbox and not self._peer_closed:
@@ -94,6 +98,8 @@ class SimSocket(Pollable):
         """Close this end; the peer sees EOF after the link latency."""
         if self._closed:
             return
+        if self.sim.debtor is not None:
+            raise self.sim.unsettled(f"close of {self.label}")
         self._closed = True
         self._clear_readable()
         if self.peer is not None:

@@ -107,9 +107,13 @@ class RequestTracer:
 
     def abort_open(self, job_trace: Optional[OpTrace], now: float) -> None:
         """Connection teardown while an op was open: close as aborted
-        (never leak an open span tree)."""
+        (never leak an open span tree). A worker killed while settling
+        its CPU time has stamped that chain's marks at the time it
+        would have settled at, after the kill: the trace then closes
+        at its last mark, not before it."""
         if job_trace is not None and not job_trace.closed:
-            self.finish(job_trace, now, SpanStatus.ABORTED)
+            end = max(now, job_trace.created, *job_trace.marks.values())
+            self.finish(job_trace, end, SpanStatus.ABORTED)
 
     # -- metrics feeds ---------------------------------------------------------
 

@@ -57,6 +57,14 @@ Only the admission cap (``admission_limit``) makes the engine queue;
 the arbitration policy just orders what is queued and what a batched
 flush takes first. Without a cap, an unbatched ring-full submit
 returns False so the SSL layer can pause the job in WANT_RETRY.
+
+CPU charges are owed to the calling process (see
+:mod:`repro.cpu.core`). The engine settles them before each act
+another process can see — a backend submit or poll, a flush, a
+notification-FD write, a kernel-bypass callback run outside the
+event loop — and reads time as ``core.clock()``, the time the
+caller's chain settles at. The calling process settles what is still
+owed when it next waits.
 """
 
 from __future__ import annotations
@@ -163,6 +171,9 @@ class AsyncOffloadEngine:
         self.backend = backend
         self._rr = 0
         self.core = core
+        #: The worker's event-loop process (set when it starts): the
+        #: one reader of kernel-bypass notifications.
+        self.loop = None
         self.cost_model = cost_model
         self.request_deadline = request_deadline
         self.submit_max_retries = submit_max_retries
@@ -172,7 +183,7 @@ class AsyncOffloadEngine:
         #: instants.
         self.backoff_jitter_seed = backoff_jitter_seed
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(lambda: self.core.sim.now)
+            CircuitBreaker(self.core.clock)
             for _ in range(backend.lanes)
         ]
         #: In-flight table: every accepted async request and its
@@ -329,25 +340,25 @@ class AsyncOffloadEngine:
 
     # -- software fallback ----------------------------------------------------
 
-    def _execute_software(self, call: CryptoCall, owner: object
-                          ) -> Generator:
+    def _execute_software(self, call: CryptoCall, owner: object) -> Any:
         cost = self.cost_model.software_cost(call.op)
-        yield from self.core.consume(cost, owner=owner)
+        self.core.consume(cost, owner=owner)
         self.ops_software += 1
         self.software_crypto_time += cost
         return call.compute()
 
     def execute_fallback(self, call: CryptoCall, owner: object,
-                         lane: int = -1) -> Generator:
+                         lane: int = -1) -> Any:
         """Software failover: complete ``call`` on the CPU because its
         offload gave up (submit retries spent, every breaker open,
         deadline missed, corrupted response, never left a queue).
         ``lane`` is the lane the op was accepted on, charged its
-        fallback; -1 when it never reached one."""
+        fallback; -1 when it never reached one. The charge stays owed
+        to the caller."""
         self.ops_fallback += 1
         if lane >= 0:
             self.backend.lane_stats(lane).fallback_ops += 1
-        return (yield from self._execute_software(call, owner))
+        return self._execute_software(call, owner)
 
     # -- straight (blocking) offload -------------------------------------------
 
@@ -363,40 +374,43 @@ class AsyncOffloadEngine:
         ``request_deadline``; either bound exhausted degrades the op to
         the software path."""
         if not self.offloads(call):
-            return (yield from self._execute_software(call, owner))
-        sim = self.core.sim
-        obs = getattr(sim, "obs", None)
-        trace = (obs.begin(call.op, -1, -1, "blocking", sim.now)
+            return self._execute_software(call, owner)
+        core = self.core
+        obs = getattr(core.sim, "obs", None)
+        trace = (obs.begin(call.op, -1, -1, "blocking", core.clock())
                  if obs is not None else None)
         submit_cost = self.backend.submit_cpu_cost(1)
-        yield from self.core.consume(submit_cost, owner=owner)
+        core.consume(submit_cost, owner=owner)
         self.submit_time += submit_cost
+        yield from core.settle()
         submitted = self._try_submit(call.op, call.compute)
         attempts = 1
         while submitted is None:
             if (attempts >= self.submit_max_retries
                     or not self._any_lane_available()):
                 if trace is not None:
-                    obs.finish(trace, sim.now, SpanStatus.TIMEOUT)
-                return (yield from self.execute_fallback(call, owner))
+                    obs.finish(trace, core.sim.now, SpanStatus.TIMEOUT)
+                return self.execute_fallback(call, owner)
             delay = self.submit_backoff(attempts)
-            yield from self.core.consume(delay, owner=owner)
+            core.consume(delay, owner=owner)
             self.blocking_wait_time += delay
             attempts += 1
+            yield from core.settle()
             submitted = self._try_submit(call.op, call.compute)
         token, lane = submitted
         if trace is not None:
-            trace.accept(sim.now, self.backend.name, lane,
+            trace.accept(core.sim.now, self.backend.name, lane,
                          attempts=attempts - 1)
         self._op_accepted(call)
         self.ops_offloaded += 1
-        wait_started = self.core.sim.now
+        wait_started = core.sim.now
         deadline = wait_started + self.request_deadline
         resp = None
         while resp is None:
+            yield from core.settle()
             completions = self.backend.poll_completions()
-            yield from self.core.consume(
-                self.backend.poll_cpu_cost(len(completions)), owner=owner)
+            core.consume(self.backend.poll_cpu_cost(len(completions)),
+                         owner=owner)
             for candidate in completions:
                 if candidate.token is token:
                     resp = candidate
@@ -405,34 +419,34 @@ class AsyncOffloadEngine:
                     self.responses_stale += 1
             if resp is not None:
                 break
-            if self.core.sim.now >= deadline:
-                self.blocking_wait_time += self.core.sim.now - wait_started
+            if core.clock() >= deadline:
+                self.blocking_wait_time += core.clock() - wait_started
                 self._op_retired(call)
                 self.op_timeouts += 1
                 self.backend.lane_stats(lane).op_timeouts += 1
                 self.breakers[lane].record_failure()
                 if trace is not None:
-                    obs.finish(trace, sim.now, SpanStatus.TIMEOUT)
-                return (yield from self.execute_fallback(call, owner, lane))
-            yield from self.core.consume(BUSY_POLL_SLICE, owner=owner)
-        self.blocking_wait_time += self.core.sim.now - wait_started
+                    obs.finish(trace, core.clock(), SpanStatus.TIMEOUT)
+                return self.execute_fallback(call, owner, lane)
+            core.consume(BUSY_POLL_SLICE, owner=owner)
+        self.blocking_wait_time += core.clock() - wait_started
         self._op_retired(call)
         if trace is not None:
             trace.absorb_device_marks(resp.device_marks)
-            trace.mark("delivered", sim.now)
+            trace.mark("delivered", core.clock())
         if resp.transport_error:
             self.responses_corrupted += 1
             self.breakers[lane].record_failure()
             if trace is not None:
-                obs.finish(trace, sim.now, SpanStatus.FAILOVER)
-            return (yield from self.execute_fallback(call, owner, lane))
+                obs.finish(trace, core.clock(), SpanStatus.FAILOVER)
+            return self.execute_fallback(call, owner, lane)
         self.breakers[lane].record_success()
         if resp.error is not None:
             if trace is not None:
-                obs.finish(trace, sim.now, SpanStatus.ERROR)
+                obs.finish(trace, core.clock(), SpanStatus.ERROR)
             raise resp.error
         if trace is not None:
-            obs.finish(trace, sim.now)
+            obs.finish(trace, core.clock())
         return resp.result
 
     # -- asynchronous offload: one submit pipeline -----------------------------
@@ -461,14 +475,19 @@ class AsyncOffloadEngine:
                                   or self.inflight.total >= limit):
             # At the admission cap, or behind ops already queued there
             # (the arbitration policy stays authoritative over order):
-            # bounded queueing.
+            # bounded queueing. The lanes and the coalescing queue are
+            # read by the flush timer and the sweeps: park once the
+            # caller's core time has elapsed.
+            yield from self.core.settle()
             return self._admission_enqueue(call, job)
         if self.batch_size > 1:
+            yield from self.core.settle()
             yield from self._coalesce(self._park(call, job), owner)
             return True
         submit_cost = self.backend.submit_cpu_cost(1)
-        yield from self.core.consume(submit_cost, owner=owner)
+        self.core.consume(submit_cost, owner=owner)
         self.submit_time += submit_cost
+        yield from self.core.settle()
         submitted = self._try_submit(call.op, call.compute, cookie=job)
         if submitted is None:
             if limit is not None:
@@ -491,7 +510,7 @@ class AsyncOffloadEngine:
         deadline runs from now; a queued op keeps its enqueue-time one.
         ``charge=False`` for coalescing-queue ops, which ``inflight``
         has counted since enqueue."""
-        now = self.core.sim.now
+        now = self.core.clock()
         trace = getattr(job, "trace", None)
         if trace is not None:
             trace.accept(now, self.backend.name, lane, attempts=attempts)
@@ -510,7 +529,7 @@ class AsyncOffloadEngine:
         poll interleaved with a later flush must already find it in a
         deliverable state (the SSL layer marks it paused again after
         ``submit_async`` returns — a no-op)."""
-        now = self.core.sim.now
+        now = self.core.clock()
         mark_paused = getattr(job, "mark_paused", None)
         if mark_paused is not None:
             mark_paused(call)
@@ -536,6 +555,9 @@ class AsyncOffloadEngine:
         may not have armed the jobs' wait contexts yet). Stops on
         backpressure; re-entrant calls (poll interleaved with a flush
         already consuming core time) are no-ops."""
+        # The queue and the lanes' headroom are state other processes
+        # on this core change: read them holding the core.
+        yield from self.core.claim()
         if self._flushing:
             return
         self._flushing = True
@@ -569,8 +591,9 @@ class AsyncOffloadEngine:
                     return
                 cost = self.backend.submit_cpu_cost(len(take))
                 self.submit_time += cost
-                yield from self.core.consume(cost, owner=owner)
-                # Re-filter after the yield: check_timeouts may have
+                self.core.consume(cost, owner=owner)
+                yield from self.core.settle()
+                # Re-filter after the settle: check_timeouts may have
                 # expired queued ops while we consumed core time.
                 chunk = [q for q in take if q in self._batch]
                 if not chunk:
@@ -620,6 +643,7 @@ class AsyncOffloadEngine:
                     continue
                 yield from self._flush_batch(owner=self)
                 yield from self._expire_queued(owner=self)
+                yield from self.core.settle()
                 if self._batch:
                     # The queue could not fully drain (ring pressure /
                     # open breakers). The poll path flushes into freed
@@ -689,7 +713,7 @@ class AsyncOffloadEngine:
         than :data:`BATCH_TIMEOUT` are left alone — their submitter may
         still be arming the wait context, and a later round revisits
         them. Returns jobs resumed."""
-        now = self.core.sim.now
+        now = self.core.clock()
         jobs: List[object] = []
         no_lane = not self._any_lane_available()
         for q in self._queued(batch=not admission, admission=admission):
@@ -714,7 +738,7 @@ class AsyncOffloadEngine:
             # engine sharing this core's timeline (a draining
             # generation next to its successor) may have sampled a
             # later instant during those yields.
-            self._sample_admission(self.core.sim.now)
+            self._sample_admission(self.core.clock())
         return jobs
 
     # -- admission control ------------------------------------------------------
@@ -749,7 +773,7 @@ class AsyncOffloadEngine:
             obs.latency_sample(
                 self.backend.name,
                 f"sched-wait.{q.call.op.category.sched_class}",
-                self.core.sim.now - q.enqueued_at)
+                self.core.clock() - q.enqueued_at)
 
     def admit_queued(self, owner: object) -> Generator:
         """Admit queued ops into freed in-flight capacity, in the
@@ -767,14 +791,18 @@ class AsyncOffloadEngine:
             if self.batch_size > 1:
                 self._note_admitted(q)
                 admitted += 1
+                # The flush timer reads the coalescing queue: append
+                # once the caller's core time has elapsed.
+                yield from self.core.settle()
                 yield from self._coalesce(q, owner)
                 continue
             # Unbatched: the pop above already removed the op, so the
             # expiry paths cannot fail it over while we consume core
             # time to submit it.
             submit_cost = self.backend.submit_cpu_cost(1)
-            yield from self.core.consume(submit_cost, owner=owner)
+            self.core.consume(submit_cost, owner=owner)
             self.submit_time += submit_cost
+            yield from self.core.settle()
             if not self._paused(q.job):
                 continue
             submitted = self._try_submit(q.call.op, q.call.compute,
@@ -787,7 +815,7 @@ class AsyncOffloadEngine:
             self._note_admitted(q)
             admitted += 1
         if admitted:
-            self._sample_admission(self.core.sim.now)
+            self._sample_admission(self.core.clock())
         return admitted
 
     def _sample_admission(self, now: float) -> None:
@@ -855,7 +883,7 @@ class AsyncOffloadEngine:
             if job is not None:
                 jobs.append(job)
         if had_admission:
-            self._sample_admission(self.core.sim.now)
+            self._sample_admission(self.core.clock())
         return jobs
 
     def abort_all(self) -> int:
@@ -908,10 +936,11 @@ class AsyncOffloadEngine:
 
         Returns the list of jobs whose responses were delivered.
         """
+        yield from self.core.settle()
         completions = self.backend.poll_completions(max_responses)
         poll_cost = self.backend.poll_cpu_cost(len(completions))
         self.poll_time += poll_cost
-        yield from self.core.consume(poll_cost, owner=owner)
+        self.core.consume(poll_cost, owner=owner)
         jobs: List[object] = []
         for resp in completions:
             pending = self._pending.pop(resp.token, None)
@@ -935,7 +964,7 @@ class AsyncOffloadEngine:
             else:
                 breaker.record_success()
                 if trace is not None:
-                    trace.mark("delivered", self.core.sim.now)
+                    trace.mark("delivered", self.core.clock())
                     if resp.error is not None:
                         trace.status = SpanStatus.ERROR
                 job.deliver(resp.result, resp.error)
@@ -946,7 +975,7 @@ class AsyncOffloadEngine:
         # drain just freed ring slots, so the flush lands in capacity
         # the backend actually has.
         if self._batch:
-            head_age = self.core.sim.now - self._batch[0].enqueued_at
+            head_age = self.core.clock() - self._batch[0].enqueued_at
             if (len(self._batch) >= self.batch_size
                     or head_age >= BATCH_TIMEOUT):
                 yield from self._flush_batch(owner)
@@ -962,7 +991,7 @@ class AsyncOffloadEngine:
         submitted ops are expired next — the coalescing queue by the
         flush timer's rules, then the admission lanes. Returns the list
         of jobs resumed."""
-        now = self.core.sim.now
+        now = self.core.clock()
         expired = [token for token, p in self._pending.items()
                    if now >= p.deadline]
         jobs: List[object] = []
@@ -1029,23 +1058,29 @@ class AsyncOffloadEngine:
         if trace is not None:
             # The SSL driver closes the trace when the job resumes.
             trace.status = status
-        result = yield from self.execute_fallback(call, owner, lane)
+        result = self.execute_fallback(call, owner, lane)
         job.deliver(result, None)
-        # Re-check: the software-fallback execution yields core time,
-        # and a teardown interrupt in that window closes the trace.
         if trace is not None and not trace.closed:
-            trace.mark("delivered", self.core.sim.now)
+            trace.mark("delivered", self.core.clock())
         yield from self._notify_job(job, owner)
 
     def _notify_job(self, job: object, owner: object) -> Generator:
         """The response callback (paper section 4.4): kernel-bypass
-        callback wins if set; otherwise the FD-based path."""
+        callback wins if set; otherwise the FD-based path.
+
+        The FD write always settles first. The kernel-bypass callback
+        appends to the event loop's user-space queue, which only the
+        loop reads: run by the loop itself (in-loop polling) it is
+        nobody else's business, so only another process settles
+        first."""
+        core = self.core
         callback, arg = job.wait_ctx.get_callback()
         if callback is not None:
-            yield from self.core.consume(
-                self.cost_model.async_queue_cost, owner=owner)
+            core.consume(self.cost_model.async_queue_cost, owner=owner)
+            if core.sim.active_process is not self.loop:
+                yield from core.settle()
             callback(arg)
         elif job.wait_ctx.notify_fd is not None:
-            yield from self.core.kernel_crossing(
-                extra=NOTIFY_FD_WRITE_COST)
+            self.core.kernel_crossing(extra=NOTIFY_FD_WRITE_COST)
+            yield from self.core.settle()
             job.wait_ctx.notify_fd.write_event()

@@ -39,6 +39,9 @@ class InterruptRetriever:
                  name: str = "irq", wake=None) -> None:
         self.sim = sim
         self.engine = engine
+        # The service path runs on the worker's core: charges there
+        # settle one by one, as for a co-pinned polling thread.
+        engine.core.eager = True
         self.name = name
         self.wake = wake  # wakes the worker loop (see timer_thread)
         self.interrupts = 0
@@ -78,9 +81,10 @@ class InterruptRetriever:
             return  # disarmed while the interrupt was coalescing
         self.interrupts += 1
         core = self.engine.core
-        yield from core.kernel_crossing(extra=IRQ_SERVICE_COST)
+        core.kernel_crossing(extra=IRQ_SERVICE_COST)
         # The handler drains the response rings and dispatches the
         # notifications (same downstream path as polling).
         jobs = yield from self.engine.poll_and_dispatch(owner=self)
+        yield from core.settle()
         if jobs and self.wake is not None:
             self.wake()

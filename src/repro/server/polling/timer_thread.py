@@ -31,6 +31,9 @@ class TimerPollingThread:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.engine = engine
+        # Sharing the worker's core: charges there settle one by one so
+        # the two threads interleave (and switch) per charge.
+        engine.core.eager = True
         self.interval = interval
         self.name = name
         #: Called after dispatching responses: retrieval happens outside
@@ -76,6 +79,7 @@ class TimerPollingThread:
                 # charges the context switch.
                 self.polls += 1
                 jobs = yield from self.engine.poll_and_dispatch(owner=self)
+                yield from self.engine.core.settle()
                 if jobs:
                     self.effective_polls += 1
                     if self.wake is not None:

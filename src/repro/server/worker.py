@@ -31,6 +31,12 @@ and the failover and watchdog sweeps are started and stopped by
 :meth:`Worker.start`, :meth:`Worker.stop` and :meth:`Worker.kill`.
 Each stage's ``wakes``/``events``/``busy`` live in
 :mod:`repro.server.reactor`'s counter table (``worker.reactor``).
+
+CPU charges stay owed until the worker next does something another
+process can see (:mod:`repro.cpu.core`): it settles before every
+socket accept/recv/send/close; epoll and the offload engine settle
+their own acts. Times taken inside a chain — stage ``busy``,
+``async_since``, retry deadlines — read ``core.clock()``.
 """
 
 from __future__ import annotations
@@ -209,6 +215,8 @@ class Worker:
         self.proc = self.sim.process(
             self._event_loop(),
             name=f"worker-{self.worker_id}.g{self.generation}")
+        if isinstance(self.engine, AsyncOffloadEngine):
+            self.engine.loop = self.proc
         if self.timer_thread is not None:
             self.timer_thread.start()
         if self._failover_interval > 0:
@@ -295,51 +303,51 @@ class Worker:
     # -- the main event loop (paper section 2.2 / 3.4) -----------------------------
 
     def _event_loop(self) -> Generator:
+        core = self.core
         try:
             while self.running:
                 timeout = self._next_timeout()
-                ready = yield from self.epoll.wait(self.core, owner=self,
+                ready = yield from self.epoll.wait(core, owner=self,
                                                    timeout=timeout)
                 for p in ready:
-                    yield from self.core.consume(
-                        self.cm.event_dispatch_cost, owner=self)
+                    core.consume(self.cm.event_dispatch_cost, owner=self)
                     yield from self._dispatch(p)
                     yield from self._heuristic_check()
                 # Post-processing phase: the end-of-pass stages, each
                 # timed into its stage's ``busy`` (the heuristic check
                 # times itself).
-                sim = self.sim
                 stage = self.reactor.stages
                 if self.async_queue:
-                    t0 = sim.now
+                    t0 = core.clock()
                     yield from self._drain_async_queue()
-                    stage["async-queue"].busy += sim.now - t0
+                    stage["async-queue"].busy += core.clock() - t0
                 if self.retries:
-                    t0 = sim.now
+                    t0 = core.clock()
                     yield from self._process_retries()
-                    stage["retries"].busy += sim.now - t0
+                    stage["retries"].busy += core.clock() - t0
                 yield from self._heuristic_check()
                 eng = self.engine
                 if self._batching and eng.queued_batch_ops:
                     # Ops the handlers coalesced this pass go out in one
                     # doorbell/RPC: batching adds no cross-pass latency.
-                    t0 = sim.now
+                    t0 = core.clock()
                     yield from eng.flush_batch(owner=self)
-                    stage["batch-flush"].busy += sim.now - t0
+                    stage["batch-flush"].busy += core.clock() - t0
                 if self._admission_on and eng.admission_queued:
                     # Admit queued ops into the capacity completions
                     # freed this pass.
-                    t0 = sim.now
+                    t0 = core.clock()
                     yield from eng.admit_queued(owner=self)
-                    stage["admission"].busy += sim.now - t0
+                    stage["admission"].busy += core.clock() - t0
                 if self.draining:
-                    t0 = sim.now
+                    t0 = core.clock()
                     yield from self._drain_pass()
-                    stage["drain"].busy += sim.now - t0
+                    stage["drain"].busy += core.clock() - t0
                     if self.drained:
                         # Old generation finished its last connection:
                         # exit; the supervisor retires the lease epoch.
                         self.running = False
+            yield from core.settle()
         except Interrupt:
             # Killed by the supervision layer (crash injection or a
             # drain-deadline force-abort); Worker.kill() already tore
@@ -360,7 +368,7 @@ class Worker:
         winner = None
         if self.retries:
             due = min(c.retry_not_before for c, _ in self.retries)
-            timeout = max(0.0, due - self.sim.now)
+            timeout = max(0.0, due - self.core.clock())
             winner = "retries"
         if self.poller is not None:
             eng = self.engine
@@ -377,7 +385,7 @@ class Worker:
         draining), a notification FD resumes its connection, a
         connection socket runs its handler. Anything else is a stale
         socket event whose connection already closed: dropped."""
-        t0 = self.sim.now
+        t0 = self.core.clock()
         if p is self.listener:
             stage = self.reactor.stages["listener"]
             if not self.draining:
@@ -390,7 +398,7 @@ class Worker:
             yield from self._socket_event(self.conns[p])
         else:
             return
-        stage.busy += self.sim.now - t0
+        stage.busy += self.core.clock() - t0
         stage.events += 1
 
     def _drain_pass(self) -> Generator:
@@ -419,9 +427,9 @@ class Worker:
         retrieval). The only place the ``heuristic`` stage's busy time
         is counted."""
         if self.poller is not None:
-            t0 = self.sim.now
+            t0 = self.core.clock()
             yield from self.poller.check(owner=self)
-            self.reactor.stages["heuristic"].busy += self.sim.now - t0
+            self.reactor.stages["heuristic"].busy += self.core.clock() - t0
         return None
 
     def _failover_sweep(self) -> Generator:
@@ -436,6 +444,7 @@ class Worker:
                     and (eng.inflight.total > 0
                          or eng.admission_queued > 0)):
                 yield from eng.poll_and_dispatch(owner="failover")
+                yield from self.core.settle()
             last_polls = self.poller.polls
 
     def _watchdog_sweep(self) -> Generator:
@@ -451,12 +460,16 @@ class Worker:
         while self.running:
             yield self.sim.timeout(interval)
             delivered = yield from eng.check_timeouts(owner=self)
+            # The scan below reads and requeues the loop's connections:
+            # it runs once the expiries' core time has elapsed.
+            yield from self.core.settle()
             rescued = 0
             for conn in list(self.conns.values()):
                 if not conn.in_async or conn.async_since is None:
                     continue
                 job = conn.ssl.job
-                if job is None or self.sim.now - conn.async_since <= stuck_age:
+                if (job is None
+                        or self.core.clock() - conn.async_since <= stuck_age):
                     continue
                 if job.response_ready:
                     # Response delivered but the handler never ran:
@@ -469,6 +482,7 @@ class Worker:
                     ok = yield from eng.fail_over_job(job, owner=self)
                     if ok:
                         rescued += 1
+            yield from self.core.settle()
             self.stub_status.watchdog_rescues += rescued
             self._sample_reactor()
             if (delivered or rescued) and self.wake_fd is not None:
@@ -492,16 +506,20 @@ class Worker:
     # -- accept path -----------------------------------------------------------------
 
     def _accept_all(self) -> Generator:
+        core = self.core
         while True:
+            yield from core.settle()
             sock = self.listener.accept()
             if sock is None:
                 return
-            yield from self.core.consume(self.cm.accept_cost, owner=self)
+            core.consume(self.cm.accept_cost, owner=self)
             self._conn_seq += 1
             ssl = SslConnection(self.ssl_ctx, self._conn_seq)
             conn = ServerConnection(self._conn_seq, sock, ssl)
+            # The socket is this process's from accept() on: a kill()
+            # during the charges below must find it to close it.
             self.conns[sock] = conn
-            yield from self.core.kernel_crossing(extra=EPOLL_CTL_COST)
+            core.kernel_crossing(extra=EPOLL_CTL_COST)
             self.epoll.register(sock)
             conn.stub_open = True
             self.stub_status.on_accept()
@@ -511,10 +529,11 @@ class Worker:
     def _socket_event(self, conn: ServerConnection) -> Generator:
         eof = False
         while True:
+            yield from self.core.settle()
             msg = conn.sock.recv()
             if msg is None:
                 break
-            yield from self.core.consume(self.cm.net_rx_fixed, owner=self)
+            self.core.consume(self.cm.net_rx_fixed, owner=self)
             if isinstance(msg, bytes) and msg == b"":
                 eof = True
                 break
@@ -547,10 +566,11 @@ class Worker:
 
     # -- async plumbing -------------------------------------------------------------------
 
-    def _setup_async(self, conn: ServerConnection, handler) -> Generator:
+    def _setup_async(self, conn: ServerConnection, handler) -> None:
         """Enter TLS-ASYNC and arm the notification channel."""
+        core = self.core
         conn.enter_async(handler)
-        conn.async_since = self.sim.now
+        conn.async_since = core.clock()
         job = conn.ssl.job
         if self.config.async_notify_mode == "queue":
             # SSL_set_async_callback: the response callback will insert
@@ -563,20 +583,19 @@ class Worker:
                 # previous job's descriptor.
                 self.epoll.unregister(conn.notify_fd)
                 self.fd_conns.pop(conn.notify_fd, None)
-                yield from self.core.kernel_crossing(extra=EPOLL_CTL_COST)
+                core.kernel_crossing(extra=EPOLL_CTL_COST)
                 conn.notify_fd = None
             if conn.notify_fd is None:
                 conn.notify_fd = NotifyFd(self.sim,
                                           label=f"c{conn.conn_id}-async")
                 self.fd_conns[conn.notify_fd] = conn
-                yield from self.core.kernel_crossing(extra=EPOLL_CTL_COST)
+                core.kernel_crossing(extra=EPOLL_CTL_COST)
                 self.epoll.register(conn.notify_fd)
             job.wait_ctx.set_fd(conn.notify_fd)
-        return None
 
     def _notify_fd_event(self, fd: NotifyFd) -> Generator:
         conn = self.fd_conns.get(fd)
-        yield from self.core.kernel_crossing(extra=NOTIFY_FD_READ_COST)
+        self.core.kernel_crossing(extra=NOTIFY_FD_READ_COST)
         fd.read_events()
         if conn is not None:
             yield from self._resume_async(conn)
@@ -586,15 +605,14 @@ class Worker:
     def _drain_async_queue(self) -> Generator:
         while self.async_queue:
             conn, token = self.async_queue.pop()
-            yield from self.core.consume(self.cm.async_queue_cost,
-                                         owner=self)
+            self.core.consume(self.cm.async_queue_cost, owner=self)
             if token != conn.async_token:
                 continue  # already resumed through another channel
             yield from self._resume_async(conn)
             yield from self._heuristic_check()
 
     def _process_retries(self) -> Generator:
-        now = self.sim.now
+        now = self.core.clock()
         for _ in range(len(self.retries)):
             conn, token = self.retries.popleft()
             if (conn.state is ConnState.CLOSED or not conn.in_async
@@ -620,19 +638,19 @@ class Worker:
             yield from self._teardown(conn)
 
     def _handle_status(self, conn: ServerConnection, status: SslStatus,
-                       handler) -> Generator:
+                       handler) -> bool:
         """Common WANT_ASYNC / WANT_RETRY handling; True if paused."""
         if status is SslStatus.WANT_ASYNC:
-            yield from self._setup_async(conn, handler)
+            self._setup_async(conn, handler)
             return True
         if status is SslStatus.WANT_RETRY:
-            yield from self._setup_async(conn, handler)
+            self._setup_async(conn, handler)
             job = conn.ssl.job
             if job is not None and isinstance(self.engine, AsyncOffloadEngine):
                 # Back off exponentially under ring-full storms instead
                 # of spinning the loop at timeout 0.
                 conn.retry_not_before = (
-                    self.sim.now
+                    self.core.clock()
                     + self.engine.submit_backoff(job.submit_attempts))
             self.retries.append((conn, conn.async_token))
             return True
@@ -650,12 +668,11 @@ class Worker:
             yield from self._teardown(conn)
             return
         yield from self._flush_outbox(conn)
-        paused = yield from self._handle_status(conn, status,
-                                                self._handshake_handler)
+        paused = self._handle_status(conn, status, self._handshake_handler)
         if paused or status is SslStatus.WANT_READ:
             return
         # OK: established.
-        conn.handshake_completed_at = self.sim.now
+        conn.handshake_completed_at = self.core.clock()
         if conn.ssl.handshake_result.resumed:
             self.metrics.handshakes_resumed += 1
         else:
@@ -679,8 +696,7 @@ class Worker:
             job = conn.ssl.job
             if job is not None and job.kind == "write":
                 status, records = yield from conn.ssl.write(None, self)
-                if (yield from self._handle_status(conn, status,
-                                                   self._io_handler)):
+                if self._handle_status(conn, status, self._io_handler):
                     return
                 yield from self._send_records(conn, records)
                 continue
@@ -694,12 +710,10 @@ class Worker:
             else:
                 self._mark_idle(conn)
                 return
-            if (yield from self._handle_status(conn, status,
-                                               self._io_handler)):
+            if self._handle_status(conn, status, self._io_handler):
                 return
             # A full request payload decrypted.
-            yield from self.core.consume(self.cm.http_request_cost,
-                                         owner=self)
+            self.core.consume(self.cm.http_request_cost, owner=self)
             try:
                 request = parse_request(payload)
             except ValueError:
@@ -709,8 +723,7 @@ class Worker:
             conn.current_request = request
             body = response_body(request.size)
             status, records = yield from conn.ssl.write(body, self)
-            if (yield from self._handle_status(conn, status,
-                                               self._io_handler)):
+            if self._handle_status(conn, status, self._io_handler):
                 return
             yield from self._send_records(conn, records)
 
@@ -718,8 +731,8 @@ class Worker:
                       records: List[TlsRecord]) -> Generator:
         for rec in records:
             wire = rec.wire_size()
-            yield from self.core.consume(self.cm.net_tx_cost(wire),
-                                         owner=self)
+            self.core.consume(self.cm.net_tx_cost(wire), owner=self)
+            yield from self.core.settle()
             conn.sock.send(rec, nbytes=wire)
             self.metrics.bytes_sent += wire
         conn.requests_served += 1
@@ -735,15 +748,15 @@ class Worker:
         if conn.sock.closed:
             return
         msg = Alert(description=alert.description.split(":")[0])
-        yield from self.core.consume(self.cm.net_tx_cost(msg.wire_size()),
-                                     owner=self)
+        self.core.consume(self.cm.net_tx_cost(msg.wire_size()), owner=self)
+        yield from self.core.settle()
         conn.sock.send(msg, nbytes=msg.wire_size())
 
     def _flush_outbox(self, conn: ServerConnection) -> Generator:
         for sm in conn.ssl.outbox:
             wire = sm.message.wire_size()
-            yield from self.core.consume(self.cm.net_tx_cost(wire),
-                                         owner=self)
+            self.core.consume(self.cm.net_tx_cost(wire), owner=self)
+            yield from self.core.settle()
             if not conn.sock.closed:
                 conn.sock.send(sm.message, nbytes=wire)
         conn.ssl.outbox.clear()
@@ -766,14 +779,15 @@ class Worker:
             return
         conn.state = ConnState.CLOSED
         conn.ssl.abort_job()
-        yield from self.core.consume(self.cm.close_cost, owner=self)
+        self.core.consume(self.cm.close_cost, owner=self)
+        yield from self.core.settle()
         self.epoll.unregister(conn.sock)
         if conn.notify_fd is not None:
             self.epoll.unregister(conn.notify_fd)
             self.fd_conns.pop(conn.notify_fd, None)
         self.conns.pop(conn.sock, None)
         conn.sock.close()
-        # Read the idle flag only now: the consume above is a yield
+        # Read the idle flag only now: the settle above is a yield
         # point, and a kill() interrupt must still see the flag set so
         # it can balance the stub_status books itself.
         was_idle = conn.stub_idle

@@ -18,11 +18,16 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 from .events import AnyOf, Event, Timeout
 from .process import Process
 
-__all__ = ["Simulator", "StopSimulation"]
+__all__ = ["Simulator", "StopSimulation", "UnsettledDebt"]
 
 
 class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulator.run`."""
+
+
+class UnsettledDebt(RuntimeError):
+    """An act other processes can observe ran while the running process
+    still owed CPU time it had not settled (see :mod:`repro.cpu.core`)."""
 
 
 #: Priority for ordinary events.
@@ -49,6 +54,14 @@ class Simulator:
         #: ids. Two worlds built in one process number alike.
         self.fd_ids = count(3)
         self.request_ids = count(1)
+        #: The process the kernel resumed last (the running one, while
+        #: a process runs). Named by :meth:`unsettled`.
+        self.active_process: Optional[Process] = None
+        #: The core holding the running process's unsettled CPU debt
+        #: (a :class:`repro.cpu.core.Core`), or None when it owes
+        #: nothing. Set and cleared by the core; the kernel only checks
+        #: it when a process yields or returns.
+        self.debtor = None
 
     # -- time ------------------------------------------------------------
 
@@ -89,19 +102,33 @@ class Simulator:
         ev.callbacks.append(lambda _e: fn())
         return ev
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` after ``delay`` simulated seconds."""
-        ev = self.timeout(delay)
-        ev.callbacks.append(lambda _e: fn())
+    def timeout_at(self, when: float) -> Event:
+        """An event that fires at absolute time ``when``, bit for bit.
+
+        ``timeout(when - now)`` lands exactly on ``when`` whenever
+        ``when <= 2 * now`` (the subtraction is then exact), and that
+        ordinary Timeout is returned; otherwise the event is pushed at
+        ``when`` directly."""
+        now = self._now
+        delay = when - now
+        if delay < 0:
+            raise ValueError(f"timeout_at({when}) is in the past (now={now})")
+        if now + delay == when:
+            return Timeout(self, delay)
+        ev = Event(self)
+        ev._value = None
+        heappush(self._heap, (when, NORMAL, next(self._seq), ev))
         return ev
 
-    # -- execution -----------------------------------------------------------
+    def unsettled(self, act: str) -> UnsettledDebt:
+        """The error for ``act`` made while :attr:`debtor` is set."""
+        proc = self.active_process
+        name = proc.name if proc is not None else None
+        return UnsettledDebt(
+            f"{act} at t={self._now!r} in process {name!r} with CPU "
+            f"debt unsettled on {self.debtor!r}")
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        while self._heap and self._heap[0][3]._cancelled:
-            heappop(self._heap)
-        return self._heap[0][0] if self._heap else float("inf")
+    # -- execution -----------------------------------------------------------
 
     def step(self) -> None:
         """Process one event: run its callbacks, exactly once, unless it

@@ -81,6 +81,8 @@ class Process(Event):
 
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
+        sim = self.sim
+        sim.active_process = self
         thrown = trigger._exc
         try:
             if thrown is not None:
@@ -89,6 +91,9 @@ class Process(Event):
             else:
                 nxt = self._gen.send(trigger._value)
         except StopIteration as stop:
+            if sim.debtor is not None:
+                self.fail(sim.unsettled("return"))
+                return
             self.succeed(stop.value)
             return
         except BaseException as exc:
@@ -97,6 +102,12 @@ class Process(Event):
             self.fail(exc)
             return
 
+        if sim.debtor is not None:
+            # Waiting with CPU time owed would let other processes see
+            # this one's effects before its core time has elapsed.
+            self._gen.close()
+            self.fail(sim.unsettled(f"yielding {nxt!r}"))
+            return
         if not isinstance(nxt, Event):
             err = RuntimeError(
                 f"process {self.name!r} yielded {nxt!r}; processes must "

@@ -7,7 +7,10 @@ implementing the four SSL entry points the paper's Nginx patches touch
 ``WANT_ASYNC`` signalling a paused offload job.
 
 Every method that can block on crypto is a simulation generator; the
-worker event loop invokes them with ``yield from``.
+worker event loop invokes them with ``yield from``. CPU charges here
+stay owed to the worker (see :mod:`repro.cpu.core`): the engine
+settles them before it touches the accelerator, and span marks read
+the time the chain settles at (``core.clock()``).
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class SslConnection:
             if self.ctx.async_mode == "fiber":
                 # ASYNC_start_job: encapsulating the running piece of
                 # the connection costs one context swap.
-                yield from self.ctx.core.consume(
-                    self.ctx.cost_model.fiber_swap_cost, owner=owner)
+                self.ctx.core.consume(self.ctx.cost_model.fiber_swap_cost,
+                                      owner=owner)
                 self._job.swaps += 1
         status = yield from self._drive(owner)
         if status is SslStatus.OK:
@@ -154,10 +157,9 @@ class SslConnection:
             value, exc = job.take_resume()
             replayed = job.prepare_resume()
             if ctx.async_mode == "fiber":
-                yield from core.consume(cm.fiber_swap_cost, owner=owner)
+                core.consume(cm.fiber_swap_cost, owner=owner)
             else:
-                yield from core.consume(cm.stack_replay_cost * replayed,
-                                        owner=owner)
+                core.consume(cm.stack_replay_cost * replayed, owner=owner)
             # The op's lifecycle ends here: the paused job is running
             # again (the "resume" stage covers notification + context
             # restore). Failure statuses were stamped by the engine.
@@ -166,7 +168,7 @@ class SslConnection:
                 job.trace = None
                 obs = getattr(core.sim, "obs", None)
                 if obs is not None:
-                    obs.finish(trace, core.sim.now)
+                    obs.finish(trace, core.clock())
             job.parked_action = None
             if exc is None:
                 job.record_crypto(value)
@@ -202,14 +204,13 @@ class SslConnection:
                         job.trace = obs.begin(
                             action.op, self.conn_id,
                             getattr(owner, "worker_id", -1), job.kind,
-                            core.sim.now)
+                            core.clock())
                     ok = yield from engine.submit_async(action, job, owner)
                     if ok:
                         job.mark_paused(action)
                         if ctx.async_mode == "fiber":
                             # ASYNC_pause_job: swap back to main code.
-                            yield from core.consume(cm.fiber_swap_cost,
-                                                    owner=owner)
+                            core.consume(cm.fiber_swap_cost, owner=owner)
                             job.swaps += 1
                         return SslStatus.WANT_ASYNC
                     if engine.should_retry_submit(job):
@@ -218,14 +219,13 @@ class SslConnection:
                     # Degraded: retry budget spent or every instance's
                     # breaker is open — complete this op on the CPU so
                     # the handshake still makes progress.
-                    result = yield from engine.execute_fallback(action,
-                                                                owner)
+                    result = engine.execute_fallback(action, owner)
                     trace = job.trace
                     if trace is not None:
                         job.trace = None
                         obs = getattr(core.sim, "obs", None)
                         if obs is not None:
-                            obs.finish(trace, core.sim.now,
+                            obs.finish(trace, core.clock(),
                                        SpanStatus.FAILOVER)
                     job.submit_attempts = 0
                     job.record_crypto(result)
@@ -244,7 +244,7 @@ class SslConnection:
                 if self.hs_inbox:
                     msg = self.hs_inbox.popleft()
                     job.record_message(msg)
-                    yield from core.consume(
+                    core.consume(
                         cm.handshake_msg_cost + self._marshal_extra(msg),
                         owner=owner)
                     outcome = job.advance(msg)
@@ -254,7 +254,7 @@ class SslConnection:
             elif isinstance(action, SendMessage):
                 self.outbox.append(action)
                 job.record_send()
-                yield from core.consume(
+                core.consume(
                     cm.handshake_msg_cost
                     + self._marshal_extra(action.message),
                     owner=owner)
@@ -281,8 +281,8 @@ class SslConnection:
             trace = getattr(job, "trace", None)
             if trace is not None:
                 job.trace = None
-                sim = self.ctx.core.sim
-                obs = getattr(sim, "obs", None)
+                core = self.ctx.core
+                obs = getattr(core.sim, "obs", None)
                 if obs is not None:
-                    obs.abort_open(trace, sim.now)
+                    obs.abort_open(trace, core.clock())
         self._job = None

@@ -31,6 +31,7 @@ def test_blocking_submit_retries_bounded_then_falls_back():
 
     def proc(sim):
         out["r"] = yield from eng.execute_blocking(rsa_call(), owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -47,6 +48,7 @@ def test_blocking_response_loss_hits_deadline_then_falls_back():
 
     def proc(sim):
         out["r"] = yield from eng.execute_blocking(rsa_call(), owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -68,8 +70,10 @@ def test_check_timeouts_rescues_lost_response():
 
     def proc(sim):
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         yield sim.timeout(2e-3)  # past the deadline
         resumed["jobs"] = yield from eng.check_timeouts(owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -90,11 +94,14 @@ def test_late_response_after_timeout_is_dropped_as_stale():
 
     def proc(sim):
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         yield sim.timeout(deadline * 2)  # expired, response not yet landed
         yield from eng.check_timeouts(owner="w")
+        yield from eng.core.settle()
         assert job.take_resume() == ("sig", None)  # failover result
         while True:
             yield from eng.poll_and_dispatch(owner="w")
+            yield from eng.core.settle()
             if eng.responses_stale:
                 return
             yield sim.timeout(10e-6)
@@ -112,8 +119,10 @@ def test_corrupted_response_degrades_to_software():
 
     def proc(sim):
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         while not job.response_ready:
             yield from eng.poll_and_dispatch(owner="w")
+            yield from eng.core.settle()
             yield sim.timeout(10e-6)
 
     sim.process(proc(sim))
@@ -149,6 +158,7 @@ def test_fail_over_job_completes_paused_job_without_pending_entry():
 
     def proc(sim):
         out["ok"] = yield from eng.fail_over_job(job, owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -214,6 +224,7 @@ def test_engine_routes_around_open_breaker():
     def proc(sim):
         for job in jobs:
             ok = yield from eng.submit_async(rsa_call(), job, owner="w")
+            yield from eng.core.settle()
             assert ok
 
     sim.process(proc(sim))

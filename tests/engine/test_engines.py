@@ -46,6 +46,7 @@ def test_software_engine_charges_cpu():
 
     def proc(sim):
         out["r"] = yield from eng.execute_blocking(rsa_call(), owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -66,6 +67,7 @@ def test_software_engine_propagates_compute_error():
             yield from eng.execute_blocking(call, owner="w")
         except ValueError as e:
             caught["e"] = str(e)
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -80,6 +82,7 @@ def test_blocking_offload_burns_core_while_waiting():
 
     def proc(sim):
         out["r"] = yield from eng.execute_blocking(rsa_call(), owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -98,6 +101,7 @@ def test_blocking_offload_software_fallback_for_hkdf():
 
     def proc(sim):
         out["r"] = yield from eng.execute_blocking(hkdf_call(), owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run()
@@ -139,6 +143,7 @@ def test_submit_async_returns_immediately_and_counts_inflight():
 
     def proc(sim):
         out["ok"] = yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         out["t"] = sim.now
 
     sim.process(proc(sim))
@@ -157,8 +162,10 @@ def test_poll_and_dispatch_delivers_and_decrements():
 
     def proc(sim):
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         while True:
             jobs = yield from eng.poll_and_dispatch(owner="w")
+            yield from eng.core.settle()
             if jobs:
                 got["jobs"] = jobs
                 return
@@ -180,7 +187,9 @@ def test_submit_async_ring_full_returns_false():
         j1, j2 = _job(), _job()
         j1.mark_paused(rsa_call())
         ok1 = yield from eng.submit_async(rsa_call(), j1, owner="w")
+        yield from eng.core.settle()
         ok2 = yield from eng.submit_async(rsa_call(), j2, owner="w")
+        yield from eng.core.settle()
         out["oks"] = (ok1, ok2)
 
     sim.process(proc(sim))
@@ -194,6 +203,7 @@ def test_submit_async_rejects_non_offloadable():
 
     def proc(sim):
         yield from eng.submit_async(hkdf_call(), _job(), owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     with pytest.raises(ValueError, match="non-offloadable"):
@@ -209,8 +219,10 @@ def test_callback_notification_invoked_on_dispatch():
 
     def proc(sim):
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         while not fired:
             yield from eng.poll_and_dispatch(owner="w")
+            yield from eng.core.settle()
             yield sim.timeout(10e-6)
 
     sim.process(proc(sim))
@@ -228,8 +240,10 @@ def test_fd_notification_written_on_dispatch():
 
     def proc(sim):
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         while not nfd.readable:
             yield from eng.poll_and_dispatch(owner="w")
+            yield from eng.core.settle()
             yield sim.timeout(10e-6)
 
     sim.process(proc(sim))
@@ -248,9 +262,11 @@ def test_engine_command_reports_rtotal():
 
     def proc(sim):
         yield from eng.submit_async(rsa_call(), job1, owner="w")
+        yield from eng.core.settle()
         prf = CryptoCall(CryptoOp(CryptoOpKind.PRF, nbytes=48),
                          compute=lambda: b"x")
         yield from eng.submit_async(prf, job2, owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run(until=1e-5)

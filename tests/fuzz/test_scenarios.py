@@ -8,7 +8,7 @@ changes. Each replays here as a regular test: the world must satisfy
 every registered invariant and — run twice — produce byte-identical
 fingerprints. A corpus failure means a real regression or an
 intentional behaviour change (re-pin with
-``tools/check_reactor_equivalence.py --write``).
+``tools/check_corpus_fingerprints.py --write``).
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ def test_wait_returns_ready_immediately():
 
     def loop(sim):
         ready = yield from ep.wait(core)
+        yield from core.settle()
         result["ready"] = ready
 
     sim.process(loop(sim))
@@ -40,11 +41,12 @@ def test_wait_blocks_until_data():
 
     def loop(sim):
         ready = yield from ep.wait(core)
+        yield from core.settle()
         result["at"] = sim.now
         result["ready"] = ready
 
     sim.process(loop(sim))
-    sim.call_in(5e-3, lambda: a.send(b"later"))
+    sim.call_at(sim.now + 5e-3, lambda: a.send(b"later"))
     sim.run()
     assert result["ready"] == [b]
     assert result["at"] >= 6e-3  # 5ms + 1ms link latency
@@ -58,6 +60,7 @@ def test_wait_timeout_returns_empty():
 
     def loop(sim):
         ready = yield from ep.wait(core, timeout=2e-3)
+        yield from core.settle()
         result["ready"] = ready
         result["at"] = sim.now
 
@@ -76,6 +79,7 @@ def test_wait_charges_kernel_crossing():
 
     def loop(sim):
         yield from ep.wait(core)
+        yield from core.settle()
 
     sim.process(loop(sim))
     sim.run()
@@ -94,6 +98,7 @@ def test_unregister_stops_watching():
 
     def loop(sim):
         ready = yield from ep.wait(core, timeout=1e-3)
+        yield from core.settle()
         result["ready"] = ready
 
     sim.process(loop(sim))
@@ -113,6 +118,7 @@ def test_multiple_ready_fds_reported_together():
 
     def loop(sim):
         ready = yield from ep.wait(core)
+        yield from core.settle()
         result["ready"] = set(r.fd for r in ready)
 
     sim.process(loop(sim))
@@ -128,12 +134,13 @@ def test_notify_fd_wakes_epoll():
 
     def loop(sim):
         ready = yield from ep.wait(core)
+        yield from core.settle()
         result["ready"] = ready
         result["count"] = nfd.read_events()
 
     sim.process(loop(sim))
-    sim.call_in(1e-3, nfd.write_event)
-    sim.call_in(1e-3, nfd.write_event)
+    sim.call_at(sim.now + 1e-3, nfd.write_event)
+    sim.call_at(sim.now + 1e-3, nfd.write_event)
     sim.run()
     assert result["ready"] == [nfd]
     assert result["count"] == 2

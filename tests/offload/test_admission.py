@@ -16,6 +16,7 @@ def submit_all(env, pairs):
     def proc(sim):
         for call, job in pairs:
             ok = yield from env.engine.submit_async(call, job, owner="w")
+            yield from env.engine.core.settle()
             oks.append(ok)
 
     p = env.sim.process(proc(env.sim))
@@ -29,6 +30,7 @@ def poll_once(env):
     so accepted ops complete on the device."""
     def proc(sim):
         jobs = yield from env.engine.poll_and_dispatch(owner="w")
+        yield from env.engine.core.settle()
         return jobs
 
     p = env.sim.process(proc(env.sim))
@@ -93,6 +95,7 @@ def test_queue_expiry_fails_over_to_software():
 
     def proc(sim):
         jobs = yield from eng.check_timeouts(owner="w")
+        yield from eng.core.settle()
         return jobs
 
     p = env.sim.process(proc(env.sim))
@@ -123,6 +126,7 @@ def drain_once(env):
     """One engine.drain_queued pass inside a sim process."""
     def proc(sim):
         jobs = yield from env.engine.drain_queued(owner="w")
+        yield from env.engine.core.settle()
         return jobs
 
     p = env.sim.process(proc(env.sim))

@@ -49,6 +49,7 @@ def test_poll_rotation_is_starvation_free():
             job.mark_paused(rsa_call(f"r{lane}"))
             yield from eng.submit_async(rsa_call(f"r{lane}"), job,
                                         owner="w")
+            yield from eng.core.settle()
         yield sim.timeout(5e-3)  # both responses landed
         for _ in range(2):
             for c in eng.backend.poll_completions(max_responses=1):
@@ -71,6 +72,7 @@ def test_capacity_hint_is_lane_and_category_aware():
         job = _job()
         job.mark_paused(rsa_call())
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run(until=1e-4)
@@ -97,6 +99,7 @@ def test_batch_flushes_when_full():
             job.mark_paused(rsa_call(f"r{i}"))
             ok = yield from eng.submit_async(rsa_call(f"r{i}"), job,
                                              owner="w")
+            yield from eng.core.settle()
             assert ok
             if i < 3:  # still coalescing
                 assert eng.backend.drivers[0].submitted == 0
@@ -119,6 +122,7 @@ def test_partial_batch_flushes_on_timeout():
     def proc(sim):
         job.mark_paused(rsa_call())
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         assert eng.backend.drivers[0].submitted == 0  # parked in the queue
 
     sim.process(proc(sim))
@@ -139,10 +143,12 @@ def test_flush_respects_ring_capacity():
         for i, job in enumerate(jobs):
             job.mark_paused(rsa_call(f"r{i}"))
             yield from eng.submit_async(rsa_call(f"r{i}"), job, owner="w")
+            yield from eng.core.settle()
         # Ring slots free on retrieval, so keep polling: the due-flush
         # inside poll_and_dispatch drains the queue into freed slots.
         while eng.inflight.total:
             yield from eng.poll_and_dispatch(owner="w")
+            yield from eng.core.settle()
             yield sim.timeout(100e-6)
 
     sim.process(proc(sim))
@@ -159,6 +165,7 @@ def test_is_pending_covers_queued_ops():
     def proc(sim):
         job.mark_paused(rsa_call())
         yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
         assert eng.is_pending(job)  # queued, not yet submitted
 
     sim.process(proc(sim))
@@ -176,6 +183,7 @@ def test_queued_ops_fail_over_when_no_lane_admits():
     def proc(sim):
         job.mark_paused(rsa_call("hw"))
         yield from eng.submit_async(rsa_call("hw"), job, owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run(until=50e-3)
@@ -194,6 +202,7 @@ def test_batch_size_one_matches_legacy_submit():
     def proc(sim):
         job.mark_paused(rsa_call())
         out["ok"] = yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
 
     sim.process(proc(sim))
     sim.run(until=1e-4)

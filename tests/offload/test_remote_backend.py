@@ -45,9 +45,11 @@ def test_remote_roundtrip_through_engine():
         job.mark_paused(rsa_call("remote-sig"))
         ok = yield from eng.submit_async(rsa_call("remote-sig"), job,
                                          owner="w")
+        yield from eng.core.settle()
         assert ok
         while True:
             jobs = yield from eng.poll_and_dispatch(owner="w")
+            yield from eng.core.settle()
             if jobs:
                 got["jobs"] = jobs
                 return
@@ -81,6 +83,7 @@ def test_window_exhaustion_rejects_like_a_full_ring():
 
     def proc(sim):
         ok = yield from eng.submit_async(rsa_call("r2"), job, owner="w")
+        yield from eng.core.settle()
         assert not ok
 
     sim.process(proc(sim))

@@ -37,7 +37,12 @@ class CountingTrace(OpTrace):
 
 def run(env, gen):
     """Drive one engine generator to completion inside a sim process."""
-    p = env.sim.process(gen)
+    def proc():
+        value = yield from gen
+        yield from env.engine.core.settle()
+        return value
+
+    p = env.sim.process(proc())
     env.sim.run(until=p)
     return p.value
 

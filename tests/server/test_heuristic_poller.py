@@ -34,6 +34,7 @@ def submit_n(sim, engine, n, kind=CryptoOpKind.RSA_PRIV):
             call = CryptoCall(CryptoOp(kind, rsa_bits=2048, nbytes=48),
                               compute=lambda: "r")
             ok = yield from engine.submit_async(call, job, "w")
+            yield from engine.core.settle()
             assert ok
 
     p = sim.process(proc(sim))
@@ -70,6 +71,7 @@ def test_efficiency_poll_classified():
     def proc(sim):
         yield sim.timeout(2e-3)
         jobs = yield from poller.check("w")
+        yield from poller.engine.core.settle()
         return jobs
 
     p = sim.process(proc(sim))
@@ -99,10 +101,12 @@ def test_timeliness_branch_flushes_queued_batch():
 
     def proc(sim):
         yield from poller.check("w")  # flushes, then polls (empty)
+        yield from poller.engine.core.settle()
         assert engine.backend.drivers[0].submitted == 2
         assert engine.queued_batch_ops == 0
         yield sim.timeout(2e-3)  # responses land
         jobs = yield from poller.check("w")
+        yield from poller.engine.core.settle()
         return jobs
 
     p = sim.process(proc(sim))

@@ -44,6 +44,7 @@ def submit_one(sim, eng, result="r"):
         ok = yield from eng.submit_async(
             CryptoCall(CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=2048),
                        compute=lambda: result), job, "w")
+        yield from eng.core.settle()
         assert ok
 
     sim.process(proc(sim))
@@ -272,6 +273,7 @@ def test_disarm_during_coalescing_window_fizzles():
     # The response was not lost: a manual poll still retrieves it.
     def poll(sim):
         yield from eng.poll_and_dispatch(owner="w")
+        yield from eng.core.settle()
 
     p = sim.process(poll(sim))
     sim.run(until=p)
@@ -358,8 +360,10 @@ def test_heuristic_busy_is_the_time_spent_in_poller_check():
         check = w.poller.check
 
         def timed(owner, _check=check, _w=w):
+            yield from _w.core.settle()
             t0 = bed.sim.now
             jobs = yield from _check(owner)
+            yield from _w.core.settle()
             spent[_w.worker_id] = (spent.get(_w.worker_id, 0.0)
                                    + (bed.sim.now - t0))
             return jobs

@@ -72,6 +72,7 @@ def submit_n(sim, engine, n, kind=CryptoOpKind.RSA_PRIV):
             call = CryptoCall(CryptoOp(kind, rsa_bits=2048, nbytes=48),
                               compute=lambda: "r")
             ok = yield from engine.submit_async(call, job, "w")
+            yield from engine.core.settle()
             assert ok
 
     p = sim.process(proc(sim))
@@ -138,6 +139,7 @@ def test_heuristic_check_polls_and_classifies():
     def proc(sim):
         yield sim.timeout(2e-3)  # let the response land
         jobs = yield from poller.check("w")
+        yield from poller.engine.core.settle()
         return jobs
 
     p = sim.process(proc(sim))
@@ -183,7 +185,8 @@ def test_timer_thread_context_switches_charged():
 
     def worker_proc(sim):
         for _ in range(50):
-            yield from core.consume(20e-6, owner="worker")
+            core.consume(20e-6, owner="worker")
+            yield from core.settle()
 
     sim.process(worker_proc(sim))
     sim.run(until=1.5e-3)

@@ -58,7 +58,7 @@ def test_run_until_time_includes_events_at_horizon():
 def test_run_until_event_returns_value():
     sim = Simulator()
     ev = sim.event()
-    sim.call_in(3.0, lambda: ev.succeed(42))
+    sim.call_at(sim.now + 3.0, lambda: ev.succeed(42))
     assert sim.run(until=ev) == 42
     assert sim.now == 3.0
 
@@ -134,24 +134,11 @@ def test_cancelled_event_callbacks_never_run():
     assert t.cancelled
 
 
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    t1 = sim.timeout(1.0)
-    sim.timeout(2.0)
-    t1.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_peek_empty_is_inf():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-
-
-def test_call_at_and_call_in():
+def test_call_at_runs_callbacks_in_time_order():
     sim = Simulator()
     seen = []
     sim.call_at(4.0, lambda: seen.append(("at", sim.now)))
-    sim.call_in(1.0, lambda: seen.append(("in", sim.now)))
+    sim.call_at(sim.now + 1.0, lambda: seen.append(("in", sim.now)))
     sim.run()
     assert seen == [("in", 1.0), ("at", 4.0)]
 
@@ -212,7 +199,7 @@ def test_run_dispatches_every_event_through_step():
     proc = sim.process(parent(sim))
     cancelled = sim.timeout(0.25)
     cancelled.cancel()
-    sim.call_in(0.75, lambda: None)
+    sim.call_at(sim.now + 0.75, lambda: None)
     sim.run(until=3.0)
     assert proc.value == "done"
     # Each scheduled event, the cancelled one and run()'s own stop

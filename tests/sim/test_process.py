@@ -120,7 +120,7 @@ def test_failed_event_thrown_into_process():
             return str(e)
 
     p = sim.process(proc(sim))
-    sim.call_in(1.0, lambda: ev.fail(ValueError("bang")))
+    sim.call_at(sim.now + 1.0, lambda: ev.fail(ValueError("bang")))
     sim.run()
     assert p.value == "bang"
 
@@ -147,7 +147,7 @@ def test_interrupt_resumes_with_exception():
             log.append(("interrupted", sim.now, i.cause))
 
     p = sim.process(sleeper(sim))
-    sim.call_in(2.0, lambda: p.interrupt("wakeup"))
+    sim.call_at(sim.now + 2.0, lambda: p.interrupt("wakeup"))
     sim.run()
     assert log == [("interrupted", 2.0, "wakeup")]
 
@@ -207,7 +207,7 @@ def test_anyof_propagates_failure():
             return f"caught {e}"
 
     p = sim.process(proc(sim))
-    sim.call_in(1.0, lambda: ev.fail(RuntimeError("x")))
+    sim.call_at(sim.now + 1.0, lambda: ev.fail(RuntimeError("x")))
     sim.run()
     assert p.value == "caught x"
 

@@ -97,6 +97,7 @@ def handshake_process(env: Env, conn: SslConnection, log=None,
         s2c_list.clear()
         while True:
             status = yield from conn.do_handshake(owner)
+            yield from env.core.settle()
             statuses.append(status)
             if log is not None:
                 log.append((env.sim.now, status))
@@ -119,6 +120,7 @@ def handshake_process(env: Env, conn: SslConnection, log=None,
             if status in (SslStatus.WANT_ASYNC, SslStatus.WANT_RETRY):
                 while True:
                     jobs = yield from env.engine.poll_and_dispatch(owner)
+                    yield from env.engine.core.settle()
                     if jobs or status is SslStatus.WANT_RETRY:
                         break
                     yield env.sim.timeout(poll_interval)

@@ -94,6 +94,7 @@ def test_spurious_wakeup_returns_want_async():
         # TLS-RSA: the server's first flight needs no crypto, so the
         # first call wants the client's ClientKeyExchange flight.
         s0 = yield from conn.do_handshake("w")
+        yield from env.core.settle()
         assert s0 is SslStatus.WANT_READ
         reply = []
         client.pump(deque(sm.message for sm in conn.outbox), reply)
@@ -101,8 +102,10 @@ def test_spurious_wakeup_returns_want_async():
         for m in reply:
             conn.feed_message(m)
         s1 = yield from conn.do_handshake("w")
+        yield from env.core.settle()
         # Immediately re-invoke without any response delivered.
         s2 = yield from conn.do_handshake("w")
+        yield from env.core.settle()
         results.extend([s1, s2])
 
     env.sim.process(proc(env.sim))
@@ -126,6 +129,7 @@ def test_ring_full_gives_want_retry_then_succeeds():
 
     def pre(sim):
         ok = yield from env.engine.submit_async(call, blocker, "w")
+        yield from env.engine.core.settle()
         assert ok
 
     env.sim.process(pre(env.sim))
@@ -188,6 +192,7 @@ def test_write_path_sync():
 
     def proc(sim):
         status, records = yield from conn.write(b"x" * 40000, "w")
+        yield from env.core.settle()
         out["status"], out["records"] = status, records
 
     env.sim.process(proc(env.sim))
@@ -203,15 +208,18 @@ def test_write_path_async_pauses_per_fragment():
 
     def proc(sim):
         status, records = yield from conn.write(b"x" * 40000, "w")
+        yield from env.core.settle()
         while status is not SslStatus.OK:
             assert status is SslStatus.WANT_ASYNC
             out["pauses"] += 1
             while True:
                 jobs = yield from env.engine.poll_and_dispatch("w")
+                yield from env.engine.core.settle()
                 if jobs:
                     break
                 yield sim.timeout(5e-6)
             status, records = yield from conn.write(None, "w")
+            yield from env.core.settle()
         out["records"] = records
 
     env.sim.process(proc(env.sim))
@@ -237,6 +245,7 @@ def test_read_path_roundtrip():
 
     def proc(sim):
         status, payload = yield from conn.read_record(record, "w")
+        yield from env.core.settle()
         out["status"], out["payload"] = status, payload
 
     env.sim.process(proc(env.sim))
@@ -251,6 +260,7 @@ def test_write_before_handshake_raises():
 
     def proc(sim):
         yield from conn.write(b"data", "w")
+        yield from env.core.settle()
 
     env.sim.process(proc(env.sim))
     with pytest.raises(RuntimeError, match="before handshake"):
