@@ -11,7 +11,6 @@ from .ext_tls13_resumption import run as run_ext_tls13_resumption
 from .faults import run as run_faults
 from .lifecycle import run as run_lifecycle
 from .mixed import run as run_mixed
-from .trace_overhead import run as run_trace_overhead
 from .utilization import run as run_utilization
 from .fig7 import run_fig7a, run_fig7b, run_fig7c
 from .fig8 import run as run_fig8
@@ -48,7 +47,6 @@ ALL_EXPERIMENTS = {
     "mixed": run_mixed,
     "backends": run_backends,
     "scaling": run_scaling,
-    "trace_overhead": run_trace_overhead,
 }
 
 __all__ = ["ALL_EXPERIMENTS", "run_table1", "run_fig7a", "run_fig7b",

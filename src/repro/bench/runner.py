@@ -62,7 +62,6 @@ class Testbed:
                  seed: int = 7,
                  fault_plan: Optional[Dict] = None,
                  trace: bool = False,
-                 trace_sample_rate: float = 1.0,
                  **config_overrides) -> None:
         self.config_name = config_name
         self.sim = Simulator()
@@ -72,7 +71,7 @@ class Testbed:
         #: instrumentation then costs one attribute read per site.
         self.tracer: Optional[RequestTracer] = None
         if trace:
-            self.tracer = RequestTracer(sample_rate=trace_sample_rate)
+            self.tracer = RequestTracer()
             self.sim.obs = self.tracer
         self.rng = RngRegistry(seed)
         self.net = Network(self.sim)

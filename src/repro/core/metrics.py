@@ -76,18 +76,3 @@ class ClientMetrics:
         """Mean request latency (seconds) over the window."""
         events = self._window(self.requests, start, end)
         return mean(e[1] for e in events)
-
-    def latency_percentile(self, start: float, end: float,
-                           q: float) -> float:
-        """Latency percentile (q in [0, 100]) over the window."""
-        if not 0 <= q <= 100:
-            raise ValueError("percentile in [0, 100]")
-        events = self._window(self.requests, start, end)
-        if not events:
-            raise ValueError("no requests in window")
-        lat = sorted(e[1] for e in events)
-        idx = min(len(lat) - 1, int(round(q / 100 * (len(lat) - 1))))
-        return lat[idx]
-
-    def count_handshakes(self, start: float, end: float) -> int:
-        return len(self._window(self.handshakes, start, end))

@@ -42,7 +42,6 @@ class Epoll:
         self._watched: Dict[Pollable, None] = {}
         self._waiter = None  # pending wait event, if a process is blocked
         self.wait_calls = 0
-        self.wakeups = 0
 
     # -- registration (epoll_ctl) ------------------------------------------
 
@@ -94,7 +93,6 @@ class Epoll:
                 yield waiter
             # Waking up is the return from the blocked syscall.
             ready = self._ready_list()
-        self.wakeups += 1
         if ready:
             core.consume(EPOLL_PER_EVENT_COST * len(ready), owner=owner)
         return ready
@@ -114,7 +112,6 @@ class NotifyFd(Pollable):
         super().__init__(sim)
         self.label = label
         self._count = 0
-        self.writes = 0
         self.reads = 0
 
     def write_event(self) -> None:
@@ -123,7 +120,6 @@ class NotifyFd(Pollable):
         if self.sim.debtor is not None:
             raise self.sim.unsettled(f"write to {self.label}")
         self._count += 1
-        self.writes += 1
         self._mark_readable()
 
     def read_events(self) -> int:

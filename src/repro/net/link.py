@@ -47,8 +47,3 @@ class Link:
         self.bytes_carried += nbytes
         delivery_delay = (start - now) + tx_time + self.latency
         return self.sim.timeout(delivery_delay, name=f"{self.name}-deliver")
-
-    @property
-    def queue_delay(self) -> float:
-        """Current backlog delay a new transfer would see."""
-        return max(0.0, self._wire_free_at - self.sim.now)

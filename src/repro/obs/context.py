@@ -11,7 +11,7 @@ which is what keeps tracing side-effect-free on the simulation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .span import Span, SpanStatus, derive_spans
 
@@ -99,28 +99,6 @@ class OpTrace:
         if self.finished is None:
             raise RuntimeError(f"trace #{self.trace_id} is still open")
         return derive_spans(self.op, self.created, self.finished, self.marks)
-
-    def stage_durations(self) -> Dict[str, float]:
-        """Stage name -> duration (seconds), root excluded."""
-        return {s.name: s.duration for s in self.spans()[1:]}
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Deterministic plain-data view (export / sinks / tests)."""
-        return {
-            "trace_id": self.trace_id,
-            "op": self.op,
-            "category": self.category,
-            "conn_id": self.conn_id,
-            "worker_id": self.worker_id,
-            "kind": self.kind,
-            "backend": self.backend,
-            "lane": self.lane,
-            "created": self.created,
-            "finished": self.finished,
-            "status": self.status,
-            "attempts": self.attempts,
-            "marks": dict(sorted(self.marks.items())),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<OpTrace #{self.trace_id} {self.op} conn={self.conn_id} "

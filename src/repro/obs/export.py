@@ -107,7 +107,6 @@ def export_chrome_trace(tracer: RequestTracer, path: str) -> int:
             "generator": "repro.obs",
             "ops_closed": tracer.ops_closed,
             "ops_open_at_export": len(tracer.open),
-            "sampled_out": tracer.sampled_out,
         },
         "traceEvents": events,
     }
@@ -117,7 +116,7 @@ def export_chrome_trace(tracer: RequestTracer, path: str) -> int:
     return len(events)
 
 
-# -- validation (used by tests and the trace_overhead experiment) ------------
+# -- validation ---------------------------------------------------------------
 
 _KNOWN_STAGES = frozenset(STAGES)
 _REQUIRED = {"ph", "name", "pid", "tid", "ts"}

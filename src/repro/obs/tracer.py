@@ -12,9 +12,6 @@ Profiling hooks:
 - **closed traces** — every closed
   :class:`~repro.obs.context.OpTrace` is kept in :attr:`traces` (the
   Perfetto export and the span invariants read them);
-- **sampling** — ``sample_rate`` traces a deterministic subset of ops
-  (credit-accumulator, not RNG, so sampled runs still replay
-  bit-for-bit and never perturb the simulation's random streams);
 - **histograms** — closed traces feed per-(backend, stage) streaming
   latency histograms (p50/p95/p99);
 - **timelines** — the device model reports per-endpoint engine
@@ -36,19 +33,17 @@ __all__ = ["RequestTracer"]
 
 
 class RequestTracer:
-    """Span-based tracing + streaming metrics for one simulation."""
+    """Span-based tracing + streaming metrics for one simulation.
 
-    def __init__(self, sample_rate: float = 1.0) -> None:
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample rate in [0, 1]")
-        self.sample_rate = sample_rate
+    Every offloaded op of a traced run gets a trace, so a traced run's
+    span counts are complete."""
+
+    def __init__(self) -> None:
         self._seq = 0
-        self._sample_credit = 0.0
         # Lifecycle counters (stub_status `trace` section).
         self.ops_started = 0
         self.ops_closed = 0
         self.spans_closed = 0
-        self.sampled_out = 0
         self.open: Dict[int, OpTrace] = {}
         self.traces: List[OpTrace] = []
         self.by_status: Dict[str, int] = {}
@@ -67,17 +62,12 @@ class RequestTracer:
     # -- trace lifecycle ------------------------------------------------------
 
     def begin(self, op, conn_id: int, worker_id: int, kind: str,
-              now: float) -> Optional[OpTrace]:
-        """Open a trace for one crypto op; None when sampled out.
+              now: float) -> OpTrace:
+        """Open a trace for one crypto op.
 
         Callers keep the returned context on the offload job so later
         layers can find it.
         """
-        self._sample_credit += self.sample_rate
-        if self._sample_credit < 1.0:
-            self.sampled_out += 1
-            return None
-        self._sample_credit -= 1.0
         self._seq += 1
         trace = OpTrace(self._seq, op.kind.label, op.category.value,
                         conn_id, worker_id, kind, now)
@@ -168,7 +158,6 @@ class RequestTracer:
             "trace_ops": self.ops_started,
             "trace_open": len(self.open),
             "trace_spans": self.spans_closed,
-            "trace_sampled_out": self.sampled_out,
         }
 
     def clear(self) -> None:
@@ -180,6 +169,5 @@ class RequestTracer:
         self.events.clear()
         self.fw_records.clear()
         self.ops_started = self.ops_closed = 0
-        self.spans_closed = self.sampled_out = 0
+        self.spans_closed = 0
         self._seq = 0
-        self._sample_credit = 0.0

@@ -352,12 +352,6 @@ class InstancePool:
                     self.routed_completions += 1
         return out
 
-    def inbox_depth(self, worker_id: int,
-                    epoch: Optional[int] = None) -> int:
-        if epoch is None:
-            epoch = self.epochs[worker_id]
-        return len(self._inboxes.get((worker_id, epoch), ()))
-
     # -- worker lifecycle (epochs / reclamation) -----------------------------
 
     def advance_epoch(self, worker_id: int) -> int:

@@ -149,9 +149,6 @@ class ClassScheduler:
     def lanes(self) -> List[SchedLane]:
         return list(self._lanes)
 
-    def lane_depths(self) -> Dict[str, int]:
-        return {lane.name: lane.depth for lane in self._lanes}
-
     def snapshot(self) -> dict:
         """stub_status / experiment payload."""
         return {"policy": self.policy,

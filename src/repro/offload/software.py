@@ -26,7 +26,6 @@ class SoftwareEngine:
     def __init__(self, core: Core, cost_model: CostModel) -> None:
         self.core = core
         self.cost_model = cost_model
-        self.ops_executed = 0
         #: Accumulated CPU seconds spent inside software crypto.
         self.software_crypto_time = 0.0
 
@@ -38,7 +37,6 @@ class SoftwareEngine:
         :mod:`repro.cpu.core`), so this never yields."""
         cost = self.cost_model.software_cost(call.op)
         self.core.consume(cost, owner=owner)
-        self.ops_executed += 1
         self.software_crypto_time += cost
         return call.compute()
         yield  # pragma: no cover - unreachable; makes this a generator

@@ -48,10 +48,6 @@ class QatDevice:
             out.append(ep.create_instance())
         return out
 
-    @property
-    def total_engines(self) -> int:
-        return sum(ep.n_engines for ep in self.endpoints)
-
     def install_fault_plan(self, plan) -> None:
         """Attach a :class:`~repro.qat.faults.FaultPlan` to every
         endpoint and schedule its endpoint resets."""

@@ -40,8 +40,6 @@ class QatUserspaceDriver:
         self.submitted = 0
         self.submit_failures = 0
         self.polls = 0
-        self.empty_polls = 0
-        self.responses_retrieved = 0
         # Degradation counters, charged by the engine layer: requests
         # whose response missed its deadline, and ops completed through
         # the software fallback after failing on this instance.
@@ -65,9 +63,6 @@ class QatUserspaceDriver:
         """Retrieve available responses (non-blocking)."""
         self.polls += 1
         responses = self.instance.poll(max_responses)
-        if not responses:
-            self.empty_polls += 1
-        self.responses_retrieved += len(responses)
         return responses
 
     def submit_cpu_cost(self, n_requests: int) -> float:

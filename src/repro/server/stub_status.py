@@ -173,8 +173,7 @@ class StubStatus:
             t = obs.snapshot_counts()
             lines.append(f"trace: ops {t['trace_ops']} "
                          f"open {t['trace_open']} "
-                         f"spans {t['trace_spans']} "
-                         f"sampled_out {t['trace_sampled_out']}")
+                         f"spans {t['trace_spans']}")
         # Render only — deliberately NOT part of counters(), so replay
         # fingerprints stay stable across loop refactors.
         stages = w.reactor.snapshot() if w is not None else {}

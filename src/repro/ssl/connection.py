@@ -41,7 +41,6 @@ class SslConnection:
         self.record_layer: Optional[RecordLayer] = None
         self._job: Optional[AsyncJob] = None
         self._pending_write: Optional[bytes] = None
-        self.jobs_created = 0
 
     # -- transport-facing -----------------------------------------------------
 
@@ -60,7 +59,6 @@ class SslConnection:
     # -- job plumbing ------------------------------------------------------------
 
     def _new_job(self, make_gen, kind: str) -> AsyncJob:
-        self.jobs_created += 1
         if self.ctx.async_mode == "stack":
             return StackAsyncJob(make_gen, kind=kind,
                                  rng=self.ctx.tls_config.rng)

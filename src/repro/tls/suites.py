@@ -36,10 +36,6 @@ class CipherSuite:
     iv_len: int = 16
 
     @property
-    def forward_secret(self) -> bool:
-        return self.kx == "ecdhe"
-
-    @property
     def key_block_len(self) -> int:
         """TLS 1.2 key block: 2 MAC keys + 2 cipher keys + 2 IVs."""
         return 2 * (self.mac_key_len + self.enc_key_len + self.iv_len)

@@ -33,13 +33,6 @@ def test_link_fifo_queueing():
     assert done[1] == ("b", pytest.approx(2e-3))
 
 
-def test_link_queue_delay_visible():
-    sim = Simulator()
-    link = Link(sim, latency=0.0, bandwidth_bps=8e6)
-    link.transfer(2000)
-    assert link.queue_delay == pytest.approx(2e-3)
-
-
 def test_link_validation():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Unit tests for the repro.obs building blocks: span derivation,
 trace contexts, histograms, utilization timelines, the tracer's
-sampling/closing discipline, and the export validator."""
+closing discipline, and the export validator."""
 
 import pytest
 
@@ -166,8 +166,7 @@ def test_tracer_closes_feed_histograms():
     assert tr.traces == [t]
     assert t.status == SpanStatus.OK
     assert tr.snapshot_counts() == {
-        "trace_ops": 1, "trace_open": 0, "trace_spans": 3,
-        "trace_sampled_out": 0}
+        "trace_ops": 1, "trace_open": 0, "trace_spans": 3}
     assert ("qat", "total") in tr.histograms
     assert tr.percentile("qat", "total", 50) >= 4e-4
 
@@ -187,29 +186,8 @@ def test_tracer_abort_open_never_leaks():
     assert t.status == SpanStatus.ABORTED
     assert not tr.open
     tr.abort_open(t, 2.0)   # idempotent on closed traces
-    tr.abort_open(None, 2.0)  # and on never-sampled ops
+    tr.abort_open(None, 2.0)  # and on untraced ops
     assert tr.by_status == {SpanStatus.ABORTED: 1}
-
-
-def test_tracer_sampling_is_deterministic_credit_not_rng():
-    def pattern():
-        tr = RequestTracer(sample_rate=0.5)
-        return [tr.begin(_op(), i, 0, "handshake", 0.0) is not None
-                for i in range(8)]
-
-    first = pattern()
-    assert first == pattern()       # no RNG: bit-for-bit replay
-    assert sum(first) == 4          # exactly rate * n ops sampled
-    tr = RequestTracer(sample_rate=0.5)
-    for i in range(8):
-        tr.begin(_op(), i, 0, "handshake", 0.0)
-    assert tr.sampled_out == 4
-    assert tr.snapshot_counts()["trace_sampled_out"] == 4
-
-
-def test_tracer_rejects_bad_sample_rate():
-    with pytest.raises(ValueError):
-        RequestTracer(sample_rate=1.5)
 
 
 # -- export validator ----------------------------------------------------------

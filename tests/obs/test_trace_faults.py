@@ -230,6 +230,6 @@ def test_faulted_run_replays_bit_for_bit():
         bed.add_s_time_fleet(n_clients=40)
         bed.run_window(Windows(warmup=0.02, measure=0.04))
         return (dict(bed.tracer.by_status),
-                [t.as_dict() for t in bed.tracer.traces])
+                chrome_trace_events(bed.tracer))
 
     assert statuses() == statuses()

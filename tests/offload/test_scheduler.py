@@ -53,7 +53,7 @@ def test_every_category_has_a_lane():
     assert CIPHER.sched_class == "record-cipher"
     assert PRF.sched_class == "prf"
     s = ClassScheduler()
-    assert set(s.lane_depths()) == set(SCHED_CLASSES.values())
+    assert {lane.name for lane in s.lanes} == set(SCHED_CLASSES.values())
 
 
 def test_validation():

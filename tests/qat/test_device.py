@@ -175,7 +175,7 @@ def test_dh8970_shape():
     sim = Simulator()
     dev = dh8970(sim)
     assert len(dev.endpoints) == 3
-    assert dev.total_engines == 30
+    assert sum(ep.n_engines for ep in dev.endpoints) == 30
 
 
 def test_fw_counters():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.tls import (ECDHE_ECDSA, ECDHE_RSA, TLS_RSA, SessionCache,
-                       SessionState, get_suite, list_suites)
+from repro.tls import (ECDHE_RSA, TLS_RSA, SessionCache, SessionState,
+                       get_suite, list_suites)
 from repro.tls.messages import (Certificate, ClientHello, Finished,
                                 ServerKeyExchange, transcript_hash)
 
@@ -16,12 +16,6 @@ def test_suite_registry():
     assert set(list_suites()) >= {"TLS-RSA", "ECDHE-RSA", "ECDHE-ECDSA"}
     with pytest.raises(ValueError):
         get_suite("NULL-NULL")
-
-
-def test_forward_secrecy_flag():
-    assert not TLS_RSA.forward_secret
-    assert ECDHE_RSA.forward_secret
-    assert ECDHE_ECDSA.forward_secret
 
 
 def test_key_block_len():
