@@ -10,7 +10,7 @@ Run:  python examples/ssl_engine_framework.py
 """
 
 from repro.bench import Windows
-from repro.core import ClientMetrics, default_cost_model
+from repro.core import ClientMetrics, CostModel
 from repro.clients import STimeFleet
 from repro.crypto.provider import ModeledCryptoProvider
 from repro.net import Network
@@ -60,7 +60,7 @@ def run_conf(conf_text: str) -> float:
                                rng=rng.stream(f"c{cid}"), curves=("P-256",))
 
     STimeFleet(sim, net, server.addresses(), client_config,
-               default_cost_model(), metrics,
+               CostModel(), metrics,
                n_clients=100 * config.worker_processes,
                mix_rng=rng.stream("mix")).start()
     sim.run(until=WINDOWS.end)

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..clients import AbFleet, STimeFleet
 from ..core.configurations import make_server_config
-from ..core.costmodel import CostModel, default_cost_model
+from ..core.costmodel import CostModel
 from ..core.metrics import ClientMetrics
 from ..crypto.provider import CryptoProvider, ModeledCryptoProvider
 from ..net.network import Network
@@ -76,7 +76,7 @@ class Testbed:
         self.rng = RngRegistry(seed)
         self.net = Network(self.sim)
         self.provider = provider or ModeledCryptoProvider()
-        self.cost_model = cost_model or default_cost_model()
+        self.cost_model = cost_model or CostModel()
         self.config = make_server_config(
             config_name, workers=workers, suites=suites, curves=curves,
             tls_version=tls_version, rsa_bits=rsa_bits, **config_overrides)

@@ -12,7 +12,7 @@ Two modes:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..core.costmodel import CostModel
 from ..core.metrics import ClientMetrics
@@ -24,6 +24,9 @@ from .tls_session import ClientTlsSession
 
 __all__ = ["AbFleet"]
 
+#: The client machines ab runs on.
+MACHINES = ("client0",)
+
 
 class AbFleet:
     """A population of ab worker processes."""
@@ -31,7 +34,6 @@ class AbFleet:
     def __init__(self, sim, net: Network, addresses: List[str],
                  client_config_factory, cost_model: CostModel,
                  metrics: ClientMetrics, n_clients: int, file_size: int,
-                 machines: Tuple[str, ...] = ("client0",),
                  version: ProtocolVersion = ProtocolVersion.TLS12,
                  keepalive: bool = True, stagger: float = 0.02) -> None:
         if n_clients < 1:
@@ -46,7 +48,6 @@ class AbFleet:
         self.metrics = metrics
         self.n_clients = n_clients
         self.file_size = file_size
-        self.machines = machines
         self.version = version
         self.keepalive = keepalive
         self.stagger = stagger
@@ -62,7 +63,7 @@ class AbFleet:
     # -- Figure 10 mode ------------------------------------------------------
 
     def _keepalive_loop(self, client_id: int):
-        machine = self.machines[client_id % len(self.machines)]
+        machine = MACHINES[client_id % len(MACHINES)]
         address = self.addresses[client_id % len(self.addresses)]
         expected = RESPONSE_HEADER_SIZE + self.file_size
         request = encode_request(self.file_size, keepalive=True)
@@ -91,7 +92,7 @@ class AbFleet:
     # -- Figure 11 mode ---------------------------------------------------------
 
     def _full_handshake_loop(self, client_id: int):
-        machine = self.machines[client_id % len(self.machines)]
+        machine = MACHINES[client_id % len(MACHINES)]
         address = self.addresses[client_id % len(self.addresses)]
         expected = RESPONSE_HEADER_SIZE + self.file_size
         request = encode_request(self.file_size, keepalive=False)

@@ -28,7 +28,7 @@ from typing import Dict
 
 from ..crypto.ops import CryptoOp, CryptoOpKind
 
-__all__ = ["CostModel", "default_cost_model"]
+__all__ = ["CostModel", "net_tx_cost"]
 
 
 # -- software crypto op costs (seconds) -------------------------------------
@@ -67,56 +67,70 @@ _EC_OP_NAME = {
 }
 
 
+# -- software crypto op costs on the server path -----------------------------
+
+#: TLS 1.2 PRF op (EVP + transcript digest + allocation overhead).
+PRF_COST = 25e-6
+#: One HKDF schedule step (TLS 1.3; never offloaded). Includes the
+#: per-step EVP/transcript-digest overhead (fig8 calibration).
+HKDF_COST = 40e-6
+#: Lightweight HKDF expansions with no transcript digest (PSK binder
+#: keys, resumption-PSK derivation), flagged by nbytes=0.
+HKDF_SMALL_COST = 8e-6
+#: Chained AES128-CBC + HMAC-SHA1 record protection, software (AES-NI):
+#: fixed + per-byte.
+CIPHER_SETUP_COST = 6e-6
+CIPHER_PER_BYTE = 2.0e-9
+
+# -- server path costs --------------------------------------------------------
+
+#: Accept + connection object setup + epoll registration.
+ACCEPT_COST = 24e-6
+#: Parse/build one handshake flight message (per message).
+HANDSHAKE_MSG_COST = 10e-6
+#: Extra serialization work for EC points / SKE construction.
+EC_MARSHAL_COST = 40e-6
+#: Dispatch one event from the event loop to its handler.
+EVENT_DISPATCH_COST = 1.6e-6
+#: HTTP request parse + response head build (keepalive request).
+HTTP_REQUEST_COST = 36e-6
+#: Network tx path per record: fixed + per byte (TCP/kernel).
+NET_TX_FIXED = 4e-6
+NET_TX_PER_BYTE = 1.35e-9
+#: Network rx path per inbound record/message.
+NET_RX_FIXED = 3e-6
+#: Connection teardown.
+CLOSE_COST = 9e-6
+
+# -- async machinery ----------------------------------------------------------
+
+#: One fiber context swap (ASYNC_start/pause/resume each swap once).
+FIBER_SWAP_COST = 0.35e-6
+#: Stack-async "careful skipping" per replayed step.
+STACK_REPLAY_COST = 0.12e-6
+#: Application-level async queue push/pop (kernel bypass; no syscall).
+ASYNC_QUEUE_COST = 0.25e-6
+
+# -- client-side costs (the s_time / ab machines) -----------------------------
+
+#: Client-side turnaround per loop iteration.
+CLIENT_STEP_COST = 12e-6
+
+
+def net_tx_cost(nbytes: int) -> float:
+    """Network-stack tx cost of sending ``nbytes`` in one record."""
+    return NET_TX_FIXED + NET_TX_PER_BYTE * nbytes
+
+
 @dataclass
 class CostModel:
-    """Tunable cost constants; defaults reproduce the paper's shapes."""
+    """Software crypto op costs. The one setting is the P-256 fast
+    path, which the Fig. 7c ablation turns off; client machines run
+    the same software crypto as the server (they are not the
+    bottleneck, but their latency contributes to Fig. 11)."""
 
-    # -- software crypto --------------------------------------------------
-    #: TLS 1.2 PRF op (EVP + transcript digest + allocation overhead).
-    prf_cost: float = 25e-6
-    #: One HKDF schedule step (TLS 1.3; never offloaded). Includes the
-    #: per-step EVP/transcript-digest overhead (fig8 calibration).
-    hkdf_cost: float = 40e-6
-    #: Lightweight HKDF expansions with no transcript digest (PSK
-    #: binder keys, resumption-PSK derivation), flagged by nbytes=0.
-    hkdf_small_cost: float = 8e-6
-    #: Chained AES128-CBC + HMAC-SHA1 record protection, software
-    #: (AES-NI): fixed + per-byte.
-    cipher_setup_cost: float = 6e-6
-    cipher_per_byte: float = 2.0e-9
     #: Disable the Montgomery-domain P-256 fast path (ablation).
     p256_montgomery: bool = True
-
-    # -- server path costs --------------------------------------------------
-    #: Accept + connection object setup + epoll registration.
-    accept_cost: float = 24e-6
-    #: Parse/build one handshake flight message (per message).
-    handshake_msg_cost: float = 10e-6
-    #: Extra serialization work for EC points / SKE construction.
-    ec_marshal_cost: float = 40e-6
-    #: Dispatch one event from the event loop to its handler.
-    event_dispatch_cost: float = 1.6e-6
-    #: HTTP request parse + response head build (keepalive request).
-    http_request_cost: float = 36e-6
-    #: Network tx path per record: fixed + per byte (TCP/kernel).
-    net_tx_fixed: float = 4e-6
-    net_tx_per_byte: float = 1.35e-9
-    #: Network rx path per inbound record/message.
-    net_rx_fixed: float = 3e-6
-    #: Connection teardown.
-    close_cost: float = 9e-6
-
-    # -- async machinery ---------------------------------------------------
-    #: One fiber context swap (ASYNC_start/pause/resume each swap once).
-    fiber_swap_cost: float = 0.35e-6
-    #: Stack-async "careful skipping" per replayed step.
-    stack_replay_cost: float = 0.12e-6
-    #: Application-level async queue push/pop (kernel bypass; no syscall).
-    async_queue_cost: float = 0.25e-6
-
-    # -- client-side costs (the s_time / ab machines) -------------------------
-    client_step_cost: float = 12e-6
-    client_crypto_scale: float = 1.0
 
     def software_cost(self, op: CryptoOp) -> float:
         """Software (CPU) execution time of a crypto op."""
@@ -133,20 +147,12 @@ class CostModel:
                 table = _SW_EC_P256_GENERIC
             return table[_EC_OP_NAME[kind]]
         if kind is CryptoOpKind.PRF:
-            return self.prf_cost + 8e-9 * op.nbytes
+            return PRF_COST + 8e-9 * op.nbytes
         if kind is CryptoOpKind.HKDF:
-            return self.hkdf_cost if op.nbytes else self.hkdf_small_cost
+            return HKDF_COST if op.nbytes else HKDF_SMALL_COST
         if kind is CryptoOpKind.RECORD_CIPHER:
-            return self.cipher_setup_cost + self.cipher_per_byte * op.nbytes
+            return CIPHER_SETUP_COST + CIPHER_PER_BYTE * op.nbytes
         raise ValueError(f"unknown op kind {kind}")  # pragma: no cover
-
-    def net_tx_cost(self, nbytes: int) -> float:
-        return self.net_tx_fixed + self.net_tx_per_byte * nbytes
-
-    def client_crypto_cost(self, op: CryptoOp) -> float:
-        """Client machines run the same software crypto (they are not
-        the bottleneck, but their latency contributes to Fig. 11)."""
-        return self.software_cost(op) * self.client_crypto_scale
 
 
 def _lookup(table: Dict[int, float], bits: int, what: str) -> float:
@@ -154,7 +160,3 @@ def _lookup(table: Dict[int, float], bits: int, what: str) -> float:
         return table[bits]
     except KeyError:
         raise ValueError(f"no software cost for {what}-{bits}") from None
-
-
-def default_cost_model() -> CostModel:
-    return CostModel()

@@ -34,9 +34,9 @@ interleaves with the worker at charge granularity (the Figure 12
 context switches).
 
 Hyper-threading follows the paper's observation that CPS scales
-linearly in HT cores: each logical core is modelled as an independent
-unit whose ``speed`` already folds in the HT-sibling discount (see
-:class:`CpuTopology`).
+linearly in HT cores: each logical core is an independent unit, and
+the per-op costs of :mod:`repro.core.costmodel` are already calibrated
+per hyper-thread, so no further HT discount applies.
 """
 
 from __future__ import annotations
@@ -49,7 +49,13 @@ from ..sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
 
-__all__ = ["Core", "CpuTopology", "CpuStats"]
+__all__ = ["Core", "CpuTopology", "CpuStats", "CONTEXT_SWITCH_COST",
+           "KERNEL_SWITCH_COST"]
+
+#: One context switch between processes sharing a core.
+CONTEXT_SWITCH_COST = 2.0e-6
+#: One user->kernel->user mode switch.
+KERNEL_SWITCH_COST = 0.65e-6
 
 
 class CpuStats:
@@ -69,16 +75,9 @@ class CpuStats:
 class Core:
     """One logical CPU core with serial execution and switch costs."""
 
-    def __init__(self, sim: "Simulator", core_id: int, speed: float = 1.0,
-                 context_switch_cost: float = 2.0e-6,
-                 kernel_switch_cost: float = 0.65e-6) -> None:
-        if speed <= 0:
-            raise ValueError("speed must be positive")
+    def __init__(self, sim: "Simulator", core_id: int) -> None:
         self.sim = sim
         self.core_id = core_id
-        self.speed = speed
-        self.context_switch_cost = context_switch_cost
-        self.kernel_switch_cost = kernel_switch_cost
         self.stats = CpuStats()
         self._lock = Resource(sim, capacity=1, name=f"core{core_id}")
         self._last_owner: Optional[object] = None
@@ -98,13 +97,13 @@ class Core:
     def _account(self, cost: float, owner: object) -> float:
         """One charge's duration, its context switch included, booked
         into :attr:`stats`. Called with the core granted."""
-        duration = cost / self.speed
+        duration = cost
         if owner is not None:
             last = self._last_owner
             if last is not None and owner is not last:
-                duration += self.context_switch_cost
+                duration += CONTEXT_SWITCH_COST
                 self.stats.context_switches += 1
-                self.stats.switch_time += self.context_switch_cost
+                self.stats.switch_time += CONTEXT_SWITCH_COST
             self._last_owner = owner
         self.stats.busy_time += duration
         return duration
@@ -114,7 +113,7 @@ class Core:
 
         A plain call: it schedules nothing and adds the charge to the
         running process's debt, which :meth:`settle` turns into time.
-        The duration is ``cost / speed`` plus a context-switch penalty
+        The duration is ``cost`` plus a context-switch penalty
         when ``owner`` differs from the previous owner; ``owner=None``
         (kernel work) never switches. The debt belongs to the running
         process whatever ``owner`` says, and may sit on one core only.
@@ -142,8 +141,8 @@ class Core:
         done while in the kernel). This is the cost the kernel-bypass
         notification scheme avoids (paper section 3.4)."""
         self.stats.kernel_crossings += 1
-        self.stats.kernel_time += self.kernel_switch_cost + extra
-        self.consume(self.kernel_switch_cost + extra)
+        self.stats.kernel_time += KERNEL_SWITCH_COST + extra
+        self.consume(KERNEL_SWITCH_COST + extra)
 
     def clock(self) -> float:
         """The time the running process's debt on this core settles at
@@ -155,7 +154,7 @@ class Core:
             return due
         t = self.sim.now
         for cost, _owner in self._owed or ():
-            t += cost / self.speed
+            t += cost
         return t
 
     def settle(self) -> Iterable:
@@ -234,32 +233,16 @@ class Core:
 
 
 class CpuTopology:
-    """A set of logical cores with the HT discount folded into speed.
+    """``n_cores`` logical cores, one per worker: the testbed's
+    dedicated hyper-threads ("two Nginx workers on two dedicated HT
+    cores belonging to the same physical core"). CPS scales linearly in
+    them, as the paper observes."""
 
-    ``n_workers`` logical cores are created. Following the testbed
-    layout ("two Nginx workers on two dedicated HT cores belonging to
-    the same physical core"), logical cores are carved out of physical
-    cores in sibling pairs; each sibling runs at ``ht_efficiency`` of a
-    full core, which preserves the paper's linear-in-HT scaling while
-    charging the HT discount.
-    """
-
-    def __init__(self, sim: "Simulator", n_cores: int,
-                 ht_efficiency: float = 1.0,
-                 context_switch_cost: float = 2.0e-6,
-                 kernel_switch_cost: float = 0.65e-6) -> None:
+    def __init__(self, sim: "Simulator", n_cores: int) -> None:
         if n_cores < 1:
             raise ValueError("need at least one core")
-        if not 0 < ht_efficiency <= 1.0:
-            raise ValueError("ht_efficiency in (0, 1]")
         self.sim = sim
-        self.ht_efficiency = ht_efficiency
-        self.cores: List[Core] = [
-            Core(sim, i, speed=ht_efficiency,
-                 context_switch_cost=context_switch_cost,
-                 kernel_switch_cost=kernel_switch_cost)
-            for i in range(n_cores)
-        ]
+        self.cores: List[Core] = [Core(sim, i) for i in range(n_cores)]
 
     def __len__(self) -> int:
         return len(self.cores)

@@ -483,9 +483,15 @@ class _LenOnlyBlob:
         return self._n
 
 
+#: Record payloads above this many bytes become length-only blobs
+#: under :class:`AccountingCryptoProvider`.
+BLOB_THRESHOLD = 2048
+
+
 class AccountingCryptoProvider(ModeledCryptoProvider):
     """ModeledCryptoProvider variant for large-transfer benchmarks:
-    record fragments above ``blob_threshold`` are length-only blobs.
+    record fragments above :data:`BLOB_THRESHOLD` bytes are length-only
+    blobs.
 
     Wire-size arithmetic is identical to the other providers; only the
     ability to decrypt the (never-decrypted) bulk records is dropped.
@@ -493,12 +499,9 @@ class AccountingCryptoProvider(ModeledCryptoProvider):
 
     name = "accounting"
 
-    def __init__(self, blob_threshold: int = 2048) -> None:
-        self.blob_threshold = blob_threshold
-
     def encrypt_record_cbc_hmac(self, enc_key, mac_key, seq, content_type,
                                 version, payload, iv):
-        if len(payload) <= self.blob_threshold:
+        if len(payload) <= BLOB_THRESHOLD:
             return super().encrypt_record_cbc_hmac(
                 enc_key, mac_key, seq, content_type, version, payload, iv)
         padded_len = (len(payload) + 20) + 16 - ((len(payload) + 20) % 16)

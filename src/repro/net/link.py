@@ -30,7 +30,6 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.name = name
         self._wire_free_at = 0.0
-        self.bytes_carried = 0
 
     def transfer(self, nbytes: int) -> Event:
         """Schedule a transfer; the returned event fires at delivery.
@@ -44,6 +43,5 @@ class Link:
         tx_time = (nbytes * 8) / self.bandwidth_bps
         start = max(now, self._wire_free_at)
         self._wire_free_at = start + tx_time
-        self.bytes_carried += nbytes
         delivery_delay = (start - now) + tx_time + self.latency
         return self.sim.timeout(delivery_delay, name=f"{self.name}-deliver")

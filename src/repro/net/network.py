@@ -22,6 +22,11 @@ __all__ = ["Network", "Listener", "TCP_HANDSHAKE_BYTES"]
 #: Wire size of SYN / SYN-ACK segments.
 TCP_HANDSHAKE_BYTES = 60
 
+#: One-way latency and bandwidth (bits/s) of each back-to-back 40 GbE
+#: NIC link.
+NIC_LATENCY = 12.5e-6
+NIC_BANDWIDTH = 40e9
+
 
 class Listener(Pollable):
     """A listening socket with an accept queue."""
@@ -56,14 +61,10 @@ class Listener(Pollable):
 class Network:
     """Machines and the links between them."""
 
-    def __init__(self, sim: "Simulator", latency: float = 12.5e-6,
-                 bandwidth_bps: float = 40e9) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.default_latency = latency
-        self.default_bandwidth = bandwidth_bps
         self._links: Dict[Tuple[str, str], Link] = {}
         self._listeners: Dict[str, Listener] = {}
-        self.connections_established = 0
 
     # -- links ------------------------------------------------------------
 
@@ -73,8 +74,8 @@ class Network:
         key = (src, dst)
         lnk = self._links.get(key)
         if lnk is None:
-            lnk = Link(self.sim, self.default_latency,
-                       self.default_bandwidth, name=f"{src}->{dst}")
+            lnk = Link(self.sim, NIC_LATENCY, NIC_BANDWIDTH,
+                       name=f"{src}->{dst}")
             self._links[key] = lnk
         return lnk
 
@@ -114,5 +115,4 @@ class Network:
         # SYN-ACK back to the client completes the client side.
         yield syn
         yield s2c.transfer(TCP_HANDSHAKE_BYTES)
-        self.connections_established += 1
         return csock

@@ -38,8 +38,6 @@ class SimSocket(Pollable):
         self._inbox: Deque[Any] = deque()
         self._closed = False
         self._peer_closed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- sending -----------------------------------------------------------
 
@@ -55,18 +53,16 @@ class SimSocket(Pollable):
         if self.peer is None:
             raise SocketClosed("socket is not connected")
         size = len(message) if nbytes is None else nbytes
-        self.bytes_sent += size
         delivery = self.out_link.transfer(size)
         peer = self.peer
         delivery.callbacks.append(
-            lambda _ev: peer._deliver(message, size))
+            lambda _ev: peer._deliver(message))
         return size
 
-    def _deliver(self, message: Any, size: int) -> None:
+    def _deliver(self, message: Any) -> None:
         if self._closed:
             return  # arriving after local close: dropped
         self._inbox.append(message)
-        self.bytes_received += size
         self._mark_readable()
 
     # -- receiving ------------------------------------------------------------

@@ -17,19 +17,17 @@ __all__ = ["StreamingHistogram"]
 
 #: Smallest resolvable latency (seconds): one simulated nanosecond.
 _FLOOR = 1e-9
+#: Ratio between consecutive bucket bounds.
+_GROWTH = 1.25
+_LOG_GROWTH = math.log(_GROWTH)
 
 
 class StreamingHistogram:
     """Fixed-memory log-bucketed histogram of durations (seconds)."""
 
-    __slots__ = ("_base", "_log_base", "_buckets", "count", "total",
-                 "min", "max", "zeros")
+    __slots__ = ("_buckets", "count", "total", "min", "max", "zeros")
 
-    def __init__(self, growth: float = 1.25) -> None:
-        if growth <= 1.0:
-            raise ValueError("bucket growth factor must be > 1")
-        self._base = growth
-        self._log_base = math.log(growth)
+    def __init__(self) -> None:
         self._buckets: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
@@ -52,7 +50,7 @@ class StreamingHistogram:
         if value < _FLOOR:
             self.zeros += 1
             return
-        idx = int(math.log(value / _FLOOR) / self._log_base)
+        idx = int(math.log(value / _FLOOR) / _LOG_GROWTH)
         self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
     def extend(self, values: Iterable[float]) -> None:
@@ -79,7 +77,7 @@ class StreamingHistogram:
         for idx in sorted(self._buckets):
             seen += self._buckets[idx]
             if seen >= rank:
-                return _FLOOR * self._base ** (idx + 1)
+                return _FLOOR * _GROWTH ** (idx + 1)
         return self.max
 
     def summary(self) -> Dict[str, float]:
@@ -95,5 +93,5 @@ class StreamingHistogram:
 
     def buckets(self) -> List[Tuple[float, float, int]]:
         """``(low, high, count)`` rows for non-empty buckets, sorted."""
-        return [(_FLOOR * self._base ** i, _FLOOR * self._base ** (i + 1), n)
+        return [(_FLOOR * _GROWTH ** i, _FLOOR * _GROWTH ** (i + 1), n)
                 for i, n in sorted(self._buckets.items())]

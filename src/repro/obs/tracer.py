@@ -46,7 +46,6 @@ class RequestTracer:
         self.spans_closed = 0
         self.open: Dict[int, OpTrace] = {}
         self.traces: List[OpTrace] = []
-        self.by_status: Dict[str, int] = {}
         #: (backend, stage) -> latency histogram; stage "total" is the
         #: root span.
         self.histograms: Dict[Tuple[str, str], StreamingHistogram] = {}
@@ -55,9 +54,6 @@ class RequestTracer:
         #: ``(time, name, args)`` tuples, exported as Chrome "i"
         #: (instant) events.
         self.events: List[Tuple[float, str, Dict[str, object]]] = []
-        #: Firmware-level op counts (mirrors fw_counters, but visible
-        #: per tracer so experiments can diff traced vs processed).
-        self.fw_records: Dict[str, int] = {}
 
     # -- trace lifecycle ------------------------------------------------------
 
@@ -86,7 +82,6 @@ class RequestTracer:
         trace.close(now, status)
         self.open.pop(trace.trace_id, None)
         self.ops_closed += 1
-        self.by_status[trace.status] = self.by_status.get(trace.status, 0) + 1
         self.traces.append(trace)
         backend = trace.backend or "none"
         spans = trace.spans()
@@ -136,16 +131,7 @@ class RequestTracer:
         pool lease migrating between workers."""
         self.events.append((now, name, dict(args or {})))
 
-    def fw_record(self, endpoint_id: int, op, ok: bool) -> None:
-        """Firmware hook: one request processed by the accelerator."""
-        key = f"ep{endpoint_id}.{op.kind.label}" + ("" if ok else ".err")
-        self.fw_records[key] = self.fw_records.get(key, 0) + 1
-
     # -- summaries ---------------------------------------------------------------
-
-    def percentile(self, backend: str, stage: str, q: float) -> float:
-        hist = self.histograms.get((backend, stage))
-        return hist.percentile(q) if hist is not None else 0.0
 
     def stage_summary(self) -> Dict[str, Dict[str, float]]:
         """``"backend/stage" -> {count, mean, p50, p95, p99, max}``."""
@@ -159,15 +145,3 @@ class RequestTracer:
             "trace_open": len(self.open),
             "trace_spans": self.spans_closed,
         }
-
-    def clear(self) -> None:
-        self.open.clear()
-        self.traces.clear()
-        self.by_status.clear()
-        self.histograms.clear()
-        self.timelines.clear()
-        self.events.clear()
-        self.fw_records.clear()
-        self.ops_started = self.ops_closed = 0
-        self.spans_closed = 0
-        self._seq = 0

@@ -73,7 +73,7 @@ from collections import deque
 from typing import (Any, Deque, Dict, Generator, Iterable, Iterator, List,
                     Optional, Set, Tuple)
 
-from ..core.costmodel import CostModel
+from ..core.costmodel import ASYNC_QUEUE_COST, CostModel
 from ..cpu.core import Core
 from ..crypto.ops import CryptoOpKind
 from ..net.epoll_sim import NOTIFY_FD_WRITE_COST
@@ -1076,7 +1076,7 @@ class AsyncOffloadEngine:
         core = self.core
         callback, arg = job.wait_ctx.get_callback()
         if callback is not None:
-            core.consume(self.cost_model.async_queue_cost, owner=owner)
+            core.consume(ASYNC_QUEUE_COST, owner=owner)
             if core.sim.active_process is not self.loop:
                 yield from core.settle()
             callback(arg)

@@ -434,19 +434,9 @@ class InstancePool:
         now = self.sim.now
         for i, lane in enumerate(list(self.leases[worker_id])):
             dst = targets[i % len(targets)]
-            self.leases[worker_id].remove(lane)
-            self._lease_sets[worker_id].discard(lane)
-            self.leases[dst].append(lane)
-            self._lease_sets[dst].add(lane)
-            self._lease_since[lane] = now
+            self._move_lease(lane, worker_id, dst, now, "lease-reclaim")
             self.reclaimed += 1
-            self.migration_log.append((now, lane, worker_id, dst))
             moves.append((lane, dst))
-            obs = getattr(self.sim, "obs", None)
-            if obs is not None:
-                obs.event(f"lease-reclaim lane{lane}", now,
-                          args={"lane": lane, "from": worker_id,
-                                "to": dst})
             self._sample_leases(dst)
         self._sample_leases(worker_id)
         if moves:
@@ -459,22 +449,28 @@ class InstancePool:
         """Apply one policy rebalance tick; returns the migrations."""
         moves = self.policy.rebalance(self, now)
         for lane, src, dst in moves:
-            self.leases[src].remove(lane)
-            self._lease_sets[src].discard(lane)
-            self.leases[dst].append(lane)
-            self._lease_sets[dst].add(lane)
-            self._lease_since[lane] = now
+            self._move_lease(lane, src, dst, now, "lease-migrate")
             self.migrations += 1
-            self.migration_log.append((now, lane, src, dst))
-            obs = getattr(self.sim, "obs", None)
-            if obs is not None:
-                obs.event(f"lease-migrate lane{lane}", now,
-                          args={"lane": lane, "from": src, "to": dst})
             self._sample_leases(src)
             self._sample_leases(dst)
         if moves:
             self._audit_leases()
         return moves
+
+    def _move_lease(self, lane: int, src: int, dst: int, now: float,
+                    event: str) -> None:
+        """Hand ``lane``'s lease from worker ``src`` to ``dst``: logged
+        in :attr:`migration_log` and traced as ``event``."""
+        self.leases[src].remove(lane)
+        self._lease_sets[src].discard(lane)
+        self.leases[dst].append(lane)
+        self._lease_sets[dst].add(lane)
+        self._lease_since[lane] = now
+        self.migration_log.append((now, lane, src, dst))
+        obs = getattr(self.sim, "obs", None)
+        if obs is not None:
+            obs.event(f"{event} lane{lane}", now,
+                      args={"lane": lane, "from": src, "to": dst})
 
     def _audit_leases(self) -> None:
         self.lease_audit.append(

@@ -15,8 +15,8 @@ Queue model::
                                                  times)
     completions <-- [rx link] <---------------- per-op replies
 
-Admission is a credit *window*: at most ``window`` ops outstanding per
-backend; beyond that, per-op submission fails exactly like a full QAT
+Admission is a credit *window*: at most ``REMOTE_WINDOW`` ops
+outstanding per backend; beyond that, per-op submission fails exactly like a full QAT
 ring (the engine's retry/failover machinery applies unchanged).
 
 Batching amortizes the dominant per-RPC cost: one syscall +
@@ -58,6 +58,11 @@ RPC_POLL_PER_RESPONSE_CPU_COST = 0.3e-6
 REMOTE_LINK_LATENCY = 20e-6
 REMOTE_LINK_BANDWIDTH = 25e9
 
+#: Crypto processors in the appliance, shared by all workers.
+REMOTE_PROCESSORS = 8
+#: Credit window: ops one worker's backend may have outstanding.
+REMOTE_WINDOW = 256
+
 #: Wire sizes of the RPC framing and payloads.
 RPC_REQUEST_HEADER_BYTES = 96
 RPC_REQUEST_OP_BYTES = 320
@@ -89,13 +94,10 @@ class RemoteCryptoService:
     per-op service times reuse the QAT calibration.
     """
 
-    def __init__(self, sim: "Simulator", n_processors: int = 8) -> None:
-        if n_processors < 1:
-            raise ValueError("need at least one processor")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.processors = Resource(sim, n_processors, name="accel0-proc")
-        self.requests_served = 0
-        self.peak_queue = 0
+        self.processors = Resource(sim, REMOTE_PROCESSORS,
+                                   name="accel0-proc")
 
     def submit(self, request: _RemoteRequest,
                reply: Callable[[_RemoteRequest, Any,
@@ -107,16 +109,13 @@ class RemoteCryptoService:
     def _serve(self, request, reply):
         processors = self.processors
         if not processors.try_acquire():
-            grant = processors.request()
-            self.peak_queue = max(self.peak_queue, processors.queue_length)
-            yield grant
+            yield processors.request()
         yield self.sim.timeout(qat_service_time(request.op))
         try:
             result, error = request.compute(), None
         except Exception as exc:
             result, error = None, exc
         self.processors.release()
-        self.requests_served += 1
         reply(request, result, error)
 
 
@@ -131,18 +130,13 @@ class RemoteAcceleratorBackend(OffloadBackend):
     name = "remote"
 
     def __init__(self, sim: "Simulator", service: RemoteCryptoService,
-                 tx_link: "Link", rx_link: "Link",
-                 window: int = 256) -> None:
-        if window < 1:
-            raise ValueError("credit window must be >= 1")
+                 tx_link: "Link", rx_link: "Link") -> None:
         self.sim = sim
         self.service = service
         self.tx_link = tx_link
         self.rx_link = rx_link
-        self.window = window
         self.outstanding = 0
         self.stats = LaneStats()
-        self.batches_sent = 0
         self._completions: Deque[Completion] = deque()
 
     @property
@@ -154,7 +148,7 @@ class RemoteAcceleratorBackend(OffloadBackend):
         tokens: List[Any] = []
         accepted: List[_RemoteRequest] = []
         for spec in specs:
-            if self.outstanding >= self.window:
+            if self.outstanding >= REMOTE_WINDOW:
                 # Credit window exhausted: the remote analog of a full
                 # request ring.
                 self.stats.submit_failures += 1
@@ -166,7 +160,6 @@ class RemoteAcceleratorBackend(OffloadBackend):
             tokens.append(request)
             accepted.append(request)
         if accepted:
-            self.batches_sent += 1
             nbytes = (RPC_REQUEST_HEADER_BYTES
                       + RPC_REQUEST_OP_BYTES * len(accepted))
             delivery = self.tx_link.transfer(nbytes)
@@ -214,7 +207,7 @@ class RemoteAcceleratorBackend(OffloadBackend):
 
     def capacity_hint(self, lane: int, category: Any) -> int:
         # One window shared by all op categories.
-        return max(0, self.window - self.outstanding)
+        return max(0, REMOTE_WINDOW - self.outstanding)
 
     def lane_stats(self, lane: int) -> LaneStats:
         return self.stats

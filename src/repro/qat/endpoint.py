@@ -136,9 +136,6 @@ class QatEndpoint:
                 response.result = None
                 response.error = hw_error
         self.fw_counters.record(request.op, ok=response.ok)
-        obs = getattr(self.sim, "obs", None)
-        if obs is not None:
-            obs.fw_record(self.endpoint_id, request.op, response.ok)
         self.engines.release()
         self._sample_engines()
         self._dispatch()  # pull more work if rings are backed up

@@ -18,8 +18,7 @@ class SslEngineConfig:
 
     use_engine: str = "qat_engine"                # or "" for software
     #: Which accelerator sits behind the engine: "qat" (the on-board
-    #: card), "remote" (network-attached crypto service) or "software"
-    #: (engine enabled but every op runs on the CPU).
+    #: card) or "remote" (network-attached crypto service).
     offload_backend: str = "qat"
     default_algorithm: Tuple[str, ...] = ("RSA", "EC", "PKEY_CRYPTO",
                                           "CIPHER")
@@ -82,11 +81,10 @@ class SslEngineConfig:
             raise ValueError(
                 f"use: unknown engine {self.use_engine!r}; expected "
                 "qat_engine (omit use for the software engine)")
-        if self.offload_backend not in ("qat", "remote", "software"):
+        if self.offload_backend not in ("qat", "remote"):
             raise ValueError(
                 "offload_backend: unknown offload backend "
-                f"{self.offload_backend!r}; expected qat, remote or "
-                "software")
+                f"{self.offload_backend!r}; expected qat or remote")
         if (self.offload_backend == "remote"
                 and self.qat_notify_mode == "interrupt"):
             raise ValueError(
@@ -236,8 +234,7 @@ class ServerConfig:
     @property
     def uses_offload(self) -> bool:
         """An accelerator-backed engine is configured (any backend)."""
-        return (self.ssl_engine.use_engine == "qat_engine"
-                and self.ssl_engine.offload_backend != "software")
+        return self.ssl_engine.use_engine == "qat_engine"
 
     @property
     def uses_qat(self) -> bool:

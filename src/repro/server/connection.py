@@ -71,7 +71,6 @@ class ServerConnection:
         self.notify_fd: Optional[NotifyFd] = None
         #: Response bytes still to be written (continuation state).
         self.current_request: Optional[Any] = None
-        self.requests_served = 0
         self.handshake_completed_at: Optional[float] = None
         #: When this connection entered TLS-ASYNC (watchdog deadline
         #: anchor); None while not paused.

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.costmodel import CostModel, default_cost_model
+from ..core.costmodel import CostModel
 from ..cpu.core import CpuTopology
 from ..crypto.provider import CryptoProvider
 from ..offload.software import SoftwareEngine
@@ -44,7 +44,7 @@ class TlsServer:
         self.net = net
         self.config = config
         self.provider = provider
-        self.cost_model = cost_model or default_cost_model()
+        self.cost_model = cost_model or CostModel()
         self.qat_device = qat_device
         if config.uses_qat and qat_device is None:
             raise ValueError("QAT offload configured but no device given")
@@ -178,8 +178,7 @@ class TlsServer:
                 engine = SoftwareEngine(core, self.cost_model)
             async_mode = (config.async_impl if config.async_offload
                           else "sync")
-            return SslContext(tls_cfg, engine, core, self.cost_model,
-                              async_mode=async_mode,
+            return SslContext(tls_cfg, engine, core, async_mode=async_mode,
                               version=self._version)
 
         return make_ctx
@@ -189,8 +188,7 @@ class TlsServer:
         reusing the slot's core and inherited listen socket."""
         return Worker(self.sim, slot, self.topology[slot],
                       self.listeners[slot], self._ctx_factory(slot),
-                      self.config, self.cost_model,
-                      generation=generation)
+                      self.config, generation=generation)
 
     # -- addressing -----------------------------------------------------------
 

@@ -176,7 +176,6 @@ class StackAsyncJob(AsyncJob):
                               else rng.bit_generator.state)
         # Log: ("crypto", result) | ("msg", message) | ("send",)
         self._log: List[Tuple[str, Any]] = []
-        self.replayed_steps = 0
 
     def record_crypto(self, result: Any) -> None:
         self._log.append(("crypto", result))
@@ -217,7 +216,6 @@ class StackAsyncJob(AsyncJob):
             self._started = True
             action = self._gen.send(None)
             for kind, payload in self._log:
-                self.replayed_steps += 1
                 if kind == "crypto":
                     if not isinstance(action, CryptoCall):
                         raise RuntimeError("stack replay diverged at crypto")

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Union
+from typing import Callable, Generator, Union
 
-import numpy as np
-
-from ..core.costmodel import CostModel
 from ..cpu.core import Core
 from ..offload.engine import AsyncOffloadEngine
 from ..offload.software import SoftwareEngine
@@ -27,10 +24,8 @@ class SslContext:
 
     def __init__(self, tls_config: TlsServerConfig,
                  engine: Union[AsyncOffloadEngine, SoftwareEngine],
-                 core: Core, cost_model: CostModel,
-                 async_mode: AsyncMode = "sync",
-                 version: ProtocolVersion = ProtocolVersion.TLS12,
-                 record_rng: Optional[np.random.Generator] = None) -> None:
+                 core: Core, async_mode: AsyncMode = "sync",
+                 version: ProtocolVersion = ProtocolVersion.TLS12) -> None:
         if async_mode not in ("sync", "fiber", "stack"):
             raise ValueError(f"unknown async mode {async_mode!r}")
         if async_mode != "sync" and not engine.supports_async:
@@ -39,11 +34,8 @@ class SslContext:
         self.tls_config = tls_config
         self.engine = engine
         self.core = core
-        self.cost_model = cost_model
         self.async_mode = async_mode
         self.version = version
-        self.record_rng = record_rng if record_rng is not None \
-            else tls_config.rng
 
     def handshake_factory(self) -> Callable[[], Generator]:
         if self.version == ProtocolVersion.TLS13:

@@ -34,7 +34,8 @@ __all__ = ["HARNESS_VERSION", "ClientSpec", "ActionSpec", "ScenarioSpec",
 #: produced by THIS generator, so drift must be explicit.
 #: v2: retrieval-mode sampling (qat_poll_mode flips, timer poll
 #: interval, failover timer). v3: no per-connection budget draws.
-HARNESS_VERSION = 3
+#: v4: no "software" offload backend draw.
+HARNESS_VERSION = 4
 
 #: Suite choices per TLS version (server preference order irrelevant
 #: here — one or two suites are offered).
@@ -197,7 +198,7 @@ class ScenarioGen:
         if config_name == "SW":
             return ov
         backend = self._choice(("qat", "qat", "qat", "qat", "qat",
-                                "remote", "software"))
+                                "remote"))
         if backend != "qat":
             ov["offload_backend"] = backend
         async_config = config_name in ("QAT+A", "QAT+AH", "QTLS")

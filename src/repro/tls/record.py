@@ -56,8 +56,6 @@ class RecordLayer:
         self.aead = version == ProtocolVersion.TLS13
         self._write_seq = 0
         self._read_seq = 0
-        self.records_protected = 0
-        self.records_opened = 0
 
     # -- outbound ----------------------------------------------------------
 
@@ -95,7 +93,6 @@ class RecordLayer:
                 compute=compute, label=f"protect-{seq}")
             records.append(TlsRecord(content_type, version, ciphertext,
                                      len(frag)))
-            self.records_protected += 1
         return records
 
     # -- inbound ----------------------------------------------------------------
@@ -123,5 +120,4 @@ class RecordLayer:
                 label=f"unprotect-{seq}")
         except Exception as exc:
             raise TlsAlert(f"bad_record_mac: {exc}") from exc
-        self.records_opened += 1
         return payload

@@ -17,7 +17,13 @@ from .suites import CipherSuite
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
 
-__all__ = ["SessionState", "SessionCache"]
+__all__ = ["SessionState", "SessionCache", "SESSION_LIFETIME",
+           "SESSION_CACHE_CAPACITY"]
+
+#: How long (seconds) a cached session or a ticket stays resumable.
+SESSION_LIFETIME = 3600.0
+#: Sessions the server-side cache holds before it LRU-evicts.
+SESSION_CACHE_CAPACITY = 100_000
 
 
 @dataclass(frozen=True)
@@ -33,29 +39,21 @@ class SessionState:
 class SessionCache:
     """Server-side session store with LRU eviction and expiry."""
 
-    def __init__(self, sim: "Simulator", lifetime: float = 3600.0,
-                 capacity: int = 100_000) -> None:
-        if lifetime <= 0 or capacity < 1:
-            raise ValueError("invalid cache parameters")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.lifetime = lifetime
-        self.capacity = capacity
         self._store: "OrderedDict[bytes, SessionState]" = OrderedDict()
         self.hits = 0
         #: Lookup found nothing at all vs. found an entry already past
         #: its lifetime. ``misses`` stays the sum of both.
         self.cold_misses = 0
         self.expiry_misses = 0
-        #: Entries dropped because they outlived ``lifetime``
-        #: (lookup-side purges plus put-side sweeps).
-        self.expired_evictions = 0
 
     @property
     def misses(self) -> int:
         return self.cold_misses + self.expiry_misses
 
     def _expired(self, state: SessionState) -> bool:
-        return self.sim.now - state.created_at > self.lifetime
+        return self.sim.now - state.created_at > SESSION_LIFETIME
 
     def _sweep_expired(self) -> None:
         """Drop every dead entry. Without this, a cache full of
@@ -65,14 +63,13 @@ class SessionCache:
                 if self._expired(state)]
         for sid in dead:
             del self._store[sid]
-        self.expired_evictions += len(dead)
 
     def put(self, state: SessionState) -> None:
         self._store[state.session_id] = state
         self._store.move_to_end(state.session_id)
-        if len(self._store) > self.capacity:
+        if len(self._store) > SESSION_CACHE_CAPACITY:
             self._sweep_expired()
-        while len(self._store) > self.capacity:
+        while len(self._store) > SESSION_CACHE_CAPACITY:
             self._store.popitem(last=False)
 
     def get(self, session_id: bytes) -> Optional[SessionState]:
@@ -82,7 +79,6 @@ class SessionCache:
             return None
         if self._expired(state):
             del self._store[session_id]
-            self.expired_evictions += 1
             self.expiry_misses += 1
             return None
         self.hits += 1

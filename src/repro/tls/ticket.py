@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..crypto.gcm import AesGcm, GcmAuthError
-from .session import SessionState
+from .session import SESSION_LIFETIME, SessionState
 from .suites import get_suite
 
 __all__ = ["TicketKeeper"]
@@ -24,13 +24,10 @@ _MAGIC = b"STK1"
 class TicketKeeper:
     """Seals and opens session tickets under a rotating STEK."""
 
-    def __init__(self, key: bytes, lifetime: float = 3600.0) -> None:
+    def __init__(self, key: bytes) -> None:
         if len(key) != 16:
             raise ValueError("STEK must be 16 bytes")
-        if lifetime <= 0:
-            raise ValueError("lifetime must be positive")
         self._gcm = AesGcm(key)
-        self.lifetime = lifetime
         self._seq = 0
         self.issued = 0
         self.accepted = 0
@@ -64,7 +61,7 @@ class TicketKeeper:
             self.rejected += 1
             return None
         issued_at = int.from_bytes(body[4:12], "big") / 1e6
-        if now - issued_at > self.lifetime:
+        if now - issued_at > SESSION_LIFETIME:
             self.rejected += 1
             return None
         off = 12

@@ -3,21 +3,22 @@
 import pytest
 
 from repro.core import (CONFIG_NAMES, ClientMetrics, CostModel,
-                        default_cost_model, make_server_config)
+                        make_server_config)
+from repro.core.costmodel import CIPHER_PER_BYTE, NET_TX_FIXED, net_tx_cost
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 
 
 # -- cost model ---------------------------------------------------------------
 
 def test_rsa_costs_scale_with_bits():
-    cm = default_cost_model()
+    cm = CostModel()
     c1 = cm.software_cost(CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=1024))
     c2 = cm.software_cost(CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=2048))
     assert c2 > 3 * c1  # RSA private op ~ cubic in modulus size
 
 
 def test_rsa_pub_much_cheaper_than_priv():
-    cm = default_cost_model()
+    cm = CostModel()
     pub = cm.software_cost(CryptoOp(CryptoOpKind.RSA_PUB, rsa_bits=2048))
     priv = cm.software_cost(CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=2048))
     assert priv > 20 * pub
@@ -35,7 +36,7 @@ def test_p256_montgomery_flag_changes_costs():
 
 
 def test_binary_curves_slower_than_p256():
-    cm = default_cost_model()
+    cm = CostModel()
     p256 = cm.software_cost(CryptoOp(CryptoOpKind.ECDH_COMPUTE,
                                      curve="P-256"))
     b283 = cm.software_cost(CryptoOp(CryptoOpKind.ECDH_COMPUTE,
@@ -44,17 +45,17 @@ def test_binary_curves_slower_than_p256():
 
 
 def test_cipher_cost_linear_in_bytes():
-    cm = default_cost_model()
+    cm = CostModel()
     small = cm.software_cost(CryptoOp(CryptoOpKind.RECORD_CIPHER,
                                       nbytes=1024))
     big = cm.software_cost(CryptoOp(CryptoOpKind.RECORD_CIPHER,
                                     nbytes=16384))
     assert big > 2 * small
-    assert big - small == pytest.approx(cm.cipher_per_byte * (16384 - 1024))
+    assert big - small == pytest.approx(CIPHER_PER_BYTE * (16384 - 1024))
 
 
 def test_unknown_lookups_raise():
-    cm = default_cost_model()
+    cm = CostModel()
     with pytest.raises(ValueError):
         cm.software_cost(CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=999))
     with pytest.raises(ValueError):
@@ -62,9 +63,8 @@ def test_unknown_lookups_raise():
 
 
 def test_net_tx_cost():
-    cm = default_cost_model()
-    assert cm.net_tx_cost(0) == pytest.approx(cm.net_tx_fixed)
-    assert cm.net_tx_cost(16384) > cm.net_tx_cost(1024)
+    assert net_tx_cost(0) == pytest.approx(NET_TX_FIXED)
+    assert net_tx_cost(16384) > net_tx_cost(1024)
 
 
 # -- configuration presets ------------------------------------------------------

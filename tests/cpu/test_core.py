@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import Core, CpuTopology
+from repro.cpu.core import CONTEXT_SWITCH_COST, KERNEL_SWITCH_COST
 from repro.net import Link, socket_pair
 from repro.sim import Interrupt, Simulator, Timeout
 from repro.sim.kernel import UnsettledDebt
@@ -27,17 +28,9 @@ def test_consume_advances_time_by_cost():
     assert core.stats.busy_time == pytest.approx(5e-3)
 
 
-def test_speed_scales_duration():
-    sim = Simulator()
-    core = Core(sim, 0, speed=0.5)
-    run_consumer(sim, core, 1e-3)
-    sim.run()
-    assert sim.now == pytest.approx(2e-3)
-
-
 def test_core_serializes_two_processes():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=0.0)
+    core = Core(sim, 0)
     log = []
     run_consumer(sim, core, 1e-3, log=log, name="a")
     run_consumer(sim, core, 1e-3, log=log, name="b")
@@ -47,7 +40,7 @@ def test_core_serializes_two_processes():
 
 def test_context_switch_charged_on_owner_change():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=10e-6)
+    core = Core(sim, 0)
 
     def proc(sim):
         core.consume(1e-3, owner="worker")
@@ -62,12 +55,12 @@ def test_context_switch_charged_on_owner_change():
     sim.process(proc(sim))
     sim.run()
     assert core.stats.context_switches == 2
-    assert sim.now == pytest.approx(4e-3 + 2 * 10e-6)
+    assert sim.now == pytest.approx(4e-3 + 2 * CONTEXT_SWITCH_COST)
 
 
 def test_no_switch_charged_without_owner():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=10e-6)
+    core = Core(sim, 0)
 
     def proc(sim):
         core.consume(1e-3)
@@ -82,7 +75,7 @@ def test_no_switch_charged_without_owner():
 
 def test_kernel_crossing_cost_and_stats():
     sim = Simulator()
-    core = Core(sim, 0, kernel_switch_cost=5e-6)
+    core = Core(sim, 0)
 
     def proc(sim):
         core.kernel_crossing()
@@ -93,7 +86,7 @@ def test_kernel_crossing_cost_and_stats():
     sim.process(proc(sim))
     sim.run()
     assert core.stats.kernel_crossings == 2
-    assert sim.now == pytest.approx(2 * 5e-6 + 3e-6)
+    assert sim.now == pytest.approx(2 * KERNEL_SWITCH_COST + 3e-6)
 
 
 def test_negative_cost_rejected():
@@ -109,17 +102,10 @@ def test_negative_cost_rejected():
         sim.run()
 
 
-def test_invalid_speed():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Core(sim, 0, speed=0)
-
-
 def test_topology_builds_cores():
     sim = Simulator()
-    topo = CpuTopology(sim, 8, ht_efficiency=0.6)
+    topo = CpuTopology(sim, 8)
     assert len(topo) == 8
-    assert all(c.speed == 0.6 for c in topo.cores)
     assert topo[3].core_id == 3
 
 
@@ -127,8 +113,6 @@ def test_topology_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         CpuTopology(sim, 0)
-    with pytest.raises(ValueError):
-        CpuTopology(sim, 2, ht_efficiency=1.5)
 
 
 def test_topology_total_busy_time():
@@ -166,7 +150,7 @@ def record_pushes(sim):
 
 def test_uncontended_consume_pushes_one_timeout_and_zero_cost_none():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=10e-6)
+    core = Core(sim, 0)
     pushed = record_pushes(sim)
     counts = []
 
@@ -191,33 +175,33 @@ def test_uncontended_consume_pushes_one_timeout_and_zero_cost_none():
 
 def test_contended_consumers_granted_fifo_with_switch_costs():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=10e-6)
+    core = Core(sim, 0)
     log = []
     for name in ("a", "b", "c"):
         run_consumer(sim, core, 1e-3, owner=name, log=log, name=name)
     sim.run()
     assert log == [("a", pytest.approx(1e-3)),
-                   ("b", pytest.approx(2e-3 + 10e-6)),
-                   ("c", pytest.approx(3e-3 + 20e-6))]
+                   ("b", pytest.approx(2e-3 + CONTEXT_SWITCH_COST)),
+                   ("c", pytest.approx(3e-3 + 2 * CONTEXT_SWITCH_COST))]
     assert core.stats.context_switches == 2
-    assert core.stats.switch_time == pytest.approx(20e-6)
+    assert core.stats.switch_time == pytest.approx(2 * CONTEXT_SWITCH_COST)
     assert core._lock.in_use == 0
 
 
 def test_interrupt_during_charge_frees_core_for_next_consumer():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=0.0)
+    core = Core(sim, 0)
     log = []
 
     def victim(sim):
         try:
-            core.consume(1e-3, owner="victim")
+            core.consume(1e-3)
             yield from core.settle()
         except Interrupt:
             log.append(("victim", sim.now))
 
     proc = sim.process(victim(sim))
-    run_consumer(sim, core, 1e-3, owner="next", log=log, name="next")
+    run_consumer(sim, core, 1e-3, log=log, name="next")
     sim.call_at(sim.now + 0.5e-3, proc.interrupt)
     sim.run()
     assert log == [("victim", pytest.approx(0.5e-3)),
@@ -227,7 +211,7 @@ def test_interrupt_during_charge_frees_core_for_next_consumer():
 
 def test_interrupt_while_parked_leaves_core_to_owner_and_queue():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=0.0)
+    core = Core(sim, 0)
     log = []
 
     def parked(sim):
@@ -290,16 +274,14 @@ def test_settled_time_is_the_sequential_float_sum():
     sim = Simulator()
     sim.call_at(3.7e-3, lambda: None)
     sim.run()
-    core = Core(sim, 0, speed=0.7, context_switch_cost=2.3e-6,
-                kernel_switch_cost=0.65e-6)
+    core = Core(sim, 0)
     run_chain(sim, core, CHAIN)
     sim.run()
     # The same charges, one Timeout each, added one after another.
     ref = Simulator()
     ref.call_at(3.7e-3, lambda: None)
     ref.run()
-    one_by_one = Core(ref, 0, speed=0.7, context_switch_cost=2.3e-6,
-                      kernel_switch_cost=0.65e-6)
+    one_by_one = Core(ref, 0)
     run_chain(ref, one_by_one, CHAIN, settle_each=True)
     ref.run()
     assert sim.now == ref.now
@@ -330,11 +312,11 @@ def test_settle_far_past_now_lands_exactly_on_the_sum():
 
 def test_deferred_chain_books_the_same_stats_as_eager_charges():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=2e-6)
+    core = Core(sim, 0)
     run_chain(sim, core, CHAIN)
     sim.run()
     ref = Simulator()
-    eager = Core(ref, 0, context_switch_cost=2e-6)
+    eager = Core(ref, 0)
     eager.eager = True
     run_chain(ref, eager, CHAIN)
     ref.run()
@@ -346,19 +328,19 @@ def test_deferred_chain_books_the_same_stats_as_eager_charges():
 
 def test_interrupt_during_a_chain_settle_releases_the_core():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=0.0)
+    core = Core(sim, 0)
     log = []
 
     def victim(sim):
         try:
             for _ in range(4):
-                core.consume(0.25e-3, owner="victim")
+                core.consume(0.25e-3)
             yield from core.settle()
         except Interrupt:
             log.append(("victim", sim.now))
 
     proc = sim.process(victim(sim))
-    run_consumer(sim, core, 1e-3, owner="next", log=log, name="next")
+    run_consumer(sim, core, 1e-3, log=log, name="next")
     sim.call_at(sim.now + 0.5e-3, proc.interrupt)
     sim.run()
     assert log == [("victim", pytest.approx(0.5e-3)),
@@ -369,7 +351,7 @@ def test_interrupt_during_a_chain_settle_releases_the_core():
 
 def test_chain_started_on_a_held_core_waits_for_the_holders_settle():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=10e-6)
+    core = Core(sim, 0)
     log = []
 
     def chain(name, n):
@@ -386,13 +368,13 @@ def test_chain_started_on_a_held_core_waits_for_the_holders_settle():
     # b's charge found a's chain holding the core: it ran after the
     # whole chain, paying one switch decided when it was granted.
     assert log == [("a", pytest.approx(2e-3)),
-                   ("b", pytest.approx(3e-3 + 10e-6))]
+                   ("b", pytest.approx(3e-3 + CONTEXT_SWITCH_COST))]
     assert core.stats.context_switches == 1
 
 
 def test_eager_core_interleaves_worker_and_poller_per_charge():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=1e-6)
+    core = Core(sim, 0)
     core.eager = True
     order = []
     start = {}
@@ -415,8 +397,10 @@ def test_eager_core_interleaves_worker_and_poller_per_charge():
     sim.run()
     # The poller got the core after the worker's first charge, not
     # after its whole chain; both sides paid a switch.
-    assert order == [("poller-done", pytest.approx(10e-6 + 3e-6)),
-                     ("worker-done", pytest.approx(33e-6 + 1e-6))]
+    assert order == [("poller-done",
+                      pytest.approx(10e-6 + 2e-6 + CONTEXT_SWITCH_COST)),
+                     ("worker-done",
+                      pytest.approx(30e-6 + 2e-6 + 2 * CONTEXT_SWITCH_COST))]
     assert core.stats.context_switches == 2
 
 
@@ -487,7 +471,7 @@ def test_charging_a_second_core_before_settling_the_first_fails():
 
 def test_claim_waits_for_the_core_and_keeps_it():
     sim = Simulator()
-    core = Core(sim, 0, context_switch_cost=0.0)
+    core = Core(sim, 0)
     seen = []
 
     def holder(sim):

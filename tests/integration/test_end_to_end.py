@@ -4,7 +4,7 @@ configurations, data transfer, resumption, TLS 1.3, real crypto."""
 import pytest
 
 from repro.clients import AbFleet, STimeFleet
-from repro.core import ClientMetrics, default_cost_model, make_server_config
+from repro.core import ClientMetrics, CostModel, make_server_config
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
 from repro.net import Network
 from repro.qat import dh8970
@@ -25,7 +25,7 @@ class World:
         self.rng = RngRegistry(seed)
         self.net = Network(self.sim)
         self.provider = provider or ModeledCryptoProvider()
-        self.cm = default_cost_model()
+        self.cm = CostModel()
         self.config = make_server_config(
             config_name, workers=workers, suites=suites, curves=curves,
             tls_version=tls_version, rsa_bits=rsa_bits, **overrides)

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.net import Network, TCP_HANDSHAKE_BYTES
+from repro.net.network import NIC_BANDWIDTH, NIC_LATENCY
 from repro.sim import Simulator
+
+#: One SYN (or SYN-ACK) crossing a NIC link.
+SYN_DELAY = NIC_LATENCY + TCP_HANDSHAKE_BYTES * 8 / NIC_BANDWIDTH
 
 
 def test_connect_takes_one_rtt():
     sim = Simulator()
-    net = Network(sim, latency=1e-3)
+    net = Network(sim)
     net.bind("https")
     result = {}
 
@@ -19,19 +23,19 @@ def test_connect_takes_one_rtt():
 
     sim.process(client(sim))
     sim.run()
-    assert result["at"] == pytest.approx(2e-3, rel=0.05)
+    assert result["at"] == pytest.approx(2 * SYN_DELAY)
 
 
 def test_listener_receives_connection_at_syn_arrival():
     sim = Simulator()
-    net = Network(sim, latency=1e-3)
+    net = Network(sim)
     listener = net.bind("https")
 
     def client(sim):
         yield from net.connect("client0", "https")
 
     sim.process(client(sim))
-    sim.run(until=1.5e-3)
+    sim.run(until=1.5 * NIC_LATENCY)
     assert listener.readable
     ssock = listener.accept()
     assert ssock is not None
@@ -41,7 +45,7 @@ def test_listener_receives_connection_at_syn_arrival():
 
 def test_connected_pair_exchanges_data():
     sim = Simulator()
-    net = Network(sim, latency=0.1e-3)
+    net = Network(sim)
     listener = net.bind("https")
     result = {}
 
@@ -99,13 +103,16 @@ def test_links_are_per_machine_pair():
 
 def test_connection_count_and_handshake_bytes():
     sim = Simulator()
-    net = Network(sim, latency=1e-6)
-    net.bind("https")
+    net = Network(sim)
+    listener = net.bind("https")
+    done = []
 
     def client(sim):
         yield from net.connect("client0", "https")
+        done.append(sim.now)
 
     sim.process(client(sim))
     sim.run()
-    assert net.connections_established == 1
-    assert net.link("client0", "server").bytes_carried == TCP_HANDSHAKE_BYTES
+    assert listener.backlog == 1
+    # SYN and SYN-ACK each serialize TCP_HANDSHAKE_BYTES on the wire.
+    assert done == [pytest.approx(2 * SYN_DELAY)]

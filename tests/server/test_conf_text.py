@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.server.config import SslEngineConfig
 from repro.server.conf_text import (ConfError, parse_conf,
                                     server_config_from_text)
 
@@ -92,10 +93,20 @@ def test_timer_poll_settings():
      "unknown ssl_engine directive"),
     ("ssl_engine { qat_engine { qat_batch_timeout 0.001; } }",
      "unknown qat_engine directive"),
+    ("ssl_engine { use qat_engine; offload_backend software; }",
+     "offload_backend: unknown offload backend 'software'"),
 ])
 def test_malformed_rejected(bad, msg):
     with pytest.raises(ConfError, match=msg):
         server_config_from_text(bad)
+
+
+def test_software_offload_backend_rejected():
+    # Without an accelerator the engine is the software one: omit
+    # `use qat_engine` instead.
+    with pytest.raises(ValueError,
+                       match="offload_backend: .*expected qat or remote"):
+        SslEngineConfig(offload_backend="software").validate()
 
 
 def test_validation_applies():

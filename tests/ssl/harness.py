@@ -26,11 +26,11 @@ class Env:
 
     def __init__(self, suite=TLS_RSA, provider=None, async_mode="sync",
                  engine_kind="software", curve="P-256", rsa_bits=1024,
-                 ring_capacity=64, session_cache=None, cost_model=None):
+                 ring_capacity=64, session_cache=None):
         from repro.crypto.provider import ModeledCryptoProvider
         self.sim = Simulator()
         self.core = Core(self.sim, 0)
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         self.provider = provider or ModeledCryptoProvider()
         rng = np.random.default_rng
 
@@ -62,8 +62,7 @@ class Env:
         version = (ProtocolVersion.TLS13 if suite is TLS13_ECDHE_RSA
                    else ProtocolVersion.TLS12)
         self.ctx = SslContext(self.tls_config, self.engine, self.core,
-                              self.cost_model, async_mode=async_mode,
-                              version=version)
+                              async_mode=async_mode, version=version)
         self.suite = suite
         self.version = version
 

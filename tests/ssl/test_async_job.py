@@ -171,6 +171,6 @@ def test_swap_counting():
     stack.record_crypto("x")
     _, a = stack.advance("x")
     stack.mark_paused(a)
-    stack.prepare_resume()
+    replayed = stack.prepare_resume()
     assert stack.swaps == 1
-    assert stack.replayed_steps == 1
+    assert replayed == 1

@@ -271,7 +271,7 @@ def test_invalid_async_mode_rejected():
     env = Env()
     from repro.ssl import SslContext
     with pytest.raises(ValueError, match="unknown async mode"):
-        SslContext(env.tls_config, env.engine, env.core, env.cost_model,
+        SslContext(env.tls_config, env.engine, env.core,
                    async_mode="coroutine")
 
 
@@ -279,5 +279,5 @@ def test_sync_engine_cannot_run_async_mode():
     env = Env(engine_kind="software")
     from repro.ssl import SslContext
     with pytest.raises(ValueError, match="cannot run async"):
-        SslContext(env.tls_config, env.engine, env.core, env.cost_model,
+        SslContext(env.tls_config, env.engine, env.core,
                    async_mode="fiber")

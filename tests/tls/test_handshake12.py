@@ -10,6 +10,7 @@ from repro.tls import (ECDHE_ECDSA, ECDHE_RSA, TLS_RSA, OpLog, SessionCache,
                        TlsAlert, TlsClientConfig, TlsServerConfig,
                        client_handshake12, run_loopback_handshake,
                        server_handshake12)
+from repro.tls.session import SESSION_LIFETIME
 
 ECC_KINDS = (K.ECDH_KEYGEN, K.ECDH_COMPUTE, K.ECDSA_SIGN)
 
@@ -128,10 +129,9 @@ def test_tampered_ske_signature_rejected():
 
 # -- session resumption ---------------------------------------------------------
 
-def resume_pair(provider, suite=ECDHE_RSA, lifetime=3600.0,
-                advance=0.0):
+def resume_pair(provider, suite=ECDHE_RSA, advance=0.0):
     sim = Simulator()
-    cache = SessionCache(sim, lifetime=lifetime)
+    cache = SessionCache(sim)
     scfg, ccfg = make_configs(suite, provider, session_cache=cache)
     c1, s1 = run_loopback_handshake(client_handshake12(ccfg),
                                     server_handshake12(scfg))
@@ -170,7 +170,8 @@ def test_abbreviated_is_prf_only(provider):
 
 
 def test_expired_session_falls_back_to_full(provider):
-    c1, s1, c2, s2, slog = resume_pair(provider, lifetime=10.0, advance=100.0)
+    c1, s1, c2, s2, slog = resume_pair(provider,
+                                       advance=SESSION_LIFETIME + 1.0)
     assert not s2.resumed
     assert slog.count(K.RSA_PRIV) == 1  # full handshake happened
 

@@ -9,6 +9,7 @@ from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
 from repro.tls import (TLS13_ECDHE_RSA, OpLog, TlsAlert, TlsClientConfig,
                        TlsServerConfig, client_handshake13,
                        run_loopback_handshake, server_handshake13)
+from repro.tls.session import SESSION_LIFETIME
 from repro.tls.ticket import TicketKeeper
 
 
@@ -95,13 +96,13 @@ def test_unknown_ticket_falls_back_to_full():
 
 def test_expired_ticket_falls_back_to_full():
     provider = ModeledCryptoProvider()
-    keeper = TicketKeeper(b"\x09" * 16, lifetime=10.0)
+    keeper = TicketKeeper(b"\x09" * 16)
     scfg = make_server_config(provider, keeper)
     ccfg = TlsClientConfig(provider=provider, suites=(TLS13_ECDHE_RSA,),
                            rng=np.random.default_rng(3))
     c1, _ = run_loopback_handshake(client_handshake13(ccfg),
                                    server_handshake13(scfg))
-    scfg.clock = lambda: 50.0 + 100.0  # past the lifetime
+    scfg.clock = lambda: 50.0 + SESSION_LIFETIME + 1.0  # past the lifetime
     ccfg2 = TlsClientConfig(provider=provider, suites=(TLS13_ECDHE_RSA,),
                             rng=np.random.default_rng(4),
                             session_ticket=c1.session_ticket,

@@ -107,11 +107,3 @@ def test_tampered_record_rejected(provider):
     with pytest.raises(TlsAlert, match="bad_record_mac"):
         run_record_exchange(receiver.unprotect(bad))
 
-
-def test_counters(provider):
-    sender, receiver = make_layers(provider)
-    records = run_record_exchange(sender.protect(b"x" * 40000))
-    for r in records:
-        run_record_exchange(receiver.unprotect(r))
-    assert sender.records_protected == 3
-    assert receiver.records_opened == 3

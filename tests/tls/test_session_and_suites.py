@@ -5,6 +5,7 @@ import pytest
 from repro.sim import Simulator
 from repro.tls import (ECDHE_RSA, TLS_RSA, SessionCache, SessionState,
                        get_suite, list_suites)
+from repro.tls.session import SESSION_CACHE_CAPACITY, SESSION_LIFETIME
 from repro.tls.messages import (Certificate, ClientHello, Finished,
                                 ServerKeyExchange, transcript_hash)
 
@@ -43,24 +44,33 @@ def test_cache_miss():
     assert cache.misses == 1
 
 
+def _sid(i):
+    return i.to_bytes(16, "big")
+
+
+def _fill(cache, n, t=0.0):
+    """Put ``n`` sessions with ids ``_sid(0)`` .. ``_sid(n - 1)``."""
+    for i in range(n):
+        cache.put(_state(_sid(i), t=t))
+
+
 def test_cache_expiry():
     sim = Simulator()
-    cache = SessionCache(sim, lifetime=10.0)
+    cache = SessionCache(sim)
     cache.put(_state(t=0.0))
-    sim.timeout(100.0)
+    sim.timeout(SESSION_LIFETIME + 1.0)
     sim.run()
     assert cache.get(b"\x01" * 16) is None
     assert len(cache) == 0  # expired entries are dropped
 
 
 def test_cache_lru_eviction():
-    cache = SessionCache(Simulator(), capacity=2)
-    cache.put(_state(b"a" * 16))
-    cache.put(_state(b"b" * 16))
-    cache.get(b"a" * 16)           # refresh "a"
-    cache.put(_state(b"c" * 16))   # evicts "b"
-    assert cache.get(b"b" * 16) is None
-    assert cache.get(b"a" * 16) is not None
+    cache = SessionCache(Simulator())
+    _fill(cache, SESSION_CACHE_CAPACITY)
+    cache.get(_sid(0))             # refresh the oldest
+    cache.put(_state(b"c" * 16))   # evicts the next oldest
+    assert cache.get(_sid(1)) is None
+    assert cache.get(_sid(0)) is not None
 
 
 def test_cache_invalidate():
@@ -72,53 +82,44 @@ def test_cache_invalidate():
 
 def test_cache_expiry_miss_counted_separately():
     sim = Simulator()
-    cache = SessionCache(sim, lifetime=10.0)
+    cache = SessionCache(sim)
     cache.put(_state(t=0.0))
-    sim.timeout(100.0)
+    sim.timeout(SESSION_LIFETIME + 1.0)
     sim.run()
     assert cache.get(b"\x01" * 16) is None   # expired
     assert cache.get(b"\xFF" * 16) is None   # never stored
     assert cache.expiry_misses == 1
     assert cache.cold_misses == 1
     assert cache.misses == 2                 # still the sum
-    assert cache.expired_evictions == 1
+    assert len(cache) == 0
 
 
 def test_cache_put_sweeps_expired_before_lru():
     # Regression: a cache full of dead sessions must not LRU-evict a
-    # live one. Two expired entries + one live at capacity 3; a put
-    # sweeps the dead pair and keeps the live session resumable.
+    # live one. A full cache but one, all expired, plus one live
+    # entry; a put sweeps the dead and keeps the live session
+    # resumable.
     sim = Simulator()
-    cache = SessionCache(sim, lifetime=10.0, capacity=3)
-    cache.put(_state(b"d" * 16, t=0.0))      # will expire
-    cache.put(_state(b"e" * 16, t=0.0))      # will expire
-    sim.timeout(100.0)
+    cache = SessionCache(sim)
+    _fill(cache, SESSION_CACHE_CAPACITY - 1, t=0.0)  # will expire
+    sim.timeout(SESSION_LIFETIME + 1.0)
     sim.run()
     cache.put(_state(b"l" * 16, t=sim.now))  # live, oldest LRU position
     cache.put(_state(b"n" * 16, t=sim.now))  # over capacity -> sweep
     assert cache.get(b"l" * 16) is not None
     assert cache.get(b"n" * 16) is not None
-    assert cache.expired_evictions == 2
     assert len(cache) == 2
 
 
 def test_cache_put_still_lru_evicts_live_overflow():
     # All-live overflow keeps the historical LRU behaviour.
-    cache = SessionCache(Simulator(), capacity=2)
-    cache.put(_state(b"a" * 16))
-    cache.put(_state(b"b" * 16))
-    cache.put(_state(b"c" * 16))   # evicts "a" (oldest), no expiries
-    assert cache.get(b"a" * 16) is None
-    assert cache.get(b"b" * 16) is not None
+    cache = SessionCache(Simulator())
+    _fill(cache, SESSION_CACHE_CAPACITY)
+    cache.put(_state(b"c" * 16))   # evicts the oldest, no expiries
+    assert cache.get(_sid(0)) is None
+    assert cache.get(_sid(1)) is not None
     assert cache.get(b"c" * 16) is not None
-    assert cache.expired_evictions == 0
-
-
-def test_cache_validation():
-    with pytest.raises(ValueError):
-        SessionCache(Simulator(), lifetime=0)
-    with pytest.raises(ValueError):
-        SessionCache(Simulator(), capacity=0)
+    assert len(cache) == SESSION_CACHE_CAPACITY
 
 
 # -- messages ------------------------------------------------------------------
