@@ -2,7 +2,10 @@
 responses in flight, malformed requests, per-job FD mode."""
 
 from repro.bench.runner import Testbed
+from repro.clients.tls_session import ClientTlsSession
 from repro.server.connection import ConnState
+from repro.tls.actions import SendMessage
+from repro.tls.messages import Finished
 
 
 def run_bed(config="QTLS", until=0.08, n_clients=10, **kw):
@@ -204,3 +207,45 @@ def test_timer_plus_queue_single_quiet_client_no_stall():
     bed.add_s_time_fleet(n_clients=1)
     bed.sim.run(until=0.1)
     assert len(bed.metrics.handshakes) > 30
+
+
+class _ForgedFinished(ClientTlsSession):
+    """Sends a client Finished whose verify data is wrong."""
+
+    def _flush(self, outbuf):
+        outbuf[:] = [SendMessage(Finished(verify_data=bytes(12)),
+                                 sm.encrypted, sm.flush)
+                     if isinstance(sm.message, Finished) else sm
+                     for sm in outbuf]
+        return (yield from super()._flush(outbuf))
+
+
+def test_fatal_alert_on_a_resumed_connection_invalidates_the_session():
+    # RFC 5246 7.2.2: a session whose connection ended in a fatal
+    # alert must not be resumed.
+    bed = Testbed("SW", workers=1, suites=("TLS-RSA",), seed=9)
+    addr = bed.server.addresses()[0]
+    full_cfg = bed._client_config_factory()(0)
+    resumed = []
+
+    def connect(session_cls, cfg):
+        sock = yield from bed.net.connect("client0", addr)
+        session = session_cls(bed.sim, sock, cfg, bed.cost_model)
+        result = yield from session.handshake()
+        resumed.append(result.resumed)
+        yield bed.sim.timeout(1e-3)  # let the server judge the flight
+        sock.close()
+        return session
+
+    def client(sim):
+        first = yield from connect(ClientTlsSession, full_cfg)
+        offer = first.resumption_config(full_cfg.rng)
+        yield from connect(_ForgedFinished, offer)
+        yield from connect(ClientTlsSession, offer)
+
+    bed.sim.process(client(bed.sim))
+    bed.sim.run(until=0.05)
+    assert bed.server.metrics_snapshot()["alerts"] == 1
+    # The forged flight resumed (the client cannot tell); the next
+    # offer of that session gets a full handshake.
+    assert resumed == [False, True, False]
