@@ -1,9 +1,14 @@
 """Provider tests: both providers must satisfy the same contract."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.crypto.provider import (ModeledCryptoProvider, RealCryptoProvider,
+from repro.crypto.ec import EcError
+from repro.crypto.provider import (_DH_P, REMEMBERED_EXPONENTS,
+                                   AccountingCryptoProvider,
+                                   ModeledCryptoProvider, RealCryptoProvider,
                                    VerifyError)
 from repro.crypto.rsa import RsaError
 
@@ -90,6 +95,99 @@ def test_ecdh_different_keys_different_secrets(provider):
     c = provider.ecdh_keygen("P-256", _rng(10))
     assert provider.ecdh_shared(a, b.public_bytes) != \
         provider.ecdh_shared(a, c.public_bytes)
+
+
+@pytest.mark.parametrize("mangle", [lambda pub: pub[:-1],
+                                    lambda pub: b"\x02" + pub[1:]],
+                         ids=["truncated", "prefix-02"])
+def test_ecdh_rejects_malformed_share(provider, mangle):
+    a = provider.ecdh_keygen("P-256", _rng(5))
+    b = provider.ecdh_keygen("P-256", _rng(6))
+    with pytest.raises(EcError, match="malformed uncompressed point"):
+        provider.ecdh_shared(a, mangle(b.public_bytes))
+
+
+# -- modeled ECDH: fixed-base table and remembered exponents -------------------
+
+# (curve, rng seed of share A (B's is one more), sha256 of A's public
+# bytes, of B's, shared secret): the bytes the plain-``pow``
+# implementation produced.
+MODELED_ECDH_PINS = [
+    ("P-256", 11,
+     "f9a64922c67fee8802213cd60b3bb6ba135ac423f78222dd420bab7fa20f5fb0",
+     "be113c2182d77f8a4a429a8f54167024254804a809b26c953e07909c2a48c2ed",
+     "ad49077dfadc4f73a22fe81878d499b54ad4b8bbfcfd6728d30213fbcad0657b"),
+    ("P-384", 13,
+     "c1743207261374720ccc6116a6edaf24e28ad36850d5c5f13fa1e59330d47443",
+     "446cae5137d08440fd4a0c56f80699b28773b7422b4ca8a9e0682c8232cb07c2",
+     "e18ce7448b28f88886a7ec77afc3764d343bc3e80da31c8facbeac1ea3063945"
+     "57ecb0b56f50326ff4bc8fb9f3bb2c9e"),
+    ("K-283", 15,
+     "900215e6d248e5d9f5f2607b84a2a69781cc38372078136edeed07ebec112805",
+     "9698c5874edc6c87141564f7854f5f893191a320f87019fe641a352bb3cec882",
+     "58ebe603db122a87b3e756121d25bd1804bb998b77d00d942c14096c9d5eb2c4"
+     "caec99a9"),
+]
+
+
+@pytest.mark.parametrize("curve,seed,pub_a,pub_b,secret", MODELED_ECDH_PINS,
+                         ids=[pin[0] for pin in MODELED_ECDH_PINS])
+def test_modeled_ecdh_known_answers(curve, seed, pub_a, pub_b, secret):
+    p = ModeledCryptoProvider()
+    a = p.ecdh_keygen(curve, _rng(seed))
+    b = p.ecdh_keygen(curve, _rng(seed + 1))
+    assert hashlib.sha256(a.public_bytes).hexdigest() == pub_a
+    assert hashlib.sha256(b.public_bytes).hexdigest() == pub_b
+    assert p.ecdh_shared(a, b.public_bytes).hex() == secret
+    assert p.ecdh_shared(b, a.public_bytes).hex() == secret
+
+
+def test_fixed_base_table_matches_pow():
+    p = ModeledCryptoProvider()
+    edges = [0, 1, 255, 256, _DH_P - 2, _DH_P - 1, _DH_P, 2**256 - 1]
+    rng = _rng(30)
+    draws = [int.from_bytes(rng.bytes(32), "big") for _ in range(64)]
+    for x in edges + draws:
+        assert p._g_pow(x) == pow(5, x, _DH_P), x
+
+
+@pytest.mark.parametrize("cls", [ModeledCryptoProvider,
+                                 AccountingCryptoProvider])
+@pytest.mark.parametrize("a_first", [True, False], ids=["a-first", "b-first"])
+def test_ecdh_remembered_exponent_matches_pow_path(cls, a_first):
+    """One instance issued both shares, so each side hits the registry;
+    two instances each issued one, so both sides miss and take ``pow``."""
+    one = cls()
+    a, b = one.ecdh_keygen("P-256", _rng(20)), one.ecdh_keygen("P-256",
+                                                              _rng(21))
+    pa, pb = cls(), cls()
+    a2, b2 = pa.ecdh_keygen("P-256", _rng(20)), pb.ecdh_keygen("P-256",
+                                                               _rng(21))
+    assert (a2, b2) == (a, b)
+    sides = [(one, a, b), (one, b, a)]
+    split = [(pa, a2, b2), (pb, b2, a2)]
+    if not a_first:
+        sides.reverse()
+        split.reverse()
+    hits = [p.ecdh_shared(s, peer.public_bytes) for p, s, peer in sides]
+    misses = [p.ecdh_shared(s, peer.public_bytes) for p, s, peer in split]
+    assert one._issued == {}
+    assert len(pa._issued) == len(pb._issued) == 1
+    assert hits[0] == hits[1] == misses[0] == misses[1]
+
+
+def test_ecdh_registry_capped_oldest_first():
+    p = ModeledCryptoProvider()
+    rng = _rng(40)
+    shares = [p.ecdh_keygen("P-256", rng)
+              for _ in range(REMEMBERED_EXPONENTS + 3)]
+    assert len(p._issued) == REMEMBERED_EXPONENTS
+    oldest, newest = shares[0], shares[-1]
+    assert int.from_bytes(oldest.public_bytes[1:33], "big") not in p._issued
+    assert int.from_bytes(newest.public_bytes[1:33], "big") in p._issued
+    evicted_side = p.ecdh_shared(newest, oldest.public_bytes)   # pow path
+    remembered_side = p.ecdh_shared(oldest, newest.public_bytes)
+    assert evicted_side == remembered_side
 
 
 # -- KDFs ------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """TLS 1.2 handshake tests: all suites, both providers, Table 1 counts."""
 
+import dataclasses
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,10 @@ from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
 from repro.sim import Simulator
 from repro.tls import (ECDHE_ECDSA, ECDHE_RSA, TLS_RSA, OpLog, SessionCache,
-                       TlsAlert, TlsClientConfig, TlsServerConfig,
+                       SyncDriver, TlsAlert, TlsClientConfig, TlsServerConfig,
                        client_handshake12, run_loopback_handshake,
                        server_handshake12)
+from repro.tls.messages import ClientKeyExchange
 from repro.tls.session import SESSION_LIFETIME
 
 ECC_KINDS = (K.ECDH_KEYGEN, K.ECDH_COMPUTE, K.ECDSA_SIGN)
@@ -125,6 +129,50 @@ def test_tampered_ske_signature_rejected():
     with pytest.raises(TlsAlert, match="bad ServerKeyExchange signature"):
         run_loopback_handshake(client_handshake12(ccfg),
                                server_handshake12(scfg))
+
+
+def _handshake_with_flipped_cke(scfg, ccfg, index):
+    """Loopback ECDHE handshake whose ClientKeyExchange public value has
+    byte ``index`` flipped in transit; returns (alert text, the client's
+    untampered public value)."""
+    client = SyncDriver(client_handshake12(ccfg))
+    server = SyncDriver(server_handshake12(scfg))
+    c2s, s2c = deque(), deque()
+    sent = None
+    try:
+        for _ in range(50):
+            client.pump(s2c, c2s)
+            for i, msg in enumerate(list(c2s)):
+                if isinstance(msg, ClientKeyExchange) and sent is None:
+                    sent = msg.public
+                    flipped = bytearray(sent)
+                    flipped[index] ^= 0xFF
+                    c2s[i] = dataclasses.replace(msg, public=bytes(flipped))
+            server.pump(c2s, s2c)
+            if client.done and server.done:
+                return None, sent
+    except TlsAlert as alert:
+        return str(alert), sent
+    raise AssertionError("handshake neither finished nor failed")
+
+
+def test_tampered_cke_public_value_fails_modeled():
+    """A flipped byte of the client's public integer must not be
+    "repaired" by the modeled provider's remembered exponents: the
+    server's lookup misses, so its premaster differs and every tampered
+    handshake fails on the client Finished."""
+    provider = ModeledCryptoProvider()
+    alerts, sent = [], []
+    for seed, index in enumerate((1, 12, 23, 32)):
+        scfg, ccfg = make_configs(ECDHE_RSA, provider, seed=10 * seed)
+        alert, public = _handshake_with_flipped_cke(scfg, ccfg, index)
+        alerts.append(alert)
+        sent.append(public)
+    assert alerts == ["decrypt_error: client Finished verify failed"] * 4
+    # The server looked the tampered value up and missed, so each
+    # client's own exponent is still remembered.
+    for public in sent:
+        assert int.from_bytes(public[1:33], "big") in provider._issued
 
 
 # -- session resumption ---------------------------------------------------------
