@@ -15,7 +15,6 @@ Run:  python examples/cdn_terminator.py
 """
 
 from repro.bench import Testbed, Windows
-from repro.crypto.provider import AccountingCryptoProvider
 
 HS_WINDOWS = Windows(warmup=0.08, measure=0.12)
 XFER_WINDOWS = Windows(warmup=0.25, measure=0.15)
@@ -32,8 +31,7 @@ def handshake_mix(config: str) -> float:
 
 def object_transfer(config: str) -> float:
     """Gbps serving 64 KB objects over keepalive connections."""
-    bed = Testbed(config, workers=WORKERS, suites=("ECDHE-RSA",),
-                  provider=AccountingCryptoProvider(), seed=11)
+    bed = Testbed(config, workers=WORKERS, suites=("ECDHE-RSA",), seed=11)
     return bed.measure_throughput(XFER_WINDOWS, n_clients=60 * WORKERS,
                                   file_size=64 * 1024) / 1e9
 

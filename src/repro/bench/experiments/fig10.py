@@ -7,7 +7,6 @@ interfere; 400 ab processes continuously request a fixed file.
 from __future__ import annotations
 
 from ...core.configurations import CONFIG_NAMES
-from ...crypto.provider import AccountingCryptoProvider
 from ..reporting import ExperimentResult
 from ..runner import Testbed, Windows
 
@@ -23,8 +22,7 @@ KB = 1024
 
 
 def _gbps(config, size, workers, clients, windows, seed):
-    bed = Testbed(config, workers=workers, suites=("TLS-RSA",),
-                  provider=AccountingCryptoProvider(), seed=seed)
+    bed = Testbed(config, workers=workers, suites=("TLS-RSA",), seed=seed)
     bps = bed.measure_throughput(windows, n_clients=clients,
                                  file_size=size)
     return bps / 1e9

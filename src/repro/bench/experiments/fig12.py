@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ...crypto.provider import AccountingCryptoProvider
 from ..reporting import ExperimentResult
 from ..runner import Testbed, Windows
 
@@ -29,9 +28,9 @@ SCENARIOS: Tuple[Tuple[str, str, dict], ...] = (
 )
 
 
-def _bed(scenario_cfg, overrides, workers, seed, provider=None):
+def _bed(scenario_cfg, overrides, workers, seed):
     return Testbed(scenario_cfg, workers=workers, suites=("TLS-RSA",),
-                   seed=seed, provider=provider, **overrides)
+                   seed=seed, **overrides)
 
 
 def run_fig12a(quick: bool = True, seed: int = 7) -> ExperimentResult:
@@ -81,8 +80,7 @@ def run_fig12b(quick: bool = True, seed: int = 7) -> ExperimentResult:
     gbps = {}
     for n in clients_points:
         for name, cfg, overrides in SCENARIOS:
-            bed = _bed(cfg, overrides, workers, seed,
-                       provider=AccountingCryptoProvider())
+            bed = _bed(cfg, overrides, workers, seed)
             v = bed.measure_throughput(Windows(0.25, windows.measure),
                                        n_clients=n,
                                        file_size=64 * 1024) / 1e9

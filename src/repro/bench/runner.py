@@ -12,7 +12,7 @@ from ..clients import AbFleet, STimeFleet
 from ..core.configurations import make_server_config
 from ..core.costmodel import CostModel
 from ..core.metrics import ClientMetrics
-from ..crypto.provider import CryptoProvider, ModeledCryptoProvider
+from ..crypto.provider import ModeledCryptoProvider
 from ..net.network import Network
 from ..obs import RequestTracer
 from ..qat.device import dh8970
@@ -57,7 +57,6 @@ class Testbed:
                  suites: Tuple[str, ...] = ("TLS-RSA",),
                  curves: Tuple[str, ...] = ("P-256",),
                  tls_version: str = "1.2", rsa_bits: int = 2048,
-                 provider: Optional[CryptoProvider] = None,
                  cost_model: Optional[CostModel] = None,
                  seed: int = 7,
                  fault_plan: Optional[Dict] = None,
@@ -75,7 +74,7 @@ class Testbed:
             self.sim.obs = self.tracer
         self.rng = RngRegistry(seed)
         self.net = Network(self.sim)
-        self.provider = provider or ModeledCryptoProvider()
+        self.provider = ModeledCryptoProvider()
         self.cost_model = cost_model or CostModel()
         self.config = make_server_config(
             config_name, workers=workers, suites=suites, curves=curves,

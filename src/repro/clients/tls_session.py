@@ -124,9 +124,11 @@ class ClientTlsSession:
     def receive_payload(self, expected_bytes: int) -> Generator:
         """Receive records until ``expected_bytes`` of plaintext arrived.
 
-        Returns the total plaintext length received. Uses the record
-        accounting field (client decryption is not the system under
-        test); a small per-record client cost is charged.
+        Returns the total plaintext length received: the sum of each
+        record's ``plaintext_len``. The client never decrypts a
+        response (the server protects it by length only, see
+        :meth:`RecordLayer.protect_opaque`); a small per-record client
+        cost is charged.
         """
         got = 0
         while got < expected_bytes:

@@ -38,8 +38,7 @@ from .hkdf import hkdf_expand_label, hkdf_extract
 from .prf import prf as _prf
 
 __all__ = ["KeyShare", "ServerCredentials", "CryptoProvider",
-           "RealCryptoProvider", "ModeledCryptoProvider",
-           "AccountingCryptoProvider", "VerifyError"]
+           "RealCryptoProvider", "ModeledCryptoProvider", "VerifyError"]
 
 
 class VerifyError(ValueError):
@@ -532,51 +531,3 @@ _DH_G = 5
 #: one ``pow``).
 REMEMBERED_EXPONENTS = 4096
 
-
-class _LenOnlyBlob:
-    """A length-only stand-in for large ciphertext fragments.
-
-    Supports ``len()`` (all the transport accounting needs) without
-    materializing megabytes of placeholder bytes — used by the
-    throughput benchmarks, where per-record content is irrelevant.
-    """
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-
-#: Record payloads above this many bytes become length-only blobs
-#: under :class:`AccountingCryptoProvider`.
-BLOB_THRESHOLD = 2048
-
-
-class AccountingCryptoProvider(ModeledCryptoProvider):
-    """ModeledCryptoProvider variant for large-transfer benchmarks:
-    record fragments above :data:`BLOB_THRESHOLD` bytes are length-only
-    blobs.
-
-    Wire-size arithmetic is identical to the other providers; only the
-    ability to decrypt the (never-decrypted) bulk records is dropped.
-    """
-
-    name = "accounting"
-
-    def encrypt_record_cbc_hmac(self, enc_key, mac_key, seq, content_type,
-                                version, payload, iv):
-        if len(payload) <= BLOB_THRESHOLD:
-            return super().encrypt_record_cbc_hmac(
-                enc_key, mac_key, seq, content_type, version, payload, iv)
-        padded_len = (len(payload) + 20) + 16 - ((len(payload) + 20) % 16)
-        return _LenOnlyBlob(16 + padded_len)
-
-    def decrypt_record_cbc_hmac(self, enc_key, mac_key, seq, content_type,
-                                version, fragment):
-        if isinstance(fragment, _LenOnlyBlob):
-            raise VerifyError("accounting blobs cannot be decrypted")
-        return super().decrypt_record_cbc_hmac(
-            enc_key, mac_key, seq, content_type, version, fragment)

@@ -3,7 +3,7 @@
 from .conf_text import ConfError, parse_conf, server_config_from_text
 from .config import ServerConfig, SslEngineConfig
 from .connection import ConnState, ServerConnection
-from .http import HttpRequest, encode_request, parse_request, response_body
+from .http import HttpRequest, encode_request, parse_request
 from .master import TlsServer
 from .notify.async_queue import AsyncEventQueue
 from .polling.heuristic import HeuristicPoller
@@ -15,6 +15,6 @@ __all__ = [
     "ServerConfig", "SslEngineConfig", "TlsServer", "Worker",
     "WorkerMetrics", "ServerConnection", "ConnState", "StubStatus",
     "HeuristicPoller", "TimerPollingThread", "AsyncEventQueue",
-    "HttpRequest", "encode_request", "parse_request", "response_body",
-    "parse_conf", "server_config_from_text", "ConfError",
+    "HttpRequest", "encode_request", "parse_request", "parse_conf",
+    "server_config_from_text", "ConfError",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["HttpRequest", "HttpResponse", "encode_request", "parse_request",
-           "response_body", "RESPONSE_HEADER_SIZE"]
+           "RESPONSE_HEADER_SIZE"]
 
 #: Bytes of response head (status line + headers) preceding the body.
 RESPONSE_HEADER_SIZE = 170
@@ -57,15 +57,3 @@ def parse_request(raw: bytes) -> HttpRequest:
     except (UnicodeDecodeError, ValueError, IndexError) as e:
         raise ValueError(f"malformed request: {e}") from None
 
-
-_BODY_CACHE: dict = {}
-
-
-def response_body(size: int) -> bytes:
-    """The served object: header + body bytes (cached per size)."""
-    body = _BODY_CACHE.get(size)
-    if body is None:
-        body = b"H" * RESPONSE_HEADER_SIZE + b"x" * size
-        if size <= 4 * 1024 * 1024:
-            _BODY_CACHE[size] = body
-    return body

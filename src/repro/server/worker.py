@@ -61,7 +61,7 @@ from ..tls.actions import TlsAlert
 from ..tls.record import TlsRecord
 from .config import ServerConfig
 from .connection import ConnState, ServerConnection
-from .http import parse_request, response_body
+from .http import RESPONSE_HEADER_SIZE, parse_request
 from .notify.async_queue import AsyncEventQueue
 from .polling.heuristic import HeuristicPoller
 from .polling.timer_thread import TimerPollingThread
@@ -724,8 +724,8 @@ class Worker:
                 yield from self._teardown(conn)
                 return
             conn.current_request = request
-            body = response_body(request.size)
-            status, records = yield from conn.ssl.write(body, self)
+            status, records = yield from conn.ssl.write(
+                RESPONSE_HEADER_SIZE + request.size, self)
             if self._handle_status(conn, status, self._io_handler):
                 return
             yield from self._send_records(conn, records)

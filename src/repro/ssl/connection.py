@@ -46,7 +46,6 @@ class SslConnection:
         self.session_id = b""
         self.record_layer: Optional[RecordLayer] = None
         self._job: Optional[AsyncJob] = None
-        self._pending_write: Optional[bytes] = None
 
     # -- transport-facing -----------------------------------------------------
 
@@ -97,27 +96,26 @@ class SslConnection:
             self._job = None
         return status
 
-    def write(self, data: bytes, owner: object) -> Generator:
-        """ngx_ssl_write: protect application data into records.
+    def write(self, length: Optional[int], owner: object) -> Generator:
+        """ngx_ssl_write: protect a ``length``-byte response into records.
 
-        Returns ``(status, records)``; records is non-None only on OK.
-        A paused write resumes by calling write again with the same
-        data (or None).
+        No client decrypts a response, so only its length is protected
+        (:meth:`RecordLayer.protect_opaque`). Returns ``(status,
+        records)``; records is non-None only on OK. A paused write
+        resumes by calling write again with None.
         """
         if self.record_layer is None:
             raise RuntimeError("write before handshake completion")
         if self._job is None:
-            if data is None:
+            if length is None:
                 raise ValueError("no pending write to resume")
-            self._pending_write = data
             layer = self.record_layer
-            self._job = self._new_job(lambda: layer.protect(data),
+            self._job = self._new_job(lambda: layer.protect_opaque(length),
                                       kind="write")
         status = yield from self._drive(owner)
         if status is SslStatus.OK:
             records = self._job.result
             self._job = None
-            self._pending_write = None
             return status, records
         return status, None
 

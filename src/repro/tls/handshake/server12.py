@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from ...crypto.ec import EcError
 from ...crypto.ops import CryptoOp, CryptoOpKind
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
@@ -144,10 +145,14 @@ def server_handshake12(config: TlsServerConfig
             raise TlsAlert("decode_error: missing client key share")
         peer_pub = cke.public
         share = server_share
-        premaster = yield CryptoCall(
-            CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=negotiated_curve),
-            compute=lambda: provider.ecdh_shared(share, peer_pub),
-            label="ecdh-compute")
+        try:
+            premaster = yield CryptoCall(
+                CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=negotiated_curve),
+                compute=lambda: provider.ecdh_shared(share, peer_pub),
+                label="ecdh-compute")
+        except EcError as exc:
+            # A share that is no valid point of the curve (RFC 8422).
+            raise TlsAlert(f"illegal_parameter: {exc}") from exc
 
     master_secret = yield CryptoCall(
         CryptoOp(CryptoOpKind.PRF, nbytes=48),

@@ -8,12 +8,17 @@ counts ("one 128 KB file incurs eight cipher operations").
 Like the handshake state machines, the record layer is sans-IO: it
 yields :class:`~repro.tls.actions.CryptoCall` actions so the cipher
 work can be offloaded asynchronously.
+
+No client decrypts a response, so the server protects one by its
+length (:meth:`RecordLayer.protect_opaque`); every record a peer opens
+keeps real or modeled bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List
+from functools import partial
+from typing import Callable, Generator, List, Sequence, Union
 
 import numpy as np
 
@@ -22,9 +27,23 @@ from ..crypto.provider import CryptoProvider
 from .actions import CryptoCall, DirectionKeys, TlsAlert
 from .constants import MAX_FRAGMENT, ContentType, ProtocolVersion
 
-__all__ = ["TlsRecord", "RecordLayer", "RECORD_HEADER_LEN"]
+__all__ = ["TlsRecord", "OpaqueFragment", "RecordLayer",
+           "RECORD_HEADER_LEN"]
 
 RECORD_HEADER_LEN = 5
+
+
+class OpaqueFragment:
+    """Bytes nobody reads, kept as their length only: a response's
+    plaintext and ciphertext. A record carrying one cannot be opened."""
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
 
 
 @dataclass(frozen=True)
@@ -33,8 +52,12 @@ class TlsRecord:
 
     content_type: int
     version: int
-    fragment: bytes          # IV || ciphertext (provider format)
-    plaintext_len: int       # for accounting/tests only
+    #: IV || ciphertext (provider format), or an :class:`OpaqueFragment`
+    #: of that size for a response nobody decrypts.
+    fragment: Union[bytes, OpaqueFragment]
+    #: Plaintext bytes this record carries: what a client counts of a
+    #: response, since it never decrypts one.
+    plaintext_len: int
 
     def wire_size(self) -> int:
         return RECORD_HEADER_LEN + len(self.fragment)
@@ -71,29 +94,56 @@ class RecordLayer:
                 content_type: int = ContentType.APPLICATION_DATA
                 ) -> Generator[object, object, List[TlsRecord]]:
         """Protect ``data``; one CryptoCall per 16 KB fragment."""
+        return self._protect(self.fragments(data), content_type, self._seal)
+
+    def protect_opaque(self, length: int
+                       ) -> Generator[object, object, List[TlsRecord]]:
+        """Protect ``length`` bytes of application data no peer opens.
+
+        Yields the CryptoCalls, advances the sequence number and draws
+        the CBC IVs exactly as :meth:`protect` does for that many bytes;
+        each record's fragment is an :class:`OpaqueFragment` of the
+        ciphertext's wire size.
+        """
+        frags = [OpaqueFragment(min(MAX_FRAGMENT, length - i))
+                 for i in range(0, length, MAX_FRAGMENT)]
+        return self._protect(frags or [OpaqueFragment(0)],
+                             ContentType.APPLICATION_DATA, self._seal_opaque)
+
+    def _protect(self, frags: Sequence, content_type: int,
+                 seal: Callable) -> Generator[object, object,
+                                              List[TlsRecord]]:
         records: List[TlsRecord] = []
-        for frag in self.fragments(data):
+        for frag in frags:
             seq = self._write_seq
             self._write_seq += 1
-            keys = self.write_keys
-            provider = self.provider
-            version = self.version
-            if self.aead:
-                compute = (lambda f=frag, s=seq:
-                           provider.encrypt_record_aead(
-                               keys.enc_key, keys.iv, s, content_type, f))
-            else:
-                iv = bytes(self.rng.bytes(16))
-                compute = (lambda f=frag, s=seq, i2=iv:
-                           provider.encrypt_record_cbc_hmac(
-                               keys.enc_key, keys.mac_key, s, content_type,
-                               version, f, i2))
-            ciphertext = yield CryptoCall(
+            iv = None if self.aead else bytes(self.rng.bytes(16))
+            fragment = yield CryptoCall(
                 CryptoOp(CryptoOpKind.RECORD_CIPHER, nbytes=len(frag)),
-                compute=compute, label=f"protect-{seq}")
-            records.append(TlsRecord(content_type, version, ciphertext,
+                compute=partial(seal, frag, seq, content_type, iv),
+                label=f"protect-{seq}")
+            records.append(TlsRecord(content_type, self.version, fragment,
                                      len(frag)))
         return records
+
+    def _seal(self, frag: bytes, seq: int, content_type: int,
+              iv: bytes) -> bytes:
+        keys = self.write_keys
+        if self.aead:
+            return self.provider.encrypt_record_aead(
+                keys.enc_key, keys.iv, seq, content_type, frag)
+        return self.provider.encrypt_record_cbc_hmac(
+            keys.enc_key, keys.mac_key, seq, content_type, self.version,
+            frag, iv)
+
+    def _seal_opaque(self, frag: OpaqueFragment, seq: int,
+                     content_type: int, iv: bytes) -> OpaqueFragment:
+        n = len(frag)
+        if self.aead:
+            # AES-128-GCM: payload || inner content type || 16-byte tag.
+            return OpaqueFragment(n + 17)
+        # CBC: IV || pad(payload || HMAC-SHA1), padding 1-16 bytes.
+        return OpaqueFragment(16 + (n + 20) + 16 - (n + 20) % 16)
 
     # -- inbound ----------------------------------------------------------------
 

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.bench import Testbed
+from repro.clients.tls_session import ClientTlsSession
 from repro.server.http import (RESPONSE_HEADER_SIZE, encode_request,
-                               parse_request, response_body)
+                               parse_request)
+from repro.tls.constants import MAX_FRAGMENT
+from repro.tls.record import OpaqueFragment, TlsRecord
 
 
 def test_roundtrip():
@@ -30,11 +34,33 @@ def test_malformed_rejected():
             parse_request(raw)
 
 
-def test_response_body_size_and_cache():
-    b1 = response_body(1000)
-    assert len(b1) == RESPONSE_HEADER_SIZE + 1000
-    assert response_body(1000) is b1  # cached
+@pytest.mark.parametrize("size", [0, 40000])
+def test_served_response_length(size):
+    """A served response is RESPONSE_HEADER_SIZE + size bytes of
+    plaintext in 16 KB records the server protected by length only."""
+    bed = Testbed("SW", workers=1, suites=("TLS-RSA",), seed=9)
+    records = []
 
+    def client(sim):
+        sock = yield from bed.net.connect("client0",
+                                          bed.server.addresses()[0])
+        session = ClientTlsSession(sim, sock,
+                                   bed._client_config_factory()(0),
+                                   bed.cost_model)
+        yield from session.handshake()
+        yield from session.send_request(encode_request(size))
+        while sum(r.plaintext_len for r in records) < (
+                RESPONSE_HEADER_SIZE + size):
+            msg = sock.recv()
+            if msg is None:
+                yield sim.timeout(1e-4)
+            else:
+                assert isinstance(msg, TlsRecord)
+                records.append(msg)
 
-def test_response_body_header_prefix():
-    assert response_body(10)[:RESPONSE_HEADER_SIZE] == b"H" * RESPONSE_HEADER_SIZE
+    bed.sim.process(client(bed.sim))
+    bed.sim.run(until=0.1)
+    total = RESPONSE_HEADER_SIZE + size
+    assert [r.plaintext_len for r in records] == (
+        [MAX_FRAGMENT] * (total // MAX_FRAGMENT) + [total % MAX_FRAGMENT])
+    assert all(isinstance(r.fragment, OpaqueFragment) for r in records)

@@ -191,7 +191,7 @@ def test_write_path_sync():
     out = {}
 
     def proc(sim):
-        status, records = yield from conn.write(b"x" * 40000, "w")
+        status, records = yield from conn.write(40000, "w")
         yield from env.core.settle()
         out["status"], out["records"] = status, records
 
@@ -207,7 +207,7 @@ def test_write_path_async_pauses_per_fragment():
     out = {"pauses": 0}
 
     def proc(sim):
-        status, records = yield from conn.write(b"x" * 40000, "w")
+        status, records = yield from conn.write(40000, "w")
         yield from env.core.settle()
         while status is not SslStatus.OK:
             assert status is SslStatus.WANT_ASYNC
@@ -259,7 +259,7 @@ def test_write_before_handshake_raises():
     conn = env.connection()
 
     def proc(sim):
-        yield from conn.write(b"data", "w")
+        yield from conn.write(4, "w")
         yield from env.core.settle()
 
     env.sim.process(proc(env.sim))

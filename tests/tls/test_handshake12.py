@@ -175,6 +175,15 @@ def test_tampered_cke_public_value_fails_modeled():
         assert int.from_bytes(public[1:33], "big") in provider._issued
 
 
+@pytest.mark.parametrize("provider", PROVIDERS, ids=IDS)
+def test_malformed_cke_share_is_illegal_parameter(provider):
+    """A share whose 0x04 prefix is flipped is no point at all: the
+    server answers with an alert instead of letting EcError escape."""
+    scfg, ccfg = make_configs(ECDHE_RSA, provider)
+    alert, _ = _handshake_with_flipped_cke(scfg, ccfg, 0)
+    assert alert == "illegal_parameter: malformed uncompressed point"
+
+
 # -- session resumption ---------------------------------------------------------
 
 def resume_pair(provider, suite=ECDHE_RSA, advance=0.0):

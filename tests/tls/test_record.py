@@ -7,19 +7,21 @@ from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
 from repro.tls import MAX_FRAGMENT, TlsAlert
 from repro.tls.actions import DirectionKeys
+from repro.tls.constants import ProtocolVersion
 from repro.tls.loopback import OpLog, run_record_exchange
-from repro.tls.record import RECORD_HEADER_LEN, RecordLayer
+from repro.tls.record import RECORD_HEADER_LEN, OpaqueFragment, RecordLayer
 
 
-def make_layers(provider, seed=0):
+def make_layers(provider, seed=0, version=ProtocolVersion.TLS12):
     ck = DirectionKeys(mac_key=b"\x01" * 20, enc_key=b"\x02" * 16,
                        iv=b"\x03" * 16)
     sk = DirectionKeys(mac_key=b"\x04" * 20, enc_key=b"\x05" * 16,
                        iv=b"\x06" * 16)
     sender = RecordLayer(provider, write_keys=ck, read_keys=sk,
-                         rng=np.random.default_rng(seed))
+                         rng=np.random.default_rng(seed), version=version)
     receiver = RecordLayer(provider, write_keys=sk, read_keys=ck,
-                           rng=np.random.default_rng(seed + 1))
+                           rng=np.random.default_rng(seed + 1),
+                           version=version)
     return sender, receiver
 
 
@@ -107,3 +109,59 @@ def test_tampered_record_rejected(provider):
     with pytest.raises(TlsAlert, match="bad_record_mac"):
         run_record_exchange(receiver.unprotect(bad))
 
+
+
+# -- opaque records (server responses) --------------------------------------------
+
+VERSIONS = [ProtocolVersion.TLS12, ProtocolVersion.TLS13]
+VERSION_IDS = ["cbc", "aead"]
+OPAQUE_SIZES = (0, 1, 16383, 16384, 16385, 40000)
+
+
+def _protect_both(provider, version, size):
+    """Protect ``size`` bytes with :meth:`protect` and by length with
+    :meth:`protect_opaque`, each from a fresh layer on the same seed;
+    returns ((records, oplog, sender) for protect, ... for opaque)."""
+    out = []
+    for gen in (lambda layer: layer.protect(b"\x00" * size),
+                lambda layer: layer.protect_opaque(size)):
+        sender, _ = make_layers(provider, version=version)
+        oplog = OpLog()
+        out.append((run_record_exchange(gen(sender), oplog), oplog, sender))
+    return out
+
+
+@pytest.mark.parametrize("size", OPAQUE_SIZES)
+@pytest.mark.parametrize("version", VERSIONS, ids=VERSION_IDS)
+def test_opaque_wire_sizes_match_real(version, size):
+    (real, _, _), _ = _protect_both(RealCryptoProvider(), version, size)
+    _, (opaque, _, _) = _protect_both(ModeledCryptoProvider(), version, size)
+    assert all(isinstance(r.fragment, OpaqueFragment) for r in opaque)
+    assert ([(r.wire_size(), r.plaintext_len) for r in opaque]
+            == [(r.wire_size(), r.plaintext_len) for r in real])
+    assert sum(r.plaintext_len for r in opaque) == size
+
+
+@pytest.mark.parametrize("size", OPAQUE_SIZES)
+@pytest.mark.parametrize("version", VERSIONS, ids=VERSION_IDS)
+def test_opaque_calls_and_rng_match_protect(version, size):
+    """Same ops, labels, sequence advance and IV draws as protect: the
+    rng is the worker's shared stream, so a skipped or extra draw would
+    move every later server_random, session id and ticket."""
+    (_, plain_log, plain), (_, opaque_log, opaque) = _protect_both(
+        ModeledCryptoProvider(), version, size)
+    assert ([(op.kind, op.nbytes) for op in opaque_log.ops]
+            == [(op.kind, op.nbytes) for op in plain_log.ops])
+    assert all(op.kind is K.RECORD_CIPHER for op in opaque_log.ops)
+    assert opaque_log.labels == plain_log.labels
+    assert opaque._write_seq == plain._write_seq
+    assert (opaque.rng.bit_generator.state
+            == plain.rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("version", VERSIONS, ids=VERSION_IDS)
+def test_opaque_record_fails_unprotect(provider, version):
+    sender, receiver = make_layers(provider, version=version)
+    (record, *_) = run_record_exchange(sender.protect_opaque(40000))
+    with pytest.raises(TlsAlert, match="bad_record_mac"):
+        run_record_exchange(receiver.unprotect(record))
