@@ -6,6 +6,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..sim.rng import random_bytes
+
 __all__ = ["is_prime", "generate_prime"]
 
 # Small primes used for fast trial division before Miller-Rabin.
@@ -82,7 +84,7 @@ def generate_prime(bits: int, rng: np.random.Generator) -> int:
         raise ValueError("prime size too small")
     nbytes = (bits + 7) // 8
     while True:
-        raw = int.from_bytes(rng.bytes(nbytes), "big")
+        raw = int.from_bytes(random_bytes(rng, nbytes), "big")
         raw &= (1 << bits) - 1
         raw |= (1 << (bits - 1)) | (1 << (bits - 2))  # force top bits
         raw |= 1                                       # force odd

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..sim.rng import random_bytes
 from . import ecdh, ecdsa, rsa
 from .bigint import i2osp, os2ip
 from .ec import EcError, get_curve
@@ -365,14 +366,14 @@ class ModeledCryptoProvider(CryptoProvider):
 
     def make_rsa_credentials(self, bits: int, rng: np.random.Generator,
                              key_id: str = "server-rsa") -> ServerCredentials:
-        secret = rng.bytes(32)
+        secret = random_bytes(rng, 32)
         pub = _h(b"rsa-pub", key_id.encode(), secret)
         pub = _stretch(pub, bits // 8 + 4)
         return ServerCredentials("rsa", key_id, secret, pub, rsa_bits=bits)
 
     def make_ecdsa_credentials(self, curve: str, rng: np.random.Generator,
                                key_id: str = "server-ec") -> ServerCredentials:
-        secret = rng.bytes(32)
+        secret = random_bytes(rng, 32)
         pub = _stretch(_h(b"ec-pub", key_id.encode(), secret),
                        1 + 2 * _field_len(curve))
         return ServerCredentials("ecdsa", key_id, secret, pub, curve=curve)
@@ -435,7 +436,7 @@ class ModeledCryptoProvider(CryptoProvider):
         return r
 
     def ecdh_keygen(self, curve: str, rng: np.random.Generator) -> KeyShare:
-        secret = rng.bytes(32)
+        secret = random_bytes(rng, 32)
         # Commutative fake DH: public = g^x modeled as a scalar in a
         # Schnorr-group-free way — use modexp over a fixed 256-bit prime
         # so shared secrets actually agree without real EC math.

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..sim.rng import random_bytes
 from .bigint import byte_length, crt_pair, i2osp, modinv, os2ip
 from .primes import generate_prime
 
@@ -162,7 +163,7 @@ def encrypt_pkcs1v15(key: RsaPublicKey, message: bytes,
         raise RsaError("message too long")
     ps_len = k - len(message) - 3
     # Padding string must be non-zero octets.
-    ps = bytes(int(b) % 255 + 1 for b in rng.bytes(ps_len))
+    ps = bytes(int(b) % 255 + 1 for b in random_bytes(rng, ps_len))
     em = b"\x00\x02" + ps + b"\x00" + message
     return i2osp(key.raw_encrypt(os2ip(em)), k)
 

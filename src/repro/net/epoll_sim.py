@@ -37,20 +37,30 @@ class Epoll:
     def __init__(self, sim: "Simulator", name: str = "epoll") -> None:
         self.sim = sim
         self.name = name
-        # Insertion-ordered (dict-as-set): readiness reporting must
-        # not depend on object hashes, or runs lose determinism.
-        self._watched: Dict[Pollable, None] = {}
+        # Watched fd -> registration number. Readiness is reported in
+        # registration order, never in object-hash order, or runs lose
+        # determinism.
+        self._watched: Dict[Pollable, int] = {}
+        self._registrations = 0
+        # The readable subset of _watched, kept by the readiness hooks
+        # so a wait touches only ready fds.
+        self._ready: Dict[Pollable, None] = {}
         self._waiter = None  # pending wait event, if a process is blocked
         self.wait_calls = 0
 
     # -- registration (epoll_ctl) ------------------------------------------
 
     def register(self, p: Pollable) -> None:
-        self._watched[p] = None
+        if p not in self._watched:
+            self._registrations += 1
+            self._watched[p] = self._registrations
         p._watchers[self] = None
+        if p.readable:
+            self._ready[p] = None
 
     def unregister(self, p: Pollable) -> None:
         self._watched.pop(p, None)
+        self._ready.pop(p, None)
         p._watchers.pop(self, None)
 
     def is_registered(self, p: Pollable) -> bool:
@@ -59,12 +69,16 @@ class Epoll:
     # -- waiting ------------------------------------------------------------
 
     def _ready_list(self) -> List[Pollable]:
-        return [p for p in self._watched if p.readable]
+        return sorted(self._ready, key=self._watched.__getitem__)
 
-    def _notify(self, _p: Pollable) -> None:
+    def _notify(self, p: Pollable) -> None:
+        self._ready[p] = None
         if self._waiter is not None and not self._waiter.triggered:
             self._waiter.succeed()
         self._waiter = None
+
+    def _cleared(self, p: Pollable) -> None:
+        self._ready.pop(p, None)
 
     def wait(self, core, owner: object = None,
              timeout: Optional[float] = None) -> Generator:

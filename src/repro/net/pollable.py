@@ -37,6 +37,8 @@ class Pollable:
 
     def _clear_readable(self) -> None:
         self._readable = False
+        for watcher in self._watchers:
+            watcher._cleared(self)
 
 
 class _Waiter:
@@ -52,6 +54,9 @@ class _Waiter:
         pollable._watchers.pop(self, None)
         if not self.event.triggered:
             self.event.succeed()
+
+    def _cleared(self, pollable: Pollable) -> None:
+        pass
 
 
 def wait_readable(sim, pollable: Pollable):

@@ -18,14 +18,19 @@ class InflightCounters:
 
     def __init__(self) -> None:
         self._counts = {cat: 0 for cat in OpCategory}
+        #: Rtotal = Rasym + Rcipher + Rprf, kept live: the poller reads
+        #: it after every handler.
+        self.total = 0
 
     def increment(self, category: OpCategory) -> None:
         self._counts[category] += 1
+        self.total += 1
 
     def decrement(self, category: OpCategory) -> None:
         if self._counts[category] <= 0:
             raise RuntimeError(f"inflight underflow for {category}")
         self._counts[category] -= 1
+        self.total -= 1
 
     @property
     def asym(self) -> int:
@@ -38,11 +43,6 @@ class InflightCounters:
     @property
     def prf(self) -> int:
         return self._counts[OpCategory.PRF]
-
-    @property
-    def total(self) -> int:
-        """Rtotal = Rasym + Rcipher + Rprf."""
-        return sum(self._counts.values())
 
     def snapshot(self) -> dict:
         return {cat.value: n for cat, n in self._counts.items()}

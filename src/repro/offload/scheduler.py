@@ -128,13 +128,10 @@ class ClassScheduler:
             lane.name: lane for lane in self._lanes}
         self._seq = 0
         self._drr_idx = 0
+        #: Total entries waiting across all lanes, kept live.
+        self.queued = 0
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def queued(self) -> int:
-        """Total entries waiting across all lanes."""
-        return sum(len(lane.q) for lane in self._lanes)
 
     def __len__(self) -> int:
         return self.queued
@@ -174,6 +171,7 @@ class ClassScheduler:
         self._seq += 1
         item.seq = self._seq
         lane.q.append(item)
+        self.queued += 1
         lane.enqueued += 1
         if lane.depth > lane.peak:
             lane.peak = lane.depth
@@ -184,12 +182,14 @@ class ClassScheduler:
         backpressure requeue). The entry keeps its original sequence
         number, so the fifo policy re-pops it first."""
         self._by_category[category].q.appendleft(item)
+        self.queued += 1
 
     def remove(self, item: Any) -> bool:
         """Drop a specific queued entry (expiry / drain / rescue)."""
         for lane in self._lanes:
             try:
                 lane.q.remove(item)
+                self.queued -= 1
                 return True
             except ValueError:
                 continue
@@ -209,9 +209,9 @@ class ClassScheduler:
             return self._pop_drr()
         return self._pop_fifo()
 
-    @staticmethod
-    def _take(lane: SchedLane) -> Any:
+    def _take(self, lane: SchedLane) -> Any:
         lane.served += 1
+        self.queued -= 1
         return lane.q.popleft()
 
     def _pop_fifo(self) -> Optional[Any]:

@@ -42,7 +42,12 @@ class QatEndpoint:
         self.engines = Resource(sim, n_engines, name=f"qat{endpoint_id}-eng")
         self.instances: List[CryptoInstance] = []
         self.fw_counters = FirmwareCounters()
+        #: Every instance's rings in creation order: the arbiter's
+        #: round-robin order.
+        self._rings: List[RingPair] = []
         self._rr_cursor = 0  # round-robin over instance rings
+        #: Requests queued on any ring, kept by the rings.
+        self.queued_requests = 0
         #: Installed by :meth:`QatDevice.install_fault_plan`.
         self.fault_plan = None
         self.responses_lost = 0
@@ -54,12 +59,13 @@ class QatEndpoint:
         process/thread — paper section 2.3)."""
         inst_id = len(self.instances)
         rings = {
-            cat: RingPair(self.sim, f"ep{self.endpoint_id}-i{inst_id}-{cat}",
+            cat: RingPair(self, f"ep{self.endpoint_id}-i{inst_id}-{cat}",
                           self.ring_capacity)
             for cat in ("asym", "cipher", "prf")
         }
         inst = CryptoInstance(self, inst_id, rings)
         self.instances.append(inst)
+        self._rings.extend(rings.values())
         return inst
 
     # -- submission path ----------------------------------------------------
@@ -92,11 +98,9 @@ class QatEndpoint:
                             self.engines.in_use, capacity=self.n_engines)
 
     def _next_nonempty_ring(self) -> Optional[RingPair]:
-        rings: List[RingPair] = []
-        for inst in self.instances:
-            rings.extend(inst.rings.values())
-        if not rings:
+        if not self.queued_requests:
             return None
+        rings = self._rings
         n = len(rings)
         for i in range(n):
             ring = rings[(self._rr_cursor + i) % n]

@@ -20,7 +20,7 @@ from ..offload.errors import RingFull
 from .request import QatRequest, QatResponse
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.kernel import Simulator
+    from .endpoint import QatEndpoint
 
 __all__ = ["RingPair", "RingFull", "DEFAULT_RING_CAPACITY"]
 
@@ -32,14 +32,16 @@ class RingPair:
 
     The response ring is unbounded: the device always has room to land
     completions (real QAT sizes response rings to match outstanding
-    request capacity).
+    request capacity). Every queued request is also counted in the
+    owning endpoint's ``queued_requests``, which its arbiter reads.
     """
 
-    def __init__(self, sim: "Simulator", name: str,
+    def __init__(self, endpoint: "QatEndpoint", name: str,
                  capacity: int = DEFAULT_RING_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("ring capacity must be >= 1")
-        self.sim = sim
+        self.endpoint = endpoint
+        self.sim = endpoint.sim
         self.name = name
         self.capacity = capacity
         self._requests: Deque[QatRequest] = deque()
@@ -62,6 +64,7 @@ class RingPair:
         request.request_id = next(self.sim.request_ids)
         request.submitted_at = self.sim.now
         self._requests.append(request)
+        self.endpoint.queued_requests += 1
         return True
 
     def poll_responses(self, max_responses: Optional[int] = None
@@ -81,6 +84,7 @@ class RingPair:
     def take_request(self) -> Optional[QatRequest]:
         """Device pulls the next request, if any."""
         if self._requests:
+            self.endpoint.queued_requests -= 1
             return self._requests.popleft()
         return None
 
@@ -102,6 +106,7 @@ class RingPair:
         dropped) through the normal paths. Returns entries dropped."""
         dropped = len(self._requests) + len(self._responses)
         self._occupied -= dropped
+        self.endpoint.queued_requests -= len(self._requests)
         self._requests.clear()
         self._responses.clear()
         return dropped

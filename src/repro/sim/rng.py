@@ -12,7 +12,25 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["RngRegistry"]
+__all__ = ["RngRegistry", "random_bytes"]
+
+
+def random_bytes(rng: np.random.Generator, n: int) -> bytes:
+    """``rng.bytes(n)``, drawn at word speed where that is exact.
+
+    ``Generator.bytes`` draws ``ceil(n/4)`` 32-bit words, each the low
+    then the high half of a 64-bit PCG64 output, written little-endian.
+    With no half-word buffered and an even word count, those are whole
+    64-bit outputs in order, so ``random_raw`` yields the same bytes
+    and leaves the stream where ``bytes`` would (no half-word
+    buffered). Any other case takes ``bytes`` itself.
+    """
+    bitgen = rng.bit_generator
+    if ((n + 3) >> 2) & 1 == 0 and type(bitgen) is np.random.PCG64 \
+            and not bitgen.state["has_uint32"]:
+        raw = bitgen.random_raw((n + 7) >> 3)
+        return raw.astype("<u8", copy=False).tobytes()[:n]
+    return rng.bytes(n)
 
 
 class RngRegistry:

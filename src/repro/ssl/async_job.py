@@ -30,6 +30,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..tls.actions import CryptoCall, NeedMessage, SendMessage
+from ..tls.record import RecordLayer
 from .wait_ctx import AsyncWaitCtx
 
 __all__ = ["JobState", "AsyncJob", "FiberAsyncJob", "StackAsyncJob"]
@@ -163,17 +164,22 @@ class StackAsyncJob(AsyncJob):
     ``rng`` must be the generator the state machine draws from; its
     state is snapshotted at job creation so a replay reproduces the
     original draws bit-for-bit, then restored so fresh work continues
-    from the live stream.
+    from the live stream. ``layer`` is the record layer a record job
+    runs on: its sequence numbers are rewound the same way, so a
+    replayed record takes the number it had, not the next one.
     """
 
     def __init__(self, make_gen: Callable[[], Generator], kind: str = "job",
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 rng: Optional[np.random.Generator] = None,
+                 layer: Optional[RecordLayer] = None) -> None:
         super().__init__(make_gen, kind)
         self._gen = make_gen()
         self._started = False
         self._rng = rng
         self._rng_snapshot = (None if rng is None
                               else rng.bit_generator.state)
+        self._layer = layer
+        self._seq_snapshot = None if layer is None else layer.seq_numbers
         # Log: ("crypto", result) | ("msg", message) | ("send",)
         self._log: List[Tuple[str, Any]] = []
 
@@ -207,10 +213,13 @@ class StackAsyncJob(AsyncJob):
         the log, stop at the pause point. The paused CryptoCall is
         re-yielded and becomes :attr:`parked_action`."""
         self.swaps += 1
-        live_state = None
+        live_state = live_seqs = None
         if self._rng is not None:
             live_state = self._rng.bit_generator.state
             self._rng.bit_generator.state = self._rng_snapshot
+        if self._layer is not None:
+            live_seqs = self._layer.seq_numbers
+            self._layer.seq_numbers = self._seq_snapshot
         try:
             self._gen = self._make_gen()
             self._started = True
@@ -231,5 +240,7 @@ class StackAsyncJob(AsyncJob):
         finally:
             if self._rng is not None and live_state is not None:
                 self._rng.bit_generator.state = live_state
+            if live_seqs is not None:
+                self._layer.seq_numbers = live_seqs
         self.parked_action = action
         return len(self._log)

@@ -66,7 +66,8 @@ class SslConnection:
     def _new_job(self, make_gen, kind: str) -> AsyncJob:
         if self.ctx.async_mode == "stack":
             return StackAsyncJob(make_gen, kind=kind,
-                                 rng=self.ctx.tls_config.rng)
+                                 rng=self.ctx.tls_config.rng,
+                                 layer=self.record_layer)
         return FiberAsyncJob(make_gen, kind=kind)
 
     # -- SSL entry points ----------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Generator, Optional
 
 from ...crypto.ec import EcError
 from ...crypto.ops import CryptoOp, CryptoOpKind
+from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
 from ..config import TlsServerConfig
@@ -65,7 +66,7 @@ def server_handshake12(config: TlsServerConfig
         raise TlsAlert("unexpected_message: expected ClientHello")
     transcript.append(ch)
     suite = _select_suite(config, ch)
-    server_random = bytes(config.rng.bytes(RANDOM_LEN))
+    server_random = random_bytes(config.rng, RANDOM_LEN)
 
     # -- abbreviated handshake (session resumption)? ------------------------
     # Stateless tickets (RFC 5077) take precedence over the session-ID
@@ -84,7 +85,7 @@ def server_handshake12(config: TlsServerConfig
                                         transcript))
 
     # -- full handshake ------------------------------------------------------
-    session_id = bytes(config.rng.bytes(16)) \
+    session_id = random_bytes(config.rng, 16) \
         if config.session_cache is not None else b""
     sh = ServerHello(server_random=server_random,
                      version=ProtocolVersion.TLS12,
@@ -193,7 +194,7 @@ def server_handshake12(config: TlsServerConfig
                              created_at=config.clock()),
                 config.clock())
         else:
-            ticket = bytes(config.rng.bytes(32))  # opaque, cache-backed
+            ticket = random_bytes(config.rng, 32)  # opaque, cache-backed
         yield SendMessage(NewSessionTicket(ticket=ticket))
     yield SendMessage(ChangeCipherSpec())
     th2 = transcript_hash(transcript)

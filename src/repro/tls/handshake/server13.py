@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from ...crypto.ec import EcError
 from ...crypto.hmac_impl import hmac_digest
 from ...crypto.ops import CryptoOp, CryptoOpKind
+from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
 from ..config import TlsServerConfig
@@ -83,12 +85,16 @@ def server_handshake13(config: TlsServerConfig
         compute=lambda: provider.ecdh_keygen(curve, config.rng),
         label="keyshare-keygen")
     peer = ch.key_share
-    shared = yield CryptoCall(
-        CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
-        compute=lambda: provider.ecdh_shared(server_share, peer),
-        label="ecdh-compute")
+    try:
+        shared = yield CryptoCall(
+            CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
+            compute=lambda: provider.ecdh_shared(server_share, peer),
+            label="ecdh-compute")
+    except EcError as exc:
+        # A share that is no valid point of the group (RFC 8446 4.2.8).
+        raise TlsAlert(f"illegal_parameter: {exc}") from exc
 
-    sh = ServerHello(server_random=bytes(config.rng.bytes(RANDOM_LEN)),
+    sh = ServerHello(server_random=random_bytes(config.rng, RANDOM_LEN),
                      version=ProtocolVersion.TLS13,
                      cipher_suite=suite.name,
                      resumed=resumed,
@@ -148,7 +154,7 @@ def server_handshake13(config: TlsServerConfig
     ticket_out: Optional[bytes] = None
     if config.issue_tickets and config.ticket_keeper is not None:
         pre_nst = transcript_hash(transcript)
-        nonce = bytes(config.rng.bytes(8))
+        nonce = random_bytes(config.rng, 8)
         new_psk = yield from derive_resumption_psk(schedule, master,
                                                    pre_nst, nonce)
         ticket_out = config.ticket_keeper.seal(

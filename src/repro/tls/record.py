@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, List, Sequence, Union
+from typing import Callable, Generator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..crypto.ops import CryptoOp, CryptoOpKind
 from ..crypto.provider import CryptoProvider
+from ..sim.rng import random_bytes
 from .actions import CryptoCall, DirectionKeys, TlsAlert
 from .constants import MAX_FRAGMENT, ContentType, ProtocolVersion
 
@@ -80,6 +81,15 @@ class RecordLayer:
         self._write_seq = 0
         self._read_seq = 0
 
+    @property
+    def seq_numbers(self) -> Tuple[int, int]:
+        """The (write, read) sequence numbers the next records take."""
+        return self._write_seq, self._read_seq
+
+    @seq_numbers.setter
+    def seq_numbers(self, seqs: Tuple[int, int]) -> None:
+        self._write_seq, self._read_seq = seqs
+
     # -- outbound ----------------------------------------------------------
 
     @staticmethod
@@ -117,7 +127,7 @@ class RecordLayer:
         for frag in frags:
             seq = self._write_seq
             self._write_seq += 1
-            iv = None if self.aead else bytes(self.rng.bytes(16))
+            iv = None if self.aead else random_bytes(self.rng, 16)
             fragment = yield CryptoCall(
                 CryptoOp(CryptoOpKind.RECORD_CIPHER, nbytes=len(frag)),
                 compute=partial(seal, frag, seq, content_type, iv),

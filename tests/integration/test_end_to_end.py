@@ -188,6 +188,22 @@ def test_stack_async_end_to_end():
     assert len(w.metrics.handshakes) > 10
 
 
+def test_stack_async_keepalive_keeps_record_sequence():
+    """A stack-async replay re-runs a paused record job from the top;
+    it must reuse the record's sequence number, not take the next one,
+    or every keepalive connection's second request fails its MAC."""
+    served = {}
+    for impl in ("fiber", "stack"):
+        w = World("QTLS", workers=1, async_impl=impl)
+        w.ab(4, size=40000)
+        w.sim.run(until=0.05)
+        assert w.metrics.errors == 0
+        assert w.server.metrics_snapshot()["alerts"] == 0
+        served[impl] = len(w.metrics.requests)
+    assert served["fiber"] > 100
+    assert served["stack"] >= 0.95 * served["fiber"]
+
+
 def test_timer_interval_1ms_hurts_low_concurrency():
     """Figure 12's 1 ms interval pathology: with one client, every
     crypto op waits for the next poll tick."""

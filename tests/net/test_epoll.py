@@ -1,9 +1,10 @@
 """Tests for the epoll model and notification FDs."""
 
+import numpy as np
 import pytest
 
 from repro.cpu import Core
-from repro.net import Epoll, Link, NotifyFd, socket_pair
+from repro.net import Epoll, Link, NotifyFd, socket_pair, wait_readable
 from repro.sim import Simulator
 
 
@@ -145,3 +146,32 @@ def test_notify_fd_wakes_epoll():
     assert result["ready"] == [nfd]
     assert result["count"] == 2
     assert not nfd.readable
+
+
+def test_ready_list_matches_registration_order_scan():
+    """The ready set hands out exactly what a scan of every watched fd
+    in registration order would, under random register / unregister /
+    readiness changes on two epolls sharing fds and one-shot waiters
+    (a re-registered fd goes last, an already-registered one keeps its
+    place)."""
+    sim = Simulator()
+    epolls = [Epoll(sim, "a"), Epoll(sim, "b")]
+    fds = [NotifyFd(sim) for _ in range(8)]
+    rng = np.random.default_rng(27)
+    for _ in range(4000):
+        ep = epolls[int(rng.integers(0, 2))]
+        fd = fds[int(rng.integers(0, len(fds)))]
+        action = int(rng.integers(0, 5))
+        if action == 0:
+            ep.register(fd)
+        elif action == 1:
+            ep.unregister(fd)
+        elif action == 2:
+            fd.write_event()
+        elif action == 3:
+            fd.read_events()
+        else:
+            wait_readable(sim, fd)
+        for ep in epolls:
+            assert ep._ready_list() == [p for p in ep._watched
+                                        if p.readable]

@@ -1,5 +1,8 @@
 """TLS 1.3 handshake tests: agreement, op counts, HKDF non-offloadability."""
 
+import dataclasses
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
 from repro.tls import (TLS13_ECDHE_RSA, OpLog, TlsAlert, TlsClientConfig,
                        TlsServerConfig, client_handshake13,
                        run_loopback_handshake, server_handshake13)
+from repro.tls.loopback import SyncDriver
 
 PROVIDERS = [RealCryptoProvider(), ModeledCryptoProvider()]
 IDS = ["real", "modeled"]
@@ -42,10 +46,6 @@ def test_tls13_handshake_agrees(provider):
 def test_tls13_one_rtt_shape():
     """Client sends exactly one flight before the server's reply:
     ClientHello only (1-RTT)."""
-    from collections import deque
-
-    from repro.tls.loopback import SyncDriver
-
     provider = ModeledCryptoProvider()
     scfg, ccfg = make_configs(provider)
     c = SyncDriver(client_handshake13(ccfg))
@@ -107,6 +107,24 @@ def test_unsupported_group_rejected():
     with pytest.raises(TlsAlert, match="unsupported key-share group"):
         run_loopback_handshake(client_handshake13(ccfg),
                                server_handshake13(scfg))
+
+
+def test_malformed_key_share_is_illegal_parameter(provider):
+    """A key_share whose 0x04 prefix is flipped is no point at all: the
+    server answers with an alert instead of letting EcError escape."""
+    scfg, ccfg = make_configs(provider)
+    client = SyncDriver(client_handshake13(ccfg))
+    server = SyncDriver(server_handshake13(scfg))
+    c2s, s2c = deque(), deque()
+    client.pump(s2c, c2s)
+    (hello,) = c2s
+    share = bytearray(hello.key_share)
+    share[0] ^= 0xFF
+    c2s[0] = dataclasses.replace(hello, key_share=bytes(share))
+    with pytest.raises(TlsAlert) as alert:
+        server.pump(c2s, s2c)
+    assert str(alert.value) == \
+        "illegal_parameter: malformed uncompressed point"
 
 
 def test_tampered_certificate_verify_rejected():
