@@ -13,24 +13,24 @@ Architecture:
 
 - :mod:`repro.analysis.core` — the framework: :class:`Finding`,
   :class:`SourceFile` (one parse per file), :class:`AnalysisContext`,
-  the :class:`Checker` registry, inline suppression comments and the
-  checked-in baseline for grandfathered findings.
+  the :class:`Checker` registry and the inline suppression comments
+  (``# analysis: allow[CODE]``), the one way to excuse a finding.
 - one module per checker, each registering itself on import:
   :mod:`~repro.analysis.determinism` (RA1xx),
   :mod:`~repro.analysis.purity` (RA2xx),
   :mod:`~repro.analysis.layering` (RA3xx),
   :mod:`~repro.analysis.spans` (RA4xx),
   :mod:`~repro.analysis.confdoc` (RA5xx).
-- ``tools/analyze.py`` — the CLI (``--ci``, ``--baseline-write``,
-  ``--select``/``--ignore``, ``--inject-violation``).
+- ``tools/analyze.py`` — the CLI (``--select``/``--ignore``,
+  ``--list``, ``--inject-violation``).
 
 Stdlib only: the analysis must run in the bare lint job, before any
 dependency install.
 """
 
-from .core import (AnalysisContext, Baseline, Checker, Finding,
-                   SourceFile, all_codes, checker_registry,
-                   register_checker, run_analysis)
+from .core import (AnalysisContext, Checker, Finding, SourceFile,
+                   all_codes, checker_registry, register_checker,
+                   run_analysis)
 
 # Importing a checker module registers it; the import order below is
 # the report order for same-line findings.
@@ -40,6 +40,6 @@ from . import layering      # noqa: F401
 from . import spans         # noqa: F401
 from . import confdoc       # noqa: F401
 
-__all__ = ["AnalysisContext", "Baseline", "Checker", "Finding",
-           "SourceFile", "all_codes", "checker_registry",
-           "register_checker", "run_analysis"]
+__all__ = ["AnalysisContext", "Checker", "Finding", "SourceFile",
+           "all_codes", "checker_registry", "register_checker",
+           "run_analysis"]

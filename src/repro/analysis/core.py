@@ -1,4 +1,4 @@
-"""The static-analysis framework: findings, files, registry, baseline.
+"""The static-analysis framework: findings, files, registry.
 
 Design (mirrors the dynamic invariant registry in
 :mod:`repro.testing.invariants`, but over source text instead of a
@@ -10,10 +10,8 @@ finished simulation):
   project) and emits :class:`Finding`\\ s carrying a stable per-pattern
   code (``RA101``, ``RA301``, ...);
 - deliberate violations opt out *inline* with a trailing
-  ``# analysis: allow[RA101]`` comment;
-- *grandfathered* findings live in a checked-in :class:`Baseline` file
-  (one ``CODE path — justification`` line each), so the CI gate can be
-  strict for new code without rewriting history first.
+  ``# analysis: allow[RA101]`` comment on the offending line — the one
+  way to excuse a finding, so every exception sits next to its code.
 
 Everything here is stdlib-only: the analysis runs in the bare CI lint
 job before any dependency install.
@@ -25,11 +23,11 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = ["Finding", "SourceFile", "AnalysisContext", "Checker",
-           "Baseline", "register_checker", "checker_registry",
-           "all_codes", "run_analysis"]
+           "register_checker", "checker_registry", "all_codes",
+           "run_analysis"]
 
 #: Inline suppression: ``# analysis: allow`` silences every code on the
 #: line; ``# analysis: allow[RA101,RA3]`` silences matching prefixes.
@@ -50,18 +48,11 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
-    @property
-    def baseline_key(self) -> Tuple[str, str]:
-        """Baseline matching is per (code, file) — line numbers drift
-        too easily to pin grandfathered findings to them."""
-        return (self.code, self.path)
-
 
 class SourceFile:
     """One parsed source file shared by every checker."""
 
     def __init__(self, root: Path, path: Path) -> None:
-        self.abspath = path
         self.path = path.relative_to(root).as_posix()
         self.text = path.read_text(encoding="utf-8")
         self.lines = self.text.splitlines()
@@ -148,7 +139,7 @@ class Checker:
     description``) and implement either :meth:`check_file` (called per
     file) or :meth:`check_project` (called once with the context), or
     both. Emitted findings are filtered against inline suppressions
-    and the baseline by the framework — checkers just report.
+    by the framework — checkers just report.
     """
 
     name = "checker"
@@ -199,79 +190,12 @@ def all_codes() -> Dict[str, str]:
     return out
 
 
-class Baseline:
-    """The checked-in grandfather file.
-
-    Line format (one finding class per line)::
-
-        RA301 repro/qat/rings.py — justification text
-
-    Matching is per ``(code, path)``: the baseline suppresses every
-    instance of that code in that file, so line-number drift never
-    invalidates an entry. Entries that no longer match anything are
-    reported as *stale* so the file shrinks as debt is paid down.
-    """
-
-    _LINE = re.compile(r"^(?P<code>RA\d+)\s+(?P<path>\S+)\s*"
-                       r"(?:[—-]+\s*(?P<why>.*))?$")
-
-    def __init__(self, entries: Optional[Dict[Tuple[str, str], str]] = None
-                 ) -> None:
-        #: (code, path) -> justification
-        self.entries: Dict[Tuple[str, str], str] = dict(entries or {})
-        self.matched: set = set()
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        baseline = cls()
-        if not path.exists():
-            return baseline
-        for lineno, raw in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            m = cls._LINE.match(line)
-            if m is None:
-                raise ValueError(
-                    f"{path}:{lineno}: malformed baseline line {raw!r} "
-                    "(expected 'CODE path — justification')")
-            baseline.entries[(m.group("code"), m.group("path"))] = (
-                m.group("why") or "")
-        return baseline
-
-    def suppresses(self, finding: Finding) -> bool:
-        key = finding.baseline_key
-        if key in self.entries:
-            self.matched.add(key)
-            return True
-        return False
-
-    def stale_entries(self) -> List[Tuple[str, str]]:
-        return sorted(set(self.entries) - self.matched)
-
-    @staticmethod
-    def render(findings: Iterable[Finding]) -> str:
-        """Baseline text for the given findings (``--baseline-write``)."""
-        lines = ["# repro.analysis baseline — grandfathered findings.",
-                 "# One 'CODE path — justification' line per entry; the",
-                 "# entry suppresses every instance of CODE in that file.",
-                 "# Keep each justification honest: entries are debt.",
-                 ""]
-        for key in sorted({f.baseline_key for f in findings}):
-            code, path = key
-            lines.append(f"{code} {path} — TODO: justify or fix")
-        return "\n".join(lines) + "\n"
-
-
 @dataclass
 class AnalysisResult:
     """Everything one run produced, pre-partitioned for reporting."""
 
     findings: List[Finding] = field(default_factory=list)   # actionable
     suppressed: int = 0          # inline-silenced
-    baselined: int = 0           # grandfathered
-    stale_baseline: List[Tuple[str, str]] = field(default_factory=list)
     files: int = 0
     checkers: int = 0
 
@@ -292,26 +216,20 @@ def _selected(code: str, checker_name: str,
 
 def run_analysis(ctx: AnalysisContext,
                  select: Optional[Sequence[str]] = None,
-                 ignore: Optional[Sequence[str]] = None,
-                 baseline: Optional[Baseline] = None) -> AnalysisResult:
+                 ignore: Optional[Sequence[str]] = None) -> AnalysisResult:
     """Run every registered checker over the context.
 
     ``select``/``ignore`` filter by code *prefix* (``RA1`` selects the
     whole determinism family) or checker name. Findings surviving the
-    filters are checked against inline suppressions, then the
-    baseline; the remainder is the actionable report, sorted by
-    location for deterministic output.
+    filters are checked against inline suppressions; the remainder is
+    the actionable report, sorted by location for deterministic output.
     """
     result = AnalysisResult(files=len(ctx.files))
-    baseline = baseline or Baseline()
     raw: List[Finding] = []
-    active_codes: set = set()
     for checker in _REGISTRY.values():
-        wanted = [c for c in checker.codes
-                  if _selected(c, checker.name, select, ignore)]
-        if not wanted:
+        if not any(_selected(c, checker.name, select, ignore)
+                   for c in checker.codes):
             continue
-        active_codes.update(wanted)
         result.checkers += 1
         found = list(checker.check_project(ctx))
         for src in ctx.files:
@@ -323,15 +241,6 @@ def run_analysis(ctx: AnalysisContext,
         src = srcs.get(f.path)
         if src is not None and src.suppressed(f.line, f.code):
             result.suppressed += 1
-        elif baseline.suppresses(f):
-            result.baselined += 1
         else:
             result.findings.append(f)
-    # Only entries a *ran* checker could have matched, against files
-    # actually analysed, can be judged stale — a --select or a
-    # path-restricted run must not condemn the rest of the baseline.
-    analysed = {f.path for f in ctx.files}
-    result.stale_baseline = [
-        (code, path) for code, path in baseline.stale_entries()
-        if code in active_codes and path in analysed]
     return result

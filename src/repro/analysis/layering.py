@@ -24,7 +24,7 @@ rank  packages
 9     ``testing``, ``analysis``
 ====  =======================================================
 
-Consequences the issue called out explicitly: ``crypto`` (rank 1) can
+Two consequences: ``crypto`` (rank 1) can
 never import ``server`` (rank 6), and nothing below rank 9 imports
 ``bench`` — only the fuzz harness (``testing``) drives it.
 
@@ -36,10 +36,8 @@ Exemptions, by design:
 - imports under ``if TYPE_CHECKING:`` (annotations never execute);
 - intra-package imports.
 
-Known grandfathered edge: ``repro.qat.rings`` imports the
-deliberately dependency-free ``repro.offload.errors`` to re-export
-the canonical ``RingFull`` (see that module's docstring). It lives in
-the baseline file, not here, so the debt stays visible.
+Any other deliberate exception takes an inline
+``# analysis: allow[RA301]`` on the import line.
 
 Codes: **RA301** upward/lateral import; **RA302** package missing
 from the rank table (the DAG must be total — extend it, don't guess).

@@ -25,7 +25,7 @@ events internally and surfaces finished work through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..crypto.ops import CryptoOp
@@ -73,8 +73,6 @@ class LaneStats:
     submit_failures: int = 0
     op_timeouts: int = 0
     fallback_ops: int = 0
-
-    extra: Dict[str, int] = field(default_factory=dict)
 
 
 class OffloadBackend:

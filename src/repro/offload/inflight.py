@@ -43,6 +43,3 @@ class InflightCounters:
     @property
     def prf(self) -> int:
         return self._counts[OpCategory.PRF]
-
-    def snapshot(self) -> dict:
-        return {cat.value: n for cat, n in self._counts.items()}

@@ -52,8 +52,9 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
 from ..qat.driver import QatUserspaceDriver
+from ..qat.faults import QatHardwareError
+from ..qat.request import QatResponse
 from .backend import Completion, OffloadBackend, OpSpec
-from .qat_backend import completion_from_response
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
@@ -91,6 +92,20 @@ class AllocationPolicy:
         """Lease migrations ``(lane, from_worker, to_worker)`` to apply
         at this tick. Static policies return nothing."""
         return []
+
+
+def _completion(resp: QatResponse) -> Completion:
+    """Wrap a driver-level :class:`~repro.qat.request.QatResponse` in
+    the backend-seam :class:`Completion`."""
+    return Completion(
+        token=resp.request, op=resp.request.op,
+        result=resp.result, error=resp.error,
+        transport_error=isinstance(resp.error, QatHardwareError),
+        device_marks={
+            "dequeued": resp.request.dequeued_at,
+            "serviced": resp.request.serviced_at,
+            "landed": resp.completed_at,
+        })
 
 
 def _chunks(n_workers: int, n_lanes: int) -> List[List[int]]:
@@ -341,7 +356,7 @@ class InstancePool:
                 break
             drv = self.drivers[lanes[(start + i) % n]]
             for resp in drv.poll(budget):
-                completion = completion_from_response(resp)
+                completion = _completion(resp)
                 owner = self._owner.pop(resp.request, me)
                 if self.completion_retired(owner):
                     self._tombstone(owner)
@@ -520,10 +535,6 @@ class PooledQatBackend(OffloadBackend):
         #: backend admits nothing and polls nothing.
         self.epoch = epoch
         self._poll_rr = 0
-
-    @property
-    def retired(self) -> bool:
-        return self.pool.is_retired(self.worker_id, self.epoch)
 
     @property
     def drivers(self) -> List[QatUserspaceDriver]:

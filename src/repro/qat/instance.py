@@ -26,7 +26,6 @@ class CryptoInstance:
         self.endpoint = endpoint
         self.instance_id = instance_id
         self.rings = rings
-        self.owner: Optional[object] = None  # the worker it is assigned to
         #: The userspace driver bound to this instance (set by the
         #: driver; lets the device aggregate driver-level counters).
         self.driver: Optional[object] = None
@@ -90,10 +89,6 @@ class CryptoInstance:
     @property
     def in_flight(self) -> int:
         return sum(r.in_flight for r in self.rings.values())
-
-    @property
-    def available_responses(self) -> int:
-        return sum(r.available_responses for r in self.rings.values())
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<CryptoInstance ep{self.endpoint.endpoint_id}"

@@ -6,9 +6,9 @@ finite capacity: a full ring fails the submission, which QTLS handles
 with pause-and-retry (paper section 3.2 "a special case is the failure
 of crypto submission").
 
-Ring-full is signalled by ``try_submit`` returning False; callers that
-want to raise use the canonical :class:`~repro.offload.errors.RingFull`
-re-exported here.
+Ring-full is signalled by ``try_submit`` returning False, never by an
+exception: the offload engine above reports the failed submit and the
+SSL layer pauses the job in WANT_RETRY.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-from ..offload.errors import RingFull
 from .request import QatRequest, QatResponse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .endpoint import QatEndpoint
 
-__all__ = ["RingPair", "RingFull", "DEFAULT_RING_CAPACITY"]
+__all__ = ["RingPair", "DEFAULT_RING_CAPACITY"]
 
 DEFAULT_RING_CAPACITY = 64
 

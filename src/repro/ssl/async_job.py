@@ -36,6 +36,11 @@ from .wait_ctx import AsyncWaitCtx
 __all__ = ["JobState", "AsyncJob", "FiberAsyncJob", "StackAsyncJob"]
 
 
+#: The action a replayed log entry must meet at its step.
+_LOGGED_ACTION = {"crypto": CryptoCall, "error": CryptoCall,
+                  "msg": NeedMessage, "send": SendMessage}
+
+
 class JobState(Enum):
     RUNNING = auto()
     #: Paused with a crypto request in flight (WANT_ASYNC).
@@ -73,6 +78,8 @@ class AsyncJob:
         #: flight per job at a time, and the SSL driver clears this on
         #: resume.
         self.trace = None
+        self._gen = make_gen()
+        self._started = False
 
     # -- engine-facing ------------------------------------------------------
 
@@ -111,11 +118,29 @@ class AsyncJob:
 
     def advance(self, value: Any = None,
                 exc: Optional[BaseException] = None) -> Tuple[str, Any]:
-        raise NotImplementedError
+        """Step the state machine: send ``value`` (or throw ``exc``)
+        into the generator and return ``("action", a)`` or
+        ``("done", result)``."""
+        try:
+            if not self._started:
+                self._started = True
+                action = self._gen.send(None)
+            elif exc is not None:
+                action = self._gen.throw(exc)
+            else:
+                action = self._gen.send(value)
+        except StopIteration as stop:
+            self.state = JobState.FINISHED
+            self.result = stop.value
+            return ("done", stop.value)
+        return ("action", action)
 
     # Recording hooks: only the stack implementation memoizes.
 
     def record_crypto(self, result: Any) -> None:
+        pass
+
+    def record_crypto_error(self, exc: BaseException) -> None:
         pass
 
     def record_message(self, message: Any) -> None:
@@ -133,29 +158,9 @@ class AsyncJob:
 
 
 class FiberAsyncJob(AsyncJob):
-    """Generator-as-fiber implementation (OpenSSL 1.1.0 fiber async)."""
-
-    def __init__(self, make_gen: Callable[[], Generator],
-                 kind: str = "job") -> None:
-        super().__init__(make_gen, kind)
-        self._gen = make_gen()
-        self._started = False
-
-    def advance(self, value: Any = None,
-                exc: Optional[BaseException] = None) -> Tuple[str, Any]:
-        try:
-            if not self._started:
-                self._started = True
-                action = self._gen.send(None)
-            elif exc is not None:
-                action = self._gen.throw(exc)
-            else:
-                action = self._gen.send(value)
-        except StopIteration as stop:
-            self.state = JobState.FINISHED
-            self.result = stop.value
-            return ("done", stop.value)
-        return ("action", action)
+    """Generator-as-fiber implementation (OpenSSL 1.1.0 fiber async):
+    the base class's :meth:`~AsyncJob.advance` already resumes at the
+    pause point, so nothing is added."""
 
 
 class StackAsyncJob(AsyncJob):
@@ -173,40 +178,29 @@ class StackAsyncJob(AsyncJob):
                  rng: Optional[np.random.Generator] = None,
                  layer: Optional[RecordLayer] = None) -> None:
         super().__init__(make_gen, kind)
-        self._gen = make_gen()
-        self._started = False
         self._rng = rng
         self._rng_snapshot = (None if rng is None
                               else rng.bit_generator.state)
         self._layer = layer
         self._seq_snapshot = None if layer is None else layer.seq_numbers
-        # Log: ("crypto", result) | ("msg", message) | ("send",)
+        # Log: ("crypto", result) | ("error", exception) |
+        # ("msg", message) | ("send", None)
         self._log: List[Tuple[str, Any]] = []
 
     def record_crypto(self, result: Any) -> None:
         self._log.append(("crypto", result))
+
+    def record_crypto_error(self, exc: BaseException) -> None:
+        # A crypto failure the state machine caught and went on from
+        # (an undecryptable premaster) is re-thrown on replay, so the
+        # replay passes that step instead of parking on it.
+        self._log.append(("error", exc))
 
     def record_message(self, message: Any) -> None:
         self._log.append(("msg", message))
 
     def record_send(self) -> None:
         self._log.append(("send", None))
-
-    def advance(self, value: Any = None,
-                exc: Optional[BaseException] = None) -> Tuple[str, Any]:
-        try:
-            if not self._started:
-                self._started = True
-                action = self._gen.send(None)
-            elif exc is not None:
-                action = self._gen.throw(exc)
-            else:
-                action = self._gen.send(value)
-        except StopIteration as stop:
-            self.state = JobState.FINISHED
-            self.result = stop.value
-            return ("done", stop.value)
-        return ("action", action)
 
     def prepare_resume(self) -> int:
         """Call the TLS API again from the top: fresh generator, replay
@@ -225,18 +219,12 @@ class StackAsyncJob(AsyncJob):
             self._started = True
             action = self._gen.send(None)
             for kind, payload in self._log:
-                if kind == "crypto":
-                    if not isinstance(action, CryptoCall):
-                        raise RuntimeError("stack replay diverged at crypto")
-                    action = self._gen.send(payload)
-                elif kind == "msg":
-                    if not isinstance(action, NeedMessage):
-                        raise RuntimeError("stack replay diverged at msg")
-                    action = self._gen.send(payload)
+                if not isinstance(action, _LOGGED_ACTION[kind]):
+                    raise RuntimeError(f"stack replay diverged at {kind}")
+                if kind == "error":
+                    action = self._gen.throw(payload)
                 else:
-                    if not isinstance(action, SendMessage):
-                        raise RuntimeError("stack replay diverged at send")
-                    action = self._gen.send(None)
+                    action = self._gen.send(payload)
         finally:
             if self._rng is not None and live_state is not None:
                 self._rng.bit_generator.state = live_state

@@ -176,6 +176,7 @@ class SslConnection:
                 job.record_crypto(value)
                 outcome = job.advance(value)
             else:
+                job.record_crypto_error(exc)
                 outcome = job.advance(exc=exc)
         elif job.state is JobState.RETRY:
             call = job.pending_call
@@ -238,6 +239,7 @@ class SslConnection:
                 try:
                     result = yield from engine.execute_blocking(action, owner)
                 except Exception as exc:
+                    job.record_crypto_error(exc)
                     outcome = job.advance(exc=exc)
                     continue
                 job.record_crypto(result)

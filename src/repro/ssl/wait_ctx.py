@@ -1,7 +1,7 @@
 """ASYNC_WAIT_CTX: per-job notification state (paper section 4.4).
 
-Carries either a notification FD (the FD-based scheme: ``set_fd`` /
-``get_fd`` APIs, monitored by the application's epoll) or an
+Carries either a notification FD (the FD-based scheme: ``set_fd``,
+monitored by the application's epoll) or an
 application-level callback + argument (the kernel-bypass scheme:
 ``SSL_set_async_callback`` / ``ASYNC_WAIT_CTX_get_callback`` — the two
 new members added to the ASYNC_JOB structure).
@@ -31,9 +31,6 @@ class AsyncWaitCtx:
         one-FD-per-connection optimization of section 4.4)."""
         self.notify_fd = fd
 
-    def get_fd(self) -> Optional[NotifyFd]:
-        return self.notify_fd
-
     # -- kernel-bypass scheme -----------------------------------------------
 
     def set_callback(self, callback: Callable[[Any], None],
@@ -46,7 +43,3 @@ class AsyncWaitCtx:
     def get_callback(self) -> Tuple[Optional[Callable[[Any], None]], Any]:
         """ASYNC_WAIT_CTX_get_callback."""
         return self._callback, self._callback_arg
-
-    def clear(self) -> None:
-        self._callback = None
-        self._callback_arg = None

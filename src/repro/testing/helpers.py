@@ -16,7 +16,7 @@ from ..core.costmodel import CostModel
 from ..cpu.core import Core
 from ..crypto.ops import CryptoOp, CryptoOpKind
 from ..offload.engine import AsyncOffloadEngine
-from ..offload.qat_backend import QatBackend
+from ..offload.pool import InstancePool, StaticPolicy
 from ..obs import RequestTracer
 from ..qat.device import QatDevice
 from ..qat.driver import QatUserspaceDriver
@@ -66,6 +66,10 @@ def make_qat_env(n_instances: int = 1,
                  **engine_kw) -> QatEnv:
     """Simulator + core + QAT device + engine, in one call.
 
+    The engine is wired as the server wires every QAT engine: through
+    a one-worker :class:`~repro.offload.pool.InstancePool` under the
+    static policy, so the worker leases all ``n_instances`` instances.
+
     ``plan_kw`` installs a seeded :class:`~repro.qat.faults.FaultPlan`
     (kwargs form); ``trace`` attaches a
     :class:`~repro.obs.tracer.RequestTracer` as ``sim.obs``; engine
@@ -85,6 +89,6 @@ def make_qat_env(n_instances: int = 1,
             FaultPlan(RngRegistry(seed).stream("faults"), **plan_kw))
     drivers = [QatUserspaceDriver(inst)
                for inst in dev.allocate_instances(n_instances)]
-    eng = AsyncOffloadEngine(QatBackend(drivers), core, CostModel(),
-                             **engine_kw)
+    backend = InstancePool(sim, drivers, 1, StaticPolicy()).register(0)
+    eng = AsyncOffloadEngine(backend, core, CostModel(), **engine_kw)
     return QatEnv(sim, core, eng, dev, drivers, tracer)

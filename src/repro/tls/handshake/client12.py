@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from ...crypto.ec import EcError
 from ...crypto.ops import CryptoOp, CryptoOpKind
 from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
@@ -114,10 +115,15 @@ def client_handshake12(config: TlsClientConfig
             compute=lambda: provider.ecdh_keygen(curve, config.rng),
             label="cke-keygen")
         point = server_point
-        premaster = yield CryptoCall(
-            CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
-            compute=lambda: provider.ecdh_shared(share, point),
-            label="ecdh-compute")
+        try:
+            premaster = yield CryptoCall(
+                CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
+                compute=lambda: provider.ecdh_shared(share, point),
+                label="ecdh-compute")
+        except EcError as exc:
+            # A signed share that is no valid point of the curve
+            # (RFC 8422 5.4).
+            raise TlsAlert(f"illegal_parameter: {exc}") from exc
         cke = ClientKeyExchange(public=share.public_bytes)
     transcript.append(cke)
     yield SendMessage(cke)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Generator, Optional
 
+from ...crypto.ec import EcError
 from ...crypto.hmac_impl import hmac_digest
 from ...crypto.ops import CryptoOp, CryptoOpKind
 from ...sim.rng import random_bytes
@@ -73,10 +74,14 @@ def client_handshake13(config: TlsClientConfig
         raise TlsAlert("illegal_parameter: server accepted unoffered PSK")
 
     peer = sh.key_share
-    shared = yield CryptoCall(
-        CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
-        compute=lambda: provider.ecdh_shared(share, peer),
-        label="ecdh-compute")
+    try:
+        shared = yield CryptoCall(
+            CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
+            compute=lambda: provider.ecdh_shared(share, peer),
+            label="ecdh-compute")
+    except EcError as exc:
+        # A share that is no valid point of the group (RFC 8446 4.2.8).
+        raise TlsAlert(f"illegal_parameter: {exc}") from exc
 
     the_psk = config.session_master_secret if resumed else b""
     early = yield CryptoCall(

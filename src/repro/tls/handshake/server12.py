@@ -22,6 +22,7 @@ from typing import Generator, Optional
 
 from ...crypto.ec import EcError
 from ...crypto.ops import CryptoOp, CryptoOpKind
+from ...crypto.rsa import RsaError
 from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
@@ -137,10 +138,16 @@ def server_handshake12(config: TlsServerConfig
         if not cke.encrypted_premaster:
             raise TlsAlert("decode_error: missing encrypted premaster")
         ct = cke.encrypted_premaster
-        premaster = yield CryptoCall(
-            CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=cred.rsa_bits),
-            compute=lambda: provider.rsa_decrypt(cred, ct, PREMASTER_LEN),
-            label="premaster-decrypt")
+        try:
+            premaster = yield CryptoCall(
+                CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=cred.rsa_bits),
+                compute=lambda: provider.rsa_decrypt(cred, ct, PREMASTER_LEN),
+                label="premaster-decrypt")
+        except RsaError:
+            # RFC 5246 7.4.7.1: go on with a random premaster, so the
+            # handshake fails at the client Finished like any other
+            # mismatch and leaks nothing about the padding.
+            premaster = random_bytes(config.rng, PREMASTER_LEN)
     else:
         if not cke.public:
             raise TlsAlert("decode_error: missing client key share")

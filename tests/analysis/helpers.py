@@ -8,7 +8,7 @@ layout. Checkers under test are isolated with ``select``.
 
 from pathlib import Path
 
-from repro.analysis import AnalysisContext, Baseline, run_analysis
+from repro.analysis import AnalysisContext, run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_ROOT = REPO_ROOT / "src"
@@ -28,11 +28,9 @@ def build_tree(tmp_path, files, readme=None):
     return AnalysisContext.from_paths(root, readme_path=readme_path)
 
 
-def analyze_source(tmp_path, files, select=None, readme=None,
-                   baseline=None):
+def analyze_source(tmp_path, files, select=None, readme=None):
     ctx = build_tree(tmp_path, files, readme=readme)
-    return run_analysis(ctx, select=select,
-                        baseline=baseline or Baseline())
+    return run_analysis(ctx, select=select)
 
 
 def codes_of(result):

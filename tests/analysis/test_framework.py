@@ -1,18 +1,14 @@
-"""Framework-level tests: findings, suppression, baseline, registry."""
+"""Framework-level tests: findings, suppression, registry."""
 
-import pytest
-
-from repro.analysis import (Baseline, Finding, all_codes,
-                            checker_registry, run_analysis)
+from repro.analysis import Finding, all_codes, checker_registry
 from repro.analysis.core import _selected
 
-from .helpers import analyze_source, build_tree
+from .helpers import analyze_source
 
 
 def test_finding_render_format():
     f = Finding(path="repro/x.py", line=7, code="RA101", message="boom")
     assert f.render() == "repro/x.py:7: RA101 boom"
-    assert f.baseline_key == ("RA101", "repro/x.py")
 
 
 def test_registry_names_and_codes_are_unique():
@@ -51,45 +47,6 @@ def test_inline_suppression_variants(tmp_path):
     # prefix suppress.
     assert flagged == [2, 5]
     assert result.suppressed == 3
-
-
-def test_baseline_roundtrip_and_stale(tmp_path):
-    baseline_file = tmp_path / "baseline.txt"
-    baseline_file.write_text(
-        "# comment\n"
-        "\n"
-        "RA101 repro/sim/mod.py — known debt\n"
-        "RA101 repro/sim/other.py — paid off already\n",
-        encoding="utf-8")
-    baseline = Baseline.load(baseline_file)
-    assert set(baseline.entries) == {("RA101", "repro/sim/mod.py"),
-                                     ("RA101", "repro/sim/other.py")}
-    result = analyze_source(
-        tmp_path,
-        {"repro/sim/mod.py": "import time\nx = time.time()\n",
-         "repro/sim/other.py": "x = 1\n"},
-        select=["RA101"], baseline=baseline)
-    assert result.findings == []
-    assert result.baselined == 1
-    assert result.stale_baseline == [("RA101", "repro/sim/other.py")]
-
-
-def test_baseline_rejects_malformed_lines(tmp_path):
-    bad = tmp_path / "baseline.txt"
-    bad.write_text("not a baseline line\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="malformed baseline"):
-        Baseline.load(bad)
-
-
-def test_stale_scoping_to_selected_checkers(tmp_path):
-    """A --select run must not condemn baseline entries belonging to
-    checkers that did not run (a ``--select determinism`` regression)."""
-    baseline = Baseline({("RA301", "repro/sim/mod.py"): "layering debt"})
-    ctx = build_tree(tmp_path, {"repro/sim/mod.py": "x = 1\n"})
-    result = run_analysis(ctx, select=["determinism"], baseline=baseline)
-    assert result.stale_baseline == []
-    result = run_analysis(ctx, select=["layering"], baseline=baseline)
-    assert result.stale_baseline == [("RA301", "repro/sim/mod.py")]
 
 
 def test_findings_sorted_deterministically(tmp_path):

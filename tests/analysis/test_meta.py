@@ -1,10 +1,10 @@
 """Meta-tests: the real tree is clean, and the tooling has teeth.
 
-The first half runs the full suite over the actual ``src/`` with the
-checked-in baseline — the same gate CI applies — so a regression
-anywhere in the repo fails tier-1, not just the lint job. The second
-half drives the ``tools/analyze.py`` CLI (exit codes, shim,
-``--inject-violation`` canaries).
+The first half runs the full suite over the actual ``src/`` — the same
+gate CI applies, where only an inline ``# analysis: allow[CODE]``
+excuses a finding — so a regression anywhere in the repo fails tier-1,
+not just the lint job. The second half drives the ``tools/analyze.py``
+CLI (exit codes, ``--inject-violation`` canaries).
 """
 
 import subprocess
@@ -12,11 +12,9 @@ import sys
 
 import pytest
 
-from repro.analysis import AnalysisContext, Baseline, run_analysis
+from repro.analysis import AnalysisContext, run_analysis
 
 from .helpers import REPO_ROOT, SRC_ROOT
-
-BASELINE = REPO_ROOT / "tools" / "analysis_baseline.txt"
 
 
 def real_context():
@@ -24,24 +22,10 @@ def real_context():
         SRC_ROOT, readme_path=REPO_ROOT / "README.md")
 
 
-def test_src_tree_is_clean_modulo_baseline():
-    result = run_analysis(real_context(),
-                          baseline=Baseline.load(BASELINE))
+def test_src_tree_is_clean():
+    result = run_analysis(real_context())
     assert result.findings == [], "\n".join(
         f.render() for f in result.findings)
-
-
-def test_baseline_has_no_stale_entries():
-    result = run_analysis(real_context(),
-                          baseline=Baseline.load(BASELINE))
-    assert result.stale_baseline == []
-
-
-def test_baseline_entries_carry_justifications():
-    baseline = Baseline.load(BASELINE)
-    assert baseline.entries, "baseline exists and parses"
-    for (code, path), why in baseline.entries.items():
-        assert why.strip(), f"{code} {path} needs a justification"
 
 
 def run_cli(*args):
@@ -50,8 +34,8 @@ def run_cli(*args):
         capture_output=True, text=True, cwd=REPO_ROOT)
 
 
-def test_cli_ci_gate_exits_zero():
-    proc = run_cli("--ci")
+def test_cli_gate_exits_zero():
+    proc = run_cli()
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "clean" in proc.stdout
 

@@ -1,8 +1,6 @@
-"""Offload-backend seam tests: error types, the QAT adapter, and the
-engine's submission batching (coalescing, flush triggers, flow
-control, failover of queued ops)."""
-
-import pytest
+"""Offload-backend seam tests: the QAT adapter and the engine's
+submission batching (coalescing, flush triggers, flow control,
+failover of queued ops)."""
 
 from repro.crypto.ops import OpCategory
 from repro.offload.engine import BATCH_TIMEOUT, BUSY_POLL_SLICE
@@ -20,23 +18,7 @@ def make_env(n_instances=1, ring_capacity=64, **engine_kw):
     return env.sim, env.core, env.engine
 
 
-# -- error types ---------------------------------------------------------------
-
-def test_ring_full_is_one_type_across_layers():
-    import repro.offload as offload
-    from repro.offload import errors
-    from repro.qat import rings
-    assert rings.RingFull is errors.RingFull is offload.RingFull
-    assert issubclass(errors.RingFull, errors.SubmitError)
-
-
 # -- QAT backend adapter ----------------------------------------------------------
-
-def test_qat_backend_needs_a_driver():
-    from repro.offload.qat_backend import QatBackend
-    with pytest.raises(ValueError, match="at least one driver"):
-        QatBackend([])
-
 
 def test_poll_rotation_is_starvation_free():
     """A bounded poll budget must not always drain instance 0 first."""

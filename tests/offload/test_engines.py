@@ -6,8 +6,8 @@ import pytest
 from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
-from repro.offload import (ALGORITHM_GROUPS, AsyncOffloadEngine, QatBackend,
-                           SoftwareEngine)
+from repro.offload import (ALGORITHM_GROUPS, AsyncOffloadEngine,
+                           InstancePool, SoftwareEngine, StaticPolicy)
 from repro.qat import QatDevice, QatUserspaceDriver, qat_service_time
 from repro.sim import Simulator
 from repro.ssl.async_job import FiberAsyncJob
@@ -30,7 +30,8 @@ def make_qat_env(ring_capacity=64, algorithms=("RSA", "EC", "PKEY_CRYPTO",
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=1, ring_capacity=ring_capacity)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    eng = AsyncOffloadEngine(QatBackend([drv]), core, CostModel(),
+    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    eng = AsyncOffloadEngine(backend, core, CostModel(),
                              algorithms=algorithms)
     return sim, core, eng
 
@@ -125,8 +126,9 @@ def test_unknown_algorithm_group_rejected():
     sim = Simulator()
     dev = QatDevice(sim, n_endpoints=1)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
+    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
     with pytest.raises(ValueError, match="unknown algorithm group"):
-        AsyncOffloadEngine(QatBackend([drv]), Core(sim, 0), CostModel(),
+        AsyncOffloadEngine(backend, Core(sim, 0), CostModel(),
                            algorithms=("BOGUS",))
 
 

@@ -9,7 +9,6 @@ from repro.offload.backend import OpSpec
 from repro.offload.pool import (ARBITRATION_CPU_COST, DynamicPolicy,
                                 InstancePool, PooledQatBackend,
                                 SharedPolicy, StaticPolicy, make_policy)
-from repro.offload.qat_backend import QatBackend
 from repro.qat.device import QatDevice
 from repro.qat.driver import QatUserspaceDriver
 from repro.sim.kernel import Simulator
@@ -127,28 +126,28 @@ def test_submit_poll_round_trip():
 
 
 def test_static_pool_behaves_like_plain_backend():
-    def run(make_backend):
-        sim = Simulator()
-        dev = QatDevice(sim, n_endpoints=2)
-        drivers = [QatUserspaceDriver(inst)
-                   for inst in dev.allocate_instances(2)]
-        backend = make_backend(sim, drivers)
-        for i in range(6):
-            tokens = backend.submit_batch([spec(f"r{i}")], lane=i % 2)
-            assert tokens[0] is not None
-        sim.run(until=0.1)
-        results = []
-        while True:
-            got = backend.poll_completions(2)
-            if not got:
-                break
-            results.append([c.result for c in got])
-        return results, [drv.submitted for drv in drivers]
-
-    plain = run(lambda sim, drivers: QatBackend(drivers))
-    pooled = run(lambda sim, drivers:
-                 InstancePool(sim, drivers, 1, StaticPolicy()).register(0))
-    assert pooled == plain
+    # One worker leasing both instances: poll batches rotate their
+    # starting lane (so lane 0 cannot monopolise a bounded budget) and
+    # spill into the next lane when the first runs dry. The expected
+    # values are pinned from the retired plain QAT backend that the
+    # static pool replaced, so its behaviour stays checked.
+    sim = Simulator()
+    dev = QatDevice(sim, n_endpoints=2)
+    drivers = [QatUserspaceDriver(inst)
+               for inst in dev.allocate_instances(2)]
+    backend = InstancePool(sim, drivers, 1, StaticPolicy()).register(0)
+    for i in range(6):
+        tokens = backend.submit_batch([spec(f"r{i}")], lane=i % 2)
+        assert tokens[0] is not None
+    sim.run(until=0.1)
+    results = []
+    while True:
+        got = backend.poll_completions(2)
+        if not got:
+            break
+        results.append([c.result for c in got])
+    assert results == [["r0", "r2"], ["r1", "r3"], ["r4", "r5"]]
+    assert [drv.submitted for drv in drivers] == [3, 3]
 
 
 def test_shared_pool_lets_any_worker_use_any_lane():
@@ -297,7 +296,8 @@ def test_retired_epoch_stops_admitting_and_polling():
     b_new = pool.register(0)
     assert b_old.admits(0) and b_new.admits(0)
     pool.retire(0, 0)
-    assert b_old.retired and not b_new.retired
+    assert pool.is_retired(0, b_old.epoch)
+    assert not pool.is_retired(0, b_new.epoch)
     assert not b_old.admits(0) and b_new.admits(0)
     # A retired backend's submissions bounce and its polls are empty.
     assert b_old.submit_batch([spec("x")], lane=0) == [None]

@@ -7,7 +7,7 @@ from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind, OpCategory
 from repro.offload.engine import AsyncOffloadEngine
-from repro.offload.qat_backend import QatBackend
+from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat import QatDevice, QatUserspaceDriver
 from repro.server import StubStatus
 from repro.server.polling.heuristic import HeuristicPoller
@@ -19,8 +19,8 @@ from repro.tls.actions import CryptoCall
 def make_engine(sim, **kw):
     dev = QatDevice(sim, n_endpoints=1)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    return AsyncOffloadEngine(QatBackend([drv]), Core(sim, 0),
-                              CostModel(), **kw)
+    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    return AsyncOffloadEngine(backend, Core(sim, 0), CostModel(), **kw)
 
 
 def submit_n(sim, engine, n, kind=CryptoOpKind.RSA_PRIV):

@@ -7,7 +7,7 @@ from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload.engine import AsyncOffloadEngine
-from repro.offload.qat_backend import QatBackend
+from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat import QatDevice, QatUserspaceDriver
 from repro.server.polling.interrupt_mode import InterruptRetriever
 from repro.sim import Simulator
@@ -20,7 +20,8 @@ def make_env():
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=1)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    eng = AsyncOffloadEngine(QatBackend([drv]), core, CostModel())
+    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    eng = AsyncOffloadEngine(backend, core, CostModel())
     return sim, core, eng
 
 

@@ -11,7 +11,7 @@ from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload.engine import AsyncOffloadEngine
-from repro.offload.qat_backend import QatBackend
+from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat import QatDevice, QatUserspaceDriver
 from repro.server.polling.interrupt_mode import InterruptRetriever
 from repro.server.polling.timer_thread import TimerPollingThread
@@ -33,7 +33,8 @@ def stage_names(worker):
 def make_engine(sim):
     dev = QatDevice(sim, n_endpoints=1)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    return AsyncOffloadEngine(QatBackend([drv]), Core(sim, 0), CostModel())
+    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    return AsyncOffloadEngine(backend, Core(sim, 0), CostModel())
 
 
 def submit_one(sim, eng, result="r"):

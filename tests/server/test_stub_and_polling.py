@@ -6,7 +6,7 @@ from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload.engine import AsyncOffloadEngine
-from repro.offload.qat_backend import QatBackend
+from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat import QatDevice, QatUserspaceDriver
 from repro.server import AsyncEventQueue, StubStatus
 from repro.server.polling.heuristic import HeuristicPoller
@@ -58,7 +58,8 @@ def test_async_queue_fifo():
 def make_engine(sim):
     dev = QatDevice(sim, n_endpoints=1)
     drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    return AsyncOffloadEngine(QatBackend([drv]), Core(sim, 0), CostModel())
+    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    return AsyncOffloadEngine(backend, Core(sim, 0), CostModel())
 
 
 def submit_n(sim, engine, n, kind=CryptoOpKind.RSA_PRIV):
@@ -177,9 +178,9 @@ def test_timer_thread_context_switches_charged():
     sim = Simulator()
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=1)
-    engine = AsyncOffloadEngine(
-        QatBackend([QatUserspaceDriver(dev.allocate_instances(1)[0])]),
-        core, CostModel())
+    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
+    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    engine = AsyncOffloadEngine(backend, core, CostModel())
     thread = TimerPollingThread(sim, engine, interval=10e-6)
     thread.start()
 

@@ -10,7 +10,7 @@ from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.offload.software import SoftwareEngine
 from repro.offload.engine import AsyncOffloadEngine
-from repro.offload.qat_backend import QatBackend
+from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat import QatDevice, QatUserspaceDriver
 from repro.sim import Simulator
 from repro.ssl import SslConnection, SslContext, SslStatus
@@ -56,8 +56,10 @@ class Env:
                                     ring_capacity=ring_capacity)
             inst = self.device.allocate_instances(1)[0]
             self.driver = QatUserspaceDriver(inst)
-            self.engine = AsyncOffloadEngine(QatBackend([self.driver]),
-                                             self.core, self.cost_model)
+            backend = InstancePool(self.sim, [self.driver], 1,
+                                   StaticPolicy()).register(0)
+            self.engine = AsyncOffloadEngine(backend, self.core,
+                                             self.cost_model)
 
         version = (ProtocolVersion.TLS13 if suite is TLS13_ECDHE_RSA
                    else ProtocolVersion.TLS12)
@@ -77,11 +79,13 @@ class Env:
 
 
 def handshake_process(env: Env, conn: SslConnection, log=None,
-                      owner="worker", poll_interval=5e-6):
+                      owner="worker", poll_interval=5e-6,
+                      tamper=lambda msg: msg):
     """A sim process completing one handshake against a sync client.
 
     Handles WANT_READ by pumping the client, WANT_ASYNC/WANT_RETRY by
-    polling the engine until the response arrives. Returns the final
+    polling the engine until the response arrives. ``tamper`` maps
+    each client message on its way to the server. Returns the final
     status history.
     """
     client = env.client_driver()
@@ -92,7 +96,7 @@ def handshake_process(env: Env, conn: SslConnection, log=None,
         statuses = []
         client.pump(deque(), s2c_list)  # initial client flight
         for m in s2c_list:
-            conn.feed_message(m)
+            conn.feed_message(tamper(m))
         s2c_list.clear()
         while True:
             status = yield from conn.do_handshake(owner)
@@ -108,7 +112,7 @@ def handshake_process(env: Env, conn: SslConnection, log=None,
                 sends = []
                 client.pump(inbox, sends)
                 for m in sends:
-                    conn.feed_message(m)
+                    conn.feed_message(tamper(m))
             if status is SslStatus.OK:
                 return statuses
             if status is SslStatus.WANT_READ:

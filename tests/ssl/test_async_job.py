@@ -141,6 +141,36 @@ def test_stack_replay_restores_rng_determinism():
     assert result[0] == draws[0]
 
 
+def test_stack_replay_rethrows_a_caught_crypto_error():
+    """A flow that catches a crypto failure and goes on must replay
+    past that step, not park on it again."""
+    def flow():
+        try:
+            a = yield crypto_action("op1")
+        except ValueError:
+            a = "fallback"
+        b = yield crypto_action("op2")
+        return (a, b)
+
+    job = StackAsyncJob(flow)
+    _, action = job.advance()
+    job.mark_paused(action)
+    job.deliver(None, ValueError("bad"))
+    _, exc = job.take_resume()
+    job.prepare_resume()
+    job.parked_action = None
+    job.record_crypto_error(exc)
+    _, action = job.advance(exc=exc)     # at op2 -> pause here
+    job.mark_paused(action)
+    job.deliver("r2", None)
+    job.take_resume()
+    assert job.prepare_resume() == 1
+    assert job.parked_action.label == "op2"
+    job.parked_action = None
+    job.record_crypto("r2")
+    assert job.advance("r2") == ("done", ("fallback", "r2"))
+
+
 def test_stack_replay_divergence_detected():
     calls = [0]
 

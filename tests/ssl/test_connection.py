@@ -1,11 +1,14 @@
 """SSL connection tests: sync / fiber / stack modes, pause-resume,
 retry, write/read paths."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.provider import RealCryptoProvider
 from repro.ssl import SslStatus
-from repro.tls import ECDHE_RSA, TLS_RSA
+from repro.tls import ECDHE_RSA, TLS_RSA, TlsAlert
+from repro.tls.messages import ClientKeyExchange
 from repro.tls.suites import TLS13_ECDHE_RSA
 
 from .harness import Env, handshake_process
@@ -176,6 +179,29 @@ def test_stack_vs_fiber_equivalent_results():
         conn, _ = run_handshake(env)
         sink.append(conn.handshake_result.suite.name)
     assert rf == rs
+
+
+def test_undecryptable_premaster_fails_alike_under_fiber_and_stack():
+    """The server goes on from an undecryptable premaster with a random
+    one (RFC 5246 7.4.7.1). A stack-async replay must re-throw that
+    caught failure rather than park on the premaster step again, so
+    both implementations offload the same ops and fail at the client
+    Finished."""
+    def tamper(msg):
+        if not isinstance(msg, ClientKeyExchange):
+            return msg
+        ct = bytearray(msg.encrypted_premaster)
+        ct[1] ^= 0xFF
+        return dataclasses.replace(msg, encrypted_premaster=bytes(ct))
+
+    submitted = []
+    for mode in ("fiber", "stack"):
+        env = Env(suite=TLS_RSA, engine_kind="qat", async_mode=mode)
+        proc = handshake_process(env, env.connection(), tamper=tamper)
+        with pytest.raises(TlsAlert, match="client Finished verify failed"):
+            env.sim.run(until=proc)
+        submitted.append(env.driver.submitted)
+    assert submitted[0] == submitted[1]
 
 
 # -- write / read paths ----------------------------------------------------------------

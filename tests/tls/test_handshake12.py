@@ -131,10 +131,11 @@ def test_tampered_ske_signature_rejected():
                                server_handshake12(scfg))
 
 
-def _handshake_with_flipped_cke(scfg, ccfg, index):
-    """Loopback ECDHE handshake whose ClientKeyExchange public value has
-    byte ``index`` flipped in transit; returns (alert text, the client's
-    untampered public value)."""
+def _handshake_with_flipped_cke(scfg, ccfg, index, field="public"):
+    """Loopback handshake whose ClientKeyExchange ``field`` (the ECDHE
+    public value, or ``encrypted_premaster`` under TLS-RSA) has byte
+    ``index`` flipped in transit; returns (alert text, the client's
+    untampered value)."""
     client = SyncDriver(client_handshake12(ccfg))
     server = SyncDriver(server_handshake12(scfg))
     c2s, s2c = deque(), deque()
@@ -144,10 +145,11 @@ def _handshake_with_flipped_cke(scfg, ccfg, index):
             client.pump(s2c, c2s)
             for i, msg in enumerate(list(c2s)):
                 if isinstance(msg, ClientKeyExchange) and sent is None:
-                    sent = msg.public
+                    sent = getattr(msg, field)
                     flipped = bytearray(sent)
                     flipped[index] ^= 0xFF
-                    c2s[i] = dataclasses.replace(msg, public=bytes(flipped))
+                    c2s[i] = dataclasses.replace(
+                        msg, **{field: bytes(flipped)})
             server.pump(c2s, s2c)
             if client.done and server.done:
                 return None, sent
@@ -182,6 +184,47 @@ def test_malformed_cke_share_is_illegal_parameter(provider):
     scfg, ccfg = make_configs(ECDHE_RSA, provider)
     alert, _ = _handshake_with_flipped_cke(scfg, ccfg, 0)
     assert alert == "illegal_parameter: malformed uncompressed point"
+
+
+class _PrefixedShareProvider:
+    """Delegates to ``inner`` but issues ECDHE shares whose prefix is
+    0x02 instead of 0x04, so the server signs a share that is no
+    uncompressed point."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def ecdh_keygen(self, curve, rng):
+        share = self._inner.ecdh_keygen(curve, rng)
+        return dataclasses.replace(
+            share, public_bytes=b"\x02" + share.public_bytes[1:])
+
+
+@pytest.mark.parametrize("provider", PROVIDERS, ids=IDS)
+def test_malformed_ske_share_is_illegal_parameter(provider):
+    """A validly signed ServerKeyExchange whose share is no point: the
+    client answers with an alert instead of letting EcError escape."""
+    scfg, ccfg = make_configs(ECDHE_RSA, provider)
+    scfg.provider = _PrefixedShareProvider(provider)
+    with pytest.raises(TlsAlert) as alert:
+        run_loopback_handshake(client_handshake12(ccfg),
+                               server_handshake12(scfg))
+    assert str(alert.value) == \
+        "illegal_parameter: malformed uncompressed point"
+
+
+@pytest.mark.parametrize("provider", PROVIDERS, ids=IDS)
+def test_undecryptable_premaster_fails_at_finished(provider):
+    """RFC 5246 7.4.7.1: a premaster that does not decrypt is replaced
+    by a random one, so the handshake fails at the client Finished
+    instead of letting RsaError escape the server."""
+    scfg, ccfg = make_configs(TLS_RSA, provider)
+    alert, _ = _handshake_with_flipped_cke(
+        scfg, ccfg, 1, field="encrypted_premaster")
+    assert alert == "decrypt_error: client Finished verify failed"
 
 
 # -- session resumption ---------------------------------------------------------

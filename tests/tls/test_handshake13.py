@@ -12,6 +12,7 @@ from repro.tls import (TLS13_ECDHE_RSA, OpLog, TlsAlert, TlsClientConfig,
                        TlsServerConfig, client_handshake13,
                        run_loopback_handshake, server_handshake13)
 from repro.tls.loopback import SyncDriver
+from repro.tls.messages import ClientHello, ServerHello
 
 PROVIDERS = [RealCryptoProvider(), ModeledCryptoProvider()]
 IDS = ["real", "modeled"]
@@ -109,21 +110,45 @@ def test_unsupported_group_rejected():
                                server_handshake13(scfg))
 
 
-def test_malformed_key_share_is_illegal_parameter(provider):
-    """A key_share whose 0x04 prefix is flipped is no point at all: the
-    server answers with an alert instead of letting EcError escape."""
+def _alert_with_flipped_prefix(provider, hello_type):
+    """Loopback handshake whose ``hello_type`` key_share has its 0x04
+    prefix flipped in transit; returns the alert text."""
     scfg, ccfg = make_configs(provider)
     client = SyncDriver(client_handshake13(ccfg))
     server = SyncDriver(server_handshake13(scfg))
     c2s, s2c = deque(), deque()
-    client.pump(s2c, c2s)
-    (hello,) = c2s
-    share = bytearray(hello.key_share)
-    share[0] ^= 0xFF
-    c2s[0] = dataclasses.replace(hello, key_share=bytes(share))
-    with pytest.raises(TlsAlert) as alert:
-        server.pump(c2s, s2c)
-    assert str(alert.value) == \
+
+    def flip(queue):
+        for i, msg in enumerate(list(queue)):
+            if isinstance(msg, hello_type):
+                share = bytearray(msg.key_share)
+                share[0] ^= 0xFF
+                queue[i] = dataclasses.replace(msg, key_share=bytes(share))
+
+    try:
+        for _ in range(50):
+            client.pump(s2c, c2s)
+            flip(c2s)
+            server.pump(c2s, s2c)
+            flip(s2c)
+            if client.done and server.done:
+                return None
+    except TlsAlert as alert:
+        return str(alert)
+    raise AssertionError("handshake neither finished nor failed")
+
+
+def test_malformed_key_share_is_illegal_parameter(provider):
+    """A key_share whose 0x04 prefix is flipped is no point at all: the
+    server answers with an alert instead of letting EcError escape."""
+    assert _alert_with_flipped_prefix(provider, ClientHello) == \
+        "illegal_parameter: malformed uncompressed point"
+
+
+def test_malformed_server_key_share_is_illegal_parameter(provider):
+    """The same flip on the ServerHello's share: the client answers
+    with the alert."""
+    assert _alert_with_flipped_prefix(provider, ServerHello) == \
         "illegal_parameter: malformed uncompressed point"
 
 

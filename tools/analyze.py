@@ -4,22 +4,18 @@
 Usage::
 
     python tools/analyze.py                     # report, exit 1 on findings
-    python tools/analyze.py --ci                # CI gate (also fails on
-                                                #   stale baseline entries)
     python tools/analyze.py --select RA1,RA3    # determinism + layering only
     python tools/analyze.py --ignore RA501      # drop one code/family
     python tools/analyze.py --list              # checker/code catalogue
-    python tools/analyze.py --baseline-write    # grandfather current findings
     python tools/analyze.py --inject-violation RA301
                                                 # canary: patch a known-bad
                                                 #   pattern into a temp copy
                                                 #   and prove it is caught
 
-Findings print as ``path:line: CODE message``. Deliberate one-off
-violations opt out inline (``# analysis: allow[RA101]``);
-grandfathered ones live in ``tools/analysis_baseline.txt`` with a
-one-line justification each. Stdlib only — runs before any
-dependency install.
+Findings print as ``path:line: CODE message``. A deliberate violation
+opts out inline on its own line (``# analysis: allow[RA101]``); any
+finding without that mark fails the run. Stdlib only — runs before
+any dependency install.
 """
 
 import argparse
@@ -30,11 +26,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
-DEFAULT_BASELINE = REPO_ROOT / "tools" / "analysis_baseline.txt"
 
 sys.path.insert(0, str(SRC_ROOT))
 
-from repro.analysis import (AnalysisContext, Baseline,  # noqa: E402
+from repro.analysis import (AnalysisContext,  # noqa: E402
                             checker_registry, run_analysis)
 
 #: ``--inject-violation`` patch table: code -> (src-relative target
@@ -83,11 +78,6 @@ INJECTIONS = {
 }
 
 
-def build_context(root: Path, paths) -> AnalysisContext:
-    return AnalysisContext.from_paths(
-        root, paths=paths, readme_path=root.parent / "README.md")
-
-
 def list_catalogue() -> int:
     for name, checker in checker_registry().items():
         print(f"{name}:")
@@ -116,9 +106,7 @@ def inject_violation(code: str, select_only: bool) -> int:
                           + "\n\n" + snippet, encoding="utf-8")
         ctx = AnalysisContext.from_paths(
             tmp_root, readme_path=Path(tmp) / "README.md")
-        result = run_analysis(
-            ctx, select=[code] if select_only else None,
-            baseline=Baseline.load(DEFAULT_BASELINE))
+        result = run_analysis(ctx, select=[code] if select_only else None)
         hits = [f for f in result.findings
                 if f.code == code and f.path == relpath]
         if hits:
@@ -138,23 +126,12 @@ def main(argv=None) -> int:
         description="repro.analysis static-checker suite")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files/dirs under src/ (default: all of src/)")
-    parser.add_argument("--ci", action="store_true",
-                        help="strict gate: findings OR stale baseline "
-                        "entries fail the run")
     parser.add_argument("--select", default=None,
                         help="comma-separated code prefixes / checker "
                         "names to run (e.g. RA1,layering)")
     parser.add_argument("--ignore", default=None,
                         help="comma-separated code prefixes / checker "
                         "names to skip")
-    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
-                        help="baseline file (default "
-                        "tools/analysis_baseline.txt)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline entirely")
-    parser.add_argument("--baseline-write", action="store_true",
-                        help="write current findings to the baseline "
-                        "file and exit")
     parser.add_argument("--list", action="store_true",
                         help="print the checker/code catalogue")
     parser.add_argument("--inject-violation", metavar="CODE",
@@ -172,44 +149,23 @@ def main(argv=None) -> int:
               if args.select else None)
     ignore = ([s.strip() for s in args.ignore.split(",") if s.strip()]
               if args.ignore else None)
-    ctx = build_context(SRC_ROOT, args.paths or None)
-
-    if args.baseline_write:
-        result = run_analysis(ctx, select=select, ignore=ignore)
-        args.baseline.write_text(Baseline.render(result.findings),
-                                 encoding="utf-8")
-        print(f"wrote {len({f.baseline_key for f in result.findings})} "
-              f"baseline entr(ies) to {args.baseline}")
-        return 0
-
-    baseline = (Baseline() if args.no_baseline
-                else Baseline.load(args.baseline))
-    result = run_analysis(ctx, select=select, ignore=ignore,
-                          baseline=baseline)
+    ctx = AnalysisContext.from_paths(SRC_ROOT, paths=args.paths or None,
+                                     readme_path=REPO_ROOT / "README.md")
+    result = run_analysis(ctx, select=select, ignore=ignore)
 
     for f in result.findings:
         print(f.render())
-    status = 0
     if result.findings:
         print(f"\nrepro.analysis: {len(result.findings)} finding(s) "
               f"across {result.files} file(s) "
-              f"({result.suppressed} inline-suppressed, "
-              f"{result.baselined} baselined)")
-        print("fix them, opt out inline with '# analysis: allow[CODE]', "
-              "or grandfather with --baseline-write + a justification")
-        status = 1
-    else:
-        print(f"repro.analysis: clean — {result.files} file(s), "
-              f"{result.checkers} checker(s), "
-              f"{result.suppressed} inline-suppressed, "
-              f"{result.baselined} baselined")
-    if result.stale_baseline:
-        print("\nstale baseline entries (no longer matched — prune):")
-        for code, path in result.stale_baseline:
-            print(f"  {code} {path}")
-        if args.ci:
-            status = status or 1
-    return status
+              f"({result.suppressed} inline-suppressed)")
+        print("fix them, or opt out inline with "
+              "'# analysis: allow[CODE]' and a reason")
+        return 1
+    print(f"repro.analysis: clean — {result.files} file(s), "
+          f"{result.checkers} checker(s), "
+          f"{result.suppressed} inline-suppressed")
+    return 0
 
 
 if __name__ == "__main__":
