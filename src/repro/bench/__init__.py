@@ -1,8 +1,7 @@
 """Benchmark harness reproducing every table and figure of the paper."""
 
-from .experiments import ALL_EXPERIMENTS
 from .reporting import ExperimentResult, format_table
 from .runner import CLIENTS_PER_WORKER, Testbed, Windows
 
-__all__ = ["ALL_EXPERIMENTS", "Testbed", "Windows", "CLIENTS_PER_WORKER",
-           "ExperimentResult", "format_table"]
+__all__ = ["Testbed", "Windows", "CLIENTS_PER_WORKER", "ExperimentResult",
+           "format_table"]

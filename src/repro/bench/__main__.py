@@ -11,7 +11,57 @@ import argparse
 import sys
 import time
 
-from .experiments import ALL_EXPERIMENTS
+from .experiments.ablations import (run_async_impl, run_fd_sharing,
+                                    run_instances_per_worker,
+                                    run_interrupt_vs_polling,
+                                    run_p256_montgomery, run_thresholds)
+from .experiments.backends import run as run_backends
+from .experiments.cycles import run as run_cycles
+from .experiments.ext_tls13_resumption import run as run_ext_tls13_resumption
+from .experiments.faults import run as run_faults
+from .experiments.fig7 import run_fig7a, run_fig7b, run_fig7c
+from .experiments.fig8 import run as run_fig8
+from .experiments.fig9 import run_fig9a, run_fig9b
+from .experiments.fig10 import run as run_fig10
+from .experiments.fig11 import run as run_fig11
+from .experiments.fig12 import run_fig12a, run_fig12b, run_fig12c
+from .experiments.lifecycle import run as run_lifecycle
+from .experiments.mixed import run as run_mixed
+from .experiments.scaling import run as run_scaling
+from .experiments.table1 import run as run_table1
+from .experiments.utilization import run as run_utilization
+
+#: Every experiment id in ``list``/``run all`` order. It lives here,
+#: not in the package, so that importing :mod:`repro.bench` or one
+#: experiment module loads no other experiment.
+ALL_EXPERIMENTS = {
+    "table1": run_table1,
+    "fig7a": run_fig7a,
+    "fig7b": run_fig7b,
+    "fig7c": run_fig7c,
+    "fig8": run_fig8,
+    "fig9a": run_fig9a,
+    "fig9b": run_fig9b,
+    "fig10": run_fig10,
+    "fig11": run_fig11,
+    "fig12a": run_fig12a,
+    "fig12b": run_fig12b,
+    "fig12c": run_fig12c,
+    "ablation-thresholds": run_thresholds,
+    "ablation-async-impl": run_async_impl,
+    "ablation-fd-sharing": run_fd_sharing,
+    "ablation-p256-montgomery": run_p256_montgomery,
+    "ablation-interrupts": run_interrupt_vs_polling,
+    "ablation-instances": run_instances_per_worker,
+    "utilization": run_utilization,
+    "cycles": run_cycles,
+    "ext-tls13-resumption": run_ext_tls13_resumption,
+    "faults": run_faults,
+    "lifecycle": run_lifecycle,
+    "mixed": run_mixed,
+    "backends": run_backends,
+    "scaling": run_scaling,
+}
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,14 @@
 """AES-128 block cipher from scratch (FIPS 197).
 
-Table-driven implementation: S-boxes are generated from the GF(2^8)
-inverse map at import time rather than hard-coded, so the construction
-itself is visible and testable. Used by the CBC record cipher in
-:mod:`repro.crypto.modes`.
+Table-driven implementation. At import, 255 ``xtime`` steps walk the
+powers of the generator 3 to fill exp/log tables over GF(2^8); the
+S-boxes come from the inverses they give (``x^-1 = 3^(255 - log x)``)
+and the FIPS 197 affine transform, and MixColumns/InvMixColumns read
+six 256-entry multiply tables (x2, x3, x9, x11, x13, x14) built from
+the same exp/log tables. The construction is generated rather than
+hard-coded so it stays visible; the tests check every table against a
+brute-force GF(2^8) reference. Used by the CBC record cipher in
+:mod:`repro.crypto.modes` and by GCM.
 """
 
 from __future__ import annotations
@@ -20,25 +25,30 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
-def _gf_mul(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a = _xtime(a)
-        b >>= 1
-    return acc
+def _build_exp_log() -> tuple:
+    # 3 generates the multiplicative group: 3 * x == x ^ xtime(x).
+    exp = [0] * 255
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = x
+        log[x] = i
+        x ^= _xtime(x)
+    return tuple(exp), tuple(log)
+
+
+_EXP, _LOG = _build_exp_log()
+
+
+def _mul_table(c: int) -> tuple:
+    """``c * a`` in GF(2^8) for every byte ``a``."""
+    lc = _LOG[c]
+    return (0,) + tuple(_EXP[(_LOG[a] + lc) % 255] for a in range(1, 256))
 
 
 def _build_sbox() -> tuple:
     # Multiplicative inverse in GF(2^8) followed by the affine transform.
-    inv = [0] * 256
-    for x in range(1, 256):
-        # brute-force inverse; runs once at import
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inv[x] = y
-                break
+    inv = [0] + [_EXP[-_LOG[x] % 255] for x in range(1, 256)]
     sbox = [0] * 256
     for x in range(256):
         b = inv[x]
@@ -56,6 +66,8 @@ def _build_sbox() -> tuple:
 
 
 _SBOX, _INV_SBOX = _build_sbox()
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
+    _mul_table(c) for c in (2, 3, 9, 11, 13, 14))
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
@@ -115,23 +127,23 @@ class AES128:
     @staticmethod
     def _mix_columns(state: list) -> list:
         out = [0] * 16
-        for c in range(4):
-            col = state[4 * c:4 * c + 4]
-            out[4 * c + 0] = _gf_mul(col[0], 2) ^ _gf_mul(col[1], 3) ^ col[2] ^ col[3]
-            out[4 * c + 1] = col[0] ^ _gf_mul(col[1], 2) ^ _gf_mul(col[2], 3) ^ col[3]
-            out[4 * c + 2] = col[0] ^ col[1] ^ _gf_mul(col[2], 2) ^ _gf_mul(col[3], 3)
-            out[4 * c + 3] = _gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ _gf_mul(col[3], 2)
+        for c in range(0, 16, 4):
+            a0, a1, a2, a3 = state[c:c + 4]
+            out[c] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
+            out[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
+            out[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
+            out[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
         return out
 
     @staticmethod
     def _inv_mix_columns(state: list) -> list:
         out = [0] * 16
-        for c in range(4):
-            col = state[4 * c:4 * c + 4]
-            out[4 * c + 0] = _gf_mul(col[0], 14) ^ _gf_mul(col[1], 11) ^ _gf_mul(col[2], 13) ^ _gf_mul(col[3], 9)
-            out[4 * c + 1] = _gf_mul(col[0], 9) ^ _gf_mul(col[1], 14) ^ _gf_mul(col[2], 11) ^ _gf_mul(col[3], 13)
-            out[4 * c + 2] = _gf_mul(col[0], 13) ^ _gf_mul(col[1], 9) ^ _gf_mul(col[2], 14) ^ _gf_mul(col[3], 11)
-            out[4 * c + 3] = _gf_mul(col[0], 11) ^ _gf_mul(col[1], 13) ^ _gf_mul(col[2], 9) ^ _gf_mul(col[3], 14)
+        for c in range(0, 16, 4):
+            a0, a1, a2, a3 = state[c:c + 4]
+            out[c] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
+            out[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
+            out[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
+            out[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
         return out
 
     # -- block operations ---------------------------------------------------

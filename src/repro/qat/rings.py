@@ -117,10 +117,6 @@ class RingPair:
         return len(self._requests)
 
     @property
-    def available_responses(self) -> int:
-        return len(self._responses)
-
-    @property
     def in_flight(self) -> int:
         """Submitted but not yet retrieved."""
         return self._occupied

@@ -49,7 +49,7 @@ def test_cli_list_prints_catalogue():
 
 def test_unknown_injection_code_exits_two(tools_on_path):
     import analyze
-    assert analyze.inject_violation("RA999", select_only=True) == 2
+    assert analyze.inject_violation("RA999") == 2
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,17 @@
 """Tests for the bench harness plumbing (no heavy simulations)."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import ExperimentResult, Testbed, Windows, format_table
-from repro.bench.__main__ import main
-from repro.bench.experiments import ALL_EXPERIMENTS, run_table1
+from repro.bench.__main__ import ALL_EXPERIMENTS, main
+from repro.bench.experiments.table1 import run as run_table1
 
 
 # -- reporting -----------------------------------------------------------------
@@ -61,6 +66,33 @@ def test_every_experiment_takes_only_quick_and_seed():
     for name, fn in ALL_EXPERIMENTS.items():
         params = list(inspect.signature(fn).parameters)
         assert params == ["quick", "seed"], name
+
+
+def test_cli_list_prints_every_id_in_registry_order(capsys):
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "table1", "fig7a", "fig7b", "fig7c", "fig8", "fig9a", "fig9b",
+        "fig10", "fig11", "fig12a", "fig12b", "fig12c",
+        "ablation-thresholds", "ablation-async-impl",
+        "ablation-fd-sharing", "ablation-p256-montgomery",
+        "ablation-interrupts", "ablation-instances", "utilization",
+        "cycles", "ext-tls13-resumption", "faults", "lifecycle", "mixed",
+        "backends", "scaling"]
+
+
+def test_one_experiment_module_loads_no_other():
+    # A Testbed user (the repo benchmark's episode) pays at process
+    # start only for the experiment module it imports.
+    code = ("import sys\n"
+            "import repro.bench.runner\n"
+            "import repro.bench.experiments.faults\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.bench.experiments.')))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "['repro.bench.experiments.faults']"
 
 
 def test_cli_stdout_is_the_deterministic_result(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import aes
 from repro.crypto.aes import AES128, _INV_SBOX, _SBOX
 
 try:
@@ -37,6 +38,40 @@ def test_sbox_is_permutation():
     assert sorted(_SBOX) == list(range(256))
     for i in range(256):
         assert _INV_SBOX[_SBOX[i]] == i
+
+
+def _gf_mul(a, b):
+    # Reference GF(2^8) multiply: shift-and-add modulo x^8+x^4+x^3+x+1.
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return acc
+
+
+def _brute_force_sbox():
+    # Each inverse by exhaustive search, then the FIPS 197 affine map
+    # written as XORs of left rotations.
+    sbox = []
+    for x in range(256):
+        b = next((y for y in range(1, 256) if _gf_mul(x, y) == 1), 0)
+        rot = [((b << k) | (b >> (8 - k))) & 0xFF for k in range(5)]
+        sbox.append(rot[0] ^ rot[1] ^ rot[2] ^ rot[3] ^ rot[4] ^ 0x63)
+    inv_sbox = [0] * 256
+    for x, s in enumerate(sbox):
+        inv_sbox[s] = x
+    return tuple(sbox), tuple(inv_sbox)
+
+
+def test_tables_match_brute_force_gf_reference():
+    assert (_SBOX, _INV_SBOX) == _brute_force_sbox()
+    for c in (2, 3, 9, 11, 13, 14):
+        table = getattr(aes, f"_MUL{c}")
+        assert table == tuple(_gf_mul(a, c) for a in range(256)), c
 
 
 def test_key_length_validation():

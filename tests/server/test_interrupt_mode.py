@@ -47,7 +47,7 @@ def test_ring_response_callback_fires():
     submit_one(sim, eng)
     sim.run()
     assert len(hits) == 1
-    assert hits[0].available_responses == 1
+    assert len(hits[0].poll_responses()) == 1
 
 
 def test_interrupt_delivers_response_without_polling():

@@ -86,7 +86,7 @@ def list_catalogue() -> int:
     return 0
 
 
-def inject_violation(code: str, select_only: bool) -> int:
+def inject_violation(code: str) -> int:
     """Prove checker ``code`` still has teeth: copy src/ (+ README) to
     a temp tree, patch in the known-bad pattern, re-run, and require
     the finding to appear. Exit 0 = caught, 1 = checker rot."""
@@ -106,7 +106,7 @@ def inject_violation(code: str, select_only: bool) -> int:
                           + "\n\n" + snippet, encoding="utf-8")
         ctx = AnalysisContext.from_paths(
             tmp_root, readme_path=Path(tmp) / "README.md")
-        result = run_analysis(ctx, select=[code] if select_only else None)
+        result = run_analysis(ctx, select=[code])
         hits = [f for f in result.findings
                 if f.code == code and f.path == relpath]
         if hits:
@@ -142,8 +142,7 @@ def main(argv=None) -> int:
     if args.list:
         return list_catalogue()
     if args.inject_violation:
-        return inject_violation(args.inject_violation.strip(),
-                                select_only=True)
+        return inject_violation(args.inject_violation.strip())
 
     select = ([s.strip() for s in args.select.split(",") if s.strip()]
               if args.select else None)
