@@ -10,10 +10,9 @@ the paper's Table 1.
 Run:  python examples/handshake_walkthrough.py
 """
 
-import numpy as np
-
 from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import RealCryptoProvider
+from repro.sim.rng import Stream
 from repro.tls import (ECDHE_RSA, OpLog, TlsClientConfig, TlsServerConfig,
                        client_handshake12, run_loopback_handshake,
                        server_handshake12)
@@ -21,7 +20,7 @@ from repro.tls import (ECDHE_RSA, OpLog, TlsClientConfig, TlsServerConfig,
 
 def main() -> None:
     provider = RealCryptoProvider()
-    rng = np.random.default_rng
+    rng = Stream
 
     print("generating a 1024-bit RSA server key (real keygen) ...")
     cred = provider.make_rsa_credentials(1024, rng(1))

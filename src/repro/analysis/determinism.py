@@ -91,7 +91,7 @@ class _ImportMap:
                 if mod is not None:
                     return (mod, func.attr)
                 sym = self.symbols.get(base.id)
-                if sym is not None:  # from numpy import random as nr
+                if sym is not None:  # nr.fn(...), nr an imported submodule
                     return (f"{sym[0]}.{sym[1]}", func.attr)
             # mod.sub.fn(...)  e.g. np.random.seed
             if (isinstance(base, ast.Attribute)

@@ -6,10 +6,9 @@ state machines and logging every CryptoCall the server executes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...crypto.ops import CryptoOpKind as K
 from ...crypto.provider import ModeledCryptoProvider
+from ...sim.rng import Stream
 from ...tls import (ECDHE_ECDSA, ECDHE_RSA, TLS13_ECDHE_RSA, TLS_RSA, OpLog,
                     TlsClientConfig, TlsServerConfig, client_handshake12,
                     client_handshake13, run_loopback_handshake,
@@ -31,7 +30,7 @@ PAPER_ROWS = [
 
 def _handshake_ops(suite, tls13: bool):
     provider = ModeledCryptoProvider()
-    rng = np.random.default_rng
+    rng = Stream
     kw = {}
     if suite.auth == "rsa":
         kw["credentials_rsa"] = provider.make_rsa_credentials(2048, rng(1))

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..core.costmodel import CLIENT_STEP_COST, CostModel
 from ..core.metrics import ClientMetrics
 from ..net.network import Network
+from ..sim.rng import Stream
 from ..tls.actions import TlsAlert
 from ..tls.config import TlsClientConfig
 from ..tls.constants import ProtocolVersion
@@ -35,7 +34,7 @@ class STimeFleet:
                  metrics: ClientMetrics, n_clients: int,
                  version: ProtocolVersion = ProtocolVersion.TLS12,
                  reuse: bool = False, full_ratio: float = 1.0,
-                 mix_rng: Optional[np.random.Generator] = None,
+                 mix_rng: Optional[Stream] = None,
                  stagger: float = 0.04) -> None:
         if n_clients < 1:
             raise ValueError("need at least one client")
@@ -53,8 +52,7 @@ class STimeFleet:
         self.version = version
         self.reuse = reuse or full_ratio < 1.0
         self.full_ratio = full_ratio
-        self.mix_rng = mix_rng if mix_rng is not None \
-            else np.random.default_rng(0)
+        self.mix_rng = mix_rng if mix_rng is not None else Stream(0)
         #: Client processes start spread over [0, stagger] seconds —
         #: real benchmark processes never launch in lockstep, and
         #: synchronized starts distort short measurement windows.
@@ -72,8 +70,7 @@ class STimeFleet:
         address = self.addresses[client_id % len(self.addresses)]
         resume_cfg: Optional[TlsClientConfig] = None
         if self.stagger > 0:
-            yield self.sim.timeout(float(self.mix_rng.random())
-                                   * self.stagger)
+            yield self.sim.timeout(self.mix_rng.random() * self.stagger)
         while True:
             base_cfg = self.make_client_config(client_id)
             want_full = (resume_cfg is None

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-import numpy as np
-
 from ..core.costmodel import CLIENT_STEP_COST, CostModel
 from ..net.pollable import wait_readable
 from ..net.socket_sim import SimSocket
+from ..sim.rng import Stream
 from ..tls.actions import (CryptoCall, HandshakeResult, NeedMessage,
                            SendMessage, TlsAlert)
 from ..tls.config import TlsClientConfig
@@ -162,8 +161,7 @@ class ClientTlsSession:
 
     # -- resumption state ------------------------------------------------------------
 
-    def resumption_config(self, rng: np.random.Generator
-                          ) -> TlsClientConfig:
+    def resumption_config(self, rng: Stream) -> TlsClientConfig:
         """A client config that offers resumption of this session."""
         if self.result is None:
             raise RuntimeError("no completed handshake to resume")

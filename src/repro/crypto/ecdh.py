@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
-
-from ..sim.rng import random_bytes
+from ..sim.rng import Stream
 from .bigint import i2osp
 from .ec import Curve, EcError, Point
 
@@ -20,10 +18,10 @@ class EcdhKeyPair:
     public: Point
 
 
-def generate_keypair(curve: Curve, rng: np.random.Generator) -> EcdhKeyPair:
+def generate_keypair(curve: Curve, rng: Stream) -> EcdhKeyPair:
     nbytes = (curve.n.bit_length() + 7) // 8
     while True:
-        d = int.from_bytes(random_bytes(rng, nbytes), "big") % curve.n
+        d = int.from_bytes(rng.bytes(nbytes), "big") % curve.n
         if d != 0:
             break
     return EcdhKeyPair(curve, d, curve.base_mult(d))

@@ -12,9 +12,7 @@ import hmac as _hmac
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from ..sim.rng import random_bytes
+from ..sim.rng import Stream
 from .bigint import modinv
 from .ec import Curve, EcError, Point
 
@@ -30,11 +28,11 @@ class EcdsaKeyPair:
     public: Point
 
 
-def generate_keypair(curve: Curve, rng: np.random.Generator) -> EcdsaKeyPair:
+def generate_keypair(curve: Curve, rng: Stream) -> EcdsaKeyPair:
     """Generate a random keypair on ``curve``."""
     nbytes = (curve.n.bit_length() + 7) // 8
     while True:
-        d = int.from_bytes(random_bytes(rng, nbytes), "big") % curve.n
+        d = int.from_bytes(rng.bytes(nbytes), "big") % curve.n
         if d != 0:
             break
     return EcdsaKeyPair(curve, d, curve.base_mult(d))

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from ..sim.rng import random_bytes
+from ..sim.rng import Stream
 
 __all__ = ["is_prime", "generate_prime"]
 
@@ -49,7 +47,7 @@ def _miller_rabin(n: int, witnesses) -> bool:
     return True
 
 
-def is_prime(n: int, rng: Optional[np.random.Generator] = None,
+def is_prime(n: int, rng: Optional[Stream] = None,
              rounds: int = 40) -> bool:
     """Primality test: deterministic below ~3.3e24, Miller-Rabin above.
 
@@ -66,15 +64,15 @@ def is_prime(n: int, rng: Optional[np.random.Generator] = None,
         if n < bound:
             return _miller_rabin(n, witnesses)
     if rng is None:
-        rng = np.random.default_rng(0xC0FFEE ^ (n & 0xFFFFFFFF))
+        rng = Stream(0xC0FFEE ^ (n & 0xFFFFFFFF))
     witnesses = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     extra = rounds - len(witnesses)
     if extra > 0:
-        witnesses += [int(rng.integers(2, 1 << 62)) for _ in range(extra)]
+        witnesses += [rng.integers(2, 1 << 62) for _ in range(extra)]
     return _miller_rabin(n, witnesses)
 
 
-def generate_prime(bits: int, rng: np.random.Generator) -> int:
+def generate_prime(bits: int, rng: Stream) -> int:
     """Generate a random prime with exactly ``bits`` bits.
 
     The two top bits are forced to 1 so that the product of two such
@@ -84,7 +82,7 @@ def generate_prime(bits: int, rng: np.random.Generator) -> int:
         raise ValueError("prime size too small")
     nbytes = (bits + 7) // 8
     while True:
-        raw = int.from_bytes(random_bytes(rng, nbytes), "big")
+        raw = int.from_bytes(rng.bytes(nbytes), "big")
         raw &= (1 << bits) - 1
         raw |= (1 << (bits - 1)) | (1 << (bits - 2))  # force top bits
         raw |= 1                                       # force odd

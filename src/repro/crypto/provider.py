@@ -29,9 +29,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from ..sim.rng import random_bytes
+from ..sim.rng import Stream
 from . import ecdh, ecdsa, rsa
 from .bigint import i2osp, os2ip
 from .ec import EcError, get_curve
@@ -91,18 +89,18 @@ class CryptoProvider:
 
     # -- server credentials --------------------------------------------
 
-    def make_rsa_credentials(self, bits: int, rng: np.random.Generator,
+    def make_rsa_credentials(self, bits: int, rng: Stream,
                              key_id: str = "server-rsa") -> ServerCredentials:
         raise NotImplementedError
 
-    def make_ecdsa_credentials(self, curve: str, rng: np.random.Generator,
+    def make_ecdsa_credentials(self, curve: str, rng: Stream,
                                key_id: str = "server-ec") -> ServerCredentials:
         raise NotImplementedError
 
     # -- asymmetric ------------------------------------------------------
 
     def rsa_encrypt(self, server_public: bytes, message: bytes,
-                    rng: np.random.Generator) -> bytes:
+                    rng: Stream) -> bytes:
         raise NotImplementedError
 
     def rsa_decrypt(self, cred: ServerCredentials, ciphertext: bytes,
@@ -116,7 +114,7 @@ class CryptoProvider:
                signature: bytes, curve: Optional[str] = None) -> bool:
         raise NotImplementedError
 
-    def ecdh_keygen(self, curve: str, rng: np.random.Generator) -> KeyShare:
+    def ecdh_keygen(self, curve: str, rng: Stream) -> KeyShare:
         raise NotImplementedError
 
     def ecdh_shared(self, share: KeyShare, peer_public: bytes) -> bytes:
@@ -177,14 +175,14 @@ class RealCryptoProvider(CryptoProvider):
 
     # -- credentials --------------------------------------------------------
 
-    def make_rsa_credentials(self, bits: int, rng: np.random.Generator,
+    def make_rsa_credentials(self, bits: int, rng: Stream,
                              key_id: str = "server-rsa") -> ServerCredentials:
         key = rsa.generate_keypair(bits, rng)
         size = key.size
         pub = i2osp(key.n, size) + i2osp(key.e, 4)
         return ServerCredentials("rsa", key_id, key, pub, rsa_bits=bits)
 
-    def make_ecdsa_credentials(self, curve: str, rng: np.random.Generator,
+    def make_ecdsa_credentials(self, curve: str, rng: Stream,
                                key_id: str = "server-ec") -> ServerCredentials:
         c = get_curve(curve)
         key = ecdsa.generate_keypair(c, rng)
@@ -200,7 +198,7 @@ class RealCryptoProvider(CryptoProvider):
         return rsa.RsaPublicKey(n, e)
 
     def rsa_encrypt(self, server_public: bytes, message: bytes,
-                    rng: np.random.Generator) -> bytes:
+                    rng: Stream) -> bytes:
         return rsa.encrypt_pkcs1v15(self._parse_rsa_public(server_public),
                                     message, rng)
 
@@ -232,7 +230,7 @@ class RealCryptoProvider(CryptoProvider):
             return False
         return ecdsa.verify(c, pub, message, (r, s))
 
-    def ecdh_keygen(self, curve: str, rng: np.random.Generator) -> KeyShare:
+    def ecdh_keygen(self, curve: str, rng: Stream) -> KeyShare:
         c = get_curve(curve)
         pair = ecdh.generate_keypair(c, rng)
         return KeyShare(curve, pair.d, ecdh.encode_point(c, pair.public))
@@ -364,16 +362,16 @@ class ModeledCryptoProvider(CryptoProvider):
 
     # -- credentials --------------------------------------------------------
 
-    def make_rsa_credentials(self, bits: int, rng: np.random.Generator,
+    def make_rsa_credentials(self, bits: int, rng: Stream,
                              key_id: str = "server-rsa") -> ServerCredentials:
-        secret = random_bytes(rng, 32)
+        secret = rng.bytes(32)
         pub = _h(b"rsa-pub", key_id.encode(), secret)
         pub = _stretch(pub, bits // 8 + 4)
         return ServerCredentials("rsa", key_id, secret, pub, rsa_bits=bits)
 
-    def make_ecdsa_credentials(self, curve: str, rng: np.random.Generator,
+    def make_ecdsa_credentials(self, curve: str, rng: Stream,
                                key_id: str = "server-ec") -> ServerCredentials:
-        secret = random_bytes(rng, 32)
+        secret = rng.bytes(32)
         pub = _stretch(_h(b"ec-pub", key_id.encode(), secret),
                        1 + 2 * _field_len(curve))
         return ServerCredentials("ecdsa", key_id, secret, pub, curve=curve)
@@ -381,7 +379,7 @@ class ModeledCryptoProvider(CryptoProvider):
     # -- asymmetric ------------------------------------------------------
 
     def rsa_encrypt(self, server_public: bytes, message: bytes,
-                    rng: np.random.Generator) -> bytes:
+                    rng: Stream) -> bytes:
         # Ciphertext = recoverable container bound to the public key.
         # Width matches the modulus size (public blob minus the 4-byte e).
         k = len(server_public) - 4
@@ -435,8 +433,8 @@ class ModeledCryptoProvider(CryptoProvider):
             r = r * row[digit] % _DH_P
         return r
 
-    def ecdh_keygen(self, curve: str, rng: np.random.Generator) -> KeyShare:
-        secret = random_bytes(rng, 32)
+    def ecdh_keygen(self, curve: str, rng: Stream) -> KeyShare:
+        secret = rng.bytes(32)
         # Commutative fake DH: public = g^x modeled as a scalar in a
         # Schnorr-group-free way — use modexp over a fixed 256-bit prime
         # so shared secrets actually agree without real EC math.

@@ -9,9 +9,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from ..sim.rng import random_bytes
+from ..sim.rng import Stream
 from .bigint import byte_length, crt_pair, i2osp, modinv, os2ip
 from .primes import generate_prime
 
@@ -89,7 +87,7 @@ class RsaPrivateKey:
         return crt_pair(mp, mq, self.p, self.q, self.qinv) % self.n
 
 
-def generate_keypair(bits: int, rng: np.random.Generator,
+def generate_keypair(bits: int, rng: Stream,
                      e: int = 65537) -> RsaPrivateKey:
     """Generate an RSA keypair with a modulus of exactly ``bits`` bits."""
     if bits < 128 or bits % 2:
@@ -155,7 +153,7 @@ def verify_pkcs1v15(key: RsaPublicKey, message: bytes, signature: bytes,
 
 
 def encrypt_pkcs1v15(key: RsaPublicKey, message: bytes,
-                     rng: np.random.Generator) -> bytes:
+                     rng: Stream) -> bytes:
     """RSAES-PKCS1-v1_5 encryption, used by the client to wrap the
     48-byte premaster secret in the TLS-RSA key exchange."""
     k = key.size
@@ -163,7 +161,7 @@ def encrypt_pkcs1v15(key: RsaPublicKey, message: bytes,
         raise RsaError("message too long")
     ps_len = k - len(message) - 3
     # Padding string must be non-zero octets.
-    ps = bytes(int(b) % 255 + 1 for b in random_bytes(rng, ps_len))
+    ps = bytes(int(b) % 255 + 1 for b in rng.bytes(ps_len))
     em = b"\x00\x02" + ps + b"\x00" + message
     return i2osp(key.raw_encrypt(os2ip(em)), k)
 

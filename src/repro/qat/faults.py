@@ -39,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..crypto.ops import CryptoOp
+from ..sim.rng import Stream
 
 __all__ = ["FaultPlan", "OutageWindow", "QatHardwareError"]
 
@@ -93,7 +92,7 @@ class FaultPlan:
     the whole run.
     """
 
-    def __init__(self, rng: np.random.Generator, *,
+    def __init__(self, rng: Stream, *,
                  response_loss: float = 0.0,
                  response_loss_window: Optional[Tuple[float, float]] = None,
                  corruption: float = 0.0,

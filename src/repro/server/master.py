@@ -19,7 +19,7 @@ from ..offload.remote import (REMOTE_LINK_BANDWIDTH, REMOTE_LINK_LATENCY,
                               RemoteAcceleratorBackend, RemoteCryptoService)
 from ..qat.device import QatDevice
 from ..qat.driver import QatUserspaceDriver
-from ..sim.rng import RngRegistry, random_bytes
+from ..sim.rng import RngRegistry
 from ..ssl.context import SslContext
 from ..tls.config import TlsServerConfig
 from ..tls.constants import ProtocolVersion
@@ -74,7 +74,7 @@ class TlsServer:
         if config.session_tickets:
             from ..tls.ticket import TicketKeeper
             self.ticket_keeper = TicketKeeper(
-                random_bytes(rng.stream("stek"), 16))
+                rng.stream("stek").bytes(16))
 
         self.topology = CpuTopology(sim, config.worker_processes)
         per_worker = config.ssl_engine.qat_instances_per_worker
@@ -163,7 +163,7 @@ class TlsServer:
                 # from the worker's stream, so simultaneous ring-full
                 # bounces across workers desynchronize their retries
                 # while same-seed runs replay bit-for-bit.
-                backoff_jitter_seed=int(worker_rng.integers(1 << 63)))
+                backoff_jitter_seed=worker_rng.integers(1 << 63))
             if config.uses_qat:
                 backend = self.instance_pool.register(worker_id)
                 engine = AsyncOffloadEngine(

@@ -27,8 +27,7 @@ from __future__ import annotations
 from enum import Enum, auto
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-import numpy as np
-
+from ..sim.rng import Stream
 from ..tls.actions import CryptoCall, NeedMessage, SendMessage
 from ..tls.record import RecordLayer
 from .wait_ctx import AsyncWaitCtx
@@ -175,12 +174,11 @@ class StackAsyncJob(AsyncJob):
     """
 
     def __init__(self, make_gen: Callable[[], Generator], kind: str = "job",
-                 rng: Optional[np.random.Generator] = None,
+                 rng: Optional[Stream] = None,
                  layer: Optional[RecordLayer] = None) -> None:
         super().__init__(make_gen, kind)
         self._rng = rng
-        self._rng_snapshot = (None if rng is None
-                              else rng.bit_generator.state)
+        self._rng_snapshot = None if rng is None else rng.state
         self._layer = layer
         self._seq_snapshot = None if layer is None else layer.seq_numbers
         # Log: ("crypto", result) | ("error", exception) |
@@ -209,8 +207,8 @@ class StackAsyncJob(AsyncJob):
         self.swaps += 1
         live_state = live_seqs = None
         if self._rng is not None:
-            live_state = self._rng.bit_generator.state
-            self._rng.bit_generator.state = self._rng_snapshot
+            live_state = self._rng.state
+            self._rng.state = self._rng_snapshot
         if self._layer is not None:
             live_seqs = self._layer.seq_numbers
             self._layer.seq_numbers = self._seq_snapshot
@@ -227,7 +225,7 @@ class StackAsyncJob(AsyncJob):
                     action = self._gen.send(payload)
         finally:
             if self._rng is not None and live_state is not None:
-                self._rng.bit_generator.state = live_state
+                self._rng.state = live_state
             if live_seqs is not None:
                 self._layer.seq_numbers = live_seqs
         self.parked_action = action

@@ -21,10 +21,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..bench.runner import Testbed
 from ..core.configurations import make_server_config
+from ..sim.rng import Stream
 
 __all__ = ["HARNESS_VERSION", "ClientSpec", "ActionSpec", "ScenarioSpec",
            "ScenarioGen", "ScenarioResult", "run_scenario", "fingerprint",
@@ -139,7 +138,7 @@ class ScenarioGen:
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
+        self.rng = Stream(seed)
 
     # small typed draw helpers (one RNG, deterministic order) ---------------
 
@@ -147,18 +146,17 @@ class ScenarioGen:
         if weights is not None:
             total = float(sum(weights))
             p = [w / total for w in weights]
-            idx = self.rng.choice(len(options), p=p)
-            return options[int(idx)]
-        return options[int(self.rng.integers(len(options)))]
+            return options[self.rng.choice(len(options), p=p)]
+        return options[self.rng.integers(len(options))]
 
     def _flag(self, p: float) -> bool:
-        return bool(self.rng.random() < p)
+        return self.rng.random() < p
 
     def _int(self, lo: int, hi: int) -> int:
-        return int(self.rng.integers(lo, hi + 1))
+        return self.rng.integers(lo, hi + 1)
 
     def _uniform(self, lo: float, hi: float) -> float:
-        return float(self.rng.uniform(lo, hi))
+        return self.rng.uniform(lo, hi)
 
     # scenario dimensions ---------------------------------------------------
 
@@ -172,7 +170,7 @@ class ScenarioGen:
         else:
             k = 1 if self._flag(0.7) else 2
             idx = self.rng.permutation(len(SUITES_12))[:k]
-            suites = tuple(SUITES_12[int(i)] for i in idx)
+            suites = tuple(SUITES_12[i] for i in idx)
         duration = self._uniform(0.04, 0.08)
         overrides = self._gen_overrides(config_name, workers)
         uses_qat = (config_name != "SW"

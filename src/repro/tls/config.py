@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from ..crypto.provider import CryptoProvider, ServerCredentials
+from ..sim.rng import Stream
 from .session import SessionCache
 from .suites import CipherSuite
 from .ticket import TicketKeeper
@@ -26,7 +25,7 @@ class TlsServerConfig:
 
     provider: CryptoProvider
     suites: Tuple[CipherSuite, ...]
-    rng: np.random.Generator
+    rng: Stream
     credentials_rsa: Optional[ServerCredentials] = None
     credentials_ecdsa: Optional[ServerCredentials] = None
     curves: Tuple[str, ...] = ("P-256",)
@@ -52,7 +51,7 @@ class TlsClientConfig:
 
     provider: CryptoProvider
     suites: Tuple[CipherSuite, ...]
-    rng: np.random.Generator
+    rng: Stream
     curves: Tuple[str, ...] = ("P-256",)
     # Resumption state from a previous connection, if any.
     session_id: bytes = b""

@@ -6,7 +6,6 @@ from typing import Generator
 
 from ...crypto.ec import EcError
 from ...crypto.ops import CryptoOp, CryptoOpKind
-from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
 from ..config import TlsClientConfig
@@ -30,7 +29,7 @@ def client_handshake12(config: TlsClientConfig
     """
     provider = config.provider
     transcript = []
-    client_random = random_bytes(config.rng, RANDOM_LEN)
+    client_random = config.rng.bytes(RANDOM_LEN)
 
     ch = ClientHello(
         client_random=client_random,
@@ -100,7 +99,7 @@ def client_handshake12(config: TlsClientConfig
 
     # -- key exchange ---------------------------------------------------------
     if suite.kx == "rsa":
-        premaster = random_bytes(config.rng, PREMASTER_LEN)
+        premaster = config.rng.bytes(PREMASTER_LEN)
         pub = cert.public_bytes
         encrypted = yield CryptoCall(
             CryptoOp(CryptoOpKind.RSA_PUB,

@@ -9,7 +9,6 @@ from typing import Generator, Optional
 from ...crypto.ec import EcError
 from ...crypto.hmac_impl import hmac_digest
 from ...crypto.ops import CryptoOp, CryptoOpKind
-from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
 from ..config import TlsClientConfig
@@ -45,7 +44,7 @@ def client_handshake13(config: TlsClientConfig
     offer_psk = (config.session_ticket is not None
                  and bool(config.session_master_secret))
     ch = ClientHello(
-        client_random=random_bytes(config.rng, RANDOM_LEN),
+        client_random=config.rng.bytes(RANDOM_LEN),
         versions=(ProtocolVersion.TLS13,),
         cipher_suites=tuple(s.name for s in config.suites),
         supported_curves=tuple(config.curves),

@@ -23,7 +23,6 @@ from typing import Generator, Optional
 from ...crypto.ec import EcError
 from ...crypto.ops import CryptoOp, CryptoOpKind
 from ...crypto.rsa import RsaError
-from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
 from ..config import TlsServerConfig
@@ -67,7 +66,7 @@ def server_handshake12(config: TlsServerConfig
         raise TlsAlert("unexpected_message: expected ClientHello")
     transcript.append(ch)
     suite = _select_suite(config, ch)
-    server_random = random_bytes(config.rng, RANDOM_LEN)
+    server_random = config.rng.bytes(RANDOM_LEN)
 
     # -- abbreviated handshake (session resumption)? ------------------------
     # Stateless tickets (RFC 5077) take precedence over the session-ID
@@ -86,7 +85,7 @@ def server_handshake12(config: TlsServerConfig
                                         transcript))
 
     # -- full handshake ------------------------------------------------------
-    session_id = random_bytes(config.rng, 16) \
+    session_id = config.rng.bytes(16) \
         if config.session_cache is not None else b""
     sh = ServerHello(server_random=server_random,
                      version=ProtocolVersion.TLS12,
@@ -147,7 +146,7 @@ def server_handshake12(config: TlsServerConfig
             # RFC 5246 7.4.7.1: go on with a random premaster, so the
             # handshake fails at the client Finished like any other
             # mismatch and leaks nothing about the padding.
-            premaster = random_bytes(config.rng, PREMASTER_LEN)
+            premaster = config.rng.bytes(PREMASTER_LEN)
     else:
         if not cke.public:
             raise TlsAlert("decode_error: missing client key share")
@@ -201,7 +200,7 @@ def server_handshake12(config: TlsServerConfig
                              created_at=config.clock()),
                 config.clock())
         else:
-            ticket = random_bytes(config.rng, 32)  # opaque, cache-backed
+            ticket = config.rng.bytes(32)  # opaque, cache-backed
         yield SendMessage(NewSessionTicket(ticket=ticket))
     yield SendMessage(ChangeCipherSpec())
     th2 = transcript_hash(transcript)

@@ -18,7 +18,6 @@ from typing import Generator, Optional
 from ...crypto.ec import EcError
 from ...crypto.hmac_impl import hmac_digest
 from ...crypto.ops import CryptoOp, CryptoOpKind
-from ...sim.rng import random_bytes
 from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
                        TlsAlert)
 from ..config import TlsServerConfig
@@ -94,7 +93,7 @@ def server_handshake13(config: TlsServerConfig
         # A share that is no valid point of the group (RFC 8446 4.2.8).
         raise TlsAlert(f"illegal_parameter: {exc}") from exc
 
-    sh = ServerHello(server_random=random_bytes(config.rng, RANDOM_LEN),
+    sh = ServerHello(server_random=config.rng.bytes(RANDOM_LEN),
                      version=ProtocolVersion.TLS13,
                      cipher_suite=suite.name,
                      resumed=resumed,
@@ -154,7 +153,7 @@ def server_handshake13(config: TlsServerConfig
     ticket_out: Optional[bytes] = None
     if config.issue_tickets and config.ticket_keeper is not None:
         pre_nst = transcript_hash(transcript)
-        nonce = random_bytes(config.rng, 8)
+        nonce = config.rng.bytes(8)
         new_psk = yield from derive_resumption_psk(schedule, master,
                                                    pre_nst, nonce)
         ticket_out = config.ticket_keeper.seal(

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, List, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..crypto.ops import CryptoOp, CryptoOpKind
 from ..crypto.provider import CryptoProvider
-from ..sim.rng import random_bytes
+from ..sim.rng import Stream
 from .actions import CryptoCall, DirectionKeys, TlsAlert
 from .constants import MAX_FRAGMENT, ContentType, ProtocolVersion
 
@@ -68,7 +66,7 @@ class RecordLayer:
     """Bidirectional record protection for one TLS connection."""
 
     def __init__(self, provider: CryptoProvider, write_keys: DirectionKeys,
-                 read_keys: DirectionKeys, rng: np.random.Generator,
+                 read_keys: DirectionKeys, rng: Stream,
                  version: int = ProtocolVersion.TLS12) -> None:
         self.provider = provider
         self.write_keys = write_keys
@@ -127,7 +125,7 @@ class RecordLayer:
         for frag in frags:
             seq = self._write_seq
             self._write_seq += 1
-            iv = None if self.aead else random_bytes(self.rng, 16)
+            iv = None if self.aead else self.rng.bytes(16)
             fragment = yield CryptoCall(
                 CryptoOp(CryptoOpKind.RECORD_CIPHER, nbytes=len(frag)),
                 compute=partial(seal, frag, seq, content_type, iv),

@@ -95,6 +95,27 @@ def test_one_experiment_module_loads_no_other():
     assert proc.stdout.strip() == "['repro.bench.experiments.faults']"
 
 
+def test_a_running_world_imports_no_numpy():
+    # Every stream is a repro.sim.rng.Stream; numpy is only the tests'
+    # reference for it, and importing it costs each process ~20 MB.
+    code = ("import sys\n"
+            "from repro.bench.runner import Testbed\n"
+            "import repro.testing.invariants\n"
+            "import repro.testing.scenario\n"
+            "bed = Testbed('QTLS', workers=1, suites=('TLS-RSA',))\n"
+            "bed.add_s_time_fleet(n_clients=4)\n"
+            "bed.add_ab_fleet(2, 4096, keepalive=True)\n"
+            "bed.sim.run(until=0.02)\n"
+            "print(len(bed.metrics.handshakes) > 0,\n"
+            "      sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'numpy'))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "True []"
+
+
 def test_cli_stdout_is_the_deterministic_result(capsys):
     outs = []
     for _ in range(2):

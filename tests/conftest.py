@@ -5,17 +5,17 @@ source of truth for tests and ad-hoc scripts); this file only binds
 them to pytest fixture names.
 """
 
-import numpy as np
 import pytest
 
 from repro.sim import RngRegistry
+from repro.sim.rng import Stream
 from repro.testing import make_qat_env
 
 
 @pytest.fixture
-def rng() -> np.random.Generator:
+def rng() -> Stream:
     """A deterministic RNG for tests."""
-    return np.random.default_rng(0xDEADBEEF)
+    return Stream(0xDEADBEEF)
 
 
 @pytest.fixture

@@ -1,12 +1,12 @@
 """Elliptic-curve tests: parameter integrity, group laws on all six
 NIST curves, ECDH/ECDSA roundtrips, OpenSSL cross-validation for P-256."""
 
-import numpy as np
 import pytest
 
 from repro.crypto import ecdh, ecdsa
 from repro.crypto.ec import (INFINITY, EcError, Point, get_curve,
                              list_curves)
+from repro.sim.rng import Stream
 
 ALL_CURVES = list(list_curves())
 # A fast subset for the heavier group-law sweeps.
@@ -110,7 +110,7 @@ def test_p256_montgomery_flag():
 @pytest.mark.parametrize("name", ALL_CURVES)
 def test_ecdh_shared_secret_agrees(name):
     c = get_curve(name)
-    rng = np.random.default_rng(5)
+    rng = Stream(5)
     alice = ecdh.generate_keypair(c, rng)
     bob = ecdh.generate_keypair(c, rng)
     s1 = ecdh.shared_secret(c, alice.d, bob.public)
@@ -121,7 +121,7 @@ def test_ecdh_shared_secret_agrees(name):
 
 def test_ecdh_point_encoding_roundtrip():
     c = get_curve("P-384")
-    rng = np.random.default_rng(8)
+    rng = Stream(8)
     kp = ecdh.generate_keypair(c, rng)
     blob = ecdh.encode_point(c, kp.public)
     assert len(blob) == 1 + 2 * ((c.field_bits + 7) // 8)
@@ -141,7 +141,7 @@ def test_ecdh_decode_rejects_malformed():
 @pytest.mark.parametrize("name", ALL_CURVES)
 def test_ecdsa_sign_verify(name):
     c = get_curve(name)
-    rng = np.random.default_rng(13)
+    rng = Stream(13)
     key = ecdsa.generate_keypair(c, rng)
     sig = ecdsa.sign(key, b"hello curve " + name.encode())
     assert ecdsa.verify(c, key.public, b"hello curve " + name.encode(), sig)
@@ -149,14 +149,14 @@ def test_ecdsa_sign_verify(name):
 
 def test_ecdsa_rejects_wrong_message():
     c = get_curve("P-256")
-    key = ecdsa.generate_keypair(c, np.random.default_rng(13))
+    key = ecdsa.generate_keypair(c, Stream(13))
     sig = ecdsa.sign(key, b"real")
     assert not ecdsa.verify(c, key.public, b"fake", sig)
 
 
 def test_ecdsa_rejects_tampered_signature():
     c = get_curve("P-256")
-    key = ecdsa.generate_keypair(c, np.random.default_rng(13))
+    key = ecdsa.generate_keypair(c, Stream(13))
     r, s = ecdsa.sign(key, b"msg")
     assert not ecdsa.verify(c, key.public, b"msg", (r, s ^ 1))
     assert not ecdsa.verify(c, key.public, b"msg", (0, s))
@@ -166,7 +166,7 @@ def test_ecdsa_rejects_tampered_signature():
 def test_ecdsa_deterministic_nonce():
     """RFC 6979: same key + message => identical signature."""
     c = get_curve("P-256")
-    key = ecdsa.generate_keypair(c, np.random.default_rng(13))
+    key = ecdsa.generate_keypair(c, Stream(13))
     assert ecdsa.sign(key, b"m") == ecdsa.sign(key, b"m")
     assert ecdsa.sign(key, b"m") != ecdsa.sign(key, b"m2")
 
@@ -186,7 +186,7 @@ def _oracle_curve(name):
 @pytest.mark.parametrize("name", ["P-256", "P-384"])
 def test_oracle_verifies_our_ecdsa(name):
     c = get_curve(name)
-    key = ecdsa.generate_keypair(c, np.random.default_rng(21))
+    key = ecdsa.generate_keypair(c, Stream(21))
     msg = b"interop " + name.encode()
     r, s = ecdsa.sign(key, msg)
     priv = oec.derive_private_key(key.d, _oracle_curve(name))

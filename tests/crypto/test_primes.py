@@ -1,11 +1,11 @@
 """Tests for primality testing and prime generation."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.primes import generate_prime, is_prime
+from repro.sim.rng import Stream
 
 KNOWN_PRIMES = [2, 3, 5, 7, 97, 7919, 104729, 2**31 - 1, 2**61 - 1,
                 # A 256-bit prime (secp256k1 field prime)
@@ -49,7 +49,7 @@ def test_matches_trial_division(n):
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_generate_prime_size_and_primality(bits):
-    rng = np.random.default_rng(7)
+    rng = Stream(7)
     p = generate_prime(bits, rng)
     assert p.bit_length() == bits
     assert is_prime(p)
@@ -57,16 +57,16 @@ def test_generate_prime_size_and_primality(bits):
 
 
 def test_generate_prime_distinct_draws():
-    rng = np.random.default_rng(7)
+    rng = Stream(7)
     assert generate_prime(128, rng) != generate_prime(128, rng)
 
 
 def test_generate_prime_deterministic_per_seed():
-    a = generate_prime(128, np.random.default_rng(5))
-    b = generate_prime(128, np.random.default_rng(5))
+    a = generate_prime(128, Stream(5))
+    b = generate_prime(128, Stream(5))
     assert a == b
 
 
 def test_generate_prime_too_small():
     with pytest.raises(ValueError):
-        generate_prime(4, np.random.default_rng(0))
+        generate_prime(4, Stream(0))

@@ -2,7 +2,6 @@
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from repro.crypto.ec import EcError
@@ -10,13 +9,14 @@ from repro.crypto.provider import (_DH_P, REMEMBERED_EXPONENTS,
                                    ModeledCryptoProvider, RealCryptoProvider,
                                    VerifyError)
 from repro.crypto.rsa import RsaError
+from repro.sim.rng import Stream
 
 PROVIDERS = [RealCryptoProvider(), ModeledCryptoProvider()]
 IDS = ["real", "modeled"]
 
 
 def _rng(seed=0):
-    return np.random.default_rng(seed)
+    return Stream(seed)
 
 
 @pytest.fixture(params=PROVIDERS, ids=IDS)
@@ -33,7 +33,7 @@ def rsa_cred(provider):
 # -- RSA path (TLS-RSA key exchange + server auth) ---------------------------
 
 def test_rsa_premaster_roundtrip(provider, rsa_cred):
-    premaster = bytes(_rng(2).bytes(48))
+    premaster = _rng(2).bytes(48)
     ct = provider.rsa_encrypt(rsa_cred.public_bytes, premaster, _rng(3))
     assert len(ct) == 1024 // 8
     assert provider.rsa_decrypt(rsa_cred, ct, expected_len=48) == premaster

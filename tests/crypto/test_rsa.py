@@ -1,10 +1,10 @@
 """RSA tests: roundtrips, padding failures, and cross-validation
 against the OpenSSL-backed ``cryptography`` package where available."""
 
-import numpy as np
 import pytest
 
 from repro.crypto import rsa
+from repro.sim.rng import Stream
 
 try:
     from cryptography.hazmat.primitives import hashes
@@ -21,7 +21,7 @@ oracle = pytest.mark.skipif(not HAVE_ORACLE,
 
 @pytest.fixture(scope="module")
 def key():
-    return rsa.generate_keypair(1024, np.random.default_rng(11))
+    return rsa.generate_keypair(1024, Stream(11))
 
 
 def test_keypair_structure(key):
@@ -80,15 +80,15 @@ def test_unsupported_hash_raises(key):
 
 
 def test_encrypt_decrypt_roundtrip(key):
-    rng = np.random.default_rng(3)
-    pm = bytes(rng.bytes(48))
+    rng = Stream(3)
+    pm = rng.bytes(48)
     ct = rsa.encrypt_pkcs1v15(key.public, pm, rng)
     assert len(ct) == key.size
     assert rsa.decrypt_pkcs1v15(key, ct, expected_len=48) == pm
 
 
 def test_decrypt_rejects_wrong_expected_len(key):
-    rng = np.random.default_rng(3)
+    rng = Stream(3)
     ct = rsa.encrypt_pkcs1v15(key.public, b"x" * 48, rng)
     with pytest.raises(rsa.RsaError):
         rsa.decrypt_pkcs1v15(key, ct, expected_len=32)
@@ -100,14 +100,14 @@ def test_decrypt_rejects_garbage(key):
 
 
 def test_encrypt_message_too_long(key):
-    rng = np.random.default_rng(3)
+    rng = Stream(3)
     with pytest.raises(rsa.RsaError):
         rsa.encrypt_pkcs1v15(key.public, b"x" * (key.size - 10), rng)
 
 
 def test_keygen_odd_bits_rejected():
     with pytest.raises(rsa.RsaError):
-        rsa.generate_keypair(1023, np.random.default_rng(0))
+        rsa.generate_keypair(1023, Stream(0))
 
 
 # -- cross-validation with OpenSSL (via the cryptography package) ----------
@@ -143,7 +143,7 @@ def test_we_decrypt_oracle_ciphertext(key):
 
 @oracle
 def test_oracle_decrypts_our_ciphertext(key):
-    rng = np.random.default_rng(9)
+    rng = Stream(9)
     ct = rsa.encrypt_pkcs1v15(key.public, b"t" * 48, rng)
     opriv = _to_oracle_private(key)
     assert opriv.decrypt(ct, cpad.PKCS1v15()) == b"t" * 48

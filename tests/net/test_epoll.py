@@ -1,11 +1,11 @@
 """Tests for the epoll model and notification FDs."""
 
-import numpy as np
 import pytest
 
 from repro.cpu import Core
 from repro.net import Epoll, Link, NotifyFd, socket_pair, wait_readable
 from repro.sim import Simulator
+from repro.sim.rng import Stream
 
 
 def make_env():
@@ -157,7 +157,7 @@ def test_ready_list_matches_registration_order_scan():
     sim = Simulator()
     epolls = [Epoll(sim, "a"), Epoll(sim, "b")]
     fds = [NotifyFd(sim) for _ in range(8)]
-    rng = np.random.default_rng(27)
+    rng = Stream(27)
     for _ in range(4000):
         ep = epolls[int(rng.integers(0, 2))]
         fd = fds[int(rng.integers(0, len(fds)))]

@@ -2,12 +2,11 @@
 scan when every ring is empty, and otherwise it must pick rings in the
 order a full round-robin scan from the same cursor would."""
 
-import numpy as np
-
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.qat.endpoint import QatEndpoint
 from repro.qat.request import QatRequest, QatResponse
 from repro.sim import Simulator
+from repro.sim.rng import Stream
 
 
 class ScanArbiter:
@@ -34,7 +33,7 @@ def test_ring_picks_match_a_full_scan():
     endpoint = QatEndpoint(sim, 0, ring_capacity=3)
     reference = ScanArbiter()
     op = CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=2048)
-    rng = np.random.default_rng(27)
+    rng = Stream(27)
     picks = 0
     for _ in range(5000):
         action = int(rng.integers(0, 20))

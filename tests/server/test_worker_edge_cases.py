@@ -4,6 +4,7 @@ responses in flight, malformed requests, per-job FD mode."""
 from repro.bench.runner import Testbed
 from repro.clients.tls_session import ClientTlsSession
 from repro.server.connection import ConnState
+from repro.sim.rng import Stream
 from repro.tls.actions import SendMessage
 from repro.tls.messages import Finished
 
@@ -173,7 +174,7 @@ def test_fatal_alert_sent_before_close():
         from repro.tls.actions import TlsAlert
         cfg = TlsClientConfig(
             provider=bed.provider, suites=(get_suite("ECDHE-ECDSA"),),
-            rng=__import__("numpy").random.default_rng(0))
+            rng=Stream(0))
         sock = yield from bed.net.connect("client0",
                                           bed.server.addresses()[0])
         session = ClientTlsSession(sim, sock, cfg, bed.cost_model)

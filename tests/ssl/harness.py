@@ -4,8 +4,6 @@ isolation)."""
 
 from collections import deque
 
-import numpy as np
-
 from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.offload.software import SoftwareEngine
@@ -13,6 +11,7 @@ from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat import QatDevice, QatUserspaceDriver
 from repro.sim import Simulator
+from repro.sim.rng import Stream
 from repro.ssl import SslConnection, SslContext, SslStatus
 from repro.tls import (TLS_RSA, TlsClientConfig, TlsServerConfig,
                        client_handshake12, client_handshake13)
@@ -32,7 +31,7 @@ class Env:
         self.core = Core(self.sim, 0)
         self.cost_model = CostModel()
         self.provider = provider or ModeledCryptoProvider()
-        rng = np.random.default_rng
+        rng = Stream
 
         kw = {}
         if suite.auth == "rsa":

@@ -1,8 +1,8 @@
 """Direct unit tests for the fiber and stack async job mechanisms."""
 
-import numpy as np
 import pytest
 
+from repro.sim.rng import Stream
 from repro.ssl.async_job import FiberAsyncJob, JobState, StackAsyncJob
 from repro.tls.actions import CryptoCall, NeedMessage, SendMessage
 from repro.crypto.ops import CryptoOp, CryptoOpKind
@@ -109,7 +109,7 @@ def test_stack_replay_reaches_pause_point():
 def test_stack_replay_restores_rng_determinism():
     """Replayed sections must re-draw identical randoms, and live
     continuation must not be perturbed."""
-    rng = np.random.default_rng(42)
+    rng = Stream(42)
 
     draws = []
 

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro.crypto.provider import RealCryptoProvider
+from repro.sim.rng import Stream
 from repro.ssl import SslStatus
 from repro.tls import ECDHE_RSA, TLS_RSA, TlsAlert
 from repro.tls.messages import ClientKeyExchange
@@ -260,12 +261,11 @@ def test_read_path_roundtrip():
     # Client-side record layer to produce an inbound record.
     from repro.tls.loopback import run_record_exchange
     from repro.tls.record import RecordLayer
-    import numpy as np
     res = conn.handshake_result
     client_layer = RecordLayer(env.provider,
                                write_keys=res.client_write_keys,
                                read_keys=res.server_write_keys,
-                               rng=np.random.default_rng(9))
+                               rng=Stream(9))
     (record,) = run_record_exchange(client_layer.protect(b"GET /index"))
     out = {}
 

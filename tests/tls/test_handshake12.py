@@ -3,12 +3,12 @@
 import dataclasses
 from collections import deque
 
-import numpy as np
 import pytest
 
 from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
 from repro.sim import Simulator
+from repro.sim.rng import Stream
 from repro.tls import (ECDHE_ECDSA, ECDHE_RSA, TLS_RSA, OpLog, SessionCache,
                        SyncDriver, TlsAlert, TlsClientConfig, TlsServerConfig,
                        client_handshake12, run_loopback_handshake,
@@ -21,7 +21,7 @@ ECC_KINDS = (K.ECDH_KEYGEN, K.ECDH_COMPUTE, K.ECDSA_SIGN)
 
 def make_configs(suite, provider, curve="P-256", session_cache=None,
                  seed=0, tickets=False):
-    rng = np.random.default_rng
+    rng = Stream
     kw = {}
     if suite.auth == "rsa":
         kw["credentials_rsa"] = provider.make_rsa_credentials(
@@ -98,7 +98,7 @@ def test_ecdhe_ecdsa_all_six_curves(curve):
 def test_no_common_suite_fails(provider):
     scfg, _ = make_configs(TLS_RSA, provider)
     ccfg = TlsClientConfig(provider=provider, suites=(ECDHE_RSA,),
-                           rng=np.random.default_rng(9))
+                           rng=Stream(9))
     with pytest.raises(TlsAlert, match="no common cipher suite"):
         run_loopback_handshake(client_handshake12(ccfg),
                                server_handshake12(scfg))
@@ -116,7 +116,7 @@ def test_tampered_ske_signature_rejected():
     """Client must reject a ServerKeyExchange signed by someone else."""
     provider = RealCryptoProvider()
     scfg, ccfg = make_configs(ECDHE_RSA, provider)
-    evil = provider.make_rsa_credentials(1024, np.random.default_rng(66))
+    evil = provider.make_rsa_credentials(1024, Stream(66))
 
     real_sign = provider.sign
 
@@ -242,7 +242,7 @@ def resume_pair(provider, suite=ECDHE_RSA, advance=0.0):
         sim.run()
 
     ccfg2 = TlsClientConfig(provider=provider, suites=(suite,),
-                            rng=np.random.default_rng(77),
+                            rng=Stream(77),
                             session_id=c1.session_id,
                             session_master_secret=c1.master_secret,
                             session_suite=c1.suite)
@@ -281,7 +281,7 @@ def test_unknown_session_id_falls_back_to_full(provider):
     cache = SessionCache(sim)
     scfg, _ = make_configs(ECDHE_RSA, provider, session_cache=cache)
     ccfg = TlsClientConfig(provider=provider, suites=(ECDHE_RSA,),
-                           rng=np.random.default_rng(5),
+                           rng=Stream(5),
                            session_id=b"\xAA" * 16,
                            session_master_secret=b"\x01" * 48,
                            session_suite=ECDHE_RSA)

@@ -3,11 +3,11 @@
 import dataclasses
 from collections import deque
 
-import numpy as np
 import pytest
 
 from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
+from repro.sim.rng import Stream
 from repro.tls import (TLS13_ECDHE_RSA, OpLog, TlsAlert, TlsClientConfig,
                        TlsServerConfig, client_handshake13,
                        run_loopback_handshake, server_handshake13)
@@ -19,7 +19,7 @@ IDS = ["real", "modeled"]
 
 
 def make_configs(provider, curve="P-256", seed=0):
-    rng = np.random.default_rng
+    rng = Stream
     scfg = TlsServerConfig(
         provider=provider, suites=(TLS13_ECDHE_RSA,),
         rng=rng(seed + 2), curves=(curve,),
@@ -155,7 +155,7 @@ def test_malformed_server_key_share_is_illegal_parameter(provider):
 def test_tampered_certificate_verify_rejected():
     provider = RealCryptoProvider()
     scfg, ccfg = make_configs(provider)
-    evil = provider.make_rsa_credentials(1024, np.random.default_rng(55))
+    evil = provider.make_rsa_credentials(1024, Stream(55))
 
     patched = RealCryptoProvider()
     real_sign = provider.sign

@@ -1,11 +1,11 @@
 """TLS 1.3 PSK resumption tests (extension beyond the paper's
 evaluation; see DESIGN.md)."""
 
-import numpy as np
 import pytest
 
 from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
+from repro.sim.rng import Stream
 from repro.tls import (TLS13_ECDHE_RSA, OpLog, TlsAlert, TlsClientConfig,
                        TlsServerConfig, client_handshake13,
                        run_loopback_handshake, server_handshake13)
@@ -14,7 +14,7 @@ from repro.tls.ticket import TicketKeeper
 
 
 def make_server_config(provider, keeper, seed=0):
-    rng = np.random.default_rng
+    rng = Stream
     return TlsServerConfig(
         provider=provider, suites=(TLS13_ECDHE_RSA,), rng=rng(seed + 2),
         credentials_rsa=provider.make_rsa_credentials(1024, rng(seed + 1)),
@@ -25,7 +25,7 @@ def first_and_resumed(provider, tamper_psk=False, server_oplog=None):
     keeper = TicketKeeper(b"\x09" * 16)
     scfg = make_server_config(provider, keeper)
     ccfg = TlsClientConfig(provider=provider, suites=(TLS13_ECDHE_RSA,),
-                           rng=np.random.default_rng(3))
+                           rng=Stream(3))
     c1, s1 = run_loopback_handshake(client_handshake13(ccfg),
                                     server_handshake13(scfg))
     assert c1.session_ticket is not None
@@ -34,7 +34,7 @@ def first_and_resumed(provider, tamper_psk=False, server_oplog=None):
     if tamper_psk:
         psk = bytes(b ^ 1 for b in psk)
     ccfg2 = TlsClientConfig(provider=provider, suites=(TLS13_ECDHE_RSA,),
-                            rng=np.random.default_rng(4),
+                            rng=Stream(4),
                             session_ticket=c1.session_ticket,
                             session_master_secret=psk,
                             session_suite=c1.suite)
@@ -84,7 +84,7 @@ def test_unknown_ticket_falls_back_to_full():
     keeper = TicketKeeper(b"\x09" * 16)
     scfg = make_server_config(provider, keeper)
     ccfg = TlsClientConfig(provider=provider, suites=(TLS13_ECDHE_RSA,),
-                           rng=np.random.default_rng(5),
+                           rng=Stream(5),
                            session_ticket=b"\x00" * 64,  # bogus
                            session_master_secret=b"\x01" * 32,
                            session_suite=TLS13_ECDHE_RSA)
@@ -99,12 +99,12 @@ def test_expired_ticket_falls_back_to_full():
     keeper = TicketKeeper(b"\x09" * 16)
     scfg = make_server_config(provider, keeper)
     ccfg = TlsClientConfig(provider=provider, suites=(TLS13_ECDHE_RSA,),
-                           rng=np.random.default_rng(3))
+                           rng=Stream(3))
     c1, _ = run_loopback_handshake(client_handshake13(ccfg),
                                    server_handshake13(scfg))
     scfg.clock = lambda: 50.0 + SESSION_LIFETIME + 1.0  # past the lifetime
     ccfg2 = TlsClientConfig(provider=provider, suites=(TLS13_ECDHE_RSA,),
-                            rng=np.random.default_rng(4),
+                            rng=Stream(4),
                             session_ticket=c1.session_ticket,
                             session_master_secret=c1.resumption_psk,
                             session_suite=c1.suite)

@@ -1,10 +1,10 @@
 """Record layer tests: fragmentation, protection, sequence handling."""
 
-import numpy as np
 import pytest
 
 from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
+from repro.sim.rng import Stream
 from repro.tls import MAX_FRAGMENT, TlsAlert
 from repro.tls.actions import DirectionKeys
 from repro.tls.constants import ProtocolVersion
@@ -18,9 +18,9 @@ def make_layers(provider, seed=0, version=ProtocolVersion.TLS12):
     sk = DirectionKeys(mac_key=b"\x04" * 20, enc_key=b"\x05" * 16,
                        iv=b"\x06" * 16)
     sender = RecordLayer(provider, write_keys=ck, read_keys=sk,
-                         rng=np.random.default_rng(seed), version=version)
+                         rng=Stream(seed), version=version)
     receiver = RecordLayer(provider, write_keys=sk, read_keys=ck,
-                           rng=np.random.default_rng(seed + 1),
+                           rng=Stream(seed + 1),
                            version=version)
     return sender, receiver
 
@@ -64,7 +64,7 @@ def test_one_cipher_op_per_fragment(provider):
 
 def test_multi_record_stream_reassembles(provider):
     sender, receiver = make_layers(provider)
-    data = bytes(np.random.default_rng(7).bytes(40_000))
+    data = Stream(7).bytes(40_000)
     records = run_record_exchange(sender.protect(data))
     out = b"".join(run_record_exchange(receiver.unprotect(r))
                    for r in records)
@@ -155,8 +155,7 @@ def test_opaque_calls_and_rng_match_protect(version, size):
     assert all(op.kind is K.RECORD_CIPHER for op in opaque_log.ops)
     assert opaque_log.labels == plain_log.labels
     assert opaque._write_seq == plain._write_seq
-    assert (opaque.rng.bit_generator.state
-            == plain.rng.bit_generator.state)
+    assert opaque.rng.state == plain.rng.state
 
 
 @pytest.mark.parametrize("version", VERSIONS, ids=VERSION_IDS)

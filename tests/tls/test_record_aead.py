@@ -1,9 +1,9 @@
 """TLS 1.3 AEAD record layer tests."""
 
-import numpy as np
 import pytest
 
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
+from repro.sim.rng import Stream
 from repro.tls import TlsAlert
 from repro.tls.actions import DirectionKeys
 from repro.tls.constants import ProtocolVersion
@@ -18,10 +18,10 @@ def make_layers(provider):
     ck = DirectionKeys(mac_key=b"", enc_key=b"\x02" * 16, iv=b"\x03" * 12)
     sk = DirectionKeys(mac_key=b"", enc_key=b"\x05" * 16, iv=b"\x06" * 12)
     sender = RecordLayer(provider, write_keys=ck, read_keys=sk,
-                         rng=np.random.default_rng(0),
+                         rng=Stream(0),
                          version=ProtocolVersion.TLS13)
     receiver = RecordLayer(provider, write_keys=sk, read_keys=ck,
-                           rng=np.random.default_rng(1),
+                           rng=Stream(1),
                            version=ProtocolVersion.TLS13)
     return sender, receiver
 
@@ -37,7 +37,7 @@ def test_aead_flag_follows_version(provider):
     ck = DirectionKeys(mac_key=b"\x01" * 20, enc_key=b"\x02" * 16,
                        iv=b"\x03" * 16)
     legacy = RecordLayer(provider, write_keys=ck, read_keys=ck,
-                         rng=np.random.default_rng(0))
+                         rng=Stream(0))
     assert not legacy.aead
 
 

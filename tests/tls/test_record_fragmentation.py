@@ -3,11 +3,11 @@
 data must round-trip with the expected cipher-op counts in both
 TLS 1.2 (CBC + HMAC) and TLS 1.3 (AEAD)."""
 
-import numpy as np
 import pytest
 
 from repro.crypto.ops import CryptoOpKind as K
 from repro.crypto.provider import ModeledCryptoProvider, RealCryptoProvider
+from repro.sim.rng import Stream
 from repro.tls import MAX_FRAGMENT
 from repro.tls.actions import DirectionKeys
 from repro.tls.constants import ProtocolVersion
@@ -33,9 +33,9 @@ def make_layers(provider, version, seed=0):
     sk = DirectionKeys(mac_key=b"\x04" * 20, enc_key=b"\x05" * 16,
                        iv=b"\x06" * 16)
     sender = RecordLayer(provider, write_keys=ck, read_keys=sk,
-                         rng=np.random.default_rng(seed), version=version)
+                         rng=Stream(seed), version=version)
     receiver = RecordLayer(provider, write_keys=sk, read_keys=ck,
-                           rng=np.random.default_rng(seed + 1),
+                           rng=Stream(seed + 1),
                            version=version)
     return sender, receiver
 

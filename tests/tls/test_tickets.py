@@ -1,8 +1,8 @@
 """Stateless session ticket (RFC 5077) tests."""
 
-import numpy as np
 import pytest
 
+from repro.sim.rng import Stream
 from repro.tls.session import SESSION_LIFETIME, SessionState
 from repro.tls.suites import ECDHE_RSA, TLS_RSA
 from repro.tls.ticket import TicketKeeper
@@ -74,7 +74,7 @@ def test_ticket_resumption_without_cache():
                            server_handshake12)
 
     provider = ModeledCryptoProvider()
-    rng = np.random.default_rng
+    rng = Stream
     keeper = TicketKeeper(b"\x07" * 16)
     scfg = TlsServerConfig(
         provider=provider, suites=(TLS_RSA,), rng=rng(2),
