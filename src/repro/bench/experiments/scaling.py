@@ -81,9 +81,9 @@ def _endpoint_imbalance(bed: Testbed) -> float:
     """Imbalance of ops submitted across the card's endpoints (the
     utilization the pool exists to even out)."""
     per_endpoint: Dict[int, int] = {}
-    for drv in bed.server.instance_pool.drivers:
-        key = id(drv.instance.endpoint)
-        per_endpoint[key] = per_endpoint.get(key, 0) + drv.submitted
+    for inst in bed.server.instance_pool.instances:
+        key = id(inst.endpoint)
+        per_endpoint[key] = per_endpoint.get(key, 0) + inst.submitted
     return _imbalance(list(per_endpoint.values()))
 
 

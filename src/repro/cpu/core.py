@@ -185,6 +185,15 @@ class Core:
         self.sim.debtor = self
         self._due = self.sim.now
 
+    def forfeit(self) -> None:
+        """Drop the running process's debt on this core unpaid, and
+        release the core if its chain holds it: the process died by an
+        exception before it could settle."""
+        self.sim.debtor = None
+        if self._due is not None:
+            self._lock.release()
+        self._due = self._owed = None
+
     def _settle(self) -> Generator:
         due = self._due
         owed = self._owed

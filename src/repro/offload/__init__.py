@@ -16,7 +16,7 @@ baseline):
   network-attached crypto service reached over ``repro.net`` links.
 """
 
-from .backend import Completion, LaneStats, OffloadBackend, OpSpec
+from .backend import Completion, LaneStats, OffloadBackend
 from .engine import ALGORITHM_GROUPS, AsyncOffloadEngine
 from .health import CircuitBreaker, PendingOp
 from .inflight import InflightCounters
@@ -29,7 +29,7 @@ from .scheduler import (DEFAULT_WEIGHTS, SCHED_POLICIES, ClassScheduler,
 from .software import SoftwareEngine
 
 __all__ = [
-    "OpSpec", "Completion", "LaneStats", "OffloadBackend",
+    "Completion", "LaneStats", "OffloadBackend",
     "PendingOp", "CircuitBreaker", "InflightCounters",
     "AsyncOffloadEngine", "ALGORITHM_GROUPS", "SoftwareEngine",
     "ClassScheduler", "SchedLane", "SCHED_POLICIES", "DEFAULT_WEIGHTS",

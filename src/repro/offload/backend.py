@@ -6,8 +6,8 @@ down the seam between the backend-agnostic engine
 (:class:`~repro.offload.engine.AsyncOffloadEngine`) and a concrete
 accelerator:
 
-- :class:`OpSpec` — one crypto op handed to the backend for
-  submission;
+- :class:`~repro.tls.actions.CryptoCall` — one crypto op handed to
+  the backend for submission, as the engine received it;
 - :class:`Completion` — one finished op retrieved from the backend;
 - :class:`LaneStats` — per-lane degradation/throughput counters the
   engine charges and stub_status reports;
@@ -26,20 +26,12 @@ events internally and surfaces finished work through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..crypto.ops import CryptoOp
+from ..tls.actions import CryptoCall
 
-__all__ = ["OpSpec", "Completion", "LaneStats", "OffloadBackend"]
-
-
-@dataclass
-class OpSpec:
-    """One crypto op offered to the backend for submission."""
-
-    op: CryptoOp
-    compute: Callable[[], Any]
-    cookie: Any = None
+__all__ = ["Completion", "LaneStats", "OffloadBackend"]
 
 
 @dataclass
@@ -99,10 +91,11 @@ class OffloadBackend:
         every lane (the default)."""
         return True
 
-    def submit_batch(self, specs: List[OpSpec], lane: int) -> List[Any]:
-        """Submit ``specs`` to ``lane`` in one doorbell/RPC.
+    def submit_batch(self, calls: List[CryptoCall], lane: int
+                     ) -> List[Any]:
+        """Submit ``calls`` to ``lane`` in one doorbell/RPC.
 
-        Returns one entry per spec, in order: an opaque token for each
+        Returns one entry per call, in order: an opaque token for each
         accepted op, or None where admission failed (ring full /
         window exhausted). Admission is per-op — a full ring may
         accept a prefix of the batch.

@@ -15,10 +15,10 @@ Two execution modes:
   exhibits exactly the offload-I/O blocking the paper diagnoses
   (section 2.4).
 - **async** — :meth:`AsyncOffloadEngine.submit_async` +
-  :meth:`AsyncOffloadEngine.poll_and_dispatch`: submit with a
-  registered response cookie and return immediately; a polling scheme
-  later retrieves responses and the engine resumes the paused offload
-  jobs through their wait-ctx callbacks / notification FDs.
+  :meth:`AsyncOffloadEngine.poll_and_dispatch`: submit, enter the
+  paused job in the in-flight table and return immediately; a polling
+  scheme later retrieves responses and the engine resumes the paused
+  offload jobs through their wait-ctx callbacks / notification FDs.
 
 Every async op takes one pipeline. ``submit_async`` submits it
 directly or parks it (:meth:`~AsyncOffloadEngine._park`): in the
@@ -79,7 +79,7 @@ from ..crypto.ops import CryptoOpKind
 from ..net.epoll_sim import NOTIFY_FD_WRITE_COST
 from ..obs.span import SpanStatus
 from ..tls.actions import CryptoCall
-from .backend import OffloadBackend, OpSpec
+from .backend import OffloadBackend
 from .health import CircuitBreaker, PendingOp
 from .inflight import InflightCounters
 from .scheduler import ClassScheduler
@@ -296,8 +296,7 @@ class AsyncOffloadEngine:
                 return idx
         return None
 
-    def _try_submit(self, op, compute, cookie=None
-                    ) -> Optional[Tuple[Any, int]]:
+    def _try_submit(self, call: CryptoCall) -> Optional[Tuple[Any, int]]:
         """Single-op submission, round-robin across lanes; tries every
         leased lane whose breaker admits traffic before reporting
         ring-full. Returns ``(token, lane)`` or None."""
@@ -309,8 +308,7 @@ class AsyncOffloadEngine:
             breaker = self.breakers[idx]
             if not breaker.allow():
                 continue
-            tokens = self.backend.submit_batch(
-                [OpSpec(op, compute, cookie=cookie)], idx)
+            tokens = self.backend.submit_batch([call], idx)
             if tokens[0] is not None:
                 self._rr = (idx + 1) % n
                 self.batches_submitted += 1
@@ -383,7 +381,7 @@ class AsyncOffloadEngine:
         core.consume(submit_cost, owner=owner)
         self.submit_time += submit_cost
         yield from core.settle()
-        submitted = self._try_submit(call.op, call.compute)
+        submitted = self._try_submit(call)
         attempts = 1
         while submitted is None:
             if (attempts >= self.submit_max_retries
@@ -396,7 +394,7 @@ class AsyncOffloadEngine:
             self.blocking_wait_time += delay
             attempts += 1
             yield from core.settle()
-            submitted = self._try_submit(call.op, call.compute)
+            submitted = self._try_submit(call)
         token, lane = submitted
         if trace is not None:
             trace.accept(core.sim.now, self.backend.name, lane,
@@ -488,7 +486,7 @@ class AsyncOffloadEngine:
         self.core.consume(submit_cost, owner=owner)
         self.submit_time += submit_cost
         yield from self.core.settle()
-        submitted = self._try_submit(call.op, call.compute, cookie=job)
+        submitted = self._try_submit(call)
         if submitted is None:
             if limit is not None:
                 # Ring backpressure under an admission cap: park the op
@@ -517,8 +515,7 @@ class AsyncOffloadEngine:
         if deadline is None:
             deadline = now + self.request_deadline
         self._pending[token] = PendingOp(
-            call=call, job=job, lane=lane, submitted_at=now,
-            deadline=deadline)
+            call=call, job=job, lane=lane, deadline=deadline)
         if charge:
             self._op_accepted(call)
         self.ops_offloaded += 1
@@ -599,9 +596,8 @@ class AsyncOffloadEngine:
                 if not chunk:
                     self.breakers[lane].cancel_probe()
                     return
-                specs = [OpSpec(q.call.op, q.call.compute, cookie=q.job)
-                         for q in chunk]
-                tokens = self.backend.submit_batch(specs, lane)
+                tokens = self.backend.submit_batch(
+                    [q.call for q in chunk], lane)
                 accepted = 0
                 for q, token in zip(chunk, tokens):
                     if token is None:
@@ -805,8 +801,7 @@ class AsyncOffloadEngine:
             yield from self.core.settle()
             if not self._paused(q.job):
                 continue
-            submitted = self._try_submit(q.call.op, q.call.compute,
-                                         cookie=q.job)
+            submitted = self._try_submit(q.call)
             if submitted is None:
                 q.attempts += 1
                 s.push_front(q, q.call.op.category)

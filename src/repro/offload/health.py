@@ -5,7 +5,7 @@ production offload stack needs when the accelerator is treated as a
 remote, failable service:
 
 - :class:`PendingOp` — one entry of the engine's in-flight table,
-  carrying the submission time and per-request deadline;
+  carrying the per-request deadline;
 - :class:`CircuitBreaker` — per-lane closed → open → half-open health
   state. Repeated timeouts/corrupted responses open the breaker; while
   open, submissions skip the lane (ops degrade to the software
@@ -39,9 +39,8 @@ class PendingOp:
     """One submitted-but-unanswered request in the in-flight table."""
 
     call: CryptoCall
-    job: Any                # the paused offload job (cookie)
+    job: Any                # the paused offload job
     lane: int               # which backend lane it was submitted to
-    submitted_at: float
     deadline: float
 
 

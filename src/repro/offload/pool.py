@@ -4,19 +4,19 @@ QTLS maps crypto instances to worker processes at startup (paper
 section 2.3: "each process/thread is assigned dedicated instance(s)").
 That mapping was hard-coded in the server master as a consecutive-chunk
 partition; this module lifts instance *ownership* into an explicit
-:class:`InstancePool` owning every allocated instance (one
-:class:`~repro.qat.driver.QatUserspaceDriver` per instance, shared by
-all workers) plus a pluggable :class:`AllocationPolicy` deciding which
-worker may submit to which instance at any moment:
+:class:`InstancePool` owning every allocated
+:class:`~repro.qat.instance.CryptoInstance` (shared by all workers)
+plus a pluggable :class:`AllocationPolicy` deciding which worker may
+submit to which instance at any moment:
 
 - ``static`` — today's consecutive-chunk partition. The default, and
   bit-for-bit identical to the pre-pool wiring: each worker leases a
   fixed chunk, pays no arbitration cost, and polls only its own
-  drivers.
+  instances.
 - ``shared`` — every worker leases every instance. Any worker can
   submit into any ring, soaking up skewed load, but each submission
   acquires the instance under a lock shared with the other workers and
-  pays :data:`ARBITRATION_CPU_COST` on top of the driver's submit cost
+  pays :data:`ARBITRATION_CPU_COST` on top of the ring submit cost
   (the multi-worker-per-instance arbitration the paper avoids by
   dedicating instances).
 - ``dynamic`` — starts from the static partition; a periodic rebalance
@@ -27,7 +27,7 @@ worker may submit to which instance at any moment:
 
 Workers see the pool through :class:`PooledQatBackend`, an
 :class:`~repro.offload.backend.OffloadBackend` whose *lane ids are
-global* (lane = driver index in the pool) but which only *admits*
+global* (lane = instance index in the pool) but which only *admits*
 submissions on currently-leased lanes. Completions are routed by
 request ownership: whichever worker polls a ring, a response belongs
 to the worker that submitted the request and is delivered to that
@@ -51,10 +51,11 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from ..qat.driver import QatUserspaceDriver
 from ..qat.faults import QatHardwareError
+from ..qat.instance import CryptoInstance, poll_cpu_cost, submit_cpu_cost
 from ..qat.request import QatResponse
-from .backend import Completion, OffloadBackend, OpSpec
+from ..tls.actions import CryptoCall
+from .backend import Completion, OffloadBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
@@ -95,7 +96,7 @@ class AllocationPolicy:
 
 
 def _completion(resp: QatResponse) -> Completion:
-    """Wrap a driver-level :class:`~repro.qat.request.QatResponse` in
+    """Wrap a ring-level :class:`~repro.qat.request.QatResponse` in
     the backend-seam :class:`Completion`."""
     return Completion(
         token=resp.request, op=resp.request.op,
@@ -196,7 +197,7 @@ class DynamicPolicy(AllocationPolicy):
         if not settled:
             return []
         lane = min(settled,
-                   key=lambda ln: (pool.drivers[ln].in_flight, ln))
+                   key=lambda ln: (pool.instances[ln].in_flight, ln))
         return [(lane, lo, hi)]
 
 
@@ -218,25 +219,25 @@ def make_policy(name: str) -> AllocationPolicy:
 
 
 class InstancePool:
-    """Owns every allocated QAT instance (as userspace drivers) and the
-    worker -> instance lease map the policy maintains."""
+    """Owns every allocated QAT crypto instance and the worker ->
+    instance lease map the policy maintains."""
 
     def __init__(self, sim: "Simulator",
-                 drivers: Sequence[QatUserspaceDriver],
+                 instances: Sequence[CryptoInstance],
                  n_workers: int, policy: AllocationPolicy) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.sim = sim
-        self.drivers: List[QatUserspaceDriver] = list(drivers)
-        if not self.drivers:
+        self.instances: List[CryptoInstance] = list(instances)
+        if not self.instances:
             raise ValueError("need at least one instance")
         self.n_workers = n_workers
         self.policy = policy
         self.leases: List[List[int]] = policy.initial_leases(
-            n_workers, len(self.drivers))
+            n_workers, len(self.instances))
         self._lease_sets = [set(ls) for ls in self.leases]
         self._lease_since: Dict[int, float] = {
-            lane: sim.now for lane in range(len(self.drivers))}
+            lane: sim.now for lane in range(len(self.instances))}
         #: Current lease epoch per slot; bumped on respawn/reload so
         #: a replacement worker never inherits its predecessor's ops.
         self.epochs: List[int] = [0] * n_workers
@@ -304,9 +305,8 @@ class InstancePool:
         fn = self._health[worker_id]
         return fn() if fn is not None else True
 
-    def admits(self, worker_id: int, lane: int,
-               epoch: Optional[int] = None) -> bool:
-        if epoch is not None and (worker_id, epoch) in self._retired:
+    def admits(self, worker_id: int, lane: int, epoch: int) -> bool:
+        if (worker_id, epoch) in self._retired:
             return False
         return lane in self._lease_sets[worker_id]
 
@@ -315,30 +315,24 @@ class InstancePool:
 
     # -- submission / completion routing ------------------------------------
 
-    def submit(self, worker_id: int, specs: List[OpSpec], lane: int,
-               epoch: Optional[int] = None) -> List[Any]:
-        if epoch is None:
-            epoch = self.epochs[worker_id]
+    def submit(self, worker_id: int, calls: List[CryptoCall], lane: int,
+               epoch: int) -> List[Any]:
         if not self.admits(worker_id, lane, epoch):
-            return [None] * len(specs)
-        drv = self.drivers[lane]
-        tokens = [drv.try_submit(spec.op, spec.compute, cookie=spec.cookie)
-                  for spec in specs]
+            return [None] * len(calls)
+        inst = self.instances[lane]
+        tokens = [inst.try_submit(call.op, call.compute) for call in calls]
         for token in tokens:
             if token is not None:
                 self._owner[token] = (worker_id, epoch)
         return tokens
 
     def poll(self, worker_id: int, start: int,
-             max_responses: Optional[int] = None,
-             epoch: Optional[int] = None) -> List[Completion]:
+             max_responses: Optional[int], epoch: int) -> List[Completion]:
         """Drain worker ``worker_id``'s inbox, then its leased rings
         (round-robin from ``start`` within the lease list). Responses
         owned by other live incarnations are routed to their inboxes
         (without consuming this worker's budget); responses owned by
         retired incarnations are tombstoned and dropped."""
-        if epoch is None:
-            epoch = self.epochs[worker_id]
         me = (worker_id, epoch)
         if me in self._retired:
             return []
@@ -354,8 +348,8 @@ class InstancePool:
                       else max_responses - len(out))
             if budget == 0:
                 break
-            drv = self.drivers[lanes[(start + i) % n]]
-            for resp in drv.poll(budget):
+            inst = self.instances[lanes[(start + i) % n]]
+            for resp in inst.poll(budget):
                 completion = _completion(resp)
                 owner = self._owner.pop(resp.request, me)
                 if self.completion_retired(owner):
@@ -496,7 +490,7 @@ class InstancePool:
         if obs is not None:
             obs.util_sample(f"pool.w{worker_id}.leases", self.sim.now,
                             len(self.leases[worker_id]),
-                            capacity=len(self.drivers))
+                            capacity=len(self.instances))
 
     # -- introspection ------------------------------------------------------
 
@@ -506,7 +500,7 @@ class InstancePool:
     def snapshot(self) -> dict:
         return {
             "policy": self.policy.name,
-            "instances": len(self.drivers),
+            "instances": len(self.instances),
             "workers": self.n_workers,
             "leases": self.lease_counts(),
             "epochs": list(self.epochs),
@@ -519,7 +513,7 @@ class InstancePool:
 class PooledQatBackend(OffloadBackend):
     """One worker's view of the shared pool.
 
-    Lane ids are *global* driver indices, so engine breaker state stays
+    Lane ids are *global* instance indices, so engine breaker state stays
     attached to the physical instance across lease migrations; lanes
     outside the current lease set are simply not admitted
     (:meth:`admits` / zero :meth:`capacity_hint`).
@@ -537,21 +531,22 @@ class PooledQatBackend(OffloadBackend):
         self._poll_rr = 0
 
     @property
-    def drivers(self) -> List[QatUserspaceDriver]:
-        """The currently-leased drivers (interrupt-mode arming and
+    def instances(self) -> List[CryptoInstance]:
+        """The currently-leased instances (interrupt-mode arming and
         tests iterate these)."""
-        return [self.pool.drivers[lane]
+        return [self.pool.instances[lane]
                 for lane in self.pool.leases[self.worker_id]]
 
     @property
     def lanes(self) -> int:
-        return len(self.pool.drivers)
+        return len(self.pool.instances)
 
     def admits(self, lane: int) -> bool:
         return self.pool.admits(self.worker_id, lane, self.epoch)
 
-    def submit_batch(self, specs: List[OpSpec], lane: int) -> List[Any]:
-        return self.pool.submit(self.worker_id, specs, lane, self.epoch)
+    def submit_batch(self, calls: List[CryptoCall], lane: int
+                     ) -> List[Any]:
+        return self.pool.submit(self.worker_id, calls, lane, self.epoch)
 
     def poll_completions(self, max_responses: Optional[int] = None
                          ) -> List[Completion]:
@@ -561,17 +556,16 @@ class PooledQatBackend(OffloadBackend):
                               self.epoch)
 
     def submit_cpu_cost(self, n_ops: int) -> float:
-        return (self.pool.drivers[0].submit_cpu_cost(n_ops)
-                + self.pool.policy.arbitration_cost)
+        return submit_cpu_cost(n_ops) + self.pool.policy.arbitration_cost
 
     def poll_cpu_cost(self, n_responses: int) -> float:
-        return self.pool.drivers[0].poll_cpu_cost(n_responses)
+        return poll_cpu_cost(n_responses)
 
     def capacity_hint(self, lane: int, category: Any) -> int:
         if not self.admits(lane):
             return 0
-        ring = self.pool.drivers[lane].instance.rings[category.value]
+        ring = self.pool.instances[lane].rings[category.value]
         return max(0, ring.capacity - ring.in_flight)
 
-    def lane_stats(self, lane: int) -> QatUserspaceDriver:
-        return self.pool.drivers[lane]
+    def lane_stats(self, lane: int) -> CryptoInstance:
+        return self.pool.instances[lane]

@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
 from ..qat.service_times import qat_service_time
 from ..sim.resources import Resource
-from .backend import Completion, LaneStats, OffloadBackend, OpSpec
+from ..tls.actions import CryptoCall
+from .backend import Completion, LaneStats, OffloadBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.link import Link
@@ -72,15 +73,11 @@ RPC_RESPONSE_BYTES = 288
 class _RemoteRequest:
     """One op in flight to/inside/back from the remote service."""
 
-    __slots__ = ("op", "compute", "cookie", "submitted_at", "arrived_at",
-                 "serviced_at")
+    __slots__ = ("op", "compute", "arrived_at", "serviced_at")
 
-    def __init__(self, op, compute: Callable[[], Any], cookie: Any,
-                 submitted_at: float) -> None:
+    def __init__(self, op, compute: Callable[[], Any]) -> None:
         self.op = op
         self.compute = compute
-        self.cookie = cookie
-        self.submitted_at = submitted_at
         # Lifecycle stamps for request tracing: RPC arrival at the
         # service and service completion.
         self.arrived_at: Optional[float] = None
@@ -143,18 +140,18 @@ class RemoteAcceleratorBackend(OffloadBackend):
     def lanes(self) -> int:
         return 1
 
-    def submit_batch(self, specs: List[OpSpec], lane: int) -> List[Any]:
-        now = self.sim.now
+    def submit_batch(self, calls: List[CryptoCall], lane: int
+                     ) -> List[Any]:
         tokens: List[Any] = []
         accepted: List[_RemoteRequest] = []
-        for spec in specs:
+        for call in calls:
             if self.outstanding >= REMOTE_WINDOW:
                 # Credit window exhausted: the remote analog of a full
                 # request ring.
                 self.stats.submit_failures += 1
                 tokens.append(None)
                 continue
-            request = _RemoteRequest(spec.op, spec.compute, spec.cookie, now)
+            request = _RemoteRequest(call.op, call.compute)
             self.outstanding += 1
             self.stats.submitted += 1
             tokens.append(request)

@@ -61,26 +61,20 @@ class QatDevice:
     def fw_counter_totals(self) -> dict:
         """Aggregate firmware counters across endpoints (the artifact
         appendix's ``cat /sys/kernel/debug/qat*/fw_counters`` check),
-        plus driver-level degradation counters and any fault-plan
-        injection totals."""
+        plus the instances' lane counters and any fault-plan injection
+        totals."""
         total: dict = {}
         for ep in self.endpoints:
             for key, val in ep.fw_counters.snapshot().items():
                 total[key] = total.get(key, 0) + val
         total["responses_lost"] = sum(ep.responses_lost
                                       for ep in self.endpoints)
+        # Lane counters keep their historical ``driver.*`` keys.
         for key in ("submitted", "submit_failures", "op_timeouts",
                     "fallback_ops"):
-            total[f"driver.{key}"] = 0
-        for ep in self.endpoints:
-            for inst in ep.instances:
-                drv = inst.driver
-                if drv is None:
-                    continue
-                total["driver.submitted"] += drv.submitted
-                total["driver.submit_failures"] += drv.submit_failures
-                total["driver.op_timeouts"] += drv.op_timeouts
-                total["driver.fallback_ops"] += drv.fallback_ops
+            total[f"driver.{key}"] = sum(getattr(inst, key)
+                                         for ep in self.endpoints
+                                         for inst in ep.instances)
         if self.fault_plan is not None:
             for key, val in self.fault_plan.counters().items():
                 total[f"faults.{key}"] = val

@@ -22,10 +22,8 @@ class QatRequest:
 
     op: CryptoOp
     compute: Callable[[], Any]
-    cookie: Any = None  # opaque engine-layer context (offload job ref)
     #: Numbered from the simulator's id stream when a ring accepts it.
     request_id: int = 0
-    submitted_at: Optional[float] = None
     #: When the hardware scheduler pulled this request off its ring.
     dequeued_at: Optional[float] = None
     #: When the computation engine finished the calculation.
@@ -40,19 +38,7 @@ class QatResponse:
     result: Any = None
     error: Optional[BaseException] = None
     completed_at: Optional[float] = None
-    retrieved_at: Optional[float] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    @property
-    def cookie(self) -> Any:
-        return self.request.cookie
-
-    @property
-    def latency(self) -> Optional[float]:
-        """Submit-to-retrieve latency, once retrieved."""
-        if self.retrieved_at is None or self.request.submitted_at is None:
-            return None
-        return self.retrieved_at - self.request.submitted_at

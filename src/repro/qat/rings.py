@@ -61,21 +61,18 @@ class RingPair:
             return False
         self._occupied += 1
         request.request_id = next(self.sim.request_ids)
-        request.submitted_at = self.sim.now
         self._requests.append(request)
         self.endpoint.queued_requests += 1
         return True
 
     def poll_responses(self, max_responses: Optional[int] = None
                        ) -> List[QatResponse]:
-        """Read available responses (the driver's polling primitive)."""
+        """Read available responses (the instance's polling primitive)."""
         out: List[QatResponse] = []
         while self._responses and (max_responses is None
                                    or len(out) < max_responses):
-            resp = self._responses.popleft()
-            resp.retrieved_at = self.sim.now
             self._occupied -= 1
-            out.append(resp)
+            out.append(self._responses.popleft())
         return out
 
     # -- hardware side ---------------------------------------------------

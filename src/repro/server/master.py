@@ -18,7 +18,6 @@ from ..offload.pool import DynamicPolicy, InstancePool, make_policy
 from ..offload.remote import (REMOTE_LINK_BANDWIDTH, REMOTE_LINK_LATENCY,
                               RemoteAcceleratorBackend, RemoteCryptoService)
 from ..qat.device import QatDevice
-from ..qat.driver import QatUserspaceDriver
 from ..sim.rng import RngRegistry
 from ..ssl.context import SslContext
 from ..tls.config import TlsServerConfig
@@ -90,13 +89,12 @@ class TlsServer:
                     min_dwell=eng_cfg.qat_rebalance_interval)
             else:
                 policy = make_policy(eng_cfg.qat_instance_policy)
-            # The pool owns one userspace driver per instance; the
-            # policy's initial leases reproduce the historical
-            # consecutive-chunk partition (with round-robin allocation
-            # each worker's chunk lands on different endpoints).
+            # The pool owns every instance; the policy's initial
+            # leases reproduce the historical consecutive-chunk
+            # partition (with round-robin allocation each worker's
+            # chunk lands on different endpoints).
             self.instance_pool = InstancePool(
-                sim, [QatUserspaceDriver(inst) for inst in flat],
-                config.worker_processes, policy)
+                sim, flat, config.worker_processes, policy)
         self._rebalance_proc_running = False
 
         # One shared network-attached crypto service per deployment
@@ -135,7 +133,7 @@ class TlsServer:
         sim = self.sim
         worker_rng = self._rng.stream(f"worker-{worker_id}")
 
-        def make_ctx(worker, core=None):
+        def make_ctx(worker):
             config = self.config
             core = worker.core
             tls_cfg = TlsServerConfig(

@@ -54,8 +54,8 @@ class InterruptRetriever:
         if self._armed:
             raise RuntimeError("interrupt retriever already armed")
         self._armed = True
-        for drv in self.engine.backend.drivers:
-            drv.instance.set_response_callback(self._on_response)
+        for inst in self.engine.backend.instances:
+            inst.set_response_callback(self._on_response)
 
     def disarm(self) -> None:
         """Unhook every ring callback (worker death/teardown): a fresh
@@ -64,8 +64,8 @@ class InterruptRetriever:
         if not self._armed:
             return
         self._armed = False
-        for drv in self.engine.backend.drivers:
-            drv.instance.set_response_callback(None)
+        for inst in self.engine.backend.instances:
+            inst.set_response_callback(None)
 
     def _on_response(self, _ring) -> None:
         if self._pending:

@@ -59,8 +59,9 @@ class Simulator:
         self.active_process: Optional[Process] = None
         #: The core holding the running process's unsettled CPU debt
         #: (a :class:`repro.cpu.core.Core`), or None when it owes
-        #: nothing. Set and cleared by the core; the kernel only checks
-        #: it when a process yields or returns.
+        #: nothing. Set and cleared by the core; the kernel checks it
+        #: when a process yields or returns, and has it ``forfeit()``
+        #: the debt when a process dies by an exception.
         self.debtor = None
 
     # -- time ------------------------------------------------------------

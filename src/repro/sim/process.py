@@ -97,8 +97,13 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            # The process died. Fail our completion event; if nobody is
-            # watching, Simulator.step() re-raises (undefused failure).
+            # The process died. Its chain forfeits the CPU time it owes
+            # (a dead process consumes no core time), so whoever reaps
+            # it may act at once. Fail our completion event; if nobody
+            # is watching, Simulator.step() re-raises (undefused
+            # failure).
+            if sim.debtor is not None:
+                sim.debtor.forfeit()
             self.fail(exc)
             return
 

@@ -21,7 +21,6 @@ from typing import Any, Deque, Generator, List, Optional
 from ..core.costmodel import (EC_MARSHAL_COST, FIBER_SWAP_COST,
                               HANDSHAKE_MSG_COST, STACK_REPLAY_COST)
 from ..obs.span import SpanStatus
-from ..offload.engine import AsyncOffloadEngine
 from ..tls.actions import (CryptoCall, HandshakeResult, NeedMessage,
                            SendMessage)
 from ..tls.messages import ServerHello
@@ -197,8 +196,7 @@ class SslConnection:
 
             action = payload
             if isinstance(action, CryptoCall):
-                if (use_async and isinstance(engine, AsyncOffloadEngine)
-                        and engine.offloads(action)):
+                if use_async and engine.offloads(action):
                     obs = getattr(core.sim, "obs", None)
                     if obs is not None and job.trace is None:
                         # One trace per offloaded op, opened at the

@@ -19,8 +19,8 @@ from ..offload.engine import AsyncOffloadEngine
 from ..offload.pool import InstancePool, StaticPolicy
 from ..obs import RequestTracer
 from ..qat.device import QatDevice
-from ..qat.driver import QatUserspaceDriver
 from ..qat.faults import FaultPlan
+from ..qat.instance import CryptoInstance
 from ..qat.rings import DEFAULT_RING_CAPACITY
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
@@ -55,7 +55,7 @@ class QatEnv(NamedTuple):
     core: Core
     engine: AsyncOffloadEngine
     device: QatDevice
-    drivers: List[QatUserspaceDriver]
+    instances: List[CryptoInstance]
     tracer: Optional[RequestTracer]
 
 
@@ -87,8 +87,7 @@ def make_qat_env(n_instances: int = 1,
     if plan_kw is not None:
         dev.install_fault_plan(
             FaultPlan(RngRegistry(seed).stream("faults"), **plan_kw))
-    drivers = [QatUserspaceDriver(inst)
-               for inst in dev.allocate_instances(n_instances)]
-    backend = InstancePool(sim, drivers, 1, StaticPolicy()).register(0)
+    instances = dev.allocate_instances(n_instances)
+    backend = InstancePool(sim, instances, 1, StaticPolicy()).register(0)
     eng = AsyncOffloadEngine(backend, core, CostModel(), **engine_kw)
-    return QatEnv(sim, core, eng, dev, drivers, tracer)
+    return QatEnv(sim, core, eng, dev, instances, tracer)

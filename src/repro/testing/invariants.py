@@ -163,7 +163,7 @@ def check_lease_partition(bed) -> List[str]:
     if pool is None or pool.policy.name == "shared":
         return []
     out = []
-    lanes = set(range(len(pool.drivers)))
+    lanes = set(range(len(pool.instances)))
     for when, snapshot in pool.lease_audit:
         seen: dict = {}
         for wid, leased in enumerate(snapshot):
@@ -267,7 +267,7 @@ def check_spans(bed) -> List[str]:
 @register("stub-consistency")
 def check_stub_status(bed) -> List[str]:
     """The stub_status connection accounting must balance, and the
-    driver-level firmware totals may only lag the engine totals."""
+    instance-level firmware totals may only lag the engine totals."""
     out = []
     for w in list(bed.server.workers) + list(bed.server.retired_workers):
         key = f"w{w.worker_id}g{w.generation}"
@@ -278,8 +278,8 @@ def check_stub_status(bed) -> List[str]:
         if not 0 <= stub.tls_idle <= stub.tls_alive:
             out.append(f"{key}: idle {stub.tls_idle} outside "
                        f"[0, alive={stub.tls_alive}]")
-    # Driver-level totals can only lag the engine totals (ops that
-    # expired while still queued never reached a driver).
+    # Instance-level totals can only lag the engine totals (ops that
+    # expired while still queued never reached an instance).
     device = bed.server.qat_device
     fw = device.fw_counter_totals() if device is not None else {}
     if fw:

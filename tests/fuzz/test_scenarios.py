@@ -6,13 +6,16 @@ policy, fault kind, lifecycle action and retrieval mode appears at
 least once. Scenarios replay by spec, so they survive generator
 changes. Each replays here as a regular test: the world must satisfy
 every registered invariant and — run twice — produce byte-identical
-fingerprints. A corpus failure means a real regression or an
+fingerprints whose sha256 is the one ``corpus_fingerprints.json`` pins
+for the seed. A corpus failure means a real regression or an
 intentional behaviour change (re-pin with
 ``tools/check_corpus_fingerprints.py --write``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,8 @@ from repro.testing.scenario import (
 
 CORPUS = load_corpus(Path(__file__).with_name("corpus.json"))
 SEEDS = list(CORPUS)
+PINNED = json.loads(
+    Path(__file__).with_name("corpus_fingerprints.json").read_text())
 
 
 def test_corpus_is_nonempty_and_unique():
@@ -50,6 +55,9 @@ def test_corpus_scenario_holds_invariants_and_replays_identically(seed):
     second = run_scenario(again)
     assert second.fingerprint == first.fingerprint, \
         f"seed {seed}: same-seed replay diverged"
+    digest = hashlib.sha256(first.fingerprint.encode()).hexdigest()
+    assert digest == PINNED[str(seed)], \
+        f"seed {seed}: fingerprint moved from its corpus_fingerprints pin"
 
 
 def test_unknown_spec_key_raises():

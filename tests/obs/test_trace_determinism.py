@@ -3,12 +3,14 @@ simulation's deterministic output — two runs from the same seed must
 produce byte-identical files (the regression the paper's replayable
 methodology depends on)."""
 
+import io
 import json
 
 import pytest
 
 from repro.bench.runner import Testbed, Windows
 from repro.obs import export_chrome_trace, validate_chrome_trace
+from repro.obs.export import chrome_trace_events
 
 SMOKE = Windows(warmup=0.02, measure=0.04)
 
@@ -42,6 +44,25 @@ def test_same_seed_exports_are_byte_identical(tmp_path, kw):
     doc = json.loads(raw_a)
     assert validate_chrome_trace(doc) == []
     assert doc["otherData"]["ops_closed"] == bed_a.tracer.ops_closed
+
+
+def test_export_bytes_equal_streamed_json_dump(tmp_path):
+    # The exporter encodes the document in one json.dumps call; the
+    # bytes must be exactly those json.dump streams for the same doc.
+    bed, _ = _export(tmp_path / "a.json")
+    doc = {
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "generator": "repro.obs",
+            "ops_closed": bed.tracer.ops_closed,
+            "ops_open_at_export": len(bed.tracer.open),
+        },
+        "traceEvents": chrome_trace_events(bed.tracer),
+    }
+    streamed = io.StringIO()
+    json.dump(doc, streamed, sort_keys=True, separators=(",", ":"))
+    streamed.write("\n")
+    assert (tmp_path / "a.json").read_text() == streamed.getvalue()
 
 
 def test_different_seeds_export_different_traces(tmp_path):

@@ -57,7 +57,7 @@ def test_ops_beyond_the_cap_queue_instead_of_submitting():
     # Queued ops are NOT on the accelerator and must not count as
     # in flight (they would block their own admission).
     assert eng.inflight.total == 2
-    assert env.drivers[0].submitted == 2
+    assert env.instances[0].submitted == 2
 
 
 def test_freed_capacity_admits_in_fifo_order():
@@ -117,7 +117,7 @@ def test_admission_applies_before_ring_pressure():
     eng = env.engine
     assert eng.submit_rejections == 0
     assert eng.admission_queued == 28
-    assert env.drivers[0].in_flight <= 4
+    assert env.instances[0].in_flight <= 4
 
 
 # -- worker drain / crash teardown (lifecycle layer) ------------------------
@@ -174,7 +174,7 @@ def test_drain_fails_over_coalescing_queue():
     assert eng.inflight.total == 0
     assert eng.ops_drained == 2 and eng.ops_fallback == 2
     assert eng.idle
-    assert env.drivers[0].submitted == 0  # never reached the rings
+    assert env.instances[0].submitted == 0  # never reached the rings
 
 
 def test_abort_all_empties_every_table_and_closes_traces():

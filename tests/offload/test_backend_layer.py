@@ -84,12 +84,12 @@ def test_batch_flushes_when_full():
             yield from eng.core.settle()
             assert ok
             if i < 3:  # still coalescing
-                assert eng.backend.drivers[0].submitted == 0
+                assert eng.backend.instances[0].submitted == 0
                 assert eng.queued_batch_ops == i + 1
 
     sim.process(proc(sim))
     sim.run(until=1e-4)
-    assert eng.backend.drivers[0].submitted == 4
+    assert eng.backend.instances[0].submitted == 4
     assert eng.queued_batch_ops == 0
     assert eng.batches_submitted == 1
     assert eng.batch_ops == 4
@@ -105,13 +105,13 @@ def test_partial_batch_flushes_on_timeout():
         job.mark_paused(rsa_call())
         yield from eng.submit_async(rsa_call(), job, owner="w")
         yield from eng.core.settle()
-        assert eng.backend.drivers[0].submitted == 0  # parked in the queue
+        assert eng.backend.instances[0].submitted == 0  # parked in the queue
 
     sim.process(proc(sim))
     sim.run(until=0.8 * BATCH_TIMEOUT)
-    assert eng.backend.drivers[0].submitted == 0
+    assert eng.backend.instances[0].submitted == 0
     sim.run(until=5e-3)  # past BATCH_TIMEOUT: the flush timer fired
-    assert eng.backend.drivers[0].submitted == 1
+    assert eng.backend.instances[0].submitted == 1
     assert eng.batches_submitted == 1
 
 
@@ -135,7 +135,7 @@ def test_flush_respects_ring_capacity():
 
     sim.process(proc(sim))
     sim.run(until=20e-3)
-    assert eng.backend.drivers[0].submit_failures == 0
+    assert eng.backend.instances[0].submit_failures == 0
     assert eng.ops_offloaded == 4  # drained in capacity-sized chunks
     assert eng.submit_rejections == 0
 
@@ -190,7 +190,7 @@ def test_batch_size_one_matches_legacy_submit():
     sim.run(until=1e-4)
     assert out["ok"]
     # Straight to the ring, no queue.
-    assert eng.backend.drivers[0].submitted == 1
+    assert eng.backend.instances[0].submitted == 1
     assert eng.queued_batch_ops == 0
     assert eng.batches_submitted == 1 and eng.batch_ops == 1
 

@@ -55,7 +55,7 @@ def test_blocking_response_loss_hits_deadline_then_falls_back():
     assert out["r"] == "sig"
     assert eng.op_timeouts == 1
     assert eng.ops_fallback == 1
-    assert eng.backend.drivers[0].op_timeouts == 1
+    assert eng.backend.instances[0].op_timeouts == 1
     assert eng.inflight.total == 0
     assert eng.breakers[0].consecutive_failures == 1
 
@@ -217,7 +217,7 @@ def test_engine_routes_around_open_breaker():
     """With two instances and one breaker open, submissions flow to the
     healthy instance only."""
     env = make_qat_env(n_instances=2)
-    sim, eng, drvs = env.sim, env.engine, env.drivers
+    sim, eng, insts = env.sim, env.engine, env.instances
     open_breaker(eng.breakers[0])
     jobs = [_job() for _ in range(4)]
 
@@ -229,5 +229,5 @@ def test_engine_routes_around_open_breaker():
 
     sim.process(proc(sim))
     sim.run(until=1e-4)
-    assert drvs[0].submitted == 0
-    assert drvs[1].submitted == 4
+    assert insts[0].submitted == 0
+    assert insts[1].submitted == 4

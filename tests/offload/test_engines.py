@@ -8,7 +8,7 @@ from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload import (ALGORITHM_GROUPS, AsyncOffloadEngine,
                            InstancePool, SoftwareEngine, StaticPolicy)
-from repro.qat import QatDevice, QatUserspaceDriver, qat_service_time
+from repro.qat import QatDevice, qat_service_time
 from repro.sim import Simulator
 from repro.ssl.async_job import FiberAsyncJob
 from repro.tls.actions import CryptoCall
@@ -29,8 +29,8 @@ def make_qat_env(ring_capacity=64, algorithms=("RSA", "EC", "PKEY_CRYPTO",
     sim = Simulator()
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=1, ring_capacity=ring_capacity)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    backend = InstancePool(sim, dev.allocate_instances(1), 1,
+                           StaticPolicy()).register(0)
     eng = AsyncOffloadEngine(backend, core, CostModel(),
                              algorithms=algorithms)
     return sim, core, eng
@@ -125,8 +125,8 @@ def test_algorithm_groups_restrict_offload():
 def test_unknown_algorithm_group_rejected():
     sim = Simulator()
     dev = QatDevice(sim, n_endpoints=1)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    backend = InstancePool(sim, dev.allocate_instances(1), 1,
+                           StaticPolicy()).register(0)
     with pytest.raises(ValueError, match="unknown algorithm group"):
         AsyncOffloadEngine(backend, Core(sim, 0), CostModel(),
                            algorithms=("BOGUS",))

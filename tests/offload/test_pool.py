@@ -5,28 +5,22 @@ delivery, and the pooled backend's admission surface."""
 import pytest
 
 from repro.crypto.ops import OpCategory
-from repro.offload.backend import OpSpec
 from repro.offload.pool import (ARBITRATION_CPU_COST, DynamicPolicy,
                                 InstancePool, PooledQatBackend,
                                 SharedPolicy, StaticPolicy, make_policy)
 from repro.qat.device import QatDevice
-from repro.qat.driver import QatUserspaceDriver
+from repro.qat.instance import submit_cpu_cost
 from repro.sim.kernel import Simulator
 from repro.testing import rsa_call
-
-
-def spec(result="sig", rsa_bits=2048):
-    call = rsa_call(result, rsa_bits=rsa_bits)
-    return OpSpec(op=call.op, compute=call.compute)
 
 
 def make_pool(n_workers=2, n_instances=4, policy=None, n_endpoints=3):
     sim = Simulator()
     dev = QatDevice(sim, n_endpoints=n_endpoints)
-    drivers = [QatUserspaceDriver(inst)
-               for inst in dev.allocate_instances(n_instances)]
-    pool = InstancePool(sim, drivers, n_workers,
-                        policy if policy is not None else StaticPolicy())
+    if policy is None:
+        policy = StaticPolicy()
+    pool = InstancePool(sim, dev.allocate_instances(n_instances),
+                        n_workers, policy)
     return sim, pool
 
 
@@ -77,7 +71,7 @@ def test_dynamic_policy_validates_hysteresis_knobs():
 def test_pool_constructor_validates():
     sim, pool = make_pool()
     with pytest.raises(ValueError, match="at least one worker"):
-        InstancePool(sim, pool.drivers, 0, StaticPolicy())
+        InstancePool(sim, pool.instances, 0, StaticPolicy())
     with pytest.raises(ValueError, match="at least one instance"):
         InstancePool(sim, [], 1, StaticPolicy())
     with pytest.raises(ValueError, match="out of range"):
@@ -97,7 +91,7 @@ def test_static_partition_admits_only_own_chunk():
     assert [b0.admits(ln) for ln in range(4)] == [True, True, False, False]
     assert [b1.admits(ln) for ln in range(4)] == [False, False, True, True]
     # Unadmitted lanes reject the whole batch and advertise zero room.
-    assert b0.submit_batch([spec(), spec()], lane=2) == [None, None]
+    assert b0.submit_batch([rsa_call(), rsa_call()], lane=2) == [None, None]
     assert b0.capacity_hint(lane=2, category=OpCategory.ASYM) == 0
     assert b0.capacity_hint(lane=0, category=OpCategory.ASYM) > 0
 
@@ -105,7 +99,7 @@ def test_static_partition_admits_only_own_chunk():
 def test_arbitration_cost_only_for_shared_leases():
     _, static_pool = make_pool(policy=StaticPolicy())
     _, shared_pool = make_pool(policy=SharedPolicy())
-    base = static_pool.drivers[0].submit_cpu_cost(1)
+    base = submit_cpu_cost(1)
     assert static_pool.register(0).submit_cpu_cost(1) == base
     assert (shared_pool.register(0).submit_cpu_cost(1)
             == base + ARBITRATION_CPU_COST)
@@ -116,7 +110,7 @@ def test_arbitration_cost_only_for_shared_leases():
 def test_submit_poll_round_trip():
     sim, pool = make_pool(n_workers=2, n_instances=4)
     b0 = pool.register(0)
-    tokens = b0.submit_batch([spec("r0")], lane=0)
+    tokens = b0.submit_batch([rsa_call("r0")], lane=0)
     assert tokens[0] is not None
     sim.run(until=0.05)
     got = b0.poll_completions()
@@ -133,11 +127,10 @@ def test_static_pool_behaves_like_plain_backend():
     # static pool replaced, so its behaviour stays checked.
     sim = Simulator()
     dev = QatDevice(sim, n_endpoints=2)
-    drivers = [QatUserspaceDriver(inst)
-               for inst in dev.allocate_instances(2)]
-    backend = InstancePool(sim, drivers, 1, StaticPolicy()).register(0)
+    instances = dev.allocate_instances(2)
+    backend = InstancePool(sim, instances, 1, StaticPolicy()).register(0)
     for i in range(6):
-        tokens = backend.submit_batch([spec(f"r{i}")], lane=i % 2)
+        tokens = backend.submit_batch([rsa_call(f"r{i}")], lane=i % 2)
         assert tokens[0] is not None
     sim.run(until=0.1)
     results = []
@@ -147,7 +140,7 @@ def test_static_pool_behaves_like_plain_backend():
             break
         results.append([c.result for c in got])
     assert results == [["r0", "r2"], ["r1", "r3"], ["r4", "r5"]]
-    assert [drv.submitted for drv in drivers] == [3, 3]
+    assert [inst.submitted for inst in instances] == [3, 3]
 
 
 def test_shared_pool_lets_any_worker_use_any_lane():
@@ -155,7 +148,7 @@ def test_shared_pool_lets_any_worker_use_any_lane():
                           policy=SharedPolicy())
     b1 = pool.register(1)
     assert all(b1.admits(ln) for ln in range(4))
-    tokens = b1.submit_batch([spec("x")], lane=0)
+    tokens = b1.submit_batch([rsa_call("x")], lane=0)
     assert tokens[0] is not None
     sim.run(until=0.05)
     assert [c.result for c in b1.poll_completions()] == ["x"]
@@ -179,13 +172,13 @@ def test_rebalance_migrates_one_lane_toward_pressure():
     assert pool.migrations == 1
     assert pool.migration_log == [(1.0, 0, 0, 1)]
     assert pool.lease_since(0) == 1.0
-    assert not pool.admits(0, 0) and pool.admits(1, 0)
+    assert not pool.admits(0, 0, 0) and pool.admits(1, 0, 0)
 
 
 def test_rebalance_prefers_the_least_busy_lane():
     sim, pool = make_pool(policy=DynamicPolicy(min_dwell=1e-3))
     b0 = pool.register(0)
-    assert b0.submit_batch([spec()], lane=0)[0] is not None
+    assert b0.submit_batch([rsa_call()], lane=0)[0] is not None
     pressured(pool, 0, 10)
     # Lane 0 carries an in-flight op, so the idle lane 1 moves.
     assert pool.rebalance(now=1.0) == [(1, 0, 1)]
@@ -215,8 +208,8 @@ def test_migration_routes_inflight_completions_to_owner():
     b0, b1 = pool.register(0), pool.register(1)
     # Worker 0 loads lane 1 so the rebalance donates lane 0 — which
     # still carries worker 0's in-flight ops.
-    assert b0.submit_batch([spec("mine")], lane=0)[0] is not None
-    assert b0.submit_batch([spec("a"), spec("b")], lane=1) != [None, None]
+    assert b0.submit_batch([rsa_call("mine")], lane=0)[0] is not None
+    assert b0.submit_batch([rsa_call("a"), rsa_call("b")], lane=1) != [None, None]
     pressured(pool, 0, 10)
     assert pool.rebalance(now=1e-3) == [(0, 0, 1)]
     sim.run(until=0.05)
@@ -245,12 +238,12 @@ def test_snapshot_and_health():
     assert pool.healthy(0) and not pool.healthy(1)
 
 
-def test_backend_views_leased_drivers_but_global_lanes():
+def test_backend_views_leased_instances_but_global_lanes():
     _, pool = make_pool(n_workers=2, n_instances=4)
     b1 = pool.register(1)
     assert b1.lanes == 4
-    assert b1.drivers == [pool.drivers[2], pool.drivers[3]]
-    assert b1.lane_stats(0) is pool.drivers[0]
+    assert b1.instances == [pool.instances[2], pool.instances[3]]
+    assert b1.lane_stats(0) is pool.instances[0]
 
 
 # -- lease epochs / retirement (worker lifecycle) ---------------------------
@@ -300,7 +293,7 @@ def test_retired_epoch_stops_admitting_and_polling():
     assert not pool.is_retired(0, b_new.epoch)
     assert not b_old.admits(0) and b_new.admits(0)
     # A retired backend's submissions bounce and its polls are empty.
-    assert b_old.submit_batch([spec("x")], lane=0) == [None]
+    assert b_old.submit_batch([rsa_call("x")], lane=0) == [None]
     assert b_old.poll_completions() == []
 
 
@@ -309,7 +302,7 @@ def test_dead_epoch_completions_tombstone_not_misdeliver():
     # successor (epoch 1) polls the same lanes and must never see them.
     sim, pool = make_pool()
     b_old = pool.register(0)
-    assert b_old.submit_batch([spec("stale")], lane=0)[0] is not None
+    assert b_old.submit_batch([rsa_call("stale")], lane=0)[0] is not None
     pool.advance_epoch(0)
     pool.retire(0, 0)
     assert pool.dead_epoch_inflight() == 1
@@ -326,7 +319,7 @@ def test_retire_tombstones_parked_inbox_completions():
     # tombstoned at retire time, not delivered to anyone later.
     sim, pool = make_pool(policy=SharedPolicy())
     b0, b1 = pool.register(0), pool.register(1)
-    assert b0.submit_batch([spec("w0-op")], lane=2)[0] is not None
+    assert b0.submit_batch([rsa_call("w0-op")], lane=2)[0] is not None
     sim.run(until=0.05)
     # Worker 1 polls lane 2 first and parks w0's completion in its inbox.
     assert b1.poll_completions() == []
@@ -342,7 +335,7 @@ def test_reclaim_leases_donates_to_survivors_round_robin():
     assert moves == [(0, 1), (1, 1)]
     assert pool.lease_counts() == [0, 4]
     assert pool.reclaimed == 2
-    assert not pool.admits(0, 0) and pool.admits(1, 0)
+    assert not pool.admits(0, 0, 0) and pool.admits(1, 0, 0)
     # Sole-survivor edge: nothing to donate to.
     sim2, pool2 = make_pool(n_workers=1, n_instances=2)
     assert pool2.reclaim_leases(0) == []

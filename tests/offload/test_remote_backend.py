@@ -5,7 +5,6 @@ from repro.core.costmodel import CostModel
 from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind, OpCategory
 from repro.net.link import Link
-from repro.offload.backend import OpSpec
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.remote import (REMOTE_WINDOW, RemoteAcceleratorBackend,
                                   RemoteCryptoService)
@@ -66,9 +65,8 @@ def test_remote_roundtrip_through_engine():
 
 def test_window_exhaustion_rejects_like_a_full_ring():
     sim, core, backend, eng = make_env()
-    specs = [OpSpec(rsa_call(f"r{i}").op, lambda i=i: f"r{i}")
-             for i in range(REMOTE_WINDOW + 1)]
-    tokens = backend.submit_batch(specs, lane=0)
+    calls = [rsa_call(f"r{i}") for i in range(REMOTE_WINDOW + 1)]
+    tokens = backend.submit_batch(calls, lane=0)
     assert None not in tokens[:-1] and tokens[-1] is None
     assert backend.stats.submit_failures == 1
     assert backend.capacity_hint(lane=0, category=OpCategory.ASYM) == 0
@@ -92,8 +90,7 @@ def test_window_exhaustion_rejects_like_a_full_ring():
 
 def test_one_rpc_per_batch():
     sim, core, backend, eng = make_env()
-    specs = [OpSpec(rsa_call().op, lambda: "x") for _ in range(5)]
-    backend.submit_batch(specs, lane=0)
+    backend.submit_batch([rsa_call("x") for _ in range(5)], lane=0)
     assert backend.outstanding == 5
     sim.run()
     assert backend.outstanding == 0

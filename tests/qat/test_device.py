@@ -3,8 +3,7 @@
 import pytest
 
 from repro.crypto.ops import CryptoOp, CryptoOpKind
-from repro.qat import (QatDevice, QatUserspaceDriver, dh8970,
-                       qat_service_time)
+from repro.qat import QatDevice, dh8970, qat_service_time
 from repro.sim import Simulator
 
 
@@ -12,31 +11,30 @@ def rsa_op():
     return CryptoOp(CryptoOpKind.RSA_PRIV, rsa_bits=2048)
 
 
-def make_driver(sim, **kw):
+def make_instance(sim, **kw):
     dev = QatDevice(sim, n_endpoints=1, **kw)
-    inst = dev.allocate_instances(1)[0]
-    return dev, QatUserspaceDriver(inst)
+    return dev, dev.allocate_instances(1)[0]
 
 
 def test_submit_and_poll_roundtrip():
     sim = Simulator()
-    _, drv = make_driver(sim)
-    assert drv.try_submit(rsa_op(), compute=lambda: "signature")
+    _, inst = make_instance(sim)
+    assert inst.try_submit(rsa_op(), compute=lambda: "signature")
     sim.run()
-    responses = drv.poll()
+    responses = inst.poll()
     assert len(responses) == 1
     assert responses[0].ok and responses[0].result == "signature"
 
 
 def test_response_not_ready_before_service_time():
     sim = Simulator()
-    _, drv = make_driver(sim)
-    drv.try_submit(rsa_op(), compute=lambda: 1)
+    _, inst = make_instance(sim)
+    inst.try_submit(rsa_op(), compute=lambda: 1)
     service = qat_service_time(rsa_op())
     sim.run(until=service / 2)
-    assert drv.poll() == []
+    assert inst.poll() == []
     sim.run()
-    assert len(drv.poll()) == 1
+    assert len(inst.poll()) == 1
 
 
 def test_completion_time_includes_pcie_and_pipeline_latency():
@@ -44,8 +42,7 @@ def test_completion_time_includes_pcie_and_pipeline_latency():
     sim = Simulator()
     dev = QatDevice(sim, n_endpoints=1)
     inst = dev.allocate_instances(1)[0]
-    drv = QatUserspaceDriver(inst)
-    drv.try_submit(rsa_op(), compute=lambda: 1)
+    inst.try_submit(rsa_op(), compute=lambda: 1)
     sim.run()
     ep = dev.endpoints[0]
     expected = (qat_service_time(rsa_op()) + 2 * ep.pcie_latency
@@ -55,9 +52,9 @@ def test_completion_time_includes_pcie_and_pipeline_latency():
 
 def test_single_engine_serializes():
     sim = Simulator()
-    _, drv = make_driver(sim, engines_per_endpoint=1)
+    _, inst = make_instance(sim, engines_per_endpoint=1)
     for _ in range(3):
-        drv.try_submit(rsa_op(), compute=lambda: 1)
+        inst.try_submit(rsa_op(), compute=lambda: 1)
     sim.run()
     # 3 sequential services; per request pcie in/out overlap is serial
     # on one engine.
@@ -70,9 +67,9 @@ def test_parallel_engines_overlap():
     parallelism claim of paper section 2.3."""
     from repro.qat import qat_pipeline_latency
     sim = Simulator()
-    _, drv = make_driver(sim, engines_per_endpoint=8)
+    _, inst = make_instance(sim, engines_per_endpoint=8)
     for _ in range(8):
-        drv.try_submit(rsa_op(), compute=lambda: 1)
+        inst.try_submit(rsa_op(), compute=lambda: 1)
     sim.run()
     per = qat_service_time(rsa_op()) + qat_pipeline_latency(rsa_op())
     assert sim.now < per + qat_service_time(rsa_op())  # ran in parallel
@@ -80,69 +77,51 @@ def test_parallel_engines_overlap():
 
 def test_ring_full_submission_fails():
     sim = Simulator()
-    _, drv = make_driver(sim, ring_capacity=4)
+    _, inst = make_instance(sim, ring_capacity=4)
     for i in range(4):
-        assert drv.try_submit(rsa_op(), compute=lambda: i)
-    assert not drv.try_submit(rsa_op(), compute=lambda: 99)
-    assert drv.submit_failures == 1
+        assert inst.try_submit(rsa_op(), compute=lambda: i)
+    assert not inst.try_submit(rsa_op(), compute=lambda: 99)
+    assert inst.submit_failures == 1
 
 
 def test_ring_slot_freed_after_retrieval():
     sim = Simulator()
-    _, drv = make_driver(sim, ring_capacity=2)
-    assert drv.try_submit(rsa_op(), compute=lambda: 1)
-    assert drv.try_submit(rsa_op(), compute=lambda: 2)
-    assert not drv.try_submit(rsa_op(), compute=lambda: 3)
+    _, inst = make_instance(sim, ring_capacity=2)
+    assert inst.try_submit(rsa_op(), compute=lambda: 1)
+    assert inst.try_submit(rsa_op(), compute=lambda: 2)
+    assert not inst.try_submit(rsa_op(), compute=lambda: 3)
     sim.run()
     # Completed but not yet retrieved: slots still occupied.
-    assert not drv.try_submit(rsa_op(), compute=lambda: 3)
-    drv.poll()
-    assert drv.try_submit(rsa_op(), compute=lambda: 3)
+    assert not inst.try_submit(rsa_op(), compute=lambda: 3)
+    inst.poll()
+    assert inst.try_submit(rsa_op(), compute=lambda: 3)
 
 
 def test_in_flight_counter():
     sim = Simulator()
-    _, drv = make_driver(sim)
-    assert drv.in_flight == 0
-    drv.try_submit(rsa_op(), compute=lambda: 1)
-    drv.try_submit(rsa_op(), compute=lambda: 2)
-    assert drv.in_flight == 2
+    _, inst = make_instance(sim)
+    assert inst.in_flight == 0
+    inst.try_submit(rsa_op(), compute=lambda: 1)
+    inst.try_submit(rsa_op(), compute=lambda: 2)
+    assert inst.in_flight == 2
     sim.run()
-    assert drv.in_flight == 2  # completed, not yet retrieved
-    drv.poll()
-    assert drv.in_flight == 0
+    assert inst.in_flight == 2  # completed, not yet retrieved
+    inst.poll()
+    assert inst.in_flight == 0
 
 
 def test_compute_exception_becomes_errored_response():
     sim = Simulator()
-    _, drv = make_driver(sim)
+    _, inst = make_instance(sim)
 
     def boom():
         raise ValueError("bad padding")
 
-    drv.try_submit(rsa_op(), compute=boom)
+    inst.try_submit(rsa_op(), compute=boom)
     sim.run()
-    (resp,) = drv.poll()
+    (resp,) = inst.poll()
     assert not resp.ok
     assert isinstance(resp.error, ValueError)
-
-
-def test_cookie_passthrough():
-    sim = Simulator()
-    _, drv = make_driver(sim)
-    drv.try_submit(rsa_op(), compute=lambda: 1, cookie={"job": 42})
-    sim.run()
-    (resp,) = drv.poll()
-    assert resp.cookie == {"job": 42}
-
-
-def test_response_latency_recorded():
-    sim = Simulator()
-    _, drv = make_driver(sim)
-    drv.try_submit(rsa_op(), compute=lambda: 1)
-    sim.run()
-    (resp,) = drv.poll()
-    assert resp.latency == pytest.approx(sim.now)
 
 
 def test_fairness_across_instances():
@@ -150,14 +129,13 @@ def test_fairness_across_instances():
     sim = Simulator()
     dev = QatDevice(sim, n_endpoints=1, engines_per_endpoint=1)
     a, b = dev.allocate_instances(2)
-    da, db = QatUserspaceDriver(a), QatUserspaceDriver(b)
     for _ in range(3):
-        da.try_submit(rsa_op(), compute=lambda: "a")
-        db.try_submit(rsa_op(), compute=lambda: "b")
+        a.try_submit(rsa_op(), compute=lambda: "a")
+        b.try_submit(rsa_op(), compute=lambda: "b")
     sim.run()
     order = []
     # completion order is recorded via completed_at on responses
-    resp = da.poll() + db.poll()
+    resp = a.poll() + b.poll()
     resp.sort(key=lambda r: r.completed_at)
     order = [r.result for r in resp]
     assert order == ["a", "b", "a", "b", "a", "b"]
@@ -182,9 +160,8 @@ def test_fw_counters():
     sim = Simulator()
     dev = QatDevice(sim, n_endpoints=1)
     inst = dev.allocate_instances(1)[0]
-    drv = QatUserspaceDriver(inst)
-    drv.try_submit(rsa_op(), compute=lambda: 1)
-    drv.try_submit(CryptoOp(CryptoOpKind.PRF, nbytes=48), compute=lambda: 2)
+    inst.try_submit(rsa_op(), compute=lambda: 1)
+    inst.try_submit(CryptoOp(CryptoOpKind.PRF, nbytes=48), compute=lambda: 2)
     sim.run()
     totals = dev.fw_counter_totals()
     assert totals["total"] == 2
@@ -197,20 +174,20 @@ def test_card_rsa_capacity_calibration():
     (the Fig. 7a plateau), +/- 15%."""
     sim = Simulator()
     dev = dh8970(sim)
-    drivers = [QatUserspaceDriver(i) for i in dev.allocate_instances(6)]
+    instances = dev.allocate_instances(6)
 
     done = {"n": 0}
 
-    def feeder(sim, drv):
+    def feeder(sim, inst):
         # Keep 12 requests in flight per instance for 0.2 simulated sec.
         while sim.now < 0.2:
-            while drv.in_flight < 12:
-                drv.try_submit(rsa_op(), compute=lambda: 1)
+            while inst.in_flight < 12:
+                inst.try_submit(rsa_op(), compute=lambda: 1)
             yield sim.timeout(200e-6)
-            done["n"] += len(drv.poll())
+            done["n"] += len(inst.poll())
 
-    for d in drivers:
-        sim.process(feeder(sim, d))
+    for inst in instances:
+        sim.process(feeder(sim, inst))
     sim.run(until=0.2)
     rate = done["n"] / 0.2
     assert 85_000 < rate < 115_000, f"calibration off: {rate:.0f} ops/s"

@@ -9,12 +9,11 @@ and halves its usable computation engines."""
 from repro.bench.runner import Testbed
 from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat.device import dh8970
-from repro.qat.driver import QatUserspaceDriver
 from repro.sim.kernel import Simulator
 
 
-def endpoint_ids(drivers, lanes):
-    return [drivers[lane].instance.endpoint.endpoint_id for lane in lanes]
+def endpoint_ids(instances, lanes):
+    return [instances[lane].endpoint.endpoint_id for lane in lanes]
 
 
 def test_round_robin_allocation_interleaves_endpoints():
@@ -29,11 +28,10 @@ def test_consecutive_chunks_span_distinct_endpoints():
     sim = Simulator()
     dev = dh8970(sim)
     workers, per_worker = 3, 2
-    drivers = [QatUserspaceDriver(inst)
-               for inst in dev.allocate_instances(workers * per_worker)]
-    pool = InstancePool(sim, drivers, workers, StaticPolicy())
+    instances = dev.allocate_instances(workers * per_worker)
+    pool = InstancePool(sim, instances, workers, StaticPolicy())
     for w in range(workers):
-        eps = endpoint_ids(drivers, pool.leases[w])
+        eps = endpoint_ids(instances, pool.leases[w])
         assert len(set(eps)) == per_worker, (
             f"worker {w} instances collapsed onto endpoints {eps}")
 
@@ -42,5 +40,5 @@ def test_server_pool_spreads_each_workers_instances():
     bed = Testbed("QTLS", workers=2, qat_instances_per_worker=2)
     pool = bed.server.instance_pool
     for w in range(2):
-        eps = endpoint_ids(pool.drivers, pool.leases[w])
+        eps = endpoint_ids(pool.instances, pool.leases[w])
         assert len(set(eps)) == 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.ops import CryptoOp, CryptoOpKind
-from repro.qat import QatDevice, QatUserspaceDriver, qat_service_time
+from repro.qat import QatDevice, qat_service_time
 from repro.qat.faults import FaultPlan, OutageWindow, QatHardwareError
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
@@ -19,8 +19,8 @@ def make_env(seed=7, engines=10, **plan_kw):
     dev = QatDevice(sim, n_endpoints=1, engines_per_endpoint=engines)
     plan = FaultPlan(rng.stream("faults"), **plan_kw)
     dev.install_fault_plan(plan)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    return sim, dev, plan, drv
+    inst = dev.allocate_instances(1)[0]
+    return sim, dev, plan, inst
 
 
 def test_rate_validation():
@@ -32,11 +32,11 @@ def test_rate_validation():
 
 
 def test_response_loss_drops_response_but_frees_ring_slot():
-    sim, dev, plan, drv = make_env(response_loss=1.0)
-    assert drv.try_submit(rsa_op(), compute=lambda: "sig")
+    sim, dev, plan, inst = make_env(response_loss=1.0)
+    assert inst.try_submit(rsa_op(), compute=lambda: "sig")
     sim.run()
     # The response never landed...
-    assert drv.poll() == []
+    assert inst.poll() == []
     assert plan.responses_lost == 1
     assert dev.endpoints[0].responses_lost == 1
     # ...but the hardware credited the slot back: the ring is empty,
@@ -46,20 +46,20 @@ def test_response_loss_drops_response_but_frees_ring_slot():
 
 def test_loss_window_limits_injection():
     service = qat_service_time(rsa_op())
-    sim, dev, plan, drv = make_env(
+    sim, dev, plan, inst = make_env(
         response_loss=1.0, response_loss_window=(0.0, service / 2))
     # Completion lands after the loss window closed: delivered intact.
-    drv.try_submit(rsa_op(), compute=lambda: "sig")
+    inst.try_submit(rsa_op(), compute=lambda: "sig")
     sim.run()
-    assert len(drv.poll()) == 1
+    assert len(inst.poll()) == 1
     assert plan.responses_lost == 0
 
 
 def test_corruption_stamps_hardware_error():
-    sim, dev, plan, drv = make_env(corruption=1.0)
-    drv.try_submit(rsa_op(), compute=lambda: "sig")
+    sim, dev, plan, inst = make_env(corruption=1.0)
+    inst.try_submit(rsa_op(), compute=lambda: "sig")
     sim.run()
-    (resp,) = drv.poll()
+    (resp,) = inst.poll()
     assert isinstance(resp.error, QatHardwareError)
     assert resp.result is None
     assert plan.responses_corrupted == 1
@@ -67,31 +67,31 @@ def test_corruption_stamps_hardware_error():
 
 def test_latency_spike_slows_service():
     factor = 10.0
-    sim, dev, plan, drv = make_env(latency_spike_rate=1.0,
+    sim, dev, plan, inst = make_env(latency_spike_rate=1.0,
                                    latency_spike_factor=factor)
-    drv.try_submit(rsa_op(), compute=lambda: 1)
+    inst.try_submit(rsa_op(), compute=lambda: 1)
     sim.run()
-    assert len(drv.poll()) == 1
+    assert len(inst.poll()) == 1
     assert sim.now >= factor * qat_service_time(rsa_op())
     assert plan.latency_spikes == 1
 
 
 def test_outage_rejects_submissions():
-    sim, dev, plan, drv = make_env(outages=((0, 0.0, 1.0),))
-    assert drv.try_submit(rsa_op(), compute=lambda: 1) is None
+    sim, dev, plan, inst = make_env(outages=((0, 0.0, 1.0),))
+    assert inst.try_submit(rsa_op(), compute=lambda: 1) is None
     assert plan.submits_rejected == 1
-    assert drv.submit_failures == 1
+    assert inst.submit_failures == 1
 
 
 def test_outage_loses_inflight_completions():
     """An op submitted just before the outage completes *during* it:
     the response is swallowed."""
     service = qat_service_time(rsa_op())
-    sim, dev, plan, drv = make_env(
+    sim, dev, plan, inst = make_env(
         outages=(OutageWindow(0, service / 2, 1.0),))
-    drv.try_submit(rsa_op(), compute=lambda: 1)
+    inst.try_submit(rsa_op(), compute=lambda: 1)
     sim.run()
-    assert drv.poll() == []
+    assert inst.poll() == []
     assert plan.responses_lost == 1
 
 
@@ -101,16 +101,16 @@ def test_outage_window_scoped_to_endpoint():
     dev = QatDevice(sim, n_endpoints=2)
     dev.install_fault_plan(FaultPlan(rng.stream("faults"),
                                      outages=((1, 0.0, 1.0),)))
-    d0, d1 = (QatUserspaceDriver(i) for i in dev.allocate_instances(2))
-    assert d0.try_submit(rsa_op(), compute=lambda: 1)  # ep0 healthy
-    assert d1.try_submit(rsa_op(), compute=lambda: 1) is None  # ep1 down
+    i0, i1 = dev.allocate_instances(2)
+    assert i0.try_submit(rsa_op(), compute=lambda: 1)  # ep0 healthy
+    assert i1.try_submit(rsa_op(), compute=lambda: 1) is None  # ep1 down
 
 
 def test_ring_full_storm_window():
-    sim, dev, plan, drv = make_env(ring_full_windows=((0.0, 1e-3),))
-    assert drv.try_submit(rsa_op(), compute=lambda: 1) is None
+    sim, dev, plan, inst = make_env(ring_full_windows=((0.0, 1e-3),))
+    assert inst.try_submit(rsa_op(), compute=lambda: 1) is None
     sim.run(until=2e-3)
-    assert drv.try_submit(rsa_op(), compute=lambda: 1)
+    assert inst.try_submit(rsa_op(), compute=lambda: 1)
 
 
 def test_scheduled_reset_wipes_queued_requests():
@@ -118,19 +118,19 @@ def test_scheduled_reset_wipes_queued_requests():
     response); the one already inside the hardware pipeline keeps its
     slot and completes normally."""
     service = qat_service_time(rsa_op())
-    sim, dev, plan, drv = make_env(engines=1, resets=((0, service / 10),))
+    sim, dev, plan, inst = make_env(engines=1, resets=((0, service / 10),))
     for _ in range(3):
-        drv.try_submit(rsa_op(), compute=lambda: 1)
+        inst.try_submit(rsa_op(), compute=lambda: 1)
     sim.run()
     assert plan.resets_fired == 1
     assert any(kind == "endpoint_reset" for _, kind, _ in plan.trace())
-    assert len(drv.poll()) == 1  # only the in-pipeline op survived
+    assert len(inst.poll()) == 1  # only the in-pipeline op survived
     assert dev.total_in_flight() == 0
 
 
 def test_fw_counter_totals_include_fault_and_driver_sections():
-    sim, dev, plan, drv = make_env(response_loss=1.0)
-    drv.try_submit(rsa_op(), compute=lambda: 1)
+    sim, dev, plan, inst = make_env(response_loss=1.0)
+    inst.try_submit(rsa_op(), compute=lambda: 1)
     sim.run()
     totals = dev.fw_counter_totals()
     assert totals["responses_lost"] == 1
@@ -142,12 +142,12 @@ def test_fw_counter_totals_include_fault_and_driver_sections():
 
 
 def _trace_for(seed):
-    sim, dev, plan, drv = make_env(seed=seed, response_loss=0.4,
+    sim, dev, plan, inst = make_env(seed=seed, response_loss=0.4,
                                    corruption=0.2, latency_spike_rate=0.1)
     for _ in range(30):
-        drv.try_submit(rsa_op(), compute=lambda: 1)
+        inst.try_submit(rsa_op(), compute=lambda: 1)
         sim.run()
-        drv.poll()
+        inst.poll()
     return plan.trace(), plan.counters()
 
 

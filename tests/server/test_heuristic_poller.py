@@ -8,7 +8,7 @@ from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind, OpCategory
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.pool import InstancePool, StaticPolicy
-from repro.qat import QatDevice, QatUserspaceDriver
+from repro.qat import QatDevice
 from repro.server import StubStatus
 from repro.server.polling.heuristic import HeuristicPoller
 from repro.sim import Simulator
@@ -18,8 +18,8 @@ from repro.tls.actions import CryptoCall
 
 def make_engine(sim, **kw):
     dev = QatDevice(sim, n_endpoints=1)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    backend = InstancePool(sim, dev.allocate_instances(1), 1,
+                           StaticPolicy()).register(0)
     return AsyncOffloadEngine(backend, Core(sim, 0), CostModel(), **kw)
 
 
@@ -95,14 +95,14 @@ def test_timeliness_branch_flushes_queued_batch():
     submit_n(sim, engine, 2)
     # Both ops coalesced, none on the ring yet — but the in-flight
     # accounting sees them, so the timeliness constraint fires.
-    assert engine.backend.drivers[0].submitted == 0
+    assert engine.backend.instances[0].submitted == 0
     assert engine.queued_batch_ops == 2
     assert poller.should_poll()
 
     def proc(sim):
         yield from poller.check("w")  # flushes, then polls (empty)
         yield from poller.engine.core.settle()
-        assert engine.backend.drivers[0].submitted == 2
+        assert engine.backend.instances[0].submitted == 2
         assert engine.queued_batch_ops == 0
         yield sim.timeout(2e-3)  # responses land
         jobs = yield from poller.check("w")

@@ -8,7 +8,7 @@ from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.pool import InstancePool, StaticPolicy
-from repro.qat import QatDevice, QatUserspaceDriver
+from repro.qat import QatDevice
 from repro.server.polling.interrupt_mode import InterruptRetriever
 from repro.sim import Simulator
 from repro.ssl.async_job import FiberAsyncJob
@@ -19,8 +19,8 @@ def make_env():
     sim = Simulator()
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=1)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    backend = InstancePool(sim, dev.allocate_instances(1), 1,
+                           StaticPolicy()).register(0)
     eng = AsyncOffloadEngine(backend, core, CostModel())
     return sim, core, eng
 
@@ -42,7 +42,7 @@ def submit_one(sim, eng, result="r"):
 def test_ring_response_callback_fires():
     sim, core, eng = make_env()
     hits = []
-    eng.backend.drivers[0].instance.set_response_callback(
+    eng.backend.instances[0].set_response_callback(
         lambda ring: hits.append(ring))
     submit_one(sim, eng)
     sim.run()

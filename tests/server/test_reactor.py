@@ -12,7 +12,7 @@ from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.pool import InstancePool, StaticPolicy
-from repro.qat import QatDevice, QatUserspaceDriver
+from repro.qat import QatDevice
 from repro.server.polling.interrupt_mode import InterruptRetriever
 from repro.server.polling.timer_thread import TimerPollingThread
 from repro.sim import Simulator
@@ -32,8 +32,8 @@ def stage_names(worker):
 
 def make_engine(sim):
     dev = QatDevice(sim, n_endpoints=1)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    backend = InstancePool(sim, dev.allocate_instances(1), 1,
+                           StaticPolicy()).register(0)
     return AsyncOffloadEngine(backend, Core(sim, 0), CostModel())
 
 
@@ -258,13 +258,13 @@ def test_disarm_during_coalescing_window_fizzles():
     eng = make_engine(sim)
     irq = InterruptRetriever(sim, eng)
     irq.arm()
-    drv = eng.backend.drivers[0]
+    inst = eng.backend.instances[0]
 
     def hook(ring):
         irq._on_response(ring)   # schedules service at +COALESCE_WINDOW
         irq.disarm()             # teardown lands inside the window
 
-    drv.instance.set_response_callback(hook)
+    inst.set_response_callback(hook)
     job = submit_one(sim, eng)
     sim.run()
     assert irq.interrupts == 0

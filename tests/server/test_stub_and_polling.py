@@ -7,7 +7,7 @@ from repro.cpu import Core
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.pool import InstancePool, StaticPolicy
-from repro.qat import QatDevice, QatUserspaceDriver
+from repro.qat import QatDevice
 from repro.server import AsyncEventQueue, StubStatus
 from repro.server.polling.heuristic import HeuristicPoller
 from repro.server.polling.timer_thread import TimerPollingThread
@@ -57,8 +57,8 @@ def test_async_queue_fifo():
 
 def make_engine(sim):
     dev = QatDevice(sim, n_endpoints=1)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    backend = InstancePool(sim, dev.allocate_instances(1), 1,
+                           StaticPolicy()).register(0)
     return AsyncOffloadEngine(backend, Core(sim, 0), CostModel())
 
 
@@ -178,8 +178,8 @@ def test_timer_thread_context_switches_charged():
     sim = Simulator()
     core = Core(sim, 0)
     dev = QatDevice(sim, n_endpoints=1)
-    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
-    backend = InstancePool(sim, [drv], 1, StaticPolicy()).register(0)
+    backend = InstancePool(sim, dev.allocate_instances(1), 1,
+                           StaticPolicy()).register(0)
     engine = AsyncOffloadEngine(backend, core, CostModel())
     thread = TimerPollingThread(sim, engine, interval=10e-6)
     thread.start()

@@ -9,7 +9,7 @@ from repro.cpu import Core
 from repro.offload.software import SoftwareEngine
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.pool import InstancePool, StaticPolicy
-from repro.qat import QatDevice, QatUserspaceDriver
+from repro.qat import QatDevice
 from repro.sim import Simulator
 from repro.sim.rng import Stream
 from repro.ssl import SslConnection, SslContext, SslStatus
@@ -53,9 +53,8 @@ class Env:
         else:
             self.device = QatDevice(self.sim, n_endpoints=1,
                                     ring_capacity=ring_capacity)
-            inst = self.device.allocate_instances(1)[0]
-            self.driver = QatUserspaceDriver(inst)
-            backend = InstancePool(self.sim, [self.driver], 1,
+            self.instance = self.device.allocate_instances(1)[0]
+            backend = InstancePool(self.sim, [self.instance], 1,
                                    StaticPolicy()).register(0)
             self.engine = AsyncOffloadEngine(backend, self.core,
                                              self.cost_model)

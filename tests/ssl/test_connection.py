@@ -201,7 +201,7 @@ def test_undecryptable_premaster_fails_alike_under_fiber_and_stack():
         proc = handshake_process(env, env.connection(), tamper=tamper)
         with pytest.raises(TlsAlert, match="client Finished verify failed"):
             env.sim.run(until=proc)
-        submitted.append(env.driver.submitted)
+        submitted.append(env.instance.submitted)
     assert submitted[0] == submitted[1]
 
 
