@@ -70,7 +70,7 @@ class STimeFleet:
         address = self.addresses[client_id % len(self.addresses)]
         resume_cfg: Optional[TlsClientConfig] = None
         if self.stagger > 0:
-            yield self.sim.timeout(self.mix_rng.random() * self.stagger)
+            yield from self.sim.hold(self.mix_rng.random() * self.stagger)
         while True:
             base_cfg = self.make_client_config(client_id)
             want_full = (resume_cfg is None
@@ -89,7 +89,7 @@ class STimeFleet:
                 if isinstance(exc, PeerAlert):
                     # RFC 5246 7.2.2: the server forgot this session.
                     resume_cfg = None
-                yield self.sim.timeout(1e-3)  # back off briefly
+                yield from self.sim.hold(1e-3)  # back off briefly
                 continue
             now = self.sim.now
             self.metrics.record_handshake(now, now - start, result.resumed)
@@ -99,4 +99,4 @@ class STimeFleet:
                 resume_cfg = session.resumption_config(cfg.rng)
             # s_time immediately loops; a small client-side turnaround
             # keeps per-client cycles from being zero-time.
-            yield self.sim.timeout(CLIENT_STEP_COST)
+            yield from self.sim.hold(CLIENT_STEP_COST)

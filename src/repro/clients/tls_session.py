@@ -74,7 +74,7 @@ class ClientTlsSession:
             if isinstance(action, CryptoCall):
                 cost = self.cm.software_cost(action.op)
                 if cost > 0:
-                    yield self.sim.timeout(cost)
+                    yield from self.sim.hold(cost)
                 try:
                     send_value = action.compute()
                 except Exception as exc:
@@ -91,7 +91,7 @@ class ClientTlsSession:
 
     def _flush(self, outbuf: List[SendMessage]) -> Generator:
         for sm in outbuf:
-            yield self.sim.timeout(CLIENT_STEP_COST / 4)
+            yield from self.sim.hold(CLIENT_STEP_COST / 4)
             self.sock.send(sm.message, nbytes=sm.message.wire_size())
         outbuf.clear()
         return None
@@ -142,7 +142,7 @@ class ClientTlsSession:
             if not isinstance(msg, TlsRecord):
                 raise TlsAlert(f"unexpected message {type(msg).__name__}")
             got += msg.plaintext_len
-            yield self.sim.timeout(CLIENT_STEP_COST / 6)
+            yield from self.sim.hold(CLIENT_STEP_COST / 6)
         return got
 
     def _run_record_gen(self, gen) -> Generator:
@@ -156,7 +156,7 @@ class ClientTlsSession:
                 raise TypeError("record layer yielded a non-crypto action")
             cost = self.cm.software_cost(action.op)
             if cost > 0:
-                yield self.sim.timeout(cost)
+                yield from self.sim.hold(cost)
             send_value = action.compute()
 
     # -- resumption state ------------------------------------------------------------

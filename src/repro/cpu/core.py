@@ -166,8 +166,19 @@ class Core:
         a chain that found the core held first waits for it, FIFO.
         An eager core grants and times each charge on its own. The core
         is released when the time has elapsed — or at once, when the
-        process is interrupted meanwhile."""
-        if self._due is None and self._owed is None:
+        process is interrupted meanwhile. An uncontended chain whose
+        Timeout would be the next event processed moves ``now`` to its
+        due time without one (:meth:`Simulator.advance_to`) and also
+        returns an empty tuple."""
+        due = self._due
+        if due is not None:
+            sim = self.sim
+            if due <= sim.now or sim.advance_to(due):
+                sim.debtor = None
+                self._due = None
+                self._lock.release()
+                return ()
+        elif self._owed is None:
             return ()
         return self._settle()
 

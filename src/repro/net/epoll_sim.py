@@ -94,11 +94,17 @@ class Epoll:
         yield from core.settle()
         ready = self._ready_list()
         if not ready:
-            waiter = self.sim.event(name=f"{self.name}-wait")
+            sim = self.sim
+            if timeout is not None and sim.advance_to(sim.now + timeout):
+                # The timer would be the next event: nothing can become
+                # ready before it fires.
+                self._waiter = None
+                return ready
+            waiter = sim.event(name=f"{self.name}-wait")
             self._waiter = waiter
             if timeout is not None:
-                timer = self.sim.timeout(timeout)
-                yield self.sim.any_of([waiter, timer])
+                timer = sim.timeout(timeout)
+                yield sim.any_of([waiter, timer])
                 if not timer.processed and not timer.triggered:
                     timer.cancel()
                 if self._waiter is waiter:

@@ -635,7 +635,7 @@ class AsyncOffloadEngine:
                 head = self._batch[0]
                 due = min(head.enqueued_at + BATCH_TIMEOUT, head.deadline)
                 if due > sim.now:
-                    yield sim.timeout(due - sim.now)
+                    yield from sim.hold(due - sim.now)
                     continue
                 yield from self._flush_batch(owner=self)
                 yield from self._expire_queued(owner=self)
@@ -646,7 +646,7 @@ class AsyncOffloadEngine:
                     # capacity as soon as completions drain, so the
                     # timer only needs a coarse safety-net cadence.
                     attempts = max(q.attempts for q in self._batch)
-                    yield sim.timeout(max(
+                    yield from sim.hold(max(
                         self.submit_backoff(max(attempts, 1)),
                         BATCH_TIMEOUT / 2))
         finally:

@@ -80,9 +80,6 @@ class QatDevice:
                 total[f"faults.{key}"] = val
         return total
 
-    def total_in_flight(self) -> int:
-        return sum(ep.total_in_flight() for ep in self.endpoints)
-
 
 def dh8970(sim: "Simulator") -> QatDevice:
     """The paper's accelerator: an Intel DH8970 PCIe card with three

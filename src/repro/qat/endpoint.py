@@ -172,7 +172,3 @@ class QatEndpoint:
     @property
     def busy_engines(self) -> int:
         return self.engines.in_use
-
-    def total_in_flight(self) -> int:
-        return sum(r.in_flight for inst in self.instances
-                   for r in inst.rings.values())

@@ -63,6 +63,9 @@ class Simulator:
         #: when a process yields or returns, and has it ``forfeit()``
         #: the debt when a process dies by an exception.
         self.debtor = None
+        #: True while :meth:`step` runs the only callback of the event
+        #: it popped: what :meth:`advance_to` needs to skip a Timeout.
+        self._alone = False
 
     # -- time ------------------------------------------------------------
 
@@ -121,6 +124,36 @@ class Simulator:
         heappush(self._heap, (when, NORMAL, next(self._seq), ev))
         return ev
 
+    def advance_to(self, when: float) -> bool:
+        """Move ``now`` to ``when`` in place of a Timeout the running
+        process would push and wait on, when that Timeout is provably
+        the next event processed: the kernel is running the only
+        callback of the event it popped, and the calendar's head is
+        strictly later than ``when`` (or the calendar is empty).
+        Returns whether it moved; on False the caller schedules its
+        Timeout as usual. Skipping the push, pop and resume moves no
+        simulated time, event order or random draw."""
+        if not self._alone:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        if when < self._now:
+            raise ValueError(f"advance_to({when}) is in the past "
+                             f"(now={self._now})")
+        self._now = when
+        return True
+
+    def hold(self, delay: float) -> tuple:
+        """Wait ``delay`` seconds: ``yield from sim.hold(delay)``. The
+        wait is :meth:`advance_to` when that applies (an empty tuple,
+        so nothing is yielded), else one Timeout. A process owing CPU
+        time gets the Timeout, so the kernel's UnsettledDebt guard
+        fails it on the yield."""
+        if self.debtor is None and self.advance_to(self._now + delay):
+            return ()
+        return (Timeout(self, delay),)
+
     def unsettled(self, act: str) -> UnsettledDebt:
         """The error for ``act`` made while :attr:`debtor` is set."""
         proc = self.active_process
@@ -139,8 +172,15 @@ class Simulator:
             return
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
-        for cb in callbacks:
-            cb(event)
+        if len(callbacks) == 1:
+            self._alone = True
+            try:
+                callbacks[0](event)
+            finally:
+                self._alone = False
+        else:
+            for cb in callbacks:
+                cb(event)
         if event._exc is not None and not event._defused:
             raise event._exc
 

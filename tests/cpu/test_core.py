@@ -151,6 +151,8 @@ def record_pushes(sim):
 def test_uncontended_consume_pushes_one_timeout_and_zero_cost_none():
     sim = Simulator()
     core = Core(sim, 0)
+    # An event before the chain's due time keeps the Timeout path.
+    sim.call_at(0.5e-3, lambda: None)
     pushed = record_pushes(sim)
     counts = []
 
@@ -261,12 +263,66 @@ def stats_of(core):
 def test_back_to_back_charges_settle_as_one_kernel_event():
     sim = Simulator()
     core = Core(sim, 0)
+    # An event before the chain's due time keeps the Timeout path.
+    sim.call_at(1e-7, lambda: None)
     pushed = record_pushes(sim)
     run_chain(sim, core, CHAIN)
     sim.run()
     # The process's boot, the chain's one Timeout and the exit.
     assert len(pushed) == 3
     assert [type(e) for e in pushed].count(Timeout) == 1
+    assert core._lock.in_use == 0
+
+
+def test_chain_settled_in_an_empty_calendar_pushes_no_event():
+    sim = Simulator()
+    core = Core(sim, 0)
+    pushed = record_pushes(sim)
+    proc = run_chain(sim, core, CHAIN)
+    sim.run()
+    # Only the process's boot and its exit: the settle's Timeout would
+    # have been the next event, so the kernel moved time without it.
+    assert pushed == [pushed[0], proc]
+    # ... to the float a Timeout per charge ends at.
+    ref = Simulator()
+    eager = Core(ref, 0)
+    eager.eager = True
+    run_chain(ref, eager, CHAIN)
+    ref.run()
+    assert sim.now == ref.now
+    assert core._lock.in_use == 0
+    assert sim.debtor is None
+
+
+def test_settle_without_an_event_hands_the_core_to_a_waiter():
+    sim = Simulator()
+    core = Core(sim, 0)
+    log = []
+
+    def holder(sim):
+        core.consume(1e-3, owner="h")
+        yield from core.settle()
+        yield sim.event()  # parks for good, so it never exits
+
+    def claimer(sim):
+        yield from core.claim()
+        core.consume(1e-3, owner="c")
+        yield from core.settle()
+        log.append(("c", sim.now))
+
+    sim.process(holder(sim))
+    sim.process(claimer(sim))
+    run_consumer(sim, core, 1e-3, owner="w", log=log, name="w")
+    pushed = record_pushes(sim)
+    sim.run()
+    # The claimer is granted the core at 1 ms with nothing else
+    # scheduled, so its settle pushes no Timeout; its release still
+    # grants the waiter at the claimer's due time. Pushed: the
+    # holder's Timeout, two grants, the claimer's exit, the waiter's
+    # Timeout and its exit.
+    c_due = 1e-3 + (1e-3 + CONTEXT_SWITCH_COST)
+    assert log == [("c", c_due), ("w", c_due + (1e-3 + CONTEXT_SWITCH_COST))]
+    assert len(pushed) == 6
     assert core._lock.in_use == 0
 
 
@@ -435,6 +491,20 @@ def test_yielding_with_unsettled_debt_fails_the_process():
 
     sim.process(forgetful(sim), name="forgetful")
     with pytest.raises(UnsettledDebt, match=r"t=0\.001 .*'forgetful'"):
+        sim.run()
+
+
+def test_holding_with_unsettled_debt_fails_the_process():
+    # An empty calendar, so hold() would otherwise move time itself.
+    sim = Simulator()
+    core = Core(sim, 0)
+
+    def forgetful(sim):
+        core.consume(5e-6)
+        yield from sim.hold(1e-3)  # missing settle
+
+    sim.process(forgetful(sim), name="forgetful")
+    with pytest.raises(UnsettledDebt, match=r"t=0\.0 .*'forgetful'"):
         sim.run()
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cpu import Core
+from repro.cpu.core import KERNEL_SWITCH_COST
 from repro.net import Epoll, Link, NotifyFd, socket_pair, wait_readable
+from repro.net.epoll_sim import EPOLL_PER_EVENT_COST, EPOLL_WAIT_BASE_COST
 from repro.sim import Simulator
 from repro.sim.rng import Stream
 
@@ -69,6 +71,55 @@ def test_wait_timeout_returns_empty():
     sim.run()
     assert result["ready"] == []
     assert result["at"] == pytest.approx(2e-3, rel=0.01)
+
+
+def test_expired_wait_in_an_empty_calendar_returns_at_now_plus_timeout():
+    sim, core, ep = make_env()
+    nfd = NotifyFd(sim)
+    ep.register(nfd)
+    result = {}
+
+    def loop(sim):
+        ready = yield from ep.wait(core, timeout=2e-3)
+        result["ready"] = ready
+        result["at"] = sim.now
+        yield from core.settle()
+
+    sim.process(loop(sim))
+    pushed = []
+    schedule = sim._schedule
+
+    def recording(event, delay=0.0, **kw):
+        pushed.append(event)
+        schedule(event, delay, **kw)
+
+    sim._schedule = recording
+    sim.run()
+    settled = KERNEL_SWITCH_COST + EPOLL_WAIT_BASE_COST
+    assert result == {"ready": [], "at": settled + 2e-3}
+    # Neither the settle nor the expired wait pushed an event: only
+    # the process's exit was scheduled.
+    assert len(pushed) == 1
+    assert ep._waiter is None
+
+
+def test_wait_with_a_timeout_still_wakes_on_an_earlier_notification():
+    sim, core, ep = make_env()
+    nfd = NotifyFd(sim)
+    ep.register(nfd)
+    result = {}
+
+    def loop(sim):
+        ready = yield from ep.wait(core, timeout=2e-3)
+        yield from core.settle()
+        result["ready"] = ready
+        result["at"] = sim.now
+
+    sim.process(loop(sim))
+    sim.call_at(1e-3, nfd.write_event)
+    sim.run()
+    assert result["ready"] == [nfd]
+    assert result["at"] == 1e-3 + EPOLL_PER_EVENT_COST
 
 
 def test_wait_charges_kernel_crossing():

@@ -41,7 +41,7 @@ def test_response_loss_drops_response_but_frees_ring_slot():
     assert dev.endpoints[0].responses_lost == 1
     # ...but the hardware credited the slot back: the ring is empty,
     # not leaking capacity.
-    assert dev.total_in_flight() == 0
+    assert [r.in_flight for r in inst.rings.values()] == [0] * 3
 
 
 def test_loss_window_limits_injection():
@@ -125,7 +125,7 @@ def test_scheduled_reset_wipes_queued_requests():
     assert plan.resets_fired == 1
     assert any(kind == "endpoint_reset" for _, kind, _ in plan.trace())
     assert len(inst.poll()) == 1  # only the in-pipeline op survived
-    assert dev.total_in_flight() == 0
+    assert [r.in_flight for r in inst.rings.values()] == [0] * 3
 
 
 def test_fw_counter_totals_include_fault_and_driver_sections():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Simulator
+from repro.sim import Event, Simulator, Timeout
 
 
 def test_time_starts_at_zero():
@@ -233,3 +233,123 @@ def test_undefused_failure_propagates_out_of_run_after_callbacks():
         sim.run()
     assert seen == [err]
     assert ev.processed
+
+
+# -- advance_to: moving time without an event -----------------------------------
+
+def advance_in_process(sim, when):
+    """Spawn a process that calls ``advance_to(when)`` and records the
+    result and the time it reads afterwards."""
+    seen = []
+
+    def proc(sim):
+        seen.append((sim.advance_to(when), sim.now))
+        yield from ()
+
+    sim.process(proc(sim))
+    return seen
+
+
+def test_advance_to_moves_now_exactly_when_nothing_comes_first():
+    sim = Simulator()
+    when = 0.1 + 0.2  # not 0.3: the float itself must land
+    seen = advance_in_process(sim, when)
+    sim.run()
+    assert seen == [(True, when)]
+    assert sim.now == when
+
+
+def test_advance_to_refuses_outside_the_kernel():
+    sim = Simulator()
+    assert sim.advance_to(1.0) is False
+    assert sim.now == 0.0
+    # Also after run(until=...) stopped inside its sentinel's callback.
+    sim.timeout(0.5)
+    sim.run(until=0.25)
+    assert sim.advance_to(1.0) is False
+    assert sim.now == 0.25
+
+
+def test_advance_to_refuses_inside_one_of_two_callbacks():
+    sim = Simulator()
+    ev = sim.timeout(1.0)
+    seen = []
+    ev.callbacks.append(lambda e: seen.append(sim.advance_to(2.0)))
+    ev.callbacks.append(lambda e: seen.append(sim.now))
+    sim.run()
+    assert seen == [False, 1.0]
+
+
+def test_advance_to_refuses_when_an_event_sits_at_when():
+    sim = Simulator()
+    sim.timeout(2.0)
+    seen = advance_in_process(sim, 2.0)
+    sim.run()
+    assert seen == [(False, 0.0)]
+
+
+def test_advance_to_refuses_past_a_run_until_sentinel():
+    for horizon in (1.0, 2.0):
+        sim = Simulator()
+        seen = advance_in_process(sim, 2.0)
+        sim.run(until=horizon)
+        assert seen == [(False, 0.0)]
+        assert sim.now == horizon
+
+
+def test_advance_to_rejects_the_past():
+    sim = Simulator()
+    errors = []
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        with pytest.raises(ValueError, match="in the past"):
+            sim.advance_to(0.5)
+        errors.append(sim.now)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert errors == [1.0]
+
+
+def test_hold_lands_where_a_timeout_lands():
+    def world(use_hold):
+        sim = Simulator()
+        seen = []
+
+        def ticker(sim):
+            for d in (0.1, 0.2, 0.7, 1e-9):
+                if use_hold:
+                    yield from sim.hold(d)
+                else:
+                    yield sim.timeout(d)
+                seen.append(sim.now)
+
+        def other(sim):
+            yield sim.timeout(0.25)
+            seen.append(("other", sim.now))
+
+        sim.process(ticker(sim))
+        sim.process(other(sim))
+        sim.run()
+        return seen
+
+    assert world(True) == world(False)
+
+
+def test_hold_yields_a_timeout_only_when_something_comes_first():
+    sim = Simulator()
+    got = []
+
+    def proc(sim):
+        got.append(sim.hold(1.0))  # the calendar is empty
+        blocker = sim.timeout(1.5)
+        got.append(sim.hold(1.0))  # blocker is after now + 1.0
+        got.append(sim.hold(1.0))  # ... but not after now + 1.0 again
+        yield blocker
+
+    sim.process(proc(sim))
+    sim.run()
+    assert got[0] == () and got[1] == ()
+    (timeout,) = got[2]
+    assert isinstance(timeout, Timeout) and timeout.delay == 1.0
