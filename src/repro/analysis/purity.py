@@ -18,15 +18,19 @@ Codes:
   ``multiprocessing``, ``asyncio``, ``signal``, ``_thread``): the sim
   kernel owns all blocking and parallelism.
 - **RA202** — blocking call into the host OS: ``time.sleep`` (and
-  ``os.wait``/``os.system``); simulated delay is
+  ``os.wait``/``os.system``), however it is imported
+  (``from time import sleep`` is the same call); simulated delay is
   ``yield sim.timeout(dt)``.
 - **RA203** — ambient entropy read: ``os.urandom``, ``os.getrandom``,
   the ``secrets`` module, ``uuid.uuid1``/``uuid.uuid4``,
   ``random.SystemRandom``.
 
 Scope is the whole analysis root (``src/`` in CI) including function
-bodies — a deferred ``import threading`` is just as real. Opt out
-with ``# analysis: allow[RA201]``.
+bodies — a deferred ``import threading`` is just as real. Call targets
+resolve through the determinism checker's import map, the one alias
+resolver of the suite; a ``mod.fn()`` call whose ``mod`` is not
+imported in the file is still read as module ``mod``. Opt out with
+``# analysis: allow[RA201]``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import List
 
 from .core import (AnalysisContext, Checker, Finding, SourceFile,
                    register_checker)
+from .determinism import _ImportMap
 
 __all__ = ["PurityChecker"]
 
@@ -81,14 +86,7 @@ class PurityChecker(Checker):
     def check_file(self, src: SourceFile,
                    ctx: AnalysisContext) -> List[Finding]:
         out: List[Finding] = []
-        # Alias map so `import time as _t; _t.sleep(...)` is still
-        # caught: bound name -> canonical module name.
-        aliases = {}
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if "." not in a.name:
-                        aliases[a.asname or a.name] = a.name
+        imports = _ImportMap(src.tree)
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Import):
                 for a in node.names:
@@ -122,21 +120,22 @@ class PurityChecker(Checker):
                                 f"{node.module}.{a.name} reads ambient "
                                 "entropy; use seeded RNG streams"))
             elif isinstance(node, ast.Call):
-                out.extend(self._check_call(src, node, aliases))
+                out.extend(self._check_call(src, node, imports))
         return out
 
     def _check_call(self, src: SourceFile, node: ast.Call,
-                    aliases) -> List[Finding]:
+                    imports: _ImportMap) -> List[Finding]:
         fn = node.func
-        if not (isinstance(fn, ast.Attribute)
+        key = imports.resolve_call(fn)
+        if (key is None and isinstance(fn, ast.Attribute)
                 and isinstance(fn.value, ast.Name)):
-            return []
-        key = (aliases.get(fn.value.id, fn.value.id), fn.attr)
+            key = (fn.value.id, fn.attr)
         if key in _BLOCKING_CALLS:
             return [self.finding(
                 src, node.lineno, "RA202",
                 f"{key[0]}.{key[1]}(): {_BLOCKING_CALLS[key]}")]
-        if key in _ENTROPY:
+        # A from-imported entropy symbol is reported at its import.
+        if key in _ENTROPY and isinstance(fn, ast.Attribute):
             return [self.finding(
                 src, node.lineno, "RA203",
                 f"{key[0]}.{key[1]}() reads ambient entropy; use "

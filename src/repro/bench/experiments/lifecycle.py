@@ -124,7 +124,7 @@ def run(quick: bool = True, seed: int = 7) -> ExperimentResult:
             getattr(w.engine, "ops_aborted", 0)
             for w in crash.server.retired_workers),
         "dead_epoch_inflight": dead_inflight,
-        "tombstone_drops": pool.tombstone_drops,
+        "tombstone_drops": len(pool.tombstone_log),
         "leases_reclaimed": pool.reclaimed,
         "faults.workers_crashed": crash.fault_plan.workers_crashed,
     }

@@ -132,7 +132,6 @@ class NotifyFd(Pollable):
         super().__init__(sim)
         self.label = label
         self._count = 0
-        self.reads = 0
 
     def write_event(self) -> None:
         """Signal one event (the caller charges NOTIFY_FD_WRITE_COST
@@ -146,6 +145,5 @@ class NotifyFd(Pollable):
         """Consume all pending events (caller charges read cost)."""
         n = self._count
         self._count = 0
-        self.reads += 1
         self._clear_readable()
         return n

@@ -105,7 +105,7 @@ def export_chrome_trace(tracer: RequestTracer, path: str) -> int:
         "displayTimeUnit": "ms",
         "otherData": {
             "generator": "repro.obs",
-            "ops_closed": tracer.ops_closed,
+            "ops_closed": len(tracer.traces),
             "ops_open_at_export": len(tracer.open),
         },
         "traceEvents": events,

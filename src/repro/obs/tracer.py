@@ -40,10 +40,9 @@ class RequestTracer:
 
     def __init__(self) -> None:
         self._seq = 0
-        # Lifecycle counters (stub_status `trace` section).
-        self.ops_started = 0
-        self.ops_closed = 0
         self.spans_closed = 0
+        #: Traces begun and not yet closed, by trace id; every closed
+        #: one is in :attr:`traces`, so ops begun is the sum of both.
         self.open: Dict[int, OpTrace] = {}
         self.traces: List[OpTrace] = []
         #: (backend, stage) -> latency histogram; stage "total" is the
@@ -67,7 +66,6 @@ class RequestTracer:
         self._seq += 1
         trace = OpTrace(self._seq, op.kind.label, op.category.value,
                         conn_id, worker_id, kind, now)
-        self.ops_started += 1
         self.open[trace.trace_id] = trace
         return trace
 
@@ -81,7 +79,6 @@ class RequestTracer:
                 f"trace #{trace.trace_id} ({trace.op}) closed twice")
         trace.close(now, status)
         self.open.pop(trace.trace_id, None)
-        self.ops_closed += 1
         self.traces.append(trace)
         backend = trace.backend or "none"
         spans = trace.spans()
@@ -141,7 +138,7 @@ class RequestTracer:
     def snapshot_counts(self) -> Dict[str, int]:
         """The stub_status `trace` section payload."""
         return {
-            "trace_ops": self.ops_started,
+            "trace_ops": len(self.traces) + len(self.open),
             "trace_open": len(self.open),
             "trace_spans": self.spans_closed,
         }

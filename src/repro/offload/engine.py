@@ -196,7 +196,10 @@ class AsyncOffloadEngine:
         #: ``inflight`` from enqueue so the heuristic poller sees them.
         self._batch: Deque[_QueuedOp] = deque()
         self._flushing = False
-        self._flush_timer_active = False
+        #: The flush timer process (started by the first enqueue), and
+        #: the event it parks on while the coalescing queue is empty.
+        self._flush_timer = None
+        self._flush_wake = None
         #: Admission control (``admission_limit`` set): ops accepted by
         #: the engine while ``inflight`` is at the cap, or bounced by a
         #: full ring under it. The only engine queueing. Queued on the
@@ -208,15 +211,9 @@ class AsyncOffloadEngine:
         self.admission_limit = admission_limit
         self.scheduler = ClassScheduler(policy=sched_policy,
                                         weights=sched_weights)
-        self.admission_enqueued = 0
         self.admission_admitted = 0
         self.admission_peak = 0
         self.inflight = InflightCounters()
-        #: Lifetime accept/retire ledger (monotone; `inflight` is the
-        #: running difference). Read by repro.testing invariants to
-        #: prove exactly-once retirement; never consulted on hot paths.
-        self.ledger_accepted = 0
-        self.ledger_retired = 0
         self._enabled_kinds: Set[CryptoOpKind] = set()
         for group in algorithms:
             try:
@@ -235,9 +232,9 @@ class AsyncOffloadEngine:
         # Lifecycle counters (worker drain / crash teardown).
         self.ops_drained = 0
         self.ops_aborted = 0
-        # Batching stats (stub_status).
+        # Batching stats (stub_status): ops per backend submit call is
+        # ``ops_offloaded / batches_submitted``.
         self.batches_submitted = 0
-        self.batch_ops = 0
         #: Rejected submissions this engine attempted (ring full /
         #: window exhausted). Engine-local: with pooled backends the
         #: lanes are shared between workers, so summing lane counters
@@ -249,12 +246,6 @@ class AsyncOffloadEngine:
         self.submit_time = 0.0
         self.poll_time = 0.0
 
-    # -- engine command (paper section 4.3) ---------------------------------
-
-    def get_num_requests_in_flight(self) -> int:
-        """The new engine command exposing Rtotal to the application."""
-        return self.inflight.total
-
     def offloads(self, call: CryptoCall) -> bool:
         return (call.op.qat_offloadable
                 and call.op.kind in self._enabled_kinds)
@@ -264,8 +255,14 @@ class AsyncOffloadEngine:
         return sum(1 for b in self.breakers if b.is_open)
 
     @property
+    def batch_ops(self) -> int:
+        """Ops the backend took across all submit calls: every one
+        is an offloaded op."""
+        return self.ops_offloaded
+
+    @property
     def mean_batch_size(self) -> float:
-        return (self.batch_ops / self.batches_submitted
+        return (self.ops_offloaded / self.batches_submitted
                 if self.batches_submitted else 0.0)
 
     # -- in-flight accounting (single source of truth) -----------------------
@@ -277,13 +274,11 @@ class AsyncOffloadEngine:
         cap all read these counters rather than keeping shadow
         accounting."""
         self.inflight.increment(call.op.category)
-        self.ledger_accepted += 1
 
     def _op_retired(self, call: CryptoCall) -> None:
         """The op left the accelerator path (delivered, expired,
         drained or aborted): uncharge the same counters."""
         self.inflight.decrement(call.op.category)
-        self.ledger_retired += 1
 
     def _pick_lane(self) -> Optional[int]:
         """Rotate to the next lane the backend leases to this engine
@@ -312,7 +307,6 @@ class AsyncOffloadEngine:
             if tokens[0] is not None:
                 self._rr = (idx + 1) % n
                 self.batches_submitted += 1
-                self.batch_ops += 1
                 return tokens[0], idx
             self.submit_rejections += 1
             # Ring-full is backpressure, not ill health: release the
@@ -610,7 +604,6 @@ class AsyncOffloadEngine:
                     accepted += 1
                 if accepted:
                     self.batches_submitted += 1
-                    self.batch_ops += accepted
                 else:
                     self.breakers[lane].cancel_probe()
                 if accepted < len(chunk):
@@ -619,18 +612,22 @@ class AsyncOffloadEngine:
             self._flushing = False
 
     def _arm_flush_timer(self) -> None:
-        """Ensure a flush timer process is running while ops are
-        queued. One timer per engine; it exits when the queue drains
-        and is re-armed on the next enqueue."""
-        if self._flush_timer_active or not self._batch:
+        """Keep the flush timer running while ops are queued. One timer
+        process per engine: the first enqueue starts it, and it parks
+        on an event whenever the queue drains, which the next enqueue
+        succeeds."""
+        if not self._batch:
             return
-        self._flush_timer_active = True
-        self.core.sim.process(self._flush_timer_loop(),
-                              name="offload-batch-flush")
+        if self._flush_timer is None:
+            self._flush_timer = self.core.sim.process(
+                self._flush_timer_loop(), name="offload-batch-flush")
+        elif self._flush_wake is not None:
+            wake, self._flush_wake = self._flush_wake, None
+            wake.succeed()
 
     def _flush_timer_loop(self) -> Generator:
         sim = self.core.sim
-        try:
+        while True:
             while self._batch:
                 head = self._batch[0]
                 due = min(head.enqueued_at + BATCH_TIMEOUT, head.deadline)
@@ -649,8 +646,8 @@ class AsyncOffloadEngine:
                     yield from sim.hold(max(
                         self.submit_backoff(max(attempts, 1)),
                         BATCH_TIMEOUT / 2))
-        finally:
-            self._flush_timer_active = False
+            self._flush_wake = sim.event()
+            yield self._flush_wake
 
     # -- queued ops -------------------------------------------------------------
 
@@ -754,7 +751,6 @@ class AsyncOffloadEngine:
         pauses exactly as if the op were in flight)."""
         q = self._park(call, job)
         self.scheduler.push(q, call.op.category)
-        self.admission_enqueued += 1
         if self.scheduler.queued > self.admission_peak:
             self.admission_peak = self.scheduler.queued
         self._sample_admission(q.enqueued_at)

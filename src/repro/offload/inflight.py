@@ -14,32 +14,32 @@ __all__ = ["InflightCounters"]
 
 
 class InflightCounters:
-    """Per-worker counters of submitted-but-unretrieved crypto requests."""
+    """Per-worker counters of submitted-but-unretrieved crypto requests,
+    with the lifetime accept/retire ledger they are the difference of
+    (repro.testing's invariants read the ledger to prove exactly-once
+    retirement)."""
 
     def __init__(self) -> None:
         self._counts = {cat: 0 for cat in OpCategory}
-        #: Rtotal = Rasym + Rcipher + Rprf, kept live: the poller reads
-        #: it after every handler.
-        self.total = 0
+        self.accepted = 0
+        self.retired = 0
 
     def increment(self, category: OpCategory) -> None:
         self._counts[category] += 1
-        self.total += 1
+        self.accepted += 1
 
     def decrement(self, category: OpCategory) -> None:
         if self._counts[category] <= 0:
             raise RuntimeError(f"inflight underflow for {category}")
         self._counts[category] -= 1
-        self.total -= 1
+        self.retired += 1
+
+    @property
+    def total(self) -> int:
+        """Rtotal = Rasym + Rcipher + Rprf: the poller reads it after
+        every handler."""
+        return self.accepted - self.retired
 
     @property
     def asym(self) -> int:
         return self._counts[OpCategory.ASYM]
-
-    @property
-    def cipher(self) -> int:
-        return self._counts[OpCategory.CIPHER]
-
-    @property
-    def prf(self) -> int:
-        return self._counts[OpCategory.PRF]

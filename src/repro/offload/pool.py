@@ -257,8 +257,8 @@ class InstancePool:
         self.migrations = 0
         self.routed_completions = 0
         self.migration_log: List[Tuple[float, int, int, int]] = []
-        #: Completions for retired incarnations, dropped at poll time.
-        self.tombstone_drops = 0
+        #: Completions for retired incarnations, dropped at poll time:
+        #: ``(now, worker, epoch)`` per drop.
         self.tombstone_log: List[Tuple[float, int, int]] = []
         #: Lanes taken back from permanently-dead slots.
         self.reclaimed = 0
@@ -429,7 +429,6 @@ class InstancePool:
                    if owner in self._retired)
 
     def _tombstone(self, owner: Tuple[int, int]) -> None:
-        self.tombstone_drops += 1
         self.tombstone_log.append((self.sim.now, owner[0], owner[1]))
 
     def reclaim_leases(self, worker_id: int) -> List[Tuple[int, int]]:
@@ -506,7 +505,7 @@ class InstancePool:
             "epochs": list(self.epochs),
             "migrations": self.migrations,
             "routed_completions": self.routed_completions,
-            "tombstone_drops": self.tombstone_drops,
+            "tombstone_drops": len(self.tombstone_log),
         }
 
 

@@ -22,10 +22,8 @@ class FirmwareCounters:
         self.by_kind: Counter = Counter()
         self.by_category: Counter = Counter()
         self.errors = 0
-        self.total = 0
 
     def record(self, op: CryptoOp, ok: bool = True) -> None:
-        self.total += 1
         self.by_kind[op.kind.label] += 1
         self.by_category[op.category.value] += 1
         if not ok:
@@ -35,6 +33,6 @@ class FirmwareCounters:
         snap = {f"kind.{k}": v for k, v in sorted(self.by_kind.items())}
         snap.update({f"cat.{k}": v
                      for k, v in sorted(self.by_category.items())})
-        snap["total"] = self.total
+        snap["total"] = sum(self.by_kind.values())
         snap["errors"] = self.errors
         return snap

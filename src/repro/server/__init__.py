@@ -5,7 +5,6 @@ from .config import ServerConfig, SslEngineConfig
 from .connection import ConnState, ServerConnection
 from .http import HttpRequest, encode_request, parse_request
 from .master import TlsServer
-from .notify.async_queue import AsyncEventQueue
 from .polling.heuristic import HeuristicPoller
 from .polling.timer_thread import TimerPollingThread
 from .stub_status import StubStatus
@@ -14,7 +13,7 @@ from .worker import Worker, WorkerMetrics
 __all__ = [
     "ServerConfig", "SslEngineConfig", "TlsServer", "Worker",
     "WorkerMetrics", "ServerConnection", "ConnState", "StubStatus",
-    "HeuristicPoller", "TimerPollingThread", "AsyncEventQueue",
-    "HttpRequest", "encode_request", "parse_request", "parse_conf",
+    "HeuristicPoller", "TimerPollingThread", "HttpRequest",
+    "encode_request", "parse_request", "parse_conf",
     "server_config_from_text", "ConfError",
 ]

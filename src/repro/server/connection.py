@@ -48,12 +48,6 @@ class ServerConnection:
         #: be interrupted between the CLOSED transition and the stub
         #: update, so the flag — not ``state`` — is authoritative.
         self.stub_idle: bool = False
-        #: True once stub_status counted the accept.  The accept path
-        #: yields (EPOLL_CTL kernel crossing) between inserting the
-        #: conn into the worker's table and the on_accept() update, so
-        #: a kill() landing in that window must skip the close-side
-        #: update or the alive count underflows.
-        self.stub_open: bool = False
         #: Bumped on every TLS-ASYNC parking.  Notification-queue and
         #: retry entries are stamped with it so a stale entry (the conn
         #: was already resumed through the other channel and has parked
@@ -69,9 +63,6 @@ class ServerConnection:
         #: One notification FD shared by all async jobs of this
         #: connection (the section 4.4 optimization).
         self.notify_fd: Optional[NotifyFd] = None
-        #: Response bytes still to be written (continuation state).
-        self.current_request: Optional[Any] = None
-        self.handshake_completed_at: Optional[float] = None
         #: When this connection entered TLS-ASYNC (watchdog deadline
         #: anchor); None while not paused.
         self.async_since: Optional[float] = None

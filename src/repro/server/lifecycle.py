@@ -17,7 +17,7 @@ reproduces:
   under ``worker_drain_timeout`` (force-aborted past the deadline), so
   connection throughput never drops to zero across the swap;
 * **state bookkeeping** — every incarnation walks
-  spawning → serving → draining → exited; the worker's stub_status page
+  serving → draining → exited; the worker's stub_status page
   reads its :class:`WorkerRecord`, transitions publish to the obs
   layer, and the whole record is replayable bit-for-bit under a fixed
   seed.
@@ -26,7 +26,7 @@ reproduces:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .config import ServerConfig
@@ -58,7 +58,6 @@ _IMMUTABLE_ENGINE_FIELDS = ("use_engine", "offload_backend",
 class WorkerState(enum.Enum):
     """One worker incarnation's position in the lifecycle."""
 
-    SPAWNING = "spawning"
     SERVING = "serving"
     DRAINING = "draining"
     EXITED = "exited"
@@ -75,14 +74,7 @@ class WorkerRecord:
     #: How many times the slot had been respawned when this
     #: incarnation was spawned.
     respawns: int = 0
-    state: WorkerState = WorkerState.SPAWNING
-    #: Died abruptly (injected fault or unexpected exception).
-    crashed: bool = False
-    #: Drain deadline expired; remaining connections were force-aborted.
-    forced: bool = False
-    spawned_at: float = 0.0
-    exited_at: Optional[float] = None
-    events: List[str] = field(default_factory=list)
+    state: WorkerState = WorkerState.SERVING
 
 
 class WorkerSupervisor:
@@ -137,9 +129,7 @@ class WorkerSupervisor:
         record = WorkerRecord(
             worker=worker, slot=slot, generation=worker.generation,
             epoch=getattr(backend, "epoch", 0),
-            respawns=self._respawn_counts.get(slot, 0),
-            spawned_at=self.sim.now)
-        record.state = WorkerState.SERVING
+            respawns=self._respawn_counts.get(slot, 0))
         self.records[slot] = record
         worker.record = record
         self._sample_serving()
@@ -164,7 +154,6 @@ class WorkerSupervisor:
         if ev.exception is None and not record.worker.running:
             # Clean server.stop(): no teardown needed beyond the ledger.
             record.state = WorkerState.EXITED
-            record.exited_at = self.sim.now
             self.retired.append(record)
             return
         cause = (repr(ev.exception) if ev.exception is not None
@@ -185,7 +174,6 @@ class WorkerSupervisor:
     def _crash(self, record: WorkerRecord, cause: str) -> None:
         slot = record.slot
         self.crashes += 1
-        record.crashed = True
         self._log("worker-crash",
                   f"w{slot} gen{record.generation} ({cause})")
         self._terminate(record)
@@ -209,7 +197,6 @@ class WorkerSupervisor:
         if record.state is WorkerState.EXITED:
             return
         record.state = WorkerState.EXITED
-        record.exited_at = self.sim.now
         record.worker.kill()
         pool = self.server.instance_pool
         if pool is not None:
@@ -335,7 +322,6 @@ class WorkerSupervisor:
         if record.state is WorkerState.EXITED:
             return
         self.forced_aborts += 1
-        record.forced = True
         self._log("drain-forced",
                   f"w{record.slot} gen{record.generation} "
                   f"({len(record.worker.conns)} conns aborted after "

@@ -108,7 +108,7 @@ class StubStatus:
             "accepted": self.total_accepted, "closed": self.total_closed,
             "backend": eng.backend.name if on else "",
             "batches_submitted": eng.batches_submitted if on else 0,
-            "batch_ops": eng.batch_ops if on else 0,
+            "batch_ops": eng.ops_offloaded if on else 0,
             "fallback_ops": eng.ops_fallback if on else 0,
             "op_timeouts": eng.op_timeouts if on else 0,
             "open_breakers": eng.open_breakers if on else 0,

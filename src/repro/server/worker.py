@@ -12,9 +12,10 @@ The four phases of the QTLS framework map onto this file as:
    TLS-ASYNC state and the loop moves on to other connections;
 2. *QAT response retrieval* — :class:`HeuristicPoller` checks fire
    after every handler invocation (or the timer thread polls);
-3. *async event notification* — the response callback pushes the async
-   handler onto the :class:`AsyncEventQueue` (kernel-bypass) or writes
-   the connection's notification FD (FD mode);
+3. *async event notification* — the response callback appends the
+   async handler to the worker's async queue, a plain deque
+   (kernel-bypass), or writes the connection's notification FD (FD
+   mode);
 4. *post-processing* — the worker pops the queue at the end of the
    loop (or sees the FD readable in epoll) and reschedules the saved
    handler, which resumes the paused job.
@@ -62,7 +63,6 @@ from ..tls.record import TlsRecord
 from .config import ServerConfig
 from .connection import ConnState, ServerConnection
 from .http import RESPONSE_HEADER_SIZE, parse_request
-from .notify.async_queue import AsyncEventQueue
 from .polling.heuristic import HeuristicPoller
 from .polling.timer_thread import TimerPollingThread
 from .reactor import SPIN_TIMEOUT, StageCounters
@@ -109,7 +109,11 @@ class Worker:
         self.epoll = Epoll(sim, name=f"w{worker_id}-epoll")
         self.epoll.register(listener)
         self.stub_status = StubStatus(self)
-        self.async_queue = AsyncEventQueue()
+        #: The application-defined async queue (kernel-bypass
+        #: notification, section 3.4): the response callback appends
+        #: ``(conn, async_token)`` with no kernel involvement, and the
+        #: loop drains it at the end of each pass.
+        self.async_queue: Deque[Tuple[ServerConnection, int]] = deque()
         #: (conn, async_token) pairs: stale entries (token mismatch)
         #: are dropped instead of re-resuming an already-resumed conn.
         self.retries: Deque[Tuple[ServerConnection, int]] = deque()
@@ -281,18 +285,12 @@ class Worker:
             conn.ssl.abort_job()
             if not conn.sock.closed:
                 conn.sock.close()
-            # A conn interrupted between table insertion and the
-            # accept-side stub update was never counted: closing it on
-            # the books would underflow the alive count.
-            if conn.stub_open:
-                conn.stub_open = False
-                self.stub_status.on_close(was_idle=was_idle)
-                self.metrics.connections_closed += 1
+            self.stub_status.on_close(was_idle=was_idle)
+            self.metrics.connections_closed += 1
         self.conns.clear()
         self.fd_conns.clear()
         self.retries.clear()
-        while self.async_queue:
-            self.async_queue.pop()
+        self.async_queue.clear()
         if isinstance(self.engine, AsyncOffloadEngine):
             self.engine.abort_all()
         # Detach the dead epoll from everything it watched, so sockets
@@ -517,13 +515,13 @@ class Worker:
             self._conn_seq += 1
             ssl = SslConnection(self.ssl_ctx, self._conn_seq)
             conn = ServerConnection(self._conn_seq, sock, ssl)
-            # The socket is this process's from accept() on: a kill()
-            # during the charges below must find it to close it.
+            # The socket is this process's from accept() on, and
+            # counted as open from then on: a kill() must find it to
+            # close it, and closes it on the books too.
             self.conns[sock] = conn
+            self.stub_status.on_accept()
             core.kernel_crossing(extra=EPOLL_CTL_COST)
             self.epoll.register(sock)
-            conn.stub_open = True
-            self.stub_status.on_accept()
 
     # -- socket events ------------------------------------------------------------------
 
@@ -576,7 +574,7 @@ class Worker:
         if self.config.async_notify_mode == "queue":
             # SSL_set_async_callback: the response callback will insert
             # the async handler at the tail of the async queue.
-            job.wait_ctx.set_callback(self.async_queue.push,
+            job.wait_ctx.set_callback(self.async_queue.append,
                                       (conn, conn.async_token))
         else:
             if conn.notify_fd is not None and not self.config.share_notify_fd:
@@ -605,7 +603,7 @@ class Worker:
 
     def _drain_async_queue(self) -> Generator:
         while self.async_queue:
-            conn, token = self.async_queue.pop()
+            conn, token = self.async_queue.popleft()
             self.core.consume(ASYNC_QUEUE_COST, owner=self)
             if token != conn.async_token:
                 continue  # already resumed through another channel
@@ -674,7 +672,6 @@ class Worker:
         if paused or status is SslStatus.WANT_READ:
             return
         # OK: established.
-        conn.handshake_completed_at = self.core.clock()
         if conn.ssl.handshake_result.resumed:
             self.metrics.handshakes_resumed += 1
         else:
@@ -723,7 +720,6 @@ class Worker:
                 self.metrics.alerts += 1
                 yield from self._teardown(conn)
                 return
-            conn.current_request = request
             status, records = yield from conn.ssl.write(
                 RESPONSE_HEADER_SIZE + request.size, self)
             if self._handle_status(conn, status, self._io_handler):
@@ -739,7 +735,6 @@ class Worker:
             conn.sock.send(rec, nbytes=wire)
             self.metrics.bytes_sent += wire
         self.metrics.requests_served += 1
-        conn.current_request = None
 
     # -- outbox / teardown ----------------------------------------------------------------------
 
@@ -794,6 +789,5 @@ class Worker:
         # it can balance the stub_status books itself.
         was_idle = conn.stub_idle
         conn.stub_idle = False
-        conn.stub_open = False
         self.stub_status.on_close(was_idle=was_idle)
         self.metrics.connections_closed += 1

@@ -90,21 +90,19 @@ def _tag(w) -> str:
 
 @register("op-conservation")
 def check_op_conservation(bed) -> List[str]:
-    """Every accepted op is retired exactly once: the lifetime ledger
-    difference equals the live in-flight count, which equals what the
-    engine tables actually hold. A double-retire drives the difference
-    negative (InflightCounters raises first in most paths); a lost op
-    strands the difference above the table population."""
+    """Every accepted op is retired exactly once: the in-flight count
+    (the lifetime ledger's accepted minus retired) equals what the
+    engine tables actually hold. A double-retire drives it negative
+    (InflightCounters raises first in most paths); a lost op strands it
+    above the table population."""
     out = []
     for w, eng in iter_engines(bed.server):
-        diff = eng.ledger_accepted - eng.ledger_retired
+        ledger = eng.inflight
+        diff = ledger.total
         tables = len(eng._pending) + len(eng._batch)
         if diff < 0:
             out.append(f"{_tag(w)}: ledger negative "
-                       f"({eng.ledger_accepted}-{eng.ledger_retired})")
-        if diff != eng.inflight.total:
-            out.append(f"{_tag(w)}: ledger diff {diff} != "
-                       f"inflight {eng.inflight.total}")
+                       f"({ledger.accepted}-{ledger.retired})")
         # Sync (blocking) offload charges the in-flight counters while
         # the fiber waits inline, without a _pending entry: the table
         # identity — and the everything-retired-at-death guarantee the
@@ -227,11 +225,6 @@ def check_spans(bed) -> List[str]:
         return []
     from ..obs import MARK_ORDER, SpanStatus
     out = []
-    if tracer.ops_closed != len(tracer.traces):
-        out.append(f"ops_closed {tracer.ops_closed} != "
-                   f"{len(tracer.traces)} recorded traces")
-    if tracer.ops_started != tracer.ops_closed + len(tracer.open):
-        out.append("ops_started != closed + open")
     for trace in tracer.traces:
         spans = trace.spans()
         root, stages = spans[0], spans[1:]

@@ -424,13 +424,15 @@ def fingerprint(bed: Testbed) -> str:
         tag = f"w{w.worker_id}g{w.generation}"
         eng = w.engine
         if isinstance(eng, AsyncOffloadEngine):
+            ledger = eng.inflight
+            enqueued = sum(lane.enqueued for lane in eng.scheduler.lanes)
             lines.append(
-                f"{tag} ledger={eng.ledger_accepted}/{eng.ledger_retired} "
+                f"{tag} ledger={ledger.accepted}/{ledger.retired} "
                 f"off={eng.ops_offloaded} sw={eng.ops_software} "
                 f"fb={eng.ops_fallback} to={eng.op_timeouts} "
                 f"stale={eng.responses_stale} drain={eng.ops_drained} "
                 f"abort={eng.ops_aborted} disp={eng.responses_dispatched} "
-                f"adm={eng.admission_enqueued}/{eng.admission_admitted}")
+                f"adm={enqueued}/{eng.admission_admitted}")
             lines.append(f"{tag} sched={sorted(eng.scheduler.snapshot().items())!r}")
         lines.append(f"{tag} stub={w.stub_status.counters()!r}")
     lines.append(f"supervisor={sorted(server.supervisor.snapshot().items())!r}")

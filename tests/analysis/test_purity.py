@@ -41,6 +41,18 @@ def test_flags_blocking_calls_including_aliased(tmp_path):
     assert codes_of(result) == ["RA202"] * 3
 
 
+def test_flags_from_imported_blocking_calls(tmp_path):
+    result = run(tmp_path, (
+        "from time import sleep\n"
+        "from os import system as shell\n"
+        "def f():\n"
+        "    sleep(1)\n"
+        "    shell('x')\n"
+    ))
+    assert codes_of(result) == ["RA202"] * 2
+    assert [f.line for f in result.findings] == [4, 5]
+
+
 def test_flags_entropy_reads(tmp_path):
     result = run(tmp_path, (
         "import os\n"

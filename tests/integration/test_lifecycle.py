@@ -68,7 +68,11 @@ def test_crash_ledger_and_stub_status(crashed_bed):
     sup = crashed_bed.server.supervisor
     record = sup.retired[0]
     assert record.state is WorkerState.EXITED
-    assert record.crashed and record.slot == 0
+    assert record.slot == 0
+    # The journal is where a crash is recorded.
+    tag = f"w{record.slot} gen{record.generation} "
+    assert any(kind == "worker-crash" and detail.startswith(tag)
+               for _, kind, detail in sup.events)
     # Each incarnation's page shows its own record: the crashed one
     # keeps its epoch and respawn count, the replacement has its own.
     dead = crashed_bed.server.retired_workers[0].stub_status.render()

@@ -31,8 +31,6 @@ def run_traced(config, *, seed=7, n_clients=40, **kw):
 
 def assert_well_formed(tracer):
     """The tentpole invariants, over every closed trace."""
-    assert tracer.ops_closed == len(tracer.traces)
-    assert tracer.ops_started == tracer.ops_closed + len(tracer.open)
     for trace in tracer.traces:
         spans = trace.spans()
         root, stages = spans[0], spans[1:]
@@ -71,7 +69,7 @@ def assert_well_formed(tracer):
 def test_span_trees_well_formed_across_configs(config, kw):
     bed = run_traced(config, **kw)
     tracer = bed.tracer
-    assert tracer.ops_closed > 100  # the run actually offloaded
+    assert len(tracer.traces) > 100  # the run actually offloaded
     assert_well_formed(tracer)
     # The export of this run is schema-valid after a JSON round-trip.
     doc = json.loads(json.dumps({"traceEvents": chrome_trace_events(tracer)}))
@@ -99,7 +97,7 @@ def test_batched_run_records_batch_wait_on_every_op():
 
 def test_blocking_config_traces_are_jobless():
     tracer = run_traced("QAT+S", n_clients=16).tracer
-    assert tracer.ops_closed > 0
+    assert len(tracer.traces) > 0
     assert all(t.kind == "blocking" for t in tracer.traces)
     assert all(t.conn_id == -1 and t.worker_id == -1
                for t in tracer.traces)
@@ -123,10 +121,10 @@ def test_device_utilization_timelines_recorded():
 def test_stage_histograms_match_span_counts():
     tracer = run_traced("QTLS").tracer
     total = tracer.histograms[("qat", "total")]
-    assert total.count == tracer.ops_closed
+    assert total.count == len(tracer.traces)
     stage_count = sum(h.count for (b, s), h in tracer.histograms.items()
                       if s != "total")
-    assert stage_count == tracer.spans_closed - tracer.ops_closed
+    assert stage_count == tracer.spans_closed - len(tracer.traces)
     summary = tracer.stage_summary()
     assert "qat/total" in summary and "qat/engine-service" in summary
 

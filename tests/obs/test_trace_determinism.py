@@ -43,7 +43,7 @@ def test_same_seed_exports_are_byte_identical(tmp_path, kw):
     assert bed_a.metrics.handshakes == bed_b.metrics.handshakes
     doc = json.loads(raw_a)
     assert validate_chrome_trace(doc) == []
-    assert doc["otherData"]["ops_closed"] == bed_a.tracer.ops_closed
+    assert doc["otherData"]["ops_closed"] == len(bed_a.tracer.traces)
 
 
 def test_export_bytes_equal_streamed_json_dump(tmp_path):
@@ -54,7 +54,7 @@ def test_export_bytes_equal_streamed_json_dump(tmp_path):
         "displayTimeUnit": "ms",
         "otherData": {
             "generator": "repro.obs",
-            "ops_closed": bed.tracer.ops_closed,
+            "ops_closed": len(bed.tracer.traces),
             "ops_open_at_export": len(bed.tracer.open),
         },
         "traceEvents": chrome_trace_events(bed.tracer),

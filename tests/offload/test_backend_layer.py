@@ -115,6 +115,39 @@ def test_partial_batch_flushes_on_timeout():
     assert eng.batches_submitted == 1
 
 
+def test_one_flush_timer_process_across_refills():
+    """The flush timer parks when the coalescing queue drains and the
+    next enqueue wakes it: one timer process per engine, however often
+    the queue refills."""
+    sim, core, eng = make_env(batch_size=8)
+    started = []
+    spawn = sim.process
+
+    def counting_process(gen, name=""):
+        started.append(name)
+        return spawn(gen, name=name)
+
+    sim.process = counting_process
+
+    def coalesce(tag):
+        job = _job()
+        job.mark_paused(rsa_call(tag))
+        yield from eng.submit_async(rsa_call(tag), job, owner="w")
+        yield from eng.core.settle()
+
+    def proc(sim):
+        yield from coalesce("a")
+        yield sim.timeout(5e-3)  # the timer flushed the queue dry
+        assert eng.queued_batch_ops == 0
+        yield from coalesce("b")
+
+    sim.process(proc(sim))
+    sim.run(until=1e-2)
+    assert eng.backend.instances[0].submitted == 2
+    assert eng.batches_submitted == 2
+    assert started.count("offload-batch-flush") == 1
+
+
 def test_flush_respects_ring_capacity():
     """The flush never overshoots the ring: no submit failures even
     when the batch exceeds the free slots."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.costmodel import CostModel
 from repro.cpu import Core
-from repro.crypto.ops import CryptoOp, CryptoOpKind
+from repro.crypto.ops import CryptoOp, CryptoOpKind, OpCategory
 from repro.offload import (ALGORITHM_GROUPS, AsyncOffloadEngine,
                            InstancePool, SoftwareEngine, StaticPolicy)
 from repro.qat import QatDevice, qat_service_time
@@ -272,14 +272,13 @@ def test_engine_command_reports_rtotal():
 
     sim.process(proc(sim))
     sim.run(until=1e-5)
-    assert eng.get_num_requests_in_flight() == 2
+    assert eng.inflight.total == 2
     assert eng.inflight.asym == 1
-    assert eng.inflight.prf == 1
+    assert eng.inflight._counts[OpCategory.PRF] == 1
 
 
 def test_inflight_underflow_guarded():
     from repro.offload import InflightCounters
-    from repro.crypto.ops import OpCategory
     c = InflightCounters()
     with pytest.raises(RuntimeError):
         c.decrement(OpCategory.ASYM)

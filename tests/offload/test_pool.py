@@ -309,7 +309,7 @@ def test_dead_epoch_completions_tombstone_not_misdeliver():
     b_new = pool.register(0)
     sim.run(until=0.05)
     assert b_new.poll_completions() == []
-    assert pool.tombstone_drops == 1
+    assert pool.snapshot()["tombstone_drops"] == 1
     assert pool.tombstone_log == [(sim.now, 0, 0)]
     assert pool.dead_epoch_inflight() == 0
 
@@ -326,7 +326,7 @@ def test_retire_tombstones_parked_inbox_completions():
     assert pool.routed_completions == 1
     pool.retire(0, 0)
     assert pool.retired_inbox_entries() == 0
-    assert pool.tombstone_drops == 1
+    assert pool.snapshot()["tombstone_drops"] == 1
 
 
 def test_reclaim_leases_donates_to_survivors_round_robin():

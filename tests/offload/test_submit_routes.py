@@ -85,10 +85,11 @@ def test_one_op_goes_out_and_comes_home_on_every_route(route):
     assert job.take_resume() == ("sig", None)
     assert len(trace.accepts) == 1
     ops = 1 + int(admission)  # the holder went out and came home too
-    assert (eng.ledger_accepted, eng.ledger_retired) == (ops, ops)
+    assert (eng.inflight.accepted, eng.inflight.retired) == (ops, ops)
     assert eng.ops_offloaded == ops
     assert eng.inflight.total == 0
-    assert eng.admission_enqueued == eng.admission_admitted == int(admission)
+    enqueued = sum(lane.enqueued for lane in eng.scheduler.lanes)
+    assert enqueued == eng.admission_admitted == int(admission)
     assert eng.idle
 
 

@@ -152,12 +152,12 @@ def test_arbiter_prefers_earliest_deadline():
     assert w._next_timeout() == 0.0
     assert w.reactor.stages["retries"].wakes == retries + 1
 
-    w.async_queue.push(object())
+    w.async_queue.append(object())
     queue = w.reactor.stages["async-queue"].wakes
     assert w._next_timeout() == 0.0
     assert w.reactor.stages["async-queue"].wakes == queue + 1
     assert w.reactor.stages["retries"].wakes == retries + 1
-    w.async_queue.pop()
+    w.async_queue.clear()
     w.retries.clear()
 
 

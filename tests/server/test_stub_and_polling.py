@@ -8,7 +8,7 @@ from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.offload.engine import AsyncOffloadEngine
 from repro.offload.pool import InstancePool, StaticPolicy
 from repro.qat import QatDevice
-from repro.server import AsyncEventQueue, StubStatus
+from repro.server import StubStatus
 from repro.server.polling.heuristic import HeuristicPoller
 from repro.server.polling.timer_thread import TimerPollingThread
 from repro.sim import Simulator
@@ -38,19 +38,6 @@ def test_stub_status_detects_inconsistency():
     s = StubStatus()
     with pytest.raises(RuntimeError):
         s.on_idle()  # idle > alive
-
-
-# -- async queue ----------------------------------------------------------------
-
-def test_async_queue_fifo():
-    q = AsyncEventQueue()
-    q.push("a")
-    q.push("b")
-    assert bool(q) and len(q) == 2
-    assert q.pop() == "a"
-    assert q.pop() == "b"
-    assert q.pop() is None
-    assert q.enqueued == 2 and q.processed == 2
 
 
 # -- heuristic poller ----------------------------------------------------------------
@@ -223,7 +210,7 @@ def test_live_counters_match_engine_mid_pass():
 
     def engine_view(eng):
         return {"batches_submitted": eng.batches_submitted,
-                "batch_ops": eng.batch_ops,
+                "batch_ops": eng.ops_offloaded,
                 "fallback_ops": eng.ops_fallback,
                 "op_timeouts": eng.op_timeouts,
                 "open_breakers": eng.open_breakers,

@@ -54,9 +54,9 @@ INJECTIONS = {
     "RA201": ("repro/server/worker.py",
               "import threading as _injected_threading\n"),
     "RA202": ("repro/server/polling/timer_thread.py",
-              "import time as _t\n"
+              "from time import sleep as _sleep\n"
               "def _injected_sleep(dt):\n"
-              "    _t.sleep(dt)\n"),
+              "    _sleep(dt)\n"),
     "RA203": ("repro/crypto/provider.py",
               "import os as _os\n"
               "def _injected_entropy():\n"
