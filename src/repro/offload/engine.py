@@ -27,6 +27,9 @@ coalescing queue when batching. Whichever way it then reaches the
 backend — direct submit, batched flush or admission — ``_accept``
 enters it into the in-flight table; a queued op that leaves its queue
 any other way (expiry, drain, rescue, abort) goes through ``_unqueue``.
+Both modes share one paid submit (``_pay_submit``), one lane walk
+(``_open_lanes``), one timeout step (``_book_timeout``) and one
+response step (``_book_response``).
 
 An op whose offload gives up — submit retries spent, every breaker
 open, deadline missed, corrupted response, or never left a queue —
@@ -70,8 +73,8 @@ owed when it next waits.
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Deque, Dict, Generator, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Deque, Dict, Generator, Iterable,
+                    Iterator, List, Optional, Set, Tuple)
 
 from ..core.costmodel import ASYNC_QUEUE_COST, CostModel
 from ..cpu.core import Core
@@ -79,10 +82,13 @@ from ..crypto.ops import CryptoOpKind
 from ..net.epoll_sim import NOTIFY_FD_WRITE_COST
 from ..obs.span import SpanStatus
 from ..tls.actions import CryptoCall
-from .backend import OffloadBackend
+from .backend import Completion, OffloadBackend
 from .health import CircuitBreaker, PendingOp
 from .inflight import InflightCounters
 from .scheduler import ClassScheduler
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..ssl.async_job import AsyncJob
 
 __all__ = ["AsyncOffloadEngine", "ALGORITHM_GROUPS", "BUSY_POLL_SLICE",
            "BATCH_TIMEOUT", "backoff_jitter_fraction"]
@@ -129,7 +135,7 @@ class _QueuedOp:
     __slots__ = ("call", "job", "enqueued_at", "deadline", "attempts",
                  "seq")
 
-    def __init__(self, call: CryptoCall, job: Any, enqueued_at: float,
+    def __init__(self, call: CryptoCall, job: AsyncJob, enqueued_at: float,
                  deadline: float) -> None:
         self.call = call
         self.job = job
@@ -213,6 +219,8 @@ class AsyncOffloadEngine:
                                         weights=sched_weights)
         self.admission_admitted = 0
         self.admission_peak = 0
+        #: Ops in flight or coalescing, per category: the one count the
+        #: poller, stub_status and the admission cap read.
         self.inflight = InflightCounters()
         self._enabled_kinds: Set[CryptoOpKind] = set()
         for group in algorithms:
@@ -265,54 +273,65 @@ class AsyncOffloadEngine:
         return (self.ops_offloaded / self.batches_submitted
                 if self.batches_submitted else 0.0)
 
-    # -- in-flight accounting (single source of truth) -----------------------
+    # -- the shared offload steps ---------------------------------------------
 
-    def _op_accepted(self, call: CryptoCall) -> None:
-        """An op entered the accelerator path (in flight or coalescing
-        queue). The ONLY place the per-category Rasym/Rcipher/Rprf
-        counters are charged; the poller, stub_status and the admission
-        cap all read these counters rather than keeping shadow
-        accounting."""
-        self.inflight.increment(call.op.category)
-
-    def _op_retired(self, call: CryptoCall) -> None:
-        """The op left the accelerator path (delivered, expired,
-        drained or aborted): uncharge the same counters."""
-        self.inflight.decrement(call.op.category)
-
-    def _pick_lane(self) -> Optional[int]:
-        """Rotate to the next lane the backend leases to this engine
-        and whose breaker admits traffic."""
+    def _open_lanes(self) -> Iterator[int]:
+        """Rotate over the leased lanes whose breaker admits traffic.
+        ``allow()`` may claim a half-open probe, so it is asked only as
+        the walk reaches a leased lane. The caller moves ``_rr`` on."""
         n = self.backend.lanes
+        start = self._rr
         for i in range(n):
-            idx = (self._rr + i) % n
-            if self.backend.admits(idx) and self.breakers[idx].allow():
-                self._rr = (idx + 1) % n
-                return idx
-        return None
+            lane = (start + i) % n
+            if self.backend.admits(lane) and self.breakers[lane].allow():
+                yield lane
 
     def _try_submit(self, call: CryptoCall) -> Optional[Tuple[Any, int]]:
-        """Single-op submission, round-robin across lanes; tries every
-        leased lane whose breaker admits traffic before reporting
-        ring-full. Returns ``(token, lane)`` or None."""
-        n = self.backend.lanes
-        for i in range(n):
-            idx = (self._rr + i) % n
-            if not self.backend.admits(idx):
-                continue
-            breaker = self.breakers[idx]
-            if not breaker.allow():
-                continue
-            tokens = self.backend.submit_batch([call], idx)
-            if tokens[0] is not None:
-                self._rr = (idx + 1) % n
+        """Single-op submission: offer ``call`` to each open lane in
+        turn until one takes it. Returns ``(token, lane)``, or None
+        when every open lane's ring is full."""
+        for lane in self._open_lanes():
+            token = self.backend.submit_batch([call], lane)[0]
+            if token is not None:
+                self._rr = (lane + 1) % self.backend.lanes
                 self.batches_submitted += 1
-                return tokens[0], idx
+                return token, lane
             self.submit_rejections += 1
             # Ring-full is backpressure, not ill health: release the
             # half-open probe slot (if one was claimed) unconsumed.
-            breaker.cancel_probe()
+            self.breakers[lane].cancel_probe()
         return None
+
+    def _pay_submit(self, n_ops: int, owner: object) -> Generator:
+        """The paid submit: charge the backend's CPU cost of one submit
+        call carrying ``n_ops`` ops, book it as submit time, and settle
+        before the call another process can see."""
+        cost = self.backend.submit_cpu_cost(n_ops)
+        self.core.consume(cost, owner=owner)
+        self.submit_time += cost
+        yield from self.core.settle()
+
+    def _book_timeout(self, call: CryptoCall, lane: int) -> None:
+        """An accepted op missed its deadline: retire it, count the
+        timeout on the engine and its lane, fail the lane's breaker."""
+        self.inflight.decrement(call.op.category)
+        self.op_timeouts += 1
+        self.backend.lane_stats(lane).op_timeouts += 1
+        self.breakers[lane].record_failure()
+
+    def _book_response(self, call: CryptoCall, lane: int,
+                       resp: Completion) -> bool:
+        """An accepted op's response arrived: retire it and feed its
+        lane's breaker: a failure (and ``responses_corrupted``) for a
+        transport-corrupted response, else a success. Returns whether
+        the response is usable."""
+        self.inflight.decrement(call.op.category)
+        if resp.transport_error:
+            self.responses_corrupted += 1
+            self.breakers[lane].record_failure()
+            return False
+        self.breakers[lane].record_success()
+        return True
 
     def _any_lane_available(self) -> bool:
         """Non-mutating: could a submission be admitted right now (or
@@ -368,13 +387,10 @@ class AsyncOffloadEngine:
         if not self.offloads(call):
             return self._execute_software(call, owner)
         core = self.core
-        obs = getattr(core.sim, "obs", None)
+        obs = core.sim.obs
         trace = (obs.begin(call.op, -1, -1, "blocking", core.clock())
                  if obs is not None else None)
-        submit_cost = self.backend.submit_cpu_cost(1)
-        core.consume(submit_cost, owner=owner)
-        self.submit_time += submit_cost
-        yield from core.settle()
+        yield from self._pay_submit(1, owner)
         submitted = self._try_submit(call)
         attempts = 1
         while submitted is None:
@@ -393,7 +409,7 @@ class AsyncOffloadEngine:
         if trace is not None:
             trace.accept(core.sim.now, self.backend.name, lane,
                          attempts=attempts - 1)
-        self._op_accepted(call)
+        self.inflight.increment(call.op.category)
         self.ops_offloaded += 1
         wait_started = core.sim.now
         deadline = wait_started + self.request_deadline
@@ -413,26 +429,20 @@ class AsyncOffloadEngine:
                 break
             if core.clock() >= deadline:
                 self.blocking_wait_time += core.clock() - wait_started
-                self._op_retired(call)
-                self.op_timeouts += 1
-                self.backend.lane_stats(lane).op_timeouts += 1
-                self.breakers[lane].record_failure()
+                self._book_timeout(call, lane)
                 if trace is not None:
                     obs.finish(trace, core.clock(), SpanStatus.TIMEOUT)
                 return self.execute_fallback(call, owner, lane)
             core.consume(BUSY_POLL_SLICE, owner=owner)
         self.blocking_wait_time += core.clock() - wait_started
-        self._op_retired(call)
+        usable = self._book_response(call, lane, resp)
         if trace is not None:
             trace.absorb_device_marks(resp.device_marks)
             trace.mark("delivered", core.clock())
-        if resp.transport_error:
-            self.responses_corrupted += 1
-            self.breakers[lane].record_failure()
+        if not usable:
             if trace is not None:
                 obs.finish(trace, core.clock(), SpanStatus.FAILOVER)
             return self.execute_fallback(call, owner, lane)
-        self.breakers[lane].record_success()
         if resp.error is not None:
             if trace is not None:
                 obs.finish(trace, core.clock(), SpanStatus.ERROR)
@@ -443,7 +453,7 @@ class AsyncOffloadEngine:
 
     # -- asynchronous offload: one submit pipeline -----------------------------
 
-    def submit_async(self, call: CryptoCall, job: object, owner: object
+    def submit_async(self, call: CryptoCall, job: AsyncJob, owner: object
                      ) -> Generator:
         """Submit without waiting; the response resumes ``job`` later.
 
@@ -476,25 +486,22 @@ class AsyncOffloadEngine:
             yield from self.core.settle()
             yield from self._coalesce(self._park(call, job), owner)
             return True
-        submit_cost = self.backend.submit_cpu_cost(1)
-        self.core.consume(submit_cost, owner=owner)
-        self.submit_time += submit_cost
-        yield from self.core.settle()
+        yield from self._pay_submit(1, owner)
         submitted = self._try_submit(call)
         if submitted is None:
             if limit is not None:
                 # Ring backpressure under an admission cap: park the op
                 # instead of bouncing the job into a WANT_RETRY storm.
                 return self._admission_enqueue(call, job)
-            job.submit_attempts = getattr(job, "submit_attempts", 0) + 1
+            job.submit_attempts += 1
             return False
-        self._accept(*submitted, call, job,
-                     attempts=getattr(job, "submit_attempts", 0))
+        self._accept(*submitted, call, job, attempts=job.submit_attempts)
         job.submit_attempts = 0
         return True
 
-    def _accept(self, token: Any, lane: int, call: CryptoCall, job: object,
-                attempts: int, deadline: Optional[float] = None,
+    def _accept(self, token: Any, lane: int, call: CryptoCall,
+                job: AsyncJob, attempts: int,
+                deadline: Optional[float] = None,
                 charge: bool = True) -> None:
         """The backend took the op: stamp the trace accept, enter it in
         the in-flight table and count it offloaded. The one accept step
@@ -503,30 +510,26 @@ class AsyncOffloadEngine:
         ``charge=False`` for coalescing-queue ops, which ``inflight``
         has counted since enqueue."""
         now = self.core.clock()
-        trace = getattr(job, "trace", None)
-        if trace is not None:
-            trace.accept(now, self.backend.name, lane, attempts=attempts)
+        if job.trace is not None:
+            job.trace.accept(now, self.backend.name, lane, attempts=attempts)
         if deadline is None:
             deadline = now + self.request_deadline
         self._pending[token] = PendingOp(
             call=call, job=job, lane=lane, deadline=deadline)
         if charge:
-            self._op_accepted(call)
+            self.inflight.increment(call.op.category)
         self.ops_offloaded += 1
 
-    def _park(self, call: CryptoCall, job: object) -> _QueuedOp:
+    def _park(self, call: CryptoCall, job: AsyncJob) -> _QueuedOp:
         """The queue entry for an op that waits inside the engine
         (coalescing queue or admission lanes). Pauses the job first: a
         poll interleaved with a later flush must already find it in a
         deliverable state (the SSL layer marks it paused again after
         ``submit_async`` returns — a no-op)."""
         now = self.core.clock()
-        mark_paused = getattr(job, "mark_paused", None)
-        if mark_paused is not None:
-            mark_paused(call)
-        trace = getattr(job, "trace", None)
-        if trace is not None:
-            trace.mark("enqueued", now)
+        job.mark_paused(call)
+        if job.trace is not None:
+            job.trace.mark("enqueued", now)
         job.submit_attempts = 0
         return _QueuedOp(call, job, now, now + self.request_deadline)
 
@@ -535,7 +538,7 @@ class AsyncOffloadEngine:
         from here on), flush when full, and keep the flush timer
         armed."""
         self._batch.append(q)
-        self._op_accepted(q.call)
+        self.inflight.increment(q.call.op.category)
         if len(self._batch) >= self.batch_size:
             yield from self._flush_batch(owner)
         self._arm_flush_timer()
@@ -554,9 +557,10 @@ class AsyncOffloadEngine:
         self._flushing = True
         try:
             while self._batch:
-                lane = self._pick_lane()
+                lane = next(self._open_lanes(), None)
                 if lane is None:
                     return
+                self._rr = (lane + 1) % self.backend.lanes
                 # Flow-control the flush by the lane's advertised
                 # headroom, per op category (QAT rings are per-
                 # category): overshooting a near-full ring burns
@@ -580,10 +584,7 @@ class AsyncOffloadEngine:
                 if not take:
                     self.breakers[lane].cancel_probe()
                     return
-                cost = self.backend.submit_cpu_cost(len(take))
-                self.submit_time += cost
-                self.core.consume(cost, owner=owner)
-                yield from self.core.settle()
+                yield from self._pay_submit(len(take), owner)
                 # Re-filter after the settle: check_timeouts may have
                 # expired queued ops while we consumed core time.
                 chunk = [q for q in take if q in self._batch]
@@ -676,20 +677,20 @@ class AsyncOffloadEngine:
         except ValueError:
             self.scheduler.remove(q)
         else:
-            self._op_retired(q.call)
+            self.inflight.decrement(q.call.op.category)
 
     @staticmethod
-    def _paused(job: object) -> bool:
+    def _paused(job: AsyncJob) -> bool:
         """Is ``job`` still waiting on its op, i.e. not rescued or
-        aborted elsewhere? Jobs without a state machine always are."""
-        state = getattr(job, "state", None)
-        return state is None or state.name == "PAUSED"
+        aborted elsewhere?"""
+        return job.state.name == "PAUSED"
 
     def _fail_queued(self, q: _QueuedOp, owner: object) -> Generator:
-        """Fail an unqueued op over to software (a TIMEOUT: it never
-        reached the accelerator) and resume its job, unless the job was
-        rescued or aborted meanwhile. Returns the job resumed, or
-        None."""
+        """Take ``q`` out of its queue and fail it over to software (a
+        TIMEOUT: it never reached the accelerator), resuming its job
+        unless the job was rescued or aborted meanwhile. Returns the
+        job resumed, or None."""
+        self._unqueue(q)
         if not self._paused(q.job):
             return None
         yield from self._deliver_failure(q.job, q.call, -1, owner,
@@ -717,7 +718,6 @@ class AsyncOffloadEngine:
                          and q.attempts >= self.submit_max_retries)
             if not (timed_out or exhausted or no_lane):
                 continue
-            self._unqueue(q)
             if admission:
                 self.scheduler.note_expired(q.call.op.category)
             if timed_out:
@@ -741,12 +741,7 @@ class AsyncOffloadEngine:
         """Ops waiting in the admission lanes (not yet offloaded)."""
         return self.scheduler.queued
 
-    def _admission_capacity(self) -> bool:
-        """Is there in-flight headroom to admit another queued op?"""
-        return (self.admission_limit is None
-                or self.inflight.total < self.admission_limit)
-
-    def _admission_enqueue(self, call: CryptoCall, job: object) -> bool:
+    def _admission_enqueue(self, call: CryptoCall, job: AsyncJob) -> bool:
         """Park the op on its class lane; always accepted (the job
         pauses exactly as if the op were in flight)."""
         q = self._park(call, job)
@@ -760,7 +755,7 @@ class AsyncOffloadEngine:
         """A queued op left the lanes for the accelerator path: feed
         the per-class queue-wait histogram."""
         self.admission_admitted += 1
-        obs = getattr(self.core.sim, "obs", None)
+        obs = self.core.sim.obs
         if obs is not None:
             obs.latency_sample(
                 self.backend.name,
@@ -774,8 +769,8 @@ class AsyncOffloadEngine:
         coalescing). Stops on ring backpressure. Returns ops
         admitted."""
         admitted = 0
-        s = self.scheduler
-        while s.queued and self._admission_capacity():
+        s, limit = self.scheduler, self.admission_limit
+        while s.queued and (limit is None or self.inflight.total < limit):
             q = s.pop()
             if not self._paused(q.job):
                 # Rescued/aborted while queued; nothing to submit.
@@ -791,10 +786,7 @@ class AsyncOffloadEngine:
             # Unbatched: the pop above already removed the op, so the
             # expiry paths cannot fail it over while we consume core
             # time to submit it.
-            submit_cost = self.backend.submit_cpu_cost(1)
-            self.core.consume(submit_cost, owner=owner)
-            self.submit_time += submit_cost
-            yield from self.core.settle()
+            yield from self._pay_submit(1, owner)
             if not self._paused(q.job):
                 continue
             submitted = self._try_submit(q.call)
@@ -810,7 +802,7 @@ class AsyncOffloadEngine:
         return admitted
 
     def _sample_admission(self, now: float) -> None:
-        obs = getattr(self.core.sim, "obs", None)
+        obs = self.core.sim.obs
         if obs is None:
             return
         obs.util_sample(f"w{self.core.core_id}.admission", now,
@@ -833,17 +825,16 @@ class AsyncOffloadEngine:
         core (the timeliness constraint, section 3.3)."""
         if self._batch:
             yield from self._flush_batch(owner)
-        return None
 
-    def should_retry_submit(self, job: object) -> bool:
+    def should_retry_submit(self, job: AsyncJob) -> bool:
         """After a False :meth:`submit_async`: keep retrying (pause in
         WANT_RETRY), or give up and degrade to software? Gives up once
         the retry budget is spent or no lane can admit traffic."""
-        if getattr(job, "submit_attempts", 0) >= self.submit_max_retries:
+        if job.submit_attempts >= self.submit_max_retries:
             return False
         return self._any_lane_available()
 
-    def is_pending(self, job: object) -> bool:
+    def is_pending(self, job: AsyncJob) -> bool:
         """Is an accepted request for ``job`` still in flight (or
         parked in the coalescing or admission queue)?"""
         return (any(p.job is job for p in self._pending.values())
@@ -868,7 +859,6 @@ class AsyncOffloadEngine:
         jobs: List[object] = []
         had_admission = bool(self.scheduler.queued)
         for q in self._queued():
-            self._unqueue(q)
             self.ops_drained += 1
             job = yield from self._fail_queued(q, owner)
             if job is not None:
@@ -885,31 +875,23 @@ class AsyncOffloadEngine:
         in-flight table. Late accelerator completions for the aborted
         ops are dropped as stale (engine) or tombstoned (pool epoch).
         Returns the number of ops aborted."""
-        sim = self.core.sim
-        obs = getattr(sim, "obs", None)
-        aborted = 0
+        jobs: List[AsyncJob] = []
         for token in list(self._pending):
             p = self._pending.pop(token)
-            self._op_retired(p.call)
-            self._abort_trace(p.job, obs, sim.now)
-            aborted += 1
+            self.inflight.decrement(p.call.op.category)
+            jobs.append(p.job)
         for q in self._queued():
             self._unqueue(q)
-            self._abort_trace(q.job, obs, sim.now)
-            aborted += 1
-        self.ops_aborted += aborted
-        return aborted
-
-    @staticmethod
-    def _abort_trace(job: object, obs: Any, now: float) -> None:
-        trace = getattr(job, "trace", None)
-        if trace is None:
-            return
-        # Detach before closing: the SSL teardown path also aborts the
-        # job's trace and must find nothing left to close.
-        job.trace = None
-        if obs is not None:
-            obs.abort_open(trace, now)
+            jobs.append(q.job)
+        sim = self.core.sim
+        for job in jobs:
+            # Detach before closing: the SSL teardown path also aborts
+            # the job's trace and must find nothing left to close.
+            trace, job.trace = job.trace, None
+            if trace is not None and sim.obs is not None:
+                sim.obs.abort_open(trace, sim.now)
+        self.ops_aborted += len(jobs)
+        return len(jobs)
 
     def poll_and_dispatch(self, owner: object,
                           max_responses: Optional[int] = None
@@ -938,22 +920,18 @@ class AsyncOffloadEngine:
             if pending is None:
                 self.responses_stale += 1
                 continue
-            self._op_retired(pending.call)
+            usable = self._book_response(pending.call, pending.lane, resp)
             job = pending.job
-            trace = getattr(job, "trace", None)
+            trace = job.trace
             if trace is not None and trace.closed:
                 trace = None  # aborted at the TLS layer; don't restamp
             if trace is not None:
                 trace.absorb_device_marks(resp.device_marks)
-            breaker = self.breakers[pending.lane]
-            if resp.transport_error:
-                self.responses_corrupted += 1
-                breaker.record_failure()
+            if not usable:
                 yield from self._deliver_failure(
                     job, pending.call, pending.lane, owner,
                     SpanStatus.FAILOVER)
             else:
-                breaker.record_success()
                 if trace is not None:
                     trace.mark("delivered", self.core.clock())
                     if resp.error is not None:
@@ -992,10 +970,7 @@ class AsyncOffloadEngine:
             pending = self._pending.pop(token, None)
             if pending is None:
                 continue
-            self._op_retired(pending.call)
-            self.op_timeouts += 1
-            self.backend.lane_stats(pending.lane).op_timeouts += 1
-            self.breakers[pending.lane].record_failure()
+            self._book_timeout(pending.call, pending.lane)
             job = pending.job
             if not self._paused(job):
                 # Job already rescued/aborted elsewhere; the late
@@ -1013,14 +988,13 @@ class AsyncOffloadEngine:
                 yield from self.admit_queued(owner)
         return jobs
 
-    def fail_over_job(self, job: object, owner: object) -> Generator:
+    def fail_over_job(self, job: AsyncJob, owner: object) -> Generator:
         """Watchdog rescue for a paused job with *no* in-flight request
         (e.g. its ring entry was wiped by an endpoint reset before the
         engine ever saw a response): complete its pending call on the
         CPU and resume it."""
-        call = getattr(job, "pending_call", None)
-        if call is None or getattr(job, "state", None) is None \
-                or job.state.name != "PAUSED":
+        call = job.pending_call
+        if call is None or not self._paused(job):
             return False
         # Drop a queued entry for this job, if any, so a later flush
         # cannot submit (and then deliver) the same op twice.
@@ -1033,13 +1007,13 @@ class AsyncOffloadEngine:
 
     # -- delivery helpers -------------------------------------------------------
 
-    def _deliver_failure(self, job: Any, call: CryptoCall, lane: int,
+    def _deliver_failure(self, job: AsyncJob, call: CryptoCall, lane: int,
                          owner: object, status: str) -> Generator:
         """Resume a paused job whose offload failed with the software
         failover's result; its trace closes as ``status`` (TIMEOUT:
         deadline missed, lost or never submitted; FAILOVER: corrupted
         response)."""
-        trace = getattr(job, "trace", None)
+        trace = job.trace
         # A job aborted at the TLS layer (connection torn down while
         # its op was still in flight) closes its trace immediately;
         # this late retirement must not restamp it — a "delivered"
@@ -1055,7 +1029,7 @@ class AsyncOffloadEngine:
             trace.mark("delivered", self.core.clock())
         yield from self._notify_job(job, owner)
 
-    def _notify_job(self, job: object, owner: object) -> Generator:
+    def _notify_job(self, job: AsyncJob, owner: object) -> Generator:
         """The response callback (paper section 4.4): kernel-bypass
         callback wins if set; otherwise the FD-based path.
 

@@ -159,7 +159,7 @@ class DynamicPolicy(AllocationPolicy):
 
     name = "dynamic"
 
-    def __init__(self, min_dwell: float = 1e-3) -> None:
+    def __init__(self, min_dwell: float) -> None:
         if min_dwell <= 0:
             raise ValueError("min_dwell must be positive")
         self.min_dwell = min_dwell
@@ -201,20 +201,26 @@ class DynamicPolicy(AllocationPolicy):
         return [(lane, lo, hi)]
 
 
-POLICIES: Dict[str, Callable[[], AllocationPolicy]] = {
+POLICIES: Dict[str, Callable[..., AllocationPolicy]] = {
     "static": StaticPolicy,
     "shared": SharedPolicy,
     "dynamic": DynamicPolicy,
 }
 
 
-def make_policy(name: str) -> AllocationPolicy:
+def make_policy(name: str, rebalance_interval: float) -> AllocationPolicy:
+    """The allocation policy called ``name``. The dynamic policy's
+    ``min_dwell`` is the rebalance interval: a lane must settle for at
+    least one tick before it can migrate again (hysteresis against
+    thrash)."""
     try:
         factory = POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown instance policy {name!r}; "
             f"expected one of {sorted(POLICIES)}") from None
+    if factory is DynamicPolicy:
+        return DynamicPolicy(min_dwell=rebalance_interval)
     return factory()
 
 
@@ -394,7 +400,7 @@ class InstancePool:
                 and self._backends[worker_id].epoch == epoch:
             self._backends[worker_id] = None
         orphans = sum(1 for owner in self._owner.values() if owner == key)
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is not None:
             obs.event(f"epoch-retire w{worker_id}", self.sim.now,
                       args={"worker": worker_id, "epoch": epoch,
@@ -475,7 +481,7 @@ class InstancePool:
         self._lease_sets[dst].add(lane)
         self._lease_since[lane] = now
         self.migration_log.append((now, lane, src, dst))
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is not None:
             obs.event(f"{event} lane{lane}", now,
                       args={"lane": lane, "from": src, "to": dst})
@@ -485,7 +491,7 @@ class InstancePool:
             (self.sim.now, tuple(tuple(ls) for ls in self.leases)))
 
     def _sample_leases(self, worker_id: int) -> None:
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is not None:
             obs.util_sample(f"pool.w{worker_id}.leases", self.sim.now,
                             len(self.leases[worker_id]),

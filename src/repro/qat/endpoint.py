@@ -92,7 +92,7 @@ class QatEndpoint:
 
     def _sample_engines(self) -> None:
         """Report engine occupancy to the request tracer, if any."""
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is not None:
             obs.util_sample(f"qat{self.endpoint_id}.engines", self.sim.now,
                             self.engines.in_use, capacity=self.n_engines)

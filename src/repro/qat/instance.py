@@ -109,7 +109,7 @@ class CryptoInstance:
     def _sample_inflight(self) -> None:
         """Report ring occupancy to the request tracer, if any."""
         sim = self.endpoint.sim
-        obs = getattr(sim, "obs", None)
+        obs = sim.obs
         if obs is not None:
             obs.util_sample(
                 f"ep{self.endpoint.endpoint_id}.i{self.instance_id}"

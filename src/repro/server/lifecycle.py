@@ -107,13 +107,13 @@ class WorkerSupervisor:
 
     def _log(self, kind: str, detail: str) -> None:
         self.events.append((self.sim.now, kind, detail))
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is not None:
             obs.event(f"lifecycle-{kind}", self.sim.now,
                       args={"detail": detail})
 
     def _sample_serving(self) -> None:
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is not None:
             serving = sum(1 for r in self.records.values()
                           if r.state is WorkerState.SERVING)

@@ -82,13 +82,8 @@ class TlsServer:
             flat = qat_device.allocate_instances(
                 config.worker_processes * per_worker)
             eng_cfg = config.ssl_engine
-            if eng_cfg.qat_instance_policy == "dynamic":
-                # A lane must settle for at least one tick before it
-                # can migrate again (hysteresis against thrash).
-                policy = DynamicPolicy(
-                    min_dwell=eng_cfg.qat_rebalance_interval)
-            else:
-                policy = make_policy(eng_cfg.qat_instance_policy)
+            policy = make_policy(eng_cfg.qat_instance_policy,
+                                 eng_cfg.qat_rebalance_interval)
             # The pool owns every instance; the policy's initial
             # leases reproduce the historical consecutive-chunk
             # partition (with round-robin allocation each worker's

@@ -493,7 +493,7 @@ class Worker:
         """Per-stage wake/busy timelines, sampled at watchdog ticks and
         shutdown so trace size stays bounded by that cadence. Reading
         the stub_status page never samples."""
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is None:
             return
         for name, s in self.reactor.snapshot().items():

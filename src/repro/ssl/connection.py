@@ -167,7 +167,7 @@ class SslConnection:
             trace = job.trace
             if trace is not None:
                 job.trace = None
-                obs = getattr(core.sim, "obs", None)
+                obs = core.sim.obs
                 if obs is not None:
                     obs.finish(trace, core.clock())
             job.parked_action = None
@@ -197,7 +197,7 @@ class SslConnection:
             action = payload
             if isinstance(action, CryptoCall):
                 if use_async and engine.offloads(action):
-                    obs = getattr(core.sim, "obs", None)
+                    obs = core.sim.obs
                     if obs is not None and job.trace is None:
                         # One trace per offloaded op, opened at the
                         # offload decision; WANT_RETRY re-submissions
@@ -224,7 +224,7 @@ class SslConnection:
                     trace = job.trace
                     if trace is not None:
                         job.trace = None
-                        obs = getattr(core.sim, "obs", None)
+                        obs = core.sim.obs
                         if obs is not None:
                             obs.finish(trace, core.clock(),
                                        SpanStatus.FAILOVER)
@@ -290,11 +290,11 @@ class SslConnection:
         """Drop any in-progress job (connection is being torn down)."""
         job = self._job
         if job is not None:
-            trace = getattr(job, "trace", None)
+            trace = job.trace
             if trace is not None:
                 job.trace = None
                 core = self.ctx.core
-                obs = getattr(core.sim, "obs", None)
+                obs = core.sim.obs
                 if obs is not None:
                     obs.abort_open(trace, core.clock())
         self._job = None

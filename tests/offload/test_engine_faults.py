@@ -1,6 +1,8 @@
 """Engine resilience tests: deadlines, bounded retries, circuit
 breakers, software failover, stale-response filtering."""
 
+import pytest
+
 from repro.offload import CircuitBreaker
 from repro.offload.health import FAILURE_THRESHOLD, RESET_TIMEOUT
 from repro.qat import qat_service_time
@@ -113,23 +115,34 @@ def test_late_response_after_timeout_is_dropped_as_stale():
     assert eng.responses_dispatched == 0
 
 
-def test_corrupted_response_degrades_to_software():
+@pytest.mark.parametrize("path", ["execute_blocking", "submit_async"])
+def test_corrupted_response_degrades_to_software(path):
+    """Both paths book a transport-corrupted response the same way:
+    counted, one breaker failure, and the op completes on the CPU."""
     sim, core, eng = make_env(plan_kw=dict(corruption=1.0))
-    job = _job()
+    out = {}
 
     def proc(sim):
+        if path == "execute_blocking":
+            out["r"] = yield from eng.execute_blocking(rsa_call(), owner="w")
+            yield from eng.core.settle()
+            return
+        job = _job()
         yield from eng.submit_async(rsa_call(), job, owner="w")
         yield from eng.core.settle()
         while not job.response_ready:
             yield from eng.poll_and_dispatch(owner="w")
             yield from eng.core.settle()
             yield sim.timeout(10e-6)
+        out["r"], out["error"] = job.take_resume()
+        assert out["error"] is None
 
     sim.process(proc(sim))
     sim.run()
-    assert job.take_resume() == ("sig", None)  # good software result
+    assert out["r"] == "sig"  # good software result
     assert eng.responses_corrupted == 1
     assert eng.ops_fallback == 1
+    assert eng.inflight.total == 0
     assert eng.breakers[0].consecutive_failures == 1
 
 
@@ -231,3 +244,30 @@ def test_engine_routes_around_open_breaker():
     sim.run(until=1e-4)
     assert insts[0].submitted == 0
     assert insts[1].submitted == 4
+
+
+def test_rejected_lane_spills_to_next_open_lane_in_one_submit():
+    """One direct submit walks on past a lane whose ring refuses the
+    op: it lands on the next open lane, counts one rejection, and the
+    refusing lane's half-open breaker gets its probe slot back."""
+    env = make_qat_env(n_instances=2,
+                       plan_kw=dict(outages=((0, 0.0, 1.0),)))
+    sim, eng, insts = env.sim, env.engine, env.instances
+    assert [i.endpoint.endpoint_id for i in insts] == [0, 1]
+    open_breaker(eng.breakers[0])
+    job = _job()
+    out = {}
+
+    def proc(sim):
+        yield from sim.hold(RESET_TIMEOUT)  # lane 0 may probe again
+        out["ok"] = yield from eng.submit_async(rsa_call(), job, owner="w")
+        yield from eng.core.settle()
+
+    sim.process(proc(sim))
+    sim.run(until=RESET_TIMEOUT + 1e-4)
+    assert out["ok"]
+    assert (insts[0].submitted, insts[1].submitted) == (0, 1)
+    assert eng.submit_rejections == 1
+    lane0 = eng.breakers[0]
+    assert lane0.state == "half-open"
+    assert lane0.available()  # the probe slot was released unused

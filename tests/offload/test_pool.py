@@ -39,26 +39,29 @@ def test_shared_leases_wrap_the_whole_pool():
 
 
 def test_dynamic_starts_from_the_static_partition():
-    assert (DynamicPolicy().initial_leases(2, 4)
+    assert (DynamicPolicy(min_dwell=1e-3).initial_leases(2, 4)
             == StaticPolicy().initial_leases(2, 4))
 
 
 @pytest.mark.parametrize("policy", [StaticPolicy(), SharedPolicy(),
-                                    DynamicPolicy()])
+                                    DynamicPolicy(min_dwell=1e-3)])
 def test_indivisible_pool_rejected(policy):
     with pytest.raises(ValueError, match="do not partition"):
         policy.initial_leases(3, 4)
 
 
 def test_make_policy_resolves_names():
-    assert isinstance(make_policy("static"), StaticPolicy)
-    assert isinstance(make_policy("shared"), SharedPolicy)
-    assert isinstance(make_policy("dynamic"), DynamicPolicy)
+    assert isinstance(make_policy("static", 2e-3), StaticPolicy)
+    assert isinstance(make_policy("shared", 2e-3), SharedPolicy)
+    dynamic = make_policy("dynamic", 2e-3)
+    assert isinstance(dynamic, DynamicPolicy)
+    # The rebalance interval is the dynamic policy's hysteresis.
+    assert dynamic.min_dwell == 2e-3
 
 
 def test_make_policy_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown instance policy"):
-        make_policy("bogus")
+        make_policy("bogus", 2e-3)
 
 
 def test_dynamic_policy_validates_hysteresis_knobs():
@@ -226,7 +229,7 @@ def test_migration_routes_inflight_completions_to_owner():
 
 def test_snapshot_and_health():
     _, pool = make_pool(n_workers=2, n_instances=4,
-                        policy=DynamicPolicy())
+                        policy=DynamicPolicy(min_dwell=1e-3))
     snap = pool.snapshot()
     assert snap == {"policy": "dynamic", "instances": 4, "workers": 2,
                     "leases": [2, 2], "migrations": 0,
