@@ -12,11 +12,9 @@ implementations exist:
     that large simulated workloads (100K+ handshakes) do not pay
     pure-Python bignum costs. Both sides of a connection derive the
     *same* secrets from the *same* wire bytes, so the protocol state
-    machines run unchanged. Its (EC)DHE stand-in is a modexp group
-    mod a 256-bit prime, evaluated from a fixed-base table: key
-    generation multiplies 32 table entries instead of calling
-    ``pow``, and a shared secret with a peer share the same provider
-    issued reuses the table too (see the class docstring).
+    machines run unchanged. Its (EC)DHE stand-in hashes: a public
+    value is a hash of the share's secret, and a shared secret is a
+    hash of the two public values (see the class docstring).
 
 Crucially, **simulated durations do not come from providers** — they
 come from the cost model — so switching provider never changes the
@@ -334,31 +332,18 @@ class ModeledCryptoProvider(CryptoProvider):
     message sizes and failure paths identical to the real provider at a
     tiny fraction of the compute.
 
-    Key agreement is ``G^x mod P`` (:data:`_DH_G`, :data:`_DH_P`). Each
-    instance builds a fixed-base comb table on its first key generation
-    (32 rows of 256 entries, one row per exponent byte; about 0.56 MB),
-    so a public value costs 32 table products, not a 256-bit ``pow``.
-    The instance also remembers the exponent ``y`` behind every public
-    value it issued, oldest first, at most :data:`REMEMBERED_EXPONENTS`
-    of them; the entry is dropped when a peer uses it. A shared secret
-    against a remembered value ``G^y`` is ``G^(x*y mod (P-1))`` from the
-    same table, which equals ``pow(G^y, x, P)`` exactly because ``P`` is
-    prime (Fermat: ``G^(P-1) = 1``). Any other peer value, such as one
-    from another instance, a forgotten one or one tampered in transit,
-    takes the plain ``pow``. So every output byte is what plain ``pow``
-    gives. A peer value with the wrong length or a prefix other than
-    ``0x04`` fails as in the real provider.
+    Key agreement hashes what is on the wire. With ``flen`` the
+    curve's field length in bytes, a share's public value is ``0x04``
+    followed by ``2 * flen`` bytes stretched from a hash of its 32-byte
+    secret (the real encoding's length), and the shared secret is
+    ``flen`` bytes stretched from a hash of the own and the peer public
+    value in sorted order. Both sides agree exactly when each received
+    the other's public value untampered. A peer value with the wrong
+    length or a prefix other than ``0x04`` fails as in the real
+    provider.
     """
 
     name = "modeled"
-
-    def __init__(self) -> None:
-        #: The fixed-base comb table of :meth:`_g_pow`; None until the
-        #: first key generation, so worlds without ECDHE never build it.
-        self._comb: Optional[list[list[int]]] = None
-        #: Public integer -> the exponent behind it, for every share
-        #: this provider issued and no peer has used yet (oldest first).
-        self._issued: dict[int, int] = {}
 
     # -- credentials --------------------------------------------------------
 
@@ -409,58 +394,18 @@ class ModeledCryptoProvider(CryptoProvider):
         return signature == _stretch(_h(b"sig", server_public, message),
                                      len(signature))
 
-    def _g_pow(self, e: int) -> int:
-        """``_DH_G ** e mod _DH_P`` for ``0 <= e < 2**256``: one table
-        entry per exponent byte, multiplied together.
-
-        Row ``i`` of the comb table holds ``G^(j * 256^i)`` for every
-        byte value ``j``; it is built on the first call.
-        """
-        rows = self._comb
-        if rows is None:
-            rows = self._comb = []
-            base = _DH_G
-            for _ in range(32):
-                row = [1] * 256
-                acc = 1
-                for j in range(1, 256):
-                    acc = acc * base % _DH_P
-                    row[j] = acc
-                rows.append(row)
-                base = acc * base % _DH_P
-        r = 1
-        for row, digit in zip(rows, e.to_bytes(32, "little")):
-            r = r * row[digit] % _DH_P
-        return r
-
     def ecdh_keygen(self, curve: str, rng: Stream) -> KeyShare:
         secret = rng.bytes(32)
-        # Commutative fake DH: public = g^x modeled as a scalar in a
-        # Schnorr-group-free way — use modexp over a fixed 256-bit prime
-        # so shared secrets actually agree without real EC math.
-        x = int.from_bytes(_h(b"dh-x", secret), "big")
-        pub_int = self._g_pow(x)
-        issued = self._issued
-        if len(issued) >= REMEMBERED_EXPONENTS:
-            del issued[next(iter(issued))]
-        issued[pub_int] = x
-        flen = _field_len(curve)
-        pub = b"\x04" + pub_int.to_bytes(32, "big")
-        pub += _stretch(_h(b"dh-fill", pub), 2 * flen - 32)
-        return KeyShare(curve, x, pub)
+        pub = b"\x04" + _stretch(_h(b"dh-pub", curve.encode(), secret),
+                                 2 * _field_len(curve))
+        return KeyShare(curve, secret, pub)
 
     def ecdh_shared(self, share: KeyShare, peer_public: bytes) -> bytes:
         flen = _field_len(share.curve)
         if len(peer_public) != 1 + 2 * flen or peer_public[0] != 4:
             raise EcError("malformed uncompressed point")
-        peer_int = int.from_bytes(peer_public[1:33], "big")
-        y = self._issued.pop(peer_int, None)
-        if y is None:
-            shared = pow(peer_int, share.private, _DH_P)
-        else:
-            # peer = G^y, so peer^x = G^(x*y), and G^(P-1) = 1 (Fermat).
-            shared = self._g_pow(share.private * y % (_DH_P - 1))
-        return _stretch(_h(b"dh-ss", shared.to_bytes(32, "big")), flen)
+        lo, hi = sorted((share.public_bytes, peer_public))
+        return _stretch(_h(b"dh-ss", lo, hi), flen)
 
     # -- record protection ---------------------------------------------------
 
@@ -518,15 +463,3 @@ class ModeledCryptoProvider(CryptoProvider):
         if fragment[-16:] != tag:
             raise VerifyError("record tag mismatch")
         return payload
-
-
-# A fixed 256-bit safe-ish prime for the modeled commutative exchange
-# (secp256k1's field prime; only used as a modexp group, not a curve).
-_DH_P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
-_DH_G = 5
-
-#: Most public values a :class:`ModeledCryptoProvider` remembers the
-#: exponent of; past it, the oldest is forgotten (its peer then pays
-#: one ``pow``).
-REMEMBERED_EXPONENTS = 4096
-

@@ -769,8 +769,10 @@ class AsyncOffloadEngine:
         coalescing). Stops on ring backpressure. Returns ops
         admitted."""
         admitted = 0
+        # Only an admission cap queues ops, so ``limit`` is set when
+        # anything is queued.
         s, limit = self.scheduler, self.admission_limit
-        while s.queued and (limit is None or self.inflight.total < limit):
+        while s.queued and self.inflight.total < limit:
             q = s.pop()
             if not self._paused(q.job):
                 # Rescued/aborted while queued; nothing to submit.

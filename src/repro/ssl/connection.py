@@ -23,7 +23,8 @@ from ..core.costmodel import (EC_MARSHAL_COST, FIBER_SWAP_COST,
 from ..obs.span import SpanStatus
 from ..tls.actions import (CryptoCall, HandshakeResult, NeedMessage,
                            SendMessage)
-from ..tls.messages import ServerHello
+from ..tls.messages import (ClientKeyExchange, ServerHello,
+                            ServerKeyExchange)
 from ..tls.record import RecordLayer, TlsRecord
 from .async_job import AsyncJob, FiberAsyncJob, JobState, StackAsyncJob
 from .status import SslStatus
@@ -269,7 +270,6 @@ class SslConnection:
     def _marshal_extra(self, message) -> float:
         """Extra CPU for (de)serializing EC points in key-exchange
         messages (ServerKeyExchange construction, point parsing)."""
-        from ..tls.messages import ClientKeyExchange, ServerKeyExchange
         if isinstance(message, ServerKeyExchange):
             return EC_MARSHAL_COST
         if isinstance(message, ClientKeyExchange) and message.public:

@@ -5,8 +5,7 @@ import hashlib
 import pytest
 
 from repro.crypto.ec import EcError
-from repro.crypto.provider import (_DH_P, REMEMBERED_EXPONENTS,
-                                   ModeledCryptoProvider, RealCryptoProvider,
+from repro.crypto.provider import (ModeledCryptoProvider, RealCryptoProvider,
                                    VerifyError)
 from repro.crypto.rsa import RsaError
 from repro.sim.rng import Stream
@@ -106,26 +105,28 @@ def test_ecdh_rejects_malformed_share(provider, mangle):
         provider.ecdh_shared(a, mangle(b.public_bytes))
 
 
-# -- modeled ECDH: fixed-base table and remembered exponents -------------------
+# -- modeled ECDH: hashes of the secret and of both public values -------------
+
+#: Field length in bytes of each curve the modeled shares are tested on.
+FIELD_LEN = {"P-256": 32, "P-384": 48, "K-283": 36}
 
 # (curve, rng seed of share A (B's is one more), sha256 of A's public
-# bytes, of B's, shared secret): the bytes the plain-``pow``
-# implementation produced.
+# bytes, of B's, shared secret).
 MODELED_ECDH_PINS = [
     ("P-256", 11,
-     "f9a64922c67fee8802213cd60b3bb6ba135ac423f78222dd420bab7fa20f5fb0",
-     "be113c2182d77f8a4a429a8f54167024254804a809b26c953e07909c2a48c2ed",
-     "ad49077dfadc4f73a22fe81878d499b54ad4b8bbfcfd6728d30213fbcad0657b"),
+     "9df5680d4fa70bbcf9aa302675773ea919207268fd031c8e16465077937e18f6",
+     "12e6a2cd77457ab89f58dbda20a564857b1537282293a8a3cd558caa7b95a6d4",
+     "5126ad0b2bc352eedf1dc5d03288b4e49e77e6b4bd0680e60b17f1d3ae3c4b84"),
     ("P-384", 13,
-     "c1743207261374720ccc6116a6edaf24e28ad36850d5c5f13fa1e59330d47443",
-     "446cae5137d08440fd4a0c56f80699b28773b7422b4ca8a9e0682c8232cb07c2",
-     "e18ce7448b28f88886a7ec77afc3764d343bc3e80da31c8facbeac1ea3063945"
-     "57ecb0b56f50326ff4bc8fb9f3bb2c9e"),
+     "90f9f31e327205e435637716864c8f3b3625f8a41fff6949d9a3e1ad8c495daf",
+     "53a1c4d576998cccce128050ec91c5dfc8daca801d05636711aacfc2b7c63c04",
+     "4ef72e0f611e34f2eb21c81a509ddb98667cea15439f906825c8a460c7e35bcb"
+     "096fbc2c8519dba1e6141bb8d3901a66"),
     ("K-283", 15,
-     "900215e6d248e5d9f5f2607b84a2a69781cc38372078136edeed07ebec112805",
-     "9698c5874edc6c87141564f7854f5f893191a320f87019fe641a352bb3cec882",
-     "58ebe603db122a87b3e756121d25bd1804bb998b77d00d942c14096c9d5eb2c4"
-     "caec99a9"),
+     "917b2c69d14e8ed84212ab8e3db84443a436abcb2f49523446700ee1450e0065",
+     "99e6d8c191a2aefc6cc472d3e28f80421ed21fdce1951c2ef53ea7cf530e0178",
+     "43166e5b6d73490dd4c190ce0cfe7826961f70ea553ea33dd71f5448b44a3c68"
+     "f8abf916"),
 ]
 
 
@@ -141,50 +142,47 @@ def test_modeled_ecdh_known_answers(curve, seed, pub_a, pub_b, secret):
     assert p.ecdh_shared(b, a.public_bytes).hex() == secret
 
 
-def test_fixed_base_table_matches_pow():
-    p = ModeledCryptoProvider()
-    edges = [0, 1, 255, 256, _DH_P - 2, _DH_P - 1, _DH_P, 2**256 - 1]
-    rng = _rng(30)
-    draws = [int.from_bytes(rng.bytes(32), "big") for _ in range(64)]
-    for x in edges + draws:
-        assert p._g_pow(x) == pow(5, x, _DH_P), x
-
-
 @pytest.mark.parametrize("a_first", [True, False], ids=["a-first", "b-first"])
-def test_ecdh_remembered_exponent_matches_pow_path(a_first):
-    """One instance issued both shares, so each side hits the registry;
-    two instances each issued one, so both sides miss and take ``pow``."""
-    one = ModeledCryptoProvider()
-    a, b = one.ecdh_keygen("P-256", _rng(20)), one.ecdh_keygen("P-256",
-                                                              _rng(21))
-    pa, pb = ModeledCryptoProvider(), ModeledCryptoProvider()
-    a2, b2 = pa.ecdh_keygen("P-256", _rng(20)), pb.ecdh_keygen("P-256",
-                                                               _rng(21))
+@pytest.mark.parametrize("curve", sorted(FIELD_LEN))
+def test_modeled_ecdh_agrees_within_and_across_instances(curve, a_first):
+    """Both sides derive one secret whichever computes first, whether one
+    provider issued both shares or each side has its own provider."""
+    one, pa, pb = (ModeledCryptoProvider() for _ in range(3))
+    a, b = one.ecdh_keygen(curve, _rng(20)), one.ecdh_keygen(curve, _rng(21))
+    a2, b2 = pa.ecdh_keygen(curve, _rng(20)), pb.ecdh_keygen(curve, _rng(21))
     assert (a2, b2) == (a, b)
-    sides = [(one, a, b), (one, b, a)]
-    split = [(pa, a2, b2), (pb, b2, a2)]
+    sides = [(one, a, b), (one, b, a), (pa, a2, b2), (pb, b2, a2)]
     if not a_first:
-        sides.reverse()
-        split.reverse()
-    hits = [p.ecdh_shared(s, peer.public_bytes) for p, s, peer in sides]
-    misses = [p.ecdh_shared(s, peer.public_bytes) for p, s, peer in split]
-    assert one._issued == {}
-    assert len(pa._issued) == len(pb._issued) == 1
-    assert hits[0] == hits[1] == misses[0] == misses[1]
+        sides = [sides[1], sides[0], sides[3], sides[2]]
+    secrets = {p.ecdh_shared(s, peer.public_bytes) for p, s, peer in sides}
+    assert len(secrets) == 1
+    assert len(secrets.pop()) == FIELD_LEN[curve]
 
 
-def test_ecdh_registry_capped_oldest_first():
+@pytest.mark.parametrize("curve", sorted(FIELD_LEN))
+def test_modeled_ecdh_any_flipped_peer_byte_changes_secret(curve):
+    """Every byte after the prefix, X part and fill alike, is bound into
+    the secret, so a share tampered in transit never agrees."""
     p = ModeledCryptoProvider()
-    rng = _rng(40)
-    shares = [p.ecdh_keygen("P-256", rng)
-              for _ in range(REMEMBERED_EXPONENTS + 3)]
-    assert len(p._issued) == REMEMBERED_EXPONENTS
-    oldest, newest = shares[0], shares[-1]
-    assert int.from_bytes(oldest.public_bytes[1:33], "big") not in p._issued
-    assert int.from_bytes(newest.public_bytes[1:33], "big") in p._issued
-    evicted_side = p.ecdh_shared(newest, oldest.public_bytes)   # pow path
-    remembered_side = p.ecdh_shared(oldest, newest.public_bytes)
-    assert evicted_side == remembered_side
+    a, b = p.ecdh_keygen(curve, _rng(30)), p.ecdh_keygen(curve, _rng(31))
+    honest = p.ecdh_shared(a, b.public_bytes)
+    for index in range(1, len(b.public_bytes)):
+        tampered = bytearray(b.public_bytes)
+        tampered[index] ^= 0xFF
+        assert p.ecdh_shared(a, bytes(tampered)) != honest, index
+
+
+@pytest.mark.parametrize("curve", sorted(FIELD_LEN))
+def test_modeled_ecdh_keygen_shape_and_one_draw(curve):
+    """The public value has the real encoding's length, and key
+    generation takes exactly one 32-byte draw, so every stream that
+    feeds a simulated world stays where it was."""
+    rng, ref = _rng(40), _rng(40)
+    share = ModeledCryptoProvider().ecdh_keygen(curve, rng)
+    ref.bytes(32)
+    assert rng.state == ref.state
+    assert len(share.public_bytes) == 1 + 2 * FIELD_LEN[curve]
+    assert share.public_bytes[0] == 4
 
 
 # -- KDFs ------------------------------------------------------------------------
