@@ -51,6 +51,20 @@ class ClientTlsSession:
         gen = (client_handshake13(self.config)
                if self.version == ProtocolVersion.TLS13
                else client_handshake12(self.config))
+        self.result = yield from self._drive(gen)
+        self.record_layer = RecordLayer(
+            self.config.provider,
+            write_keys=self.result.client_write_keys,
+            read_keys=self.result.server_write_keys,
+            rng=self.config.rng,
+            version=self.result.suite.version)
+        return self.result
+
+    def _drive(self, gen) -> Generator:
+        """Run a sans-IO generator (a handshake, or a record op that
+        yields only CryptoCalls) to its return value. Each compute
+        first holds its software cost; a failed compute is thrown
+        back in at its pause point."""
         outbuf: List[SendMessage] = []
         send_value = None
         throw_exc = None
@@ -62,14 +76,7 @@ class ClientTlsSession:
                 else:
                     action = gen.send(send_value)
             except StopIteration as stop:
-                self.result = stop.value
-                self.record_layer = RecordLayer(
-                    self.config.provider,
-                    write_keys=self.result.client_write_keys,
-                    read_keys=self.result.server_write_keys,
-                    rng=self.config.rng,
-                    version=self.result.suite.version)
-                return self.result
+                return stop.value
             send_value = None
             if isinstance(action, CryptoCall):
                 cost = self.cm.software_cost(action.op)
@@ -114,8 +121,7 @@ class ClientTlsSession:
         """Protect and send one request record."""
         if self.record_layer is None:
             raise RuntimeError("send_request before handshake")
-        gen = self.record_layer.protect(payload)
-        records = yield from self._run_record_gen(gen)
+        records = yield from self._drive(self.record_layer.protect(payload))
         for rec in records:
             self.sock.send(rec, nbytes=rec.wire_size())
         return records
@@ -144,20 +150,6 @@ class ClientTlsSession:
             got += msg.plaintext_len
             yield from self.sim.hold(CLIENT_STEP_COST / 6)
         return got
-
-    def _run_record_gen(self, gen) -> Generator:
-        send_value = None
-        while True:
-            try:
-                action = gen.send(send_value)
-            except StopIteration as stop:
-                return stop.value
-            if not isinstance(action, CryptoCall):  # pragma: no cover
-                raise TypeError("record layer yielded a non-crypto action")
-            cost = self.cm.software_cost(action.op)
-            if cost > 0:
-                yield from self.sim.hold(cost)
-            send_value = action.compute()
 
     # -- resumption state ------------------------------------------------------------
 

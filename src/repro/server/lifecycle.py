@@ -207,22 +207,26 @@ class WorkerSupervisor:
     def _respawn(self, slot: int, dead: WorkerRecord) -> None:
         self.respawns += 1
         self._respawn_counts[slot] = self._respawn_counts.get(slot, 0) + 1
+        self._swap_in(slot)
+        self._log("worker-respawn",
+                  f"w{slot} gen{self.generation} "
+                  f"respawn #{self._respawn_counts[slot]} "
+                  f"epoch {self.records[slot].epoch}")
+
+    def _swap_in(self, slot: int) -> None:
+        """Start a current-generation worker in ``slot`` in place of
+        the incarnation there (crashed or draining)."""
         server = self.server
-        pool = server.instance_pool
-        if pool is not None:
+        if server.instance_pool is not None:
             # The replacement registers under a fresh epoch, so any
-            # completion still in the rings for the dead incarnation
+            # completion still in the rings for the old incarnation
             # routes to a tombstone, never to the successor.
-            pool.advance_epoch(slot)
+            server.instance_pool.advance_epoch(slot)
         replacement = server._make_worker(slot,
                                           generation=self.generation)
         server.retired_workers.append(server.workers[slot])
         server.workers[slot] = replacement
         server._start_worker(slot, replacement)
-        self._log("worker-respawn",
-                  f"w{slot} gen{self.generation} "
-                  f"respawn #{self._respawn_counts[slot]} "
-                  f"epoch {self.records[slot].epoch}")
 
     def _abandon(self, slot: int, dead: WorkerRecord) -> None:
         """Respawn budget exhausted (or respawn disabled): the slot
@@ -264,7 +268,6 @@ class WorkerSupervisor:
         self.generation += 1
         self._log("reload", f"generation {self.generation}")
         server.config = new_config
-        pool = server.instance_pool
         for slot in sorted(self.records):
             record = self.records[slot]
             if record.state is not WorkerState.SERVING:
@@ -274,16 +277,10 @@ class WorkerSupervisor:
             record.worker.begin_drain()
             record.state = WorkerState.DRAINING
             self.draining_records.append(record)
-            if pool is not None:
-                pool.advance_epoch(slot)
             # ...then the new generation takes the listen socket
             # immediately: the accept backlog is never unwatched, so
             # CPS cannot drop to zero during the handover.
-            replacement = server._make_worker(slot,
-                                              generation=self.generation)
-            server.retired_workers.append(server.workers[slot])
-            server.workers[slot] = replacement
-            server._start_worker(slot, replacement)
+            self._swap_in(slot)
             self.sim.process(
                 self._drain_monitor(record,
                                     new_config.worker_drain_timeout),

@@ -6,11 +6,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Generator, Optional
 
-from ...crypto.ec import EcError
-from ...crypto.hmac_impl import hmac_digest
-from ...crypto.ops import CryptoOp, CryptoOpKind
-from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
-                       TlsAlert)
+from ..actions import HandshakeResult, SendMessage, TlsAlert
 from ..config import TlsClientConfig
 from ..constants import RANDOM_LEN, ProtocolVersion
 from ..keyschedule import Tls13Schedule
@@ -18,12 +14,10 @@ from ..messages import (Certificate, CertificateVerify, ClientHello,
                         EncryptedExtensions, Finished, NewSessionTicket,
                         ServerHello, transcript_hash)
 from .psk13 import compute_binder, derive_resumption_psk, partial_ch_hash
+from .steps import (app_keys13, ecdh_compute, expect, finished_mac13,
+                    handshake_secrets13, keygen, verify)
 
 __all__ = ["client_handshake13"]
-
-
-def _hkdf_op(nbytes: int = 32) -> CryptoOp:
-    return CryptoOp(CryptoOpKind.HKDF, nbytes=nbytes)
 
 
 def client_handshake13(config: TlsClientConfig
@@ -31,15 +25,11 @@ def client_handshake13(config: TlsClientConfig
     """Run one TLS 1.3 client-side handshake; offers PSK resumption
     when ``config.session_ticket`` carries a previous connection's
     ticket (+ resumption PSK in ``session_master_secret``)."""
-    provider = config.provider
-    schedule = Tls13Schedule(provider)
+    schedule = Tls13Schedule(config.provider)
     transcript = []
     curve = config.curves[0]
 
-    share = yield CryptoCall(
-        CryptoOp(CryptoOpKind.ECDH_KEYGEN, curve=curve),
-        compute=lambda: provider.ecdh_keygen(curve, config.rng),
-        label="keyshare-keygen")
+    share = yield keygen(config, curve, "keyshare-keygen")
 
     offer_psk = (config.session_ticket is not None
                  and bool(config.session_master_secret))
@@ -58,9 +48,7 @@ def client_handshake13(config: TlsClientConfig
     transcript.append(ch)
     yield SendMessage(ch, flush=True)
 
-    sh = yield NeedMessage((ServerHello,))
-    if not isinstance(sh, ServerHello):
-        raise TlsAlert("unexpected_message: expected ServerHello")
+    sh = yield from expect(ServerHello)
     transcript.append(sh)
     suite = next((s for s in config.suites if s.name == sh.cipher_suite),
                  None)
@@ -72,113 +60,49 @@ def client_handshake13(config: TlsClientConfig
     if resumed and not offer_psk:
         raise TlsAlert("illegal_parameter: server accepted unoffered PSK")
 
-    peer = sh.key_share
-    try:
-        shared = yield CryptoCall(
-            CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
-            compute=lambda: provider.ecdh_shared(share, peer),
-            label="ecdh-compute")
-    except EcError as exc:
-        # A share that is no valid point of the group (RFC 8446 4.2.8).
-        raise TlsAlert(f"illegal_parameter: {exc}") from exc
+    shared = yield from ecdh_compute(config, share, sh.key_share, curve)
+    c_hs, s_hs, master = yield from handshake_secrets13(
+        schedule, config.session_master_secret if resumed else b"", shared,
+        transcript)
 
-    the_psk = config.session_master_secret if resumed else b""
-    early = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.early_secret(the_psk),
-        label="early-secret")
-    hs_secret = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.handshake_secret(early, shared),
-        label="handshake-secret")
-    th_sh = transcript_hash(transcript)
-    c_hs = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            hs_secret, b"c hs traffic", th_sh),
-        label="client-hs-traffic")
-    s_hs = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            hs_secret, b"s hs traffic", th_sh),
-        label="server-hs-traffic")
-    master = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.master_secret(hs_secret),
-        label="master-secret")
-
-    ee = yield NeedMessage((EncryptedExtensions,))
-    if not isinstance(ee, EncryptedExtensions):
-        raise TlsAlert("unexpected_message: expected EncryptedExtensions")
+    ee = yield from expect(EncryptedExtensions)
     transcript.append(ee)
 
     if not resumed:
-        cert = yield NeedMessage((Certificate,))
-        if not isinstance(cert, Certificate):
-            raise TlsAlert("unexpected_message: expected Certificate")
+        cert = yield from expect(Certificate)
         transcript.append(cert)
         if cert.kind != suite.auth:
             raise TlsAlert("bad_certificate: key type does not match suite")
 
-        cv = yield NeedMessage((CertificateVerify,))
-        if not isinstance(cv, CertificateVerify):
-            raise TlsAlert("unexpected_message: expected CertificateVerify")
+        cv = yield from expect(CertificateVerify)
         to_verify = b"TLS 1.3, server CertificateVerify" + b"\x00" \
             + transcript_hash(transcript)
-        verify_kind = (CryptoOpKind.RSA_PUB if suite.auth == "rsa"
-                       else CryptoOpKind.ECDSA_VERIFY)
-        ok = yield CryptoCall(
-            CryptoOp(verify_kind, curve=cert.curve,
-                     rsa_bits=(len(cert.public_bytes) - 4) * 8
-                     if suite.auth == "rsa" else None),
-            compute=lambda: provider.verify(
-                suite.auth, cert.public_bytes, to_verify, cv.signature,
-                curve=cert.curve),
-            label="certificate-verify")
-        if not ok:
-            raise TlsAlert("decrypt_error: bad CertificateVerify signature")
+        yield from verify(config, suite, cert, to_verify, cv.signature,
+                          "CertificateVerify", "certificate-verify")
         transcript.append(cv)
 
     # -- optional NewSessionTicket before the server Finished -------------------
     new_ticket: Optional[bytes] = None
     new_psk: Optional[bytes] = None
-    msg = yield NeedMessage((NewSessionTicket, Finished))
+    msg = yield from expect(NewSessionTicket, Finished)
     if isinstance(msg, NewSessionTicket):
         pre_nst = transcript_hash(transcript)
         new_psk = yield from derive_resumption_psk(schedule, master,
                                                    pre_nst, msg.nonce)
         new_ticket = msg.ticket
-        msg = yield NeedMessage((Finished,))
-
-    server_fin = msg
-    if not isinstance(server_fin, Finished):
-        raise TlsAlert("unexpected_message: expected Finished")
-    s_fin_key = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.finished_key(s_hs),
-        label="server-finished-key")
-    th_cv = transcript_hash(transcript)
-    if server_fin.verify_data != hmac_digest(s_fin_key, th_cv):
+        msg = yield from expect(Finished)
+    if msg.verify_data != (
+            yield from finished_mac13(schedule, "server", s_hs, transcript)):
         raise TlsAlert("decrypt_error: server Finished verify failed")
-    transcript.append(server_fin)
+    transcript.append(msg)
 
-    c_fin_key = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.finished_key(c_hs),
-        label="client-finished-key")
-    th_sf = transcript_hash(transcript)
-    client_fin = Finished(verify_data=hmac_digest(c_fin_key, th_sf))
+    client_fin = Finished(verify_data=(
+        yield from finished_mac13(schedule, "client", c_hs, transcript)))
     transcript.append(client_fin)
     yield SendMessage(client_fin, encrypted=True, flush=True)
 
-    th_full = transcript_hash(transcript)
-    c_app = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            master, b"c ap traffic", th_full),
-        label="client-app-traffic")
-    s_app = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            master, b"s ap traffic", th_full),
-        label="server-app-traffic")
-    client_keys = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.traffic_keys(c_app, suite),
-        label="client-app-keys")
-    server_keys = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.traffic_keys(s_app, suite),
-        label="server-app-keys")
+    client_keys, server_keys = yield from app_keys13(schedule, suite, master,
+                                                     transcript)
 
     return HandshakeResult(
         suite=suite, master_secret=master,

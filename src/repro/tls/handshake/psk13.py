@@ -19,18 +19,12 @@ from dataclasses import replace
 from typing import Generator
 
 from ...crypto.hmac_impl import hmac_digest
-from ...crypto.ops import CryptoOp, CryptoOpKind
 from ..actions import CryptoCall
 from ..keyschedule import Tls13Schedule
 from ..messages import ClientHello, transcript_hash
+from .steps import hkdf_op
 
 __all__ = ["compute_binder", "derive_resumption_psk", "partial_ch_hash"]
-
-
-def _hkdf_op() -> CryptoOp:
-    # nbytes=0 marks the lightweight (no transcript digest) HKDF steps
-    # for the cost model.
-    return CryptoOp(CryptoOpKind.HKDF, nbytes=0)
 
 
 def partial_ch_hash(ch: ClientHello) -> bytes:
@@ -41,16 +35,20 @@ def partial_ch_hash(ch: ClientHello) -> bytes:
 
 def compute_binder(schedule: Tls13Schedule, psk: bytes, ch_hash: bytes
                    ) -> Generator[object, object, bytes]:
-    """Derive the PSK binder (three HKDF steps + one HMAC)."""
+    """Derive the PSK binder (three HKDF steps + one HMAC).
+
+    Every HKDF step here and in :func:`derive_resumption_psk` is
+    ``hkdf_op(0)``: nbytes=0 marks the lightweight (no transcript
+    digest) steps for the cost model."""
     early = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.early_secret(psk),
+        hkdf_op(0), compute=lambda: schedule.early_secret(psk),
         label="psk-early-secret")
     binder_key = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
+        hkdf_op(0), compute=lambda: schedule.derive_secret(
             early, b"res binder", b""),
         label="psk-binder-key")
     finished_key = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.finished_key(binder_key),
+        hkdf_op(0), compute=lambda: schedule.finished_key(binder_key),
         label="psk-binder-finished-key")
     return hmac_digest(finished_key, ch_hash)
 
@@ -60,11 +58,11 @@ def derive_resumption_psk(schedule: Tls13Schedule, master: bytes,
                           ) -> Generator[object, object, bytes]:
     """resumption_master_secret -> per-ticket PSK (two HKDF steps)."""
     res_master = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
+        hkdf_op(0), compute=lambda: schedule.derive_secret(
             master, b"res master", pre_nst_hash),
         label="resumption-master")
     psk = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.provider.hkdf_expand_label(
+        hkdf_op(0), compute=lambda: schedule.provider.hkdf_expand_label(
             res_master, b"resumption", ticket_nonce, 32),
         label="resumption-psk")
     return psk

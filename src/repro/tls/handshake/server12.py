@@ -20,21 +20,19 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ...crypto.ec import EcError
 from ...crypto.ops import CryptoOp, CryptoOpKind
 from ...crypto.rsa import RsaError
-from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
-                       TlsAlert)
+from ..actions import CryptoCall, HandshakeResult, SendMessage, TlsAlert
 from ..config import TlsServerConfig
 from ..constants import PREMASTER_LEN, RANDOM_LEN, ProtocolVersion
-from ..keyschedule import (derive_key_block, derive_master_secret,
-                           finished_verify_data, split_key_block)
-from ..messages import (Certificate, ChangeCipherSpec, ClientHello, Finished,
-                        NewSessionTicket, ServerHello, ServerHelloDone,
-                        ClientKeyExchange, ServerKeyExchange,
-                        transcript_hash)
+from ..keyschedule import derive_master_secret
+from ..messages import (Certificate, ChangeCipherSpec, ClientHello,
+                        ClientKeyExchange, NewSessionTicket, ServerHello,
+                        ServerHelloDone, ServerKeyExchange)
 from ..session import SessionState
 from ..suites import CipherSuite
+from .steps import (check_finished12, ecdh_compute, expect, key_expansion,
+                    keygen, send_finished12, sign)
 
 __all__ = ["server_handshake12"]
 
@@ -61,9 +59,7 @@ def server_handshake12(config: TlsServerConfig
     provider = config.provider
     transcript = []
 
-    ch = yield NeedMessage((ClientHello,))
-    if not isinstance(ch, ClientHello):
-        raise TlsAlert("unexpected_message: expected ClientHello")
+    ch = yield from expect(ClientHello)
     transcript.append(ch)
     suite = _select_suite(config, ch)
     server_random = config.rng.bytes(RANDOM_LEN)
@@ -80,19 +76,35 @@ def server_handshake12(config: TlsServerConfig
         cached = config.session_cache.get(ch.session_id)
     if cached is not None and cached.suite != suite:
         cached = None  # suite changed; fall back to full handshake
-    if cached is not None:
-        return (yield from _abbreviated(config, ch, cached, server_random,
-                                        transcript))
-
-    # -- full handshake ------------------------------------------------------
-    session_id = config.rng.bytes(16) \
-        if config.session_cache is not None else b""
+    resumed = cached is not None
+    if resumed:
+        session_id = cached.session_id
+    else:
+        session_id = config.rng.bytes(16) \
+            if config.session_cache is not None else b""
     sh = ServerHello(server_random=server_random,
                      version=ProtocolVersion.TLS12,
-                     cipher_suite=suite.name, session_id=session_id)
+                     cipher_suite=suite.name, session_id=session_id,
+                     resumed=resumed)
     transcript.append(sh)
     yield SendMessage(sh)
 
+    if resumed:
+        # PRF calculations only (paper section 5.3).
+        master_secret = cached.master_secret
+        client_keys, server_keys = yield from key_expansion(
+            config, suite, master_secret, ch.client_random, server_random)
+        yield from send_finished12(config, "server", master_secret,
+                                   transcript)
+        yield from expect(ChangeCipherSpec)
+        yield from check_finished12(config, "client", master_secret,
+                                    transcript)
+        return HandshakeResult(
+            suite=suite, master_secret=master_secret,
+            client_write_keys=client_keys, server_write_keys=server_keys,
+            session_id=session_id, resumed=True)
+
+    # -- full handshake ------------------------------------------------------
     cred = config.credentials_for(suite)
     cert = Certificate(kind=cred.kind, public_bytes=cred.public_bytes,
                        curve=cred.curve)
@@ -103,21 +115,14 @@ def server_handshake12(config: TlsServerConfig
     server_share = None
     if suite.kx == "ecdhe":
         negotiated_curve = _select_curve(config, ch)
-        curve = negotiated_curve
-        server_share = yield CryptoCall(
-            CryptoOp(CryptoOpKind.ECDH_KEYGEN, curve=curve),
-            compute=lambda: provider.ecdh_keygen(curve, config.rng),
-            label="ske-keygen")
-        unsigned = ServerKeyExchange(curve=curve,
+        server_share = yield keygen(config, negotiated_curve, "ske-keygen")
+        unsigned = ServerKeyExchange(curve=negotiated_curve,
                                      public=server_share.public_bytes)
-        to_sign = unsigned.signed_portion(ch.client_random, server_random)
-        sign_kind = (CryptoOpKind.RSA_PRIV if cred.kind == "rsa"
-                     else CryptoOpKind.ECDSA_SIGN)
-        signature = yield CryptoCall(
-            CryptoOp(sign_kind, rsa_bits=cred.rsa_bits, curve=cred.sig_curve),
-            compute=lambda: provider.sign(cred, to_sign),
-            label="ske-sign")
-        ske = ServerKeyExchange(curve=curve,
+        signature = yield sign(
+            config, cred,
+            unsigned.signed_portion(ch.client_random, server_random),
+            "ske-sign")
+        ske = ServerKeyExchange(curve=negotiated_curve,
                                 public=server_share.public_bytes,
                                 signature=signature)
         transcript.append(ske)
@@ -128,9 +133,7 @@ def server_handshake12(config: TlsServerConfig
     yield SendMessage(shd, flush=True)
 
     # -- client's reply flight -----------------------------------------------
-    cke = yield NeedMessage((ClientKeyExchange,))
-    if not isinstance(cke, ClientKeyExchange):
-        raise TlsAlert("unexpected_message: expected ClientKeyExchange")
+    cke = yield from expect(ClientKeyExchange)
     transcript.append(cke)
 
     if suite.kx == "rsa":
@@ -150,46 +153,19 @@ def server_handshake12(config: TlsServerConfig
     else:
         if not cke.public:
             raise TlsAlert("decode_error: missing client key share")
-        peer_pub = cke.public
-        share = server_share
-        try:
-            premaster = yield CryptoCall(
-                CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=negotiated_curve),
-                compute=lambda: provider.ecdh_shared(share, peer_pub),
-                label="ecdh-compute")
-        except EcError as exc:
-            # A share that is no valid point of the curve (RFC 8422).
-            raise TlsAlert(f"illegal_parameter: {exc}") from exc
+        premaster = yield from ecdh_compute(config, server_share, cke.public,
+                                            negotiated_curve)
 
     master_secret = yield CryptoCall(
         CryptoOp(CryptoOpKind.PRF, nbytes=48),
         compute=lambda: derive_master_secret(
             provider, premaster, ch.client_random, server_random),
         label="master-secret")
+    client_keys, server_keys = yield from key_expansion(
+        config, suite, master_secret, ch.client_random, server_random)
 
-    key_block = yield CryptoCall(
-        CryptoOp(CryptoOpKind.PRF, nbytes=suite.key_block_len),
-        compute=lambda: derive_key_block(
-            provider, master_secret, ch.client_random, server_random, suite),
-        label="key-expansion")
-    client_keys, server_keys = split_key_block(key_block, suite)
-
-    ccs_in = yield NeedMessage((ChangeCipherSpec,))
-    if not isinstance(ccs_in, ChangeCipherSpec):
-        raise TlsAlert("unexpected_message: expected ChangeCipherSpec")
-
-    client_fin = yield NeedMessage((Finished,))
-    if not isinstance(client_fin, Finished):
-        raise TlsAlert("unexpected_message: expected Finished")
-    th = transcript_hash(transcript)
-    expected = yield CryptoCall(
-        CryptoOp(CryptoOpKind.PRF, nbytes=12),
-        compute=lambda: finished_verify_data(
-            provider, master_secret, b"client finished", th),
-        label="client-finished-verify")
-    if client_fin.verify_data != expected:
-        raise TlsAlert("decrypt_error: client Finished verify failed")
-    transcript.append(client_fin)
+    yield from expect(ChangeCipherSpec)
+    yield from check_finished12(config, "client", master_secret, transcript)
 
     ticket = None
     if config.issue_tickets:
@@ -202,16 +178,7 @@ def server_handshake12(config: TlsServerConfig
         else:
             ticket = config.rng.bytes(32)  # opaque, cache-backed
         yield SendMessage(NewSessionTicket(ticket=ticket))
-    yield SendMessage(ChangeCipherSpec())
-    th2 = transcript_hash(transcript)
-    server_verify = yield CryptoCall(
-        CryptoOp(CryptoOpKind.PRF, nbytes=12),
-        compute=lambda: finished_verify_data(
-            provider, master_secret, b"server finished", th2),
-        label="server-finished")
-    server_fin = Finished(verify_data=server_verify)
-    transcript.append(server_fin)
-    yield SendMessage(server_fin, encrypted=True, flush=True)
+    yield from send_finished12(config, "server", master_secret, transcript)
 
     if config.session_cache is not None and session_id:
         config.session_cache.put(SessionState(
@@ -224,58 +191,3 @@ def server_handshake12(config: TlsServerConfig
         client_write_keys=client_keys, server_write_keys=server_keys,
         session_id=session_id, session_ticket=ticket, resumed=False,
         negotiated_curve=negotiated_curve)
-
-
-def _abbreviated(config: TlsServerConfig, ch: ClientHello,
-                 cached: SessionState, server_random: bytes,
-                 transcript: list
-                 ) -> Generator[object, object, HandshakeResult]:
-    """Abbreviated handshake: PRF calculations only (paper section 5.3)."""
-    provider = config.provider
-    suite = cached.suite
-    master_secret = cached.master_secret
-
-    sh = ServerHello(server_random=server_random,
-                     version=ProtocolVersion.TLS12,
-                     cipher_suite=suite.name,
-                     session_id=cached.session_id, resumed=True)
-    transcript.append(sh)
-    yield SendMessage(sh)
-
-    key_block = yield CryptoCall(
-        CryptoOp(CryptoOpKind.PRF, nbytes=suite.key_block_len),
-        compute=lambda: derive_key_block(
-            provider, master_secret, ch.client_random, server_random, suite),
-        label="key-expansion")
-    client_keys, server_keys = split_key_block(key_block, suite)
-
-    yield SendMessage(ChangeCipherSpec())
-    th = transcript_hash(transcript)
-    server_verify = yield CryptoCall(
-        CryptoOp(CryptoOpKind.PRF, nbytes=12),
-        compute=lambda: finished_verify_data(
-            provider, master_secret, b"server finished", th),
-        label="server-finished")
-    server_fin = Finished(verify_data=server_verify)
-    transcript.append(server_fin)
-    yield SendMessage(server_fin, encrypted=True, flush=True)
-
-    ccs_in = yield NeedMessage((ChangeCipherSpec,))
-    if not isinstance(ccs_in, ChangeCipherSpec):
-        raise TlsAlert("unexpected_message: expected ChangeCipherSpec")
-    client_fin = yield NeedMessage((Finished,))
-    if not isinstance(client_fin, Finished):
-        raise TlsAlert("unexpected_message: expected Finished")
-    th2 = transcript_hash(transcript)
-    expected = yield CryptoCall(
-        CryptoOp(CryptoOpKind.PRF, nbytes=12),
-        compute=lambda: finished_verify_data(
-            provider, master_secret, b"client finished", th2),
-        label="client-finished-verify")
-    if client_fin.verify_data != expected:
-        raise TlsAlert("decrypt_error: client Finished verify failed")
-
-    return HandshakeResult(
-        suite=suite, master_secret=master_secret,
-        client_write_keys=client_keys, server_write_keys=server_keys,
-        session_id=cached.session_id, resumed=True)

@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ...crypto.ec import EcError
-from ...crypto.hmac_impl import hmac_digest
-from ...crypto.ops import CryptoOp, CryptoOpKind
-from ..actions import (CryptoCall, HandshakeResult, NeedMessage, SendMessage,
-                       TlsAlert)
+from ..actions import HandshakeResult, SendMessage, TlsAlert
 from ..config import TlsServerConfig
 from ..constants import RANDOM_LEN, ProtocolVersion
 from ..keyschedule import Tls13Schedule
@@ -29,6 +25,8 @@ from ..messages import (Certificate, CertificateVerify, ClientHello,
 from ..session import SessionState
 from ..suites import CipherSuite
 from .psk13 import compute_binder, derive_resumption_psk, partial_ch_hash
+from .steps import (app_keys13, ecdh_compute, expect, finished_mac13,
+                    handshake_secrets13, keygen, sign)
 
 __all__ = ["server_handshake13"]
 
@@ -41,20 +39,13 @@ def _select_suite13(config: TlsServerConfig, ch: ClientHello) -> CipherSuite:
     raise TlsAlert("handshake_failure: no common TLS 1.3 suite")
 
 
-def _hkdf_op(nbytes: int = 32) -> CryptoOp:
-    return CryptoOp(CryptoOpKind.HKDF, nbytes=nbytes)
-
-
 def server_handshake13(config: TlsServerConfig
                        ) -> Generator[object, object, HandshakeResult]:
     """Run one TLS 1.3 server-side handshake (full or PSK-resumed)."""
-    provider = config.provider
-    schedule = Tls13Schedule(provider)
+    schedule = Tls13Schedule(config.provider)
     transcript = []
 
-    ch = yield NeedMessage((ClientHello,))
-    if not isinstance(ch, ClientHello):
-        raise TlsAlert("unexpected_message: expected ClientHello")
+    ch = yield from expect(ClientHello)
     transcript.append(ch)
     suite = _select_suite13(config, ch)
     if ch.key_share is None or ch.key_share_curve is None:
@@ -79,19 +70,9 @@ def server_handshake13(config: TlsServerConfig
     resumed = psk is not None
 
     # -- (EC)DHE: two ECC ops (psk_dhe_ke keeps them on resumption) ---------------
-    server_share = yield CryptoCall(
-        CryptoOp(CryptoOpKind.ECDH_KEYGEN, curve=curve),
-        compute=lambda: provider.ecdh_keygen(curve, config.rng),
-        label="keyshare-keygen")
-    peer = ch.key_share
-    try:
-        shared = yield CryptoCall(
-            CryptoOp(CryptoOpKind.ECDH_COMPUTE, curve=curve),
-            compute=lambda: provider.ecdh_shared(server_share, peer),
-            label="ecdh-compute")
-    except EcError as exc:
-        # A share that is no valid point of the group (RFC 8446 4.2.8).
-        raise TlsAlert(f"illegal_parameter: {exc}") from exc
+    server_share = yield keygen(config, curve, "keyshare-keygen")
+    shared = yield from ecdh_compute(config, server_share, ch.key_share,
+                                     curve)
 
     sh = ServerHello(server_random=config.rng.bytes(RANDOM_LEN),
                      version=ProtocolVersion.TLS13,
@@ -104,25 +85,8 @@ def server_handshake13(config: TlsServerConfig
     yield SendMessage(sh)
 
     # -- key schedule: HKDF ops (not offloadable) -----------------------------
-    the_psk = psk or b""
-    early = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.early_secret(the_psk),
-        label="early-secret")
-    hs_secret = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.handshake_secret(early, shared),
-        label="handshake-secret")
-    th_sh = transcript_hash(transcript)
-    c_hs = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            hs_secret, b"c hs traffic", th_sh),
-        label="client-hs-traffic")
-    s_hs = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            hs_secret, b"s hs traffic", th_sh),
-        label="server-hs-traffic")
-    master = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.master_secret(hs_secret),
-        label="master-secret")
+    c_hs, s_hs, master = yield from handshake_secrets13(
+        schedule, psk or b"", shared, transcript)
 
     ee = EncryptedExtensions()
     transcript.append(ee)
@@ -138,14 +102,9 @@ def server_handshake13(config: TlsServerConfig
         # CertificateVerify: the RSA op (skipped entirely on resumption).
         to_sign = b"TLS 1.3, server CertificateVerify" + b"\x00" \
             + transcript_hash(transcript)
-        sign_kind = (CryptoOpKind.RSA_PRIV if cred.kind == "rsa"
-                     else CryptoOpKind.ECDSA_SIGN)
-        signature = yield CryptoCall(
-            CryptoOp(sign_kind, rsa_bits=cred.rsa_bits,
-                     curve=cred.sig_curve),
-            compute=lambda: provider.sign(cred, to_sign),
-            label="certificate-verify")
-        cv = CertificateVerify(signature=signature)
+        cv = CertificateVerify(
+            signature=(yield sign(config, cred, to_sign,
+                                  "certificate-verify")))
         transcript.append(cv)
         yield SendMessage(cv, encrypted=True)
 
@@ -164,42 +123,21 @@ def server_handshake13(config: TlsServerConfig
         yield SendMessage(NewSessionTicket(ticket=ticket_out, nonce=nonce),
                           encrypted=True)
 
-    s_fin_key = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.finished_key(s_hs),
-        label="server-finished-key")
-    th_cv = transcript_hash(transcript)
-    server_fin = Finished(verify_data=hmac_digest(s_fin_key, th_cv))
+    server_fin = Finished(verify_data=(
+        yield from finished_mac13(schedule, "server", s_hs, transcript)))
     transcript.append(server_fin)
     yield SendMessage(server_fin, encrypted=True, flush=True)
 
     # -- client Finished --------------------------------------------------------
-    client_fin = yield NeedMessage((Finished,))
-    if not isinstance(client_fin, Finished):
-        raise TlsAlert("unexpected_message: expected Finished")
-    c_fin_key = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.finished_key(c_hs),
-        label="client-finished-key")
-    th_sf = transcript_hash(transcript)
-    if client_fin.verify_data != hmac_digest(c_fin_key, th_sf):
+    client_fin = yield from expect(Finished)
+    if client_fin.verify_data != (
+            yield from finished_mac13(schedule, "client", c_hs, transcript)):
         raise TlsAlert("decrypt_error: client Finished verify failed")
     transcript.append(client_fin)
 
     # -- application traffic secrets ----------------------------------------------
-    th_full = transcript_hash(transcript)
-    c_app = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            master, b"c ap traffic", th_full),
-        label="client-app-traffic")
-    s_app = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.derive_secret(
-            master, b"s ap traffic", th_full),
-        label="server-app-traffic")
-    client_keys = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.traffic_keys(c_app, suite),
-        label="client-app-keys")
-    server_keys = yield CryptoCall(
-        _hkdf_op(), compute=lambda: schedule.traffic_keys(s_app, suite),
-        label="server-app-keys")
+    client_keys, server_keys = yield from app_keys13(schedule, suite, master,
+                                                     transcript)
 
     return HandshakeResult(
         suite=suite, master_secret=master,
