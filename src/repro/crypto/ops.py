@@ -10,9 +10,9 @@ are keyed by :attr:`CryptoOpKind.category`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Optional
 
 __all__ = ["CryptoOpKind", "OpCategory", "CryptoOp", "SCHED_CLASSES"]
 
@@ -82,7 +82,6 @@ class CryptoOp:
     rsa_bits: Optional[int] = None
     curve: Optional[str] = None
     nbytes: int = 0
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def category(self) -> OpCategory:

@@ -131,19 +131,14 @@ class NotifyFd(Pollable):
     def __init__(self, sim: "Simulator", label: str = "asyncfd") -> None:
         super().__init__(sim)
         self.label = label
-        self._count = 0
 
     def write_event(self) -> None:
         """Signal one event (the caller charges NOTIFY_FD_WRITE_COST
         and settles it first)."""
         if self.sim.debtor is not None:
             raise self.sim.unsettled(f"write to {self.label}")
-        self._count += 1
         self._mark_readable()
 
-    def read_events(self) -> int:
+    def read_events(self) -> None:
         """Consume all pending events (caller charges read cost)."""
-        n = self._count
-        self._count = 0
         self._clear_readable()
-        return n

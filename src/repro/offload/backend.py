@@ -8,7 +8,10 @@ accelerator:
 
 - :class:`~repro.tls.actions.CryptoCall` — one crypto op handed to
   the backend for submission, as the engine received it;
-- :class:`Completion` — one finished op retrieved from the backend;
+- :class:`Completion` — one finished op retrieved from the remote
+  backend. The QAT backend hands back its
+  :class:`~repro.qat.request.QatRequest` objects instead: each request
+  is its own completion and reads the same attribute names;
 - :class:`LaneStats` — per-lane degradation/throughput counters the
   engine charges and stub_status reports;
 - :class:`OffloadBackend` — the protocol itself: batched non-blocking
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..crypto.ops import CryptoOp
 from ..tls.actions import CryptoCall
 
 __all__ = ["Completion", "LaneStats", "OffloadBackend"]
@@ -47,7 +49,6 @@ class Completion:
     """
 
     token: Any
-    op: CryptoOp
     result: Any = None
     error: Optional[BaseException] = None
     transport_error: bool = False
@@ -103,7 +104,7 @@ class OffloadBackend:
         raise NotImplementedError
 
     def poll_completions(self, max_responses: Optional[int] = None
-                         ) -> List[Completion]:
+                         ) -> List[Any]:
         """Retrieve up to ``max_responses`` finished ops (non-blocking,
         all lanes, starvation-free across lanes)."""
         raise NotImplementedError

@@ -82,7 +82,7 @@ from ..crypto.ops import CryptoOpKind
 from ..net.epoll_sim import NOTIFY_FD_WRITE_COST
 from ..obs.span import SpanStatus
 from ..tls.actions import CryptoCall
-from .backend import Completion, OffloadBackend
+from .backend import OffloadBackend
 from .health import CircuitBreaker, PendingOp
 from .inflight import InflightCounters
 from .scheduler import ClassScheduler
@@ -320,7 +320,7 @@ class AsyncOffloadEngine:
         self.breakers[lane].record_failure()
 
     def _book_response(self, call: CryptoCall, lane: int,
-                       resp: Completion) -> bool:
+                       resp: Any) -> bool:
         """An accepted op's response arrived: retire it and feed its
         lane's breaker: a failure (and ``responses_corrupted``) for a
         transport-corrupted response, else a success. Returns whether

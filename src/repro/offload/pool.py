@@ -51,11 +51,10 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from ..qat.faults import QatHardwareError
 from ..qat.instance import CryptoInstance, poll_cpu_cost, submit_cpu_cost
-from ..qat.request import QatResponse
+from ..qat.request import QatRequest
 from ..tls.actions import CryptoCall
-from .backend import Completion, OffloadBackend
+from .backend import OffloadBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
@@ -93,20 +92,6 @@ class AllocationPolicy:
         """Lease migrations ``(lane, from_worker, to_worker)`` to apply
         at this tick. Static policies return nothing."""
         return []
-
-
-def _completion(resp: QatResponse) -> Completion:
-    """Wrap a ring-level :class:`~repro.qat.request.QatResponse` in
-    the backend-seam :class:`Completion`."""
-    return Completion(
-        token=resp.request, op=resp.request.op,
-        result=resp.result, error=resp.error,
-        transport_error=isinstance(resp.error, QatHardwareError),
-        device_marks={
-            "dequeued": resp.request.dequeued_at,
-            "serviced": resp.request.serviced_at,
-            "landed": resp.completed_at,
-        })
 
 
 def _chunks(n_workers: int, n_lanes: int) -> List[List[int]]:
@@ -252,7 +237,7 @@ class InstancePool:
         #: polled by any worker route back to their owner — or to the
         #: tombstone counter if the owner's incarnation is dead.
         self._owner: Dict[Any, Tuple[int, int]] = {}
-        self._inboxes: Dict[Tuple[int, int], List[Completion]] = {
+        self._inboxes: Dict[Tuple[int, int], List[QatRequest]] = {
             (w, 0): [] for w in range(n_workers)}
         self._pressure: List[Optional[Callable[[], float]]] = \
             [None] * n_workers
@@ -333,16 +318,17 @@ class InstancePool:
         return tokens
 
     def poll(self, worker_id: int, start: int,
-             max_responses: Optional[int], epoch: int) -> List[Completion]:
+             max_responses: Optional[int], epoch: int) -> List[QatRequest]:
         """Drain worker ``worker_id``'s inbox, then its leased rings
-        (round-robin from ``start`` within the lease list). Responses
+        (round-robin from ``start`` within the lease list); each
+        polled request is its own completion. Responses
         owned by other live incarnations are routed to their inboxes
         (without consuming this worker's budget); responses owned by
         retired incarnations are tombstoned and dropped."""
         me = (worker_id, epoch)
         if me in self._retired:
             return []
-        out: List[Completion] = []
+        out: List[QatRequest] = []
         inbox = self._inboxes.setdefault(me, [])
         while inbox and (max_responses is None
                          or len(out) < max_responses):
@@ -355,15 +341,14 @@ class InstancePool:
             if budget == 0:
                 break
             inst = self.instances[lanes[(start + i) % n]]
-            for resp in inst.poll(budget):
-                completion = _completion(resp)
-                owner = self._owner.pop(resp.request, me)
+            for request in inst.poll(budget):
+                owner = self._owner.pop(request, me)
                 if self.completion_retired(owner):
                     self._tombstone(owner)
                 elif owner == me:
-                    out.append(completion)
+                    out.append(request)
                 else:
-                    self._inboxes.setdefault(owner, []).append(completion)
+                    self._inboxes.setdefault(owner, []).append(request)
                     self.routed_completions += 1
         return out
 
@@ -554,7 +539,7 @@ class PooledQatBackend(OffloadBackend):
         return self.pool.submit(self.worker_id, calls, lane, self.epoch)
 
     def poll_completions(self, max_responses: Optional[int] = None
-                         ) -> List[Completion]:
+                         ) -> List[QatRequest]:
         start = self._poll_rr
         self._poll_rr += 1
         return self.pool.poll(self.worker_id, start, max_responses,
@@ -569,7 +554,7 @@ class PooledQatBackend(OffloadBackend):
     def capacity_hint(self, lane: int, category: Any) -> int:
         if not self.admits(lane):
             return 0
-        ring = self.pool.instances[lane].rings[category.value]
+        ring = self.pool.instances[lane].rings[category]
         return max(0, ring.capacity - ring.in_flight)
 
     def lane_stats(self, lane: int) -> CryptoInstance:

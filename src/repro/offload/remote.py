@@ -179,7 +179,7 @@ class RemoteAcceleratorBackend(OffloadBackend):
     def _land(self, request, result, error) -> None:
         self.outstanding -= 1
         self._completions.append(Completion(
-            token=request, op=request.op, result=result, error=error,
+            token=request, result=result, error=error,
             transport_error=False,
             device_marks={
                 "dequeued": request.arrived_at,

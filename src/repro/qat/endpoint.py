@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, List, Optional
 from ..sim.resources import Resource
 from .firmware import FirmwareCounters
 from .instance import CryptoInstance
-from .request import QatRequest, QatResponse
+from .request import QatRequest
 from .rings import DEFAULT_RING_CAPACITY, RingPair
 from .service_times import (PCIE_LATENCY, qat_pipeline_latency,
                             qat_service_time)
@@ -128,34 +128,33 @@ class QatEndpoint:
         the response down the pipeline (firmware + outbound DMA), which
         holds no engine capacity."""
         request.serviced_at = self.sim.now
-        response = QatResponse(request)
         try:
-            response.result = request.compute()
+            request.result = request.compute()
         except Exception as exc:  # functional failure -> errored response
-            response.error = exc
+            request.error = exc
         if plan is not None:
             hw_error = plan.corrupt(self.endpoint_id, request.op,
                                     self.sim.now)
             if hw_error is not None:
-                response.result = None
-                response.error = hw_error
-        self.fw_counters.record(request.op, ok=response.ok)
+                request.result = None
+                request.error = hw_error
+        self.fw_counters.record(request.op, ok=request.error is None)
         self.engines.release()
         self._sample_engines()
         self._dispatch()  # pull more work if rings are backed up
         landed = self.sim.timeout(self.pcie_latency
                                   + qat_pipeline_latency(request.op))
         landed.callbacks.append(
-            lambda _ev: self._land(response, ring, plan))
+            lambda _ev: self._land(request, ring, plan))
 
-    def _land(self, response: QatResponse, ring: RingPair, plan) -> None:
+    def _land(self, request: QatRequest, ring: RingPair, plan) -> None:
         """The response reaches its ring, unless the fault plan loses it."""
         if plan is not None and plan.response_lost(
-                self.endpoint_id, response.request.op, self.sim.now):
+                self.endpoint_id, request.op, self.sim.now):
             self.responses_lost += 1
-            ring.drop_response(response)
+            ring.drop_response(request)
             return
-        ring.land_response(response)
+        ring.land_response(request)
 
     def reset(self) -> int:
         """Device-level recovery: wipe every instance's rings. Ops that

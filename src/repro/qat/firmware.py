@@ -25,13 +25,13 @@ class FirmwareCounters:
 
     def record(self, op: CryptoOp, ok: bool = True) -> None:
         self.by_kind[op.kind.label] += 1
-        self.by_category[op.category.value] += 1
+        self.by_category[op.category] += 1
         if not ok:
             self.errors += 1
 
     def snapshot(self) -> Dict[str, int]:
         snap = {f"kind.{k}": v for k, v in sorted(self.by_kind.items())}
-        snap.update({f"cat.{k}": v
+        snap.update({f"cat.{k.value}": v
                      for k, v in sorted(self.by_category.items())})
         snap["total"] = sum(self.by_kind.values())
         snap["errors"] = self.errors

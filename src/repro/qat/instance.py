@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from ..crypto.ops import CryptoOp, OpCategory
-from .request import QatRequest, QatResponse
+from ..crypto.ops import CryptoOp
+from .request import QatRequest
 from .rings import RingPair
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,9 +68,6 @@ class CryptoInstance:
         self.op_timeouts = 0
         self.fallback_ops = 0
 
-    def _ring_for(self, category: OpCategory) -> RingPair:
-        return self.rings[category.value]
-
     # -- software-facing API ---------------------------------------------
 
     def try_submit(self, op: CryptoOp, compute: Callable[[], Any]
@@ -85,7 +82,8 @@ class CryptoInstance:
         rejected = plan is not None and plan.submit_rejected(
             self.endpoint.endpoint_id, self.endpoint.sim.now)
         request = QatRequest(op=op, compute=compute)
-        if rejected or not self._ring_for(op.category).try_submit(request):
+        # A str-valued OpCategory hashes and compares as its value.
+        if rejected or not self.rings[op.category].try_submit(request):
             self.submit_failures += 1
             return None
         self._sample_inflight()
@@ -93,9 +91,9 @@ class CryptoInstance:
         self.submitted += 1
         return request
 
-    def poll(self, max_responses: Optional[int] = None) -> List[QatResponse]:
-        """Retrieve available responses across this instance's rings."""
-        out: List[QatResponse] = []
+    def poll(self, max_responses: Optional[int] = None) -> List[QatRequest]:
+        """Retrieve landed responses across this instance's rings."""
+        out: List[QatRequest] = []
         for ring in self.rings.values():
             budget = None if max_responses is None \
                 else max_responses - len(out)

@@ -1,23 +1,25 @@
-"""QAT request/response records."""
+"""The QAT request record: one per offloaded op, ring write to delivery."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..crypto.ops import CryptoOp
+from .faults import QatHardwareError
 
-__all__ = ["QatRequest", "QatResponse"]
+__all__ = ["QatRequest"]
 
 
 @dataclass(eq=False)  # identity semantics: hashable in-flight table key
 class QatRequest:
-    """A crypto request written to a request ring.
+    """A crypto request written to a request ring, and its response.
 
     ``compute`` is the deferred functional computation (a zero-argument
     callable returning the crypto result); the device model executes it
     when the simulated calculation completes, so results exist exactly
-    when the simulation says they do.
+    when the simulation says they do, and sets ``result``/``error`` on
+    this same object, which the QAT backend hands back as its completion.
     """
 
     op: CryptoOp
@@ -28,17 +30,23 @@ class QatRequest:
     dequeued_at: Optional[float] = None
     #: When the computation engine finished the calculation.
     serviced_at: Optional[float] = None
-
-
-@dataclass
-class QatResponse:
-    """A completion landed on a response ring."""
-
-    request: QatRequest
     result: Any = None
     error: Optional[BaseException] = None
+    #: When the response landed on its response ring.
     completed_at: Optional[float] = None
 
     @property
-    def ok(self) -> bool:
-        return self.error is None
+    def token(self) -> "QatRequest":
+        """The in-flight identity the engine keys on: the request."""
+        return self
+
+    @property
+    def transport_error(self) -> bool:
+        """A device fault, not the crypto, failed the response."""
+        return isinstance(self.error, QatHardwareError)
+
+    @property
+    def device_marks(self) -> Dict[str, Optional[float]]:
+        """Device checkpoint stamps for request-lifecycle tracing."""
+        return {"dequeued": self.dequeued_at, "serviced": self.serviced_at,
+                "landed": self.completed_at}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-from .request import QatRequest, QatResponse
+from .request import QatRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .endpoint import QatEndpoint
@@ -44,7 +44,7 @@ class RingPair:
         self.name = name
         self.capacity = capacity
         self._requests: Deque[QatRequest] = deque()
-        self._responses: Deque[QatResponse] = deque()
+        self._responses: Deque[QatRequest] = deque()
         # Occupancy counts in-flight work: a slot frees only when the
         # response has been produced AND retrieved, mirroring how the
         # hardware credits ring slots back to software.
@@ -66,9 +66,9 @@ class RingPair:
         return True
 
     def poll_responses(self, max_responses: Optional[int] = None
-                       ) -> List[QatResponse]:
-        """Read available responses (the instance's polling primitive)."""
-        out: List[QatResponse] = []
+                       ) -> List[QatRequest]:
+        """Read landed responses (the instance's polling primitive)."""
+        out: List[QatRequest] = []
         while self._responses and (max_responses is None
                                    or len(out) < max_responses):
             self._occupied -= 1
@@ -84,13 +84,13 @@ class RingPair:
             return self._requests.popleft()
         return None
 
-    def land_response(self, response: QatResponse) -> None:
-        response.completed_at = self.sim.now
-        self._responses.append(response)
+    def land_response(self, request: QatRequest) -> None:
+        request.completed_at = self.sim.now
+        self._responses.append(request)
         if self.response_callback is not None:
             self.response_callback(self)
 
-    def drop_response(self, response: QatResponse) -> None:
+    def drop_response(self, request: QatRequest) -> None:
         """A completion whose response write was lost (fault injection):
         nothing lands, but the hardware still credits the slot back."""
         self._occupied -= 1

@@ -18,7 +18,7 @@ CPU-side (software) costs they are compared against.
 
 from __future__ import annotations
 
-from ..crypto.ops import CryptoOp, CryptoOpKind
+from ..crypto.ops import CryptoOp, CryptoOpKind, OpCategory
 
 __all__ = ["qat_service_time", "qat_pipeline_latency", "PCIE_LATENCY"]
 
@@ -30,20 +30,13 @@ PCIE_LATENCY = 8.0e-6
 #: *pipelined* — it adds latency without consuming engine capacity —
 #: so it hurts the blocking straight-offload mode (QAT+S) while the
 #: asynchronous framework hides it entirely (paper section 2.4).
-_PIPELINE_ASYM = 300e-6
-_PIPELINE_SYM = 22e-6
-_PIPELINE_PRF = 14e-6
+_PIPELINE = {OpCategory.ASYM: 300e-6, OpCategory.CIPHER: 22e-6,
+             OpCategory.PRF: 14e-6}
 
 
 def qat_pipeline_latency(op: CryptoOp) -> float:
     """Post-engine completion latency of ``op`` (see above)."""
-    from ..crypto.ops import OpCategory
-    cat = op.category
-    if cat is OpCategory.ASYM:
-        return _PIPELINE_ASYM
-    if cat is OpCategory.CIPHER:
-        return _PIPELINE_SYM
-    return _PIPELINE_PRF
+    return _PIPELINE[op.category]
 
 #: RSA private-key op service time by modulus size (seconds/engine).
 _RSA_PRIV = {1024: 70e-6, 2048: 280e-6, 3072: 700e-6, 4096: 1500e-6}

@@ -149,6 +149,18 @@ class Stream:
         out = b"".join(parts)
         return out if len(out) == n else out[:n]
 
+    def skip(self, n: int) -> None:
+        """Advance the stream exactly as ``bytes(n)`` does, half-word
+        buffer included, without building the bytes."""
+        words = (n + 3) >> 2 or 1
+        if self._half is not None:
+            self._half = None
+            words -= 1
+        for _ in range(words >> 1):
+            self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        if words & 1:
+            self._half = self._next64() >> 32
+
     def integers(self, low: int, high: Optional[int] = None) -> int:
         """An int in [low, high), or in [0, low) without ``high``."""
         if high is None:

@@ -12,8 +12,8 @@ from ..keyschedule import derive_master_secret
 from ..messages import (Certificate, ChangeCipherSpec, ClientHello,
                         ClientKeyExchange, NewSessionTicket, ServerHello,
                         ServerHelloDone, ServerKeyExchange)
-from .steps import (check_finished12, ecdh_compute, expect, key_expansion,
-                    keygen, send_finished12, verify)
+from .steps import (check_finished12, ecdh_compute, expect, find_suite,
+                    key_expansion, keygen, send_finished12, verify)
 
 __all__ = ["client_handshake12"]
 
@@ -41,8 +41,7 @@ def client_handshake12(config: TlsClientConfig
 
     sh = yield from expect(ServerHello)
     transcript.append(sh)
-    suite = next((s for s in config.suites if s.name == sh.cipher_suite),
-                 None)
+    suite = find_suite(config, sh.cipher_suite)
     if suite is None:
         raise TlsAlert("illegal_parameter: server chose unknown suite")
 

@@ -14,8 +14,8 @@ from ..messages import (Certificate, CertificateVerify, ClientHello,
                         EncryptedExtensions, Finished, NewSessionTicket,
                         ServerHello, transcript_hash)
 from .psk13 import compute_binder, derive_resumption_psk, partial_ch_hash
-from .steps import (app_keys13, ecdh_compute, expect, finished_mac13,
-                    handshake_secrets13, keygen, verify)
+from .steps import (app_keys13, ecdh_compute, expect, find_suite,
+                    finished_mac13, handshake_secrets13, keygen, verify)
 
 __all__ = ["client_handshake13"]
 
@@ -50,8 +50,7 @@ def client_handshake13(config: TlsClientConfig
 
     sh = yield from expect(ServerHello)
     transcript.append(sh)
-    suite = next((s for s in config.suites if s.name == sh.cipher_suite),
-                 None)
+    suite = find_suite(config, sh.cipher_suite)
     if suite is None or suite.version != ProtocolVersion.TLS13:
         raise TlsAlert("illegal_parameter: bad suite in ServerHello")
     if sh.key_share is None or sh.key_share_curve != curve:

@@ -30,19 +30,10 @@ from ..messages import (Certificate, ChangeCipherSpec, ClientHello,
                         ClientKeyExchange, NewSessionTicket, ServerHello,
                         ServerHelloDone, ServerKeyExchange)
 from ..session import SessionState
-from ..suites import CipherSuite
-from .steps import (check_finished12, ecdh_compute, expect, key_expansion,
-                    keygen, send_finished12, sign)
+from .steps import (check_finished12, choose_suite, ecdh_compute, expect,
+                    key_expansion, keygen, send_finished12, sign)
 
 __all__ = ["server_handshake12"]
-
-
-def _select_suite(config: TlsServerConfig, ch: ClientHello) -> CipherSuite:
-    offered = set(ch.cipher_suites)
-    for suite in config.suites:
-        if suite.name in offered and suite.version == ProtocolVersion.TLS12:
-            return suite
-    raise TlsAlert("handshake_failure: no common cipher suite")
 
 
 def _select_curve(config: TlsServerConfig, ch: ClientHello) -> str:
@@ -61,7 +52,8 @@ def server_handshake12(config: TlsServerConfig
 
     ch = yield from expect(ClientHello)
     transcript.append(ch)
-    suite = _select_suite(config, ch)
+    suite = choose_suite(config, ch, ProtocolVersion.TLS12,
+                         "handshake_failure: no common cipher suite")
     server_random = config.rng.bytes(RANDOM_LEN)
 
     # -- abbreviated handshake (session resumption)? ------------------------

@@ -23,20 +23,11 @@ from ..messages import (Certificate, CertificateVerify, ClientHello,
                         EncryptedExtensions, Finished, NewSessionTicket,
                         ServerHello, transcript_hash)
 from ..session import SessionState
-from ..suites import CipherSuite
 from .psk13 import compute_binder, derive_resumption_psk, partial_ch_hash
-from .steps import (app_keys13, ecdh_compute, expect, finished_mac13,
-                    handshake_secrets13, keygen, sign)
+from .steps import (app_keys13, choose_suite, ecdh_compute, expect,
+                    finished_mac13, handshake_secrets13, keygen, sign)
 
 __all__ = ["server_handshake13"]
-
-
-def _select_suite13(config: TlsServerConfig, ch: ClientHello) -> CipherSuite:
-    offered = set(ch.cipher_suites)
-    for suite in config.suites:
-        if suite.name in offered and suite.version == ProtocolVersion.TLS13:
-            return suite
-    raise TlsAlert("handshake_failure: no common TLS 1.3 suite")
 
 
 def server_handshake13(config: TlsServerConfig
@@ -47,7 +38,8 @@ def server_handshake13(config: TlsServerConfig
 
     ch = yield from expect(ClientHello)
     transcript.append(ch)
-    suite = _select_suite13(config, ch)
+    suite = choose_suite(config, ch, ProtocolVersion.TLS13,
+                         "handshake_failure: no common TLS 1.3 suite")
     if ch.key_share is None or ch.key_share_curve is None:
         # A HelloRetryRequest round would be needed; the reproduction
         # requires clients to send a share (as modern clients do).

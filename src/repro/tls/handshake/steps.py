@@ -12,7 +12,7 @@ handshake action by action) and
 
 from __future__ import annotations
 
-from typing import Generator, Tuple
+from typing import Generator, Optional, Tuple
 
 from ...crypto.ec import EcError
 from ...crypto.hmac_impl import hmac_digest
@@ -24,9 +24,10 @@ from ..keyschedule import (Tls13Schedule, derive_key_block,
 from ..messages import ChangeCipherSpec, Finished, transcript_hash
 from ..suites import CipherSuite
 
-__all__ = ["expect", "keygen", "ecdh_compute", "sign", "verify", "hkdf_op",
-           "key_expansion", "send_finished12", "check_finished12",
-           "handshake_secrets13", "finished_mac13", "app_keys13"]
+__all__ = ["expect", "choose_suite", "find_suite", "keygen", "ecdh_compute",
+           "sign", "verify", "hkdf_op", "key_expansion", "send_finished12",
+           "check_finished12", "handshake_secrets13", "finished_mac13",
+           "app_keys13"]
 
 Keys = Tuple[DirectionKeys, DirectionKeys]
 
@@ -37,6 +38,20 @@ def expect(*types) -> Generator[object, object, object]:
     if not isinstance(msg, types):
         raise TlsAlert(f"unexpected_message: expected {types[-1].__name__}")
     return msg
+
+
+def choose_suite(config, ch, version: int, alert: str) -> CipherSuite:
+    """The server's first ``version`` suite the client offered."""
+    offered = set(ch.cipher_suites)
+    for suite in config.suites:
+        if suite.name in offered and suite.version == version:
+            return suite
+    raise TlsAlert(alert)
+
+
+def find_suite(config, name: str) -> Optional[CipherSuite]:
+    """The client's suite the server named, if it has one."""
+    return next((s for s in config.suites if s.name == name), None)
 
 
 # -- asymmetric ops -----------------------------------------------------------

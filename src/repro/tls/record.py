@@ -102,30 +102,32 @@ class RecordLayer:
                 content_type: int = ContentType.APPLICATION_DATA
                 ) -> Generator[object, object, List[TlsRecord]]:
         """Protect ``data``; one CryptoCall per 16 KB fragment."""
-        return self._protect(self.fragments(data), content_type, self._seal)
+        return self._protect(self.fragments(data), content_type, self._seal,
+                             self.rng.bytes)
 
     def protect_opaque(self, length: int
                        ) -> Generator[object, object, List[TlsRecord]]:
         """Protect ``length`` bytes of application data no peer opens.
 
-        Yields the CryptoCalls, advances the sequence number and draws
-        the CBC IVs exactly as :meth:`protect` does for that many bytes;
-        each record's fragment is an :class:`OpaqueFragment` of the
-        ciphertext's wire size.
+        Yields the CryptoCalls, advances the sequence number and skips
+        the stream past the CBC IVs exactly as :meth:`protect` does for
+        that many bytes; each record's fragment is an
+        :class:`OpaqueFragment` of the ciphertext's wire size.
         """
         frags = [OpaqueFragment(min(MAX_FRAGMENT, length - i))
                  for i in range(0, length, MAX_FRAGMENT)]
         return self._protect(frags or [OpaqueFragment(0)],
-                             ContentType.APPLICATION_DATA, self._seal_opaque)
+                             ContentType.APPLICATION_DATA, self._seal_opaque,
+                             self.rng.skip)
 
     def _protect(self, frags: Sequence, content_type: int,
-                 seal: Callable) -> Generator[object, object,
-                                              List[TlsRecord]]:
+                 seal: Callable, draw_iv: Callable[[int], object]
+                 ) -> Generator[object, object, List[TlsRecord]]:
         records: List[TlsRecord] = []
         for frag in frags:
             seq = self._write_seq
             self._write_seq += 1
-            iv = None if self.aead else self.rng.bytes(16)
+            iv = None if self.aead else draw_iv(16)
             fragment = yield CryptoCall(
                 CryptoOp(CryptoOpKind.RECORD_CIPHER, nbytes=len(frag)),
                 compute=partial(seal, frag, seq, content_type, iv),
@@ -145,7 +147,7 @@ class RecordLayer:
             frag, iv)
 
     def _seal_opaque(self, frag: OpaqueFragment, seq: int,
-                     content_type: int, iv: bytes) -> OpaqueFragment:
+                     content_type: int, iv: None) -> OpaqueFragment:
         n = len(frag)
         if self.aead:
             # AES-128-GCM: payload || inner content type || 16-byte tag.

@@ -2,10 +2,15 @@
 submission batching (coalescing, flush triggers, flow control,
 failover of queued ops)."""
 
-from repro.crypto.ops import OpCategory
+from dataclasses import fields
+
+from repro.crypto.ops import CryptoOp, OpCategory
 from repro.offload.engine import BATCH_TIMEOUT, BUSY_POLL_SLICE
 from repro.offload.health import FAILURE_THRESHOLD
+from repro.qat.faults import QatHardwareError
+from repro.qat.request import QatRequest
 from repro.testing import make_job, make_qat_env, rsa_call
+from repro.tls.actions import CryptoCall
 
 
 def _job():
@@ -275,3 +280,45 @@ def test_submit_backoff_jittered_within_half_open_window():
         # Deterministic: replaying the same attempt gives the same wait.
         assert j == jittered.submit_backoff(attempts)
 
+
+
+def _round_trip(call, **env_kw):
+    """Submit ``call`` straight to the QAT backend, run until its
+    response lands, and poll: ``(accepted request, completions)``."""
+    env = make_qat_env(**env_kw)
+    [request] = env.engine.backend.submit_batch([call], lane=0)
+    env.sim.run()
+    return request, env.engine.backend.poll_completions()
+
+
+def test_qat_completion_is_the_accepted_request():
+    request, completions = _round_trip(rsa_call("sig"))
+    assert isinstance(request, QatRequest)
+    [c] = completions
+    assert c is request and c.token is c
+    assert (c.result, c.error, c.transport_error) == ("sig", None, False)
+    assert list(c.device_marks) == ["dequeued", "serviced", "landed"]
+    marks = c.device_marks
+    assert marks["dequeued"] < marks["serviced"] < marks["landed"]
+    assert marks["landed"] == c.completed_at
+
+
+def test_qat_corrupted_response_is_a_transport_error():
+    _, [c] = _round_trip(rsa_call("sig"), plan_kw={"corruption": 1.0})
+    assert isinstance(c.error, QatHardwareError)
+    assert c.transport_error and c.result is None
+
+
+def test_qat_compute_exception_is_a_plain_error():
+    def compute():
+        raise ValueError("bad padding")
+
+    _, [c] = _round_trip(CryptoCall(rsa_call().op, compute=compute))
+    assert isinstance(c.error, ValueError)
+    assert not c.transport_error and c.result is None
+
+
+def test_crypto_op_carries_no_meta():
+    op = rsa_call().op
+    assert not hasattr(op, "meta")
+    assert "meta" not in {f.name for f in fields(CryptoOp)}

@@ -4,7 +4,7 @@ order a full round-robin scan from the same cursor would."""
 
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.qat.endpoint import QatEndpoint
-from repro.qat.request import QatRequest, QatResponse
+from repro.qat.request import QatRequest
 from repro.sim import Simulator
 from repro.sim.rng import Stream
 
@@ -49,7 +49,7 @@ def test_ring_picks_match_a_full_scan():
             assert ring is reference.pick(endpoint)
             if ring is not None:
                 # The engine's completion credits the slot back.
-                ring.drop_response(QatResponse(ring.take_request()))
+                ring.drop_response(ring.take_request())
                 picks += 1
         elif action == 18:
             rings[int(rng.integers(0, len(rings)))].reset()

@@ -23,7 +23,7 @@ def test_submit_and_poll_roundtrip():
     sim.run()
     responses = inst.poll()
     assert len(responses) == 1
-    assert responses[0].ok and responses[0].result == "signature"
+    assert responses[0].error is None and responses[0].result == "signature"
 
 
 def test_response_not_ready_before_service_time():
@@ -120,7 +120,7 @@ def test_compute_exception_becomes_errored_response():
     inst.try_submit(rsa_op(), compute=boom)
     sim.run()
     (resp,) = inst.poll()
-    assert not resp.ok
+    assert resp.error is not None
     assert isinstance(resp.error, ValueError)
 
 

@@ -77,7 +77,7 @@ def test_one_request_pushes_service_and_pipeline_timeouts_only():
         ("", PCIE_LATENCY + qat_pipeline_latency(op)),
     ]
     [response] = inst.poll()
-    assert response.ok and response.result == "sig"
+    assert response.error is None and response.result == "sig"
 
 
 def test_engine_is_held_for_service_only():
@@ -111,7 +111,7 @@ def test_fault_hooks_run_at_service_start_end_and_landing():
         ("response_lost", pytest.approx(landed)),
     ]
     [response] = inst.poll()
-    assert response.ok
+    assert response.error is None
     assert response.completed_at == pytest.approx(landed)
 
 
@@ -124,7 +124,7 @@ def test_corrupt_at_service_end_stamps_the_landed_response():
     assert plan.events[0][:2] == (pytest.approx(service_end),
                                   "response_corrupted")
     [response] = inst.poll()
-    assert not response.ok and response.result is None
+    assert response.error is not None and response.result is None
 
 
 def test_response_lost_at_landing_drops_it():

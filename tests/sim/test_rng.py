@@ -160,3 +160,26 @@ def test_negative_seed_raises_like_numpy():
         np.random.default_rng(-1)
     with pytest.raises(ValueError):
         Stream(-1)
+
+
+#: Byte draws before a skip: none, one word each for 0-3 bytes (a
+#: half-word left buffered), and two one-word draws (buffer empty).
+SKIP_PREFIXES = [(), (0,), (1,), (2,), (3,), (1, 3)]
+
+
+@pytest.mark.parametrize("prefix", SKIP_PREFIXES,
+                         ids=lambda p: "-".join(map(str, p)) or "none")
+def test_skip_advances_exactly_as_bytes(prefix):
+    buffered = set()
+    for n in range(34):
+        skipped, drawn = Stream(2024), Stream(2024)
+        for k in prefix:
+            skipped.bytes(k)
+            drawn.bytes(k)
+        buffered.add(skipped.state[2] is not None)
+        assert skipped.skip(n) is None
+        drawn.bytes(n)
+        assert skipped.state == drawn.state, n
+        assert skipped.bytes(5) == drawn.bytes(5), n
+        assert skipped.random() == drawn.random(), n
+    assert buffered == {bool(prefix) and len(prefix) == 1}

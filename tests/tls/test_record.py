@@ -164,3 +164,27 @@ def test_opaque_record_fails_unprotect(provider, version):
     (record, *_) = run_record_exchange(sender.protect_opaque(40000))
     with pytest.raises(TlsAlert, match="bad_record_mac"):
         run_record_exchange(receiver.unprotect(record))
+
+
+@pytest.mark.parametrize("half_word", [False, True],
+                         ids=["aligned", "half-word-buffered"])
+@pytest.mark.parametrize("length", [0, 1, MAX_FRAGMENT, MAX_FRAGMENT + 1,
+                                    131072 + 256])
+def test_protect_opaque_leaves_the_stream_where_protect_does(length,
+                                                             half_word):
+    """The opaque path skips the CBC IV draws instead of making them:
+    afterwards the stream is where :meth:`protect` of ``length`` real
+    bytes leaves it, also when an earlier 32-bit draw left a half-word
+    buffered, and the next draws agree."""
+    layers = []
+    for protect in (lambda layer: layer.protect(b"\x00" * length),
+                    lambda layer: layer.protect_opaque(length)):
+        sender, _ = make_layers(ModeledCryptoProvider())
+        if half_word:
+            sender.rng.integers(100)
+        run_record_exchange(protect(sender))
+        layers.append(sender)
+    plain, opaque = (layer.rng for layer in layers)
+    assert opaque.state == plain.state
+    assert opaque.bytes(16) == plain.bytes(16)
+    assert opaque.random() == plain.random()
