@@ -34,9 +34,8 @@ NOTIFY_FD_READ_COST = 0.7e-6
 class Epoll:
     """A simulated epoll instance."""
 
-    def __init__(self, sim: "Simulator", name: str = "epoll") -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.name = name
         # Watched fd -> registration number. Readiness is reported in
         # registration order, never in object-hash order, or runs lose
         # determinism.
@@ -100,15 +99,18 @@ class Epoll:
                 # ready before it fires.
                 self._waiter = None
                 return ready
-            waiter = sim.event(name=f"{self.name}-wait")
+            waiter = sim.event()
             self._waiter = waiter
             if timeout is not None:
                 timer = sim.timeout(timeout)
                 yield sim.any_of([waiter, timer])
-                if not timer.processed and not timer.triggered:
+                # Cancel whichever of the two did not fire, so neither
+                # keeps the group alive through its callbacks.
+                if not timer.processed:
                     timer.cancel()
                 if self._waiter is waiter:
                     self._waiter = None
+                    waiter.cancel()
             else:
                 yield waiter
             # Waking up is the return from the blocked syscall.

@@ -22,13 +22,12 @@ class Link:
     """One direction of a network path."""
 
     def __init__(self, sim: "Simulator", latency: float = 12.5e-6,
-                 bandwidth_bps: float = 40e9, name: str = "") -> None:
+                 bandwidth_bps: float = 40e9) -> None:
         if latency < 0 or bandwidth_bps <= 0:
             raise ValueError("invalid link parameters")
         self.sim = sim
         self.latency = latency
         self.bandwidth_bps = bandwidth_bps
-        self.name = name
         self._wire_free_at = 0.0
 
     def transfer(self, nbytes: int) -> Event:
@@ -44,4 +43,4 @@ class Link:
         start = max(now, self._wire_free_at)
         self._wire_free_at = start + tx_time
         delivery_delay = (start - now) + tx_time + self.latency
-        return self.sim.timeout(delivery_delay, name=f"{self.name}-deliver")
+        return self.sim.timeout(delivery_delay)

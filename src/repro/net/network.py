@@ -74,8 +74,7 @@ class Network:
         key = (src, dst)
         lnk = self._links.get(key)
         if lnk is None:
-            lnk = Link(self.sim, NIC_LATENCY, NIC_BANDWIDTH,
-                       name=f"{src}->{dst}")
+            lnk = Link(self.sim, NIC_LATENCY, NIC_BANDWIDTH)
             self._links[key] = lnk
         return lnk
 

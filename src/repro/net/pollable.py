@@ -66,7 +66,7 @@ def wait_readable(sim, pollable: Pollable):
     model kernel/epoll costs — client machines are not the system
     under test).
     """
-    event = sim.event(name=f"readable-fd{pollable.fd}")
+    event = sim.event()
     if pollable.readable:
         event.succeed()
         return event

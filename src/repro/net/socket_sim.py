@@ -98,10 +98,15 @@ class SimSocket(Pollable):
             raise self.sim.unsettled(f"close of {self.label}")
         self._closed = True
         self._clear_readable()
-        if self.peer is not None:
+        peer = self.peer
+        if peer is not None:
             fin = self.out_link.transfer(40)  # FIN+ACK sized
-            peer = self.peer
             fin.callbacks.append(lambda _ev: peer._on_peer_close())
+            if peer._closed:
+                # Both ends closed: drop the a <-> b cycle so the pair
+                # is freed now, not by the cyclic GC. The FIN's
+                # callback holds the peer until it is delivered.
+                self.peer = peer.peer = None
 
     def _on_peer_close(self) -> None:
         self._peer_closed = True

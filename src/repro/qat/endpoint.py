@@ -117,8 +117,7 @@ class QatEndpoint:
         if plan is not None:
             service *= plan.latency_multiplier(self.endpoint_id,
                                                request.op, self.sim.now)
-        done = self.sim.timeout(self.pcie_latency + service,
-                                name=f"qat-exec-{request.request_id}")
+        done = self.sim.timeout(self.pcie_latency + service)
         done.callbacks.append(
             lambda _ev: self._engine_done(request, ring, plan))
 

@@ -100,12 +100,10 @@ class TlsServer:
         self._remote_rx: Optional[Link] = None
         if config.uses_remote:
             self.remote_service = RemoteCryptoService(sim)
-            self._remote_tx = Link(
-                sim, latency=REMOTE_LINK_LATENCY,
-                bandwidth_bps=REMOTE_LINK_BANDWIDTH, name="server->accel")
-            self._remote_rx = Link(
-                sim, latency=REMOTE_LINK_LATENCY,
-                bandwidth_bps=REMOTE_LINK_BANDWIDTH, name="accel->server")
+            self._remote_tx = Link(sim, latency=REMOTE_LINK_LATENCY,
+                                   bandwidth_bps=REMOTE_LINK_BANDWIDTH)
+            self._remote_rx = Link(sim, latency=REMOTE_LINK_LATENCY,
+                                   bandwidth_bps=REMOTE_LINK_BANDWIDTH)
 
         # Listen sockets outlive worker incarnations (nginx inherits
         # them across respawns and reloads), so they are bound once and

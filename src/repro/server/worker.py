@@ -106,7 +106,7 @@ class Worker:
         self.ssl_ctx = ssl_ctx_factory(self)
         self.engine = self.ssl_ctx.engine
 
-        self.epoll = Epoll(sim, name=f"w{worker_id}-epoll")
+        self.epoll = Epoll(sim)
         self.epoll.register(listener)
         self.stub_status = StubStatus(self)
         #: The application-defined async queue (kernel-bypass

@@ -8,8 +8,8 @@ Lifecycle::
 
     pending --(succeed/fail)--> triggered --(kernel step)--> processed
 
-Events may be cancelled while pending; a cancelled event is never
-scheduled and its callbacks never run.
+Events may be cancelled while pending; a cancelled event's callbacks
+are dropped and never run (the kernel pops it without processing it).
 """
 
 from __future__ import annotations
@@ -127,10 +127,12 @@ class Event:
         return self
 
     def cancel(self) -> None:
-        """Cancel a pending event; its callbacks will never run."""
+        """Cancel a pending event; its callbacks will never run, so
+        they are dropped now (freeing any cycle through them)."""
         if self.processed:
             raise RuntimeError(f"cannot cancel processed event {self!r}")
         self._cancelled = True
+        self.callbacks.clear()
 
     def defuse(self) -> None:
         """Mark a failed event's exception as handled."""
@@ -151,9 +153,16 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = "") -> None:
-        Event.__init__(self, sim, name)
-        self.delay = delay
+        # Event.__init__'s slots, set here: a Timeout is the kernel's
+        # most common event, so it skips the extra call.
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._value = value
+        self._exc = None
+        self._cancelled = False
+        self._defused = False
+        self.delay = delay
         sim._schedule(self, delay)  # raises on a negative delay
 
 

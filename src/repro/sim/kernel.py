@@ -41,7 +41,10 @@ class Simulator:
     """A discrete-event simulator with simulated seconds as time unit."""
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in seconds. A plain attribute that
+        #: only the kernel writes (:meth:`step`, :meth:`advance_to`);
+        #: every other layer reads it.
+        self.now: float = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = count()
         #: Optional request-lifecycle tracer (a
@@ -67,20 +70,13 @@ class Simulator:
         #: it popped: what :meth:`advance_to` needs to skip a Timeout.
         self._alone = False
 
-    # -- time ------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     # -- event factories ---------------------------------------------------
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
-        return Timeout(self, delay, value=value, name=name)
+        return Timeout(self, delay, value, name)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Spawn a new process running ``gen``."""
@@ -95,14 +91,14 @@ class Simulator:
                   priority: int = NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        heappush(self._heap, (self._now + delay, priority,
+        heappush(self._heap, (self.now + delay, priority,
                               next(self._seq), event))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulated time ``when``."""
-        if when < self._now:
-            raise ValueError(f"call_at({when}) is in the past (now={self._now})")
-        ev = self.timeout(when - self._now)
+        if when < self.now:
+            raise ValueError(f"call_at({when}) is in the past (now={self.now})")
+        ev = self.timeout(when - self.now)
         ev.callbacks.append(lambda _e: fn())
         return ev
 
@@ -113,7 +109,7 @@ class Simulator:
         ``when <= 2 * now`` (the subtraction is then exact), and that
         ordinary Timeout is returned; otherwise the event is pushed at
         ``when`` directly."""
-        now = self._now
+        now = self.now
         delay = when - now
         if delay < 0:
             raise ValueError(f"timeout_at({when}) is in the past (now={now})")
@@ -138,10 +134,10 @@ class Simulator:
         heap = self._heap
         if heap and heap[0][0] <= when:
             return False
-        if when < self._now:
+        if when < self.now:
             raise ValueError(f"advance_to({when}) is in the past "
-                             f"(now={self._now})")
-        self._now = when
+                             f"(now={self.now})")
+        self.now = when
         return True
 
     def hold(self, delay: float) -> tuple:
@@ -150,7 +146,7 @@ class Simulator:
         so nothing is yielded), else one Timeout. A process owing CPU
         time gets the Timeout, so the kernel's UnsettledDebt guard
         fails it on the yield."""
-        if self.debtor is None and self.advance_to(self._now + delay):
+        if self.debtor is None and self.advance_to(self.now + delay):
             return ()
         return (Timeout(self, delay),)
 
@@ -159,7 +155,7 @@ class Simulator:
         proc = self.active_process
         name = proc.name if proc is not None else None
         return UnsettledDebt(
-            f"{act} at t={self._now!r} in process {name!r} with CPU "
+            f"{act} at t={self.now!r} in process {name!r} with CPU "
             f"debt unsettled on {self.debtor!r}")
 
     # -- execution -----------------------------------------------------------
@@ -170,7 +166,7 @@ class Simulator:
         when, _prio, _seq, event = heappop(self._heap)
         if event._cancelled:
             return
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         if len(callbacks) == 1:
             self._alone = True
@@ -197,11 +193,11 @@ class Simulator:
                 stop_event.callbacks.append(self._stop_on_event)
         else:
             horizon = float(until)
-            if horizon < self._now:
+            if horizon < self.now:
                 raise ValueError(f"until={horizon} is in the past")
             sentinel = Event(self, name="run-until")
             sentinel._value = None
-            self._schedule(sentinel, horizon - self._now, priority=LOW)
+            self._schedule(sentinel, horizon - self.now, priority=LOW)
             sentinel.callbacks.append(self._stop_on_event)
             stop_event = sentinel
 

@@ -33,7 +33,7 @@ class Interrupt(Exception):
 class Process(Event):
     """A running simulation process (also its own completion event)."""
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: "Simulator", gen: Generator,
                  name: str = "") -> None:
@@ -44,11 +44,13 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(gen, "__name__", ""))
         self._gen = gen
         self._waiting_on: Optional[Event] = None
+        # One bound method, appended at every wait.
+        self._resume_cb = self._resume
         # Kick off the process at the current simulated instant.
-        boot = Event(sim, name=f"{self.name}-boot")
+        boot = Event(sim)
         boot._value = None
         sim._schedule(boot, 0.0)
-        boot.callbacks.append(self._resume)
+        boot.callbacks.append(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -66,7 +68,7 @@ class Process(Event):
             # Detach so a later trigger does not double-resume us.
             try:
                 assert self._waiting_on.callbacks is not None
-                self._waiting_on.callbacks.remove(self._resume)
+                self._waiting_on.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
         self._waiting_on = None
@@ -75,9 +77,20 @@ class Process(Event):
         kick._value = None
         kick.defuse()
         self.sim._schedule(kick, 0.0)
-        kick.callbacks.append(self._resume)
+        kick.callbacks.append(self._resume_cb)
 
     # -- kernel callback ---------------------------------------------------
+
+    def _end(self, value: Any = None,
+             exc: Optional[BaseException] = None) -> None:
+        """The process is over: trigger its completion event. Dropping
+        the bound resume first ends the process <-> method cycle, so a
+        finished process is freed without the cyclic GC."""
+        self._resume_cb = None
+        if exc is None:
+            self.succeed(value)
+        else:
+            self.fail(exc)
 
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
@@ -92,9 +105,9 @@ class Process(Event):
                 nxt = self._gen.send(trigger._value)
         except StopIteration as stop:
             if sim.debtor is not None:
-                self.fail(sim.unsettled("return"))
+                self._end(exc=sim.unsettled("return"))
                 return
-            self.succeed(stop.value)
+            self._end(stop.value)
             return
         except BaseException as exc:
             # The process died. Its chain forfeits the CPU time it owes
@@ -104,38 +117,39 @@ class Process(Event):
             # failure).
             if sim.debtor is not None:
                 sim.debtor.forfeit()
-            self.fail(exc)
+            self._end(exc=exc)
             return
 
         if sim.debtor is not None:
             # Waiting with CPU time owed would let other processes see
             # this one's effects before its core time has elapsed.
             self._gen.close()
-            self.fail(sim.unsettled(f"yielding {nxt!r}"))
+            self._end(exc=sim.unsettled(f"yielding {nxt!r}"))
             return
         if not isinstance(nxt, Event):
             err = RuntimeError(
                 f"process {self.name!r} yielded {nxt!r}; processes must "
                 "yield Event instances")
             self._gen.close()
-            self.fail(err)
+            self._end(exc=err)
             return
         if nxt.sim is not self.sim:
             self._gen.close()
-            self.fail(RuntimeError("yielded event belongs to another simulator"))
+            self._end(exc=RuntimeError(
+                "yielded event belongs to another simulator"))
             return
 
         callbacks = nxt.callbacks
         if callbacks is None:
             # Already processed: reschedule ourselves immediately with
             # its value.
-            kick = Event(self.sim, name=f"{self.name}-immediate")
+            kick = Event(sim)
             kick._value = nxt._value
             kick._exc = nxt._exc
             if kick._exc is not None:
                 kick.defuse()
-            self.sim._schedule(kick, 0.0)
-            kick.callbacks.append(self._resume)
+            sim._schedule(kick, 0.0)
+            kick.callbacks.append(self._resume_cb)
         else:
             self._waiting_on = nxt
-            callbacks.append(self._resume)
+            callbacks.append(self._resume_cb)

@@ -92,17 +92,14 @@ def _tag(w) -> str:
 def check_op_conservation(bed) -> List[str]:
     """Every accepted op is retired exactly once: the in-flight count
     (the lifetime ledger's accepted minus retired) equals what the
-    engine tables actually hold. A double-retire drives it negative
-    (InflightCounters raises first in most paths); a lost op strands it
-    above the table population."""
+    engine tables actually hold. A double-retire cannot drive it
+    negative: InflightCounters.decrement raises on every per-category
+    underflow before it counts the retire. A lost op strands it above
+    the table population."""
     out = []
     for w, eng in iter_engines(bed.server):
-        ledger = eng.inflight
-        diff = ledger.total
+        diff = eng.inflight.total
         tables = len(eng._pending) + len(eng._batch)
-        if diff < 0:
-            out.append(f"{_tag(w)}: ledger negative "
-                       f"({ledger.accepted}-{ledger.retired})")
         # Sync (blocking) offload charges the in-flight counters while
         # the fiber waits inline, without a _pending entry: the table
         # identity — and the everything-retired-at-death guarantee the

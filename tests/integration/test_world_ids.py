@@ -5,19 +5,21 @@ globals."""
 from repro.bench.runner import Testbed
 
 
-def scheduled_names(bed, until=0.03):
-    """Names of the fd-wait and QAT-execution events a run schedules."""
-    names = []
-    schedule = bed.sim._schedule
+def recorded(ids, kind, log):
+    """Pass ``ids`` through, logging each draw as ``(kind, id)``."""
+    for i in ids:
+        log.append((kind, i))
+        yield i
 
-    def recording(event, delay=0.0, **kw):
-        if event.name.startswith(("readable-fd", "qat-exec-")):
-            names.append(event.name)
-        schedule(event, delay, **kw)
 
-    bed.sim._schedule = recording
-    bed.sim.run(until=until)
-    return names
+def id_draws(bed, until=0.03):
+    """The fd and QAT request ids a run draws, in draw order."""
+    draws = []
+    sim = bed.sim
+    sim.fd_ids = recorded(sim.fd_ids, "fd", draws)
+    sim.request_ids = recorded(sim.request_ids, "request", draws)
+    sim.run(until=until)
+    return draws
 
 
 def build():
@@ -27,8 +29,7 @@ def build():
 
 
 def test_two_worlds_see_the_same_fd_and_request_id_sequences():
-    first = scheduled_names(build())
-    second = scheduled_names(build())
-    assert any(n.startswith("readable-fd") for n in first)
-    assert any(n.startswith("qat-exec-") for n in first)
+    first = id_draws(build())
+    second = id_draws(build())
+    assert {kind for kind, _ in first} == {"fd", "request"}
     assert second == first

@@ -6,7 +6,7 @@ from repro.cpu import Core
 from repro.cpu.core import KERNEL_SWITCH_COST
 from repro.net import Epoll, Link, NotifyFd, socket_pair, wait_readable
 from repro.net.epoll_sim import EPOLL_PER_EVENT_COST, EPOLL_WAIT_BASE_COST
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 from repro.sim.rng import Stream
 
 
@@ -122,6 +122,35 @@ def test_wait_with_a_timeout_still_wakes_on_an_earlier_notification():
     assert result["at"] == 1e-3 + EPOLL_PER_EVENT_COST
 
 
+def test_a_wait_its_fd_wakes_cancels_its_timer():
+    sim, core, ep = make_env()
+    nfd = NotifyFd(sim)
+    ep.register(nfd)
+    timers, fired = [], []
+    schedule = sim._schedule
+
+    def recording(event, delay=0.0, **kw):
+        if isinstance(event, Timeout) and delay == 2e-3:
+            timers.append(event)
+            event.callbacks.append(fired.append)
+        schedule(event, delay, **kw)
+
+    sim._schedule = recording
+
+    def loop(sim):
+        ready = yield from ep.wait(core, timeout=2e-3)
+        yield from core.settle()
+        assert ready == [nfd]
+
+    proc = sim.process(loop(sim))
+    sim.call_at(1e-3, nfd.write_event)
+    sim.run()
+    assert proc.ok
+    (timer,) = timers
+    assert timer.cancelled and not timer.processed
+    assert sim._heap == [] and fired == []  # popped, never run
+
+
 def test_wait_charges_kernel_crossing():
     sim, core, ep = make_env()
     a, b = socket_pair(sim, Link(sim, 0.0), Link(sim, 0.0))
@@ -208,7 +237,7 @@ def test_ready_list_matches_registration_order_scan():
     (a re-registered fd goes last, an already-registered one keeps its
     place)."""
     sim = Simulator()
-    epolls = [Epoll(sim, "a"), Epoll(sim, "b")]
+    epolls = [Epoll(sim), Epoll(sim)]
     fds = [NotifyFd(sim) for _ in range(8)]
     rng = Stream(27)
     for _ in range(4000):

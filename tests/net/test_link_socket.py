@@ -1,5 +1,8 @@
 """Tests for links and simulated sockets."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.net import Link, SimSocket, SocketClosed, socket_pair
@@ -7,9 +10,7 @@ from repro.sim import Simulator
 
 
 def make_pair(sim, latency=10e-6, bw=40e9):
-    ab = Link(sim, latency, bw, name="ab")
-    ba = Link(sim, latency, bw, name="ba")
-    return socket_pair(sim, ab, ba)
+    return socket_pair(sim, Link(sim, latency, bw), Link(sim, latency, bw))
 
 
 def test_link_latency_and_serialization():
@@ -111,6 +112,27 @@ def test_delivery_after_close_dropped():
     b.close()
     sim.run()
     assert b.pending == 0
+
+
+def test_pair_closed_at_both_ends_is_freed_without_the_cyclic_gc():
+    """The second close drops the a <-> b peer cycle, so reference
+    counting alone frees the pair."""
+    gc.disable()
+    try:
+        sim = Simulator()
+        a, b = make_pair(sim)
+        a.send(b"x")
+        sim.run()
+        assert b.recv() == b"x"
+        a.close()
+        b.close()
+        sim.run()  # deliver both FINs
+        assert a.peer is None and b.peer is None
+        refs = [weakref.ref(a), weakref.ref(b)]
+        del a, b
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_unconnected_socket_send_raises():

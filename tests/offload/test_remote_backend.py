@@ -28,8 +28,8 @@ def make_env():
     service = RemoteCryptoService(sim)
     backend = RemoteAcceleratorBackend(
         sim, service,
-        tx_link=Link(sim, latency=20e-6, bandwidth_bps=25e9, name="tx"),
-        rx_link=Link(sim, latency=20e-6, bandwidth_bps=25e9, name="rx"))
+        tx_link=Link(sim, latency=20e-6, bandwidth_bps=25e9),
+        rx_link=Link(sim, latency=20e-6, bandwidth_bps=25e9))
     eng = AsyncOffloadEngine(backend, core, CostModel())
     return sim, core, backend, eng
 

@@ -59,7 +59,7 @@ def record_pushes(sim):
     schedule = sim._schedule
 
     def recording(event, delay=0.0, **kw):
-        pushed.append((event.name, delay))
+        pushed.append(delay)
         schedule(event, delay, **kw)
 
     sim._schedule = recording
@@ -72,11 +72,10 @@ def test_one_request_pushes_service_and_pipeline_timeouts_only():
     pushed = record_pushes(sim)
     assert inst.try_submit(op, compute=lambda: "sig")
     sim.run()
-    assert pushed == [
-        ("qat-exec-1", PCIE_LATENCY + qat_service_time(op)),
-        ("", PCIE_LATENCY + qat_pipeline_latency(op)),
-    ]
+    assert pushed == [PCIE_LATENCY + qat_service_time(op),
+                      PCIE_LATENCY + qat_pipeline_latency(op)]
     [response] = inst.poll()
+    assert response.request_id == 1
     assert response.error is None and response.result == "sig"
 
 

@@ -1,13 +1,55 @@
 """Unit tests for the DES kernel: events, scheduling, run semantics."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim import Event, Simulator, Timeout
 
 
 def test_time_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
+
+
+def _assigned_attributes(tree):
+    """(attribute name, line) for every attribute an assignment
+    (tuple targets included) or augmented assignment writes."""
+    def targets(node):
+        if isinstance(node, ast.Attribute):
+            yield node
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Starred)):
+            for child in ast.iter_child_nodes(node):
+                yield from targets(child)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            roots = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            roots = [node.target]
+        else:
+            continue
+        for root in roots:
+            for attr in targets(root):
+                yield attr.attr, attr.lineno
+
+
+def test_only_the_kernel_writes_now():
+    """``Simulator.now`` is a plain attribute: nothing in the package
+    outside ``sim/kernel.py`` may assign it."""
+    src = Path(repro.__file__).parent
+    kernel = src / "sim" / "kernel.py"
+    writes = [f"{path.relative_to(src)}:{line}"
+              for path in sorted(src.rglob("*.py")) if path != kernel
+              for name, line in _assigned_attributes(
+                  ast.parse(path.read_text(), str(path)))
+              if name == "now"]
+    assert writes == []
+    kernel_writes = [name for name, _ in _assigned_attributes(
+        ast.parse(kernel.read_text())) if name == "now"]
+    assert kernel_writes  # the scan sees the kernel's own writes
 
 
 def test_timeout_advances_clock():
@@ -132,6 +174,18 @@ def test_cancelled_event_callbacks_never_run():
     sim.run()
     assert not hit
     assert t.cancelled
+
+
+def test_cancel_drops_the_callbacks():
+    """A cancelled event's callbacks can never run, so cancel() lets go
+    of them (and of any cycle through them) at once."""
+    sim = Simulator()
+    group = sim.any_of([sim.event(), sim.timeout(1.0)])
+    timer = group.events[1]
+    timer.cancel()
+    assert timer.callbacks == []
+    sim.run()
+    assert not group.triggered and timer.callbacks == []
 
 
 def test_call_at_runs_callbacks_in_time_order():

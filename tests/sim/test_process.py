@@ -1,5 +1,8 @@
 """Unit tests for generator-based processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import AnyOf, Interrupt, Simulator
@@ -134,6 +137,36 @@ def test_yield_non_event_fails_process():
     sim.process(proc(sim))
     with pytest.raises(RuntimeError, match="must.*yield Event"):
         sim.run()
+
+
+@pytest.mark.parametrize("ending", ["return", "bad-yield"])
+def test_finished_process_is_freed_without_the_cyclic_gc(ending):
+    """A process keeps one bound ``_resume`` for all its waits; ending
+    drops it, so no process <-> method cycle keeps the process (and
+    its generator) alive."""
+    def proc(sim):
+        yield sim.timeout(1.0)
+        if ending == "bad-yield":
+            yield 42
+
+    def later(sim):
+        yield sim.timeout(2.0)
+
+    gc.disable()
+    try:
+        sim = Simulator()
+        gen = proc(sim)
+        ref = weakref.ref(gen)
+        p = sim.process(gen)
+        p.callbacks.append(lambda ev: ev.defuse())
+        sim.process(later(sim))  # so sim.active_process moves past p
+        del gen
+        sim.run()
+        assert p.processed and p.ok == (ending == "return")
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_interrupt_resumes_with_exception():
